@@ -12,6 +12,13 @@ Offset channel layout, for chain distance c in 1..4 with base = 4*(c-1):
     base+0: dx of the forward point t+c      base+1: dy of t+c
     base+2: dx of the backward point t-c     base+3: dy of t-c
 Chain order everywhere is t-4 .. t+4, so the center sits at index 4.
+
+The four pyramid levels run as one 9x9 convolution (``PyramidConv2d``):
+each level's (4, Cin, k, k) kernel is embedded centred in the 9x9 support
+with zeros around it, which with padding 4 computes exactly that level's
+'same' convolution, so one window matrix serves all 16 offset channels. The
+level kernels stay separate parameters ("pyramid.{k}.weight"), and each
+receives the centre slice of the fused kernel's gradient.
 """
 from __future__ import annotations
 
@@ -19,9 +26,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_array, get_index_dtype
 
 from .module import Conv2d, Module, Parameter, _uniform
-from .tensor import ContractViolation, Tensor, _make, concat, reshape, tanh
+from .tensor import ContractViolation, Tensor, _make, concat, conv2d, reshape, tanh
 
 PYRAMID_KERNELS = (3, 5, 7, 9)
 CHAIN_LEN = 9
@@ -64,7 +72,7 @@ def iterate_chain(center: tuple[int, int], steps) -> list[tuple[float, float]]:
     return pts
 
 
-def _chain_axis(squashed: Tensor, component: int, n_pix: int, grid: np.ndarray) -> Tensor:
+def _chain_axis(squashed: Tensor, component: int, grid: np.ndarray) -> Tensor:
     """Prefix-sum one coordinate axis of the chain.
 
     ``component`` 0 builds x coordinates (dx channels), 1 builds y. ``grid``
@@ -100,7 +108,7 @@ def chain_coordinates(field: OffsetField) -> tuple[Tensor, Tensor]:
         raise ContractViolation(f"offset field needs 16 channels, got shape {s.data.shape}")
     gx = np.broadcast_to(np.arange(w, dtype=s.data.dtype), (n, h, w))
     gy = np.broadcast_to(np.arange(h, dtype=s.data.dtype)[:, None], (n, h, w))
-    return _chain_axis(s, 0, h * w, gx), _chain_axis(s, 1, h * w, gy)
+    return _chain_axis(s, 0, gx), _chain_axis(s, 1, gy)
 
 
 def grid_sample_points(feature: Tensor, x: Tensor, y: Tensor) -> Tensor:
@@ -119,50 +127,55 @@ def grid_sample_points(feature: Tensor, x: Tensor, y: Tensor) -> Tensor:
     if not (np.isfinite(xd).all() and np.isfinite(yd).all()):
         raise ContractViolation("non-finite sampling coordinate")
 
+    m = xd.shape[1]
     xc = np.clip(xd, 0.0, w - 1.0)
     yc = np.clip(yd, 0.0, h - 1.0)
-    x0 = np.clip(np.floor(xc), 0, max(w - 2, 0)).astype(np.int64)
-    y0 = np.clip(np.floor(yc), 0, max(h - 2, 0)).astype(np.int64)
-    tx = (xc - x0).astype(fd.dtype)
-    ty = (yc - y0).astype(fd.dtype)
-    x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
+    x0 = np.minimum(np.floor(xc), max(w - 2, 0))
+    y0 = np.minimum(np.floor(yc), max(h - 2, 0))
+    tx = (xc - x0).astype(fd.dtype, copy=False)
+    ty = (yc - y0).astype(fd.dtype, copy=False)
+    ux = 1.0 - tx
+    uy = 1.0 - ty
 
-    flat = fd.reshape(n, c, h * w)
-    i00 = y0 * w + x0
-    i01 = y0 * w + x1
-    i10 = y1 * w + x0
-    i11 = y1 * w + x1
+    # Row n*M + m of the sampling matrix holds point m's corner weights
+    # (00, 01, 10, 11) over the rows of the channel-last feature (N*H*W, C).
+    # Corners stay in the point's own image, so the matrix is block diagonal
+    # over the batch; along a side of length 1 the two corners coincide.
+    shape = (n * m, n * h * w)
+    idx_t = get_index_dtype(maxval=max(4 * n * m, n * h * w))
+    cols = np.empty((n, m, 4), dtype=idx_t)
+    i00 = y0.astype(idx_t) * w
+    i00 += x0.astype(idx_t)
+    i00 += (np.arange(n, dtype=idx_t) * (h * w))[:, None]
+    sx, sy = min(w - 1, 1), min(h - 1, 1) * w
+    cols[..., 0] = i00
+    np.add(i00, sx, out=cols[..., 1])
+    np.add(i00, sy, out=cols[..., 2])
+    np.add(i00, sx + sy, out=cols[..., 3])
+    cols = cols.reshape(-1)
+    indptr = np.arange(0, 4 * n * m + 1, 4, dtype=idx_t)
 
-    def gather(idx):
-        return np.take_along_axis(flat, idx[:, None, :], axis=2)
+    def corner_matrix(w00, w01, w10, w11):
+        vals = np.empty((n, m, 4), dtype=fd.dtype)
+        for i, wi in enumerate((w00, w01, w10, w11)):
+            vals[..., i] = wi
+        return csr_array((vals.reshape(-1), cols, indptr), shape=shape)
 
-    g00, g01, g10, g11 = gather(i00), gather(i01), gather(i10), gather(i11)
-    txe = tx[:, None, :]
-    tye = ty[:, None, :]
-    top = g00 * (1.0 - txe) + g01 * txe
-    bot = g10 * (1.0 - txe) + g11 * txe
-    data = top * (1.0 - tye) + bot * tye
+    sample = corner_matrix(ux * uy, tx * uy, ux * ty, tx * ty)
+    rows = np.ascontiguousarray(fd.transpose(0, 2, 3, 1)).reshape(n * h * w, c)
+    data = np.ascontiguousarray((sample @ rows).reshape(n, m, c).transpose(0, 2, 1))
 
     def bwd(g):
+        gl = np.ascontiguousarray(g.transpose(0, 2, 1)).reshape(n * m, c)
         if feature.needs_grad:
-            base = (np.arange(n * c, dtype=np.int64) * (h * w)).reshape(n, c, 1)
-            acc = np.zeros(n * c * h * w, dtype=np.float64)
-            for idx, wgt in ((i00, (1 - txe) * (1 - tye)), (i01, txe * (1 - tye)),
-                             (i10, (1 - txe) * tye), (i11, txe * tye)):
-                full = (base + idx[:, None, :]).ravel()
-                acc += np.bincount(full, weights=(g * wgt).ravel(),
-                                   minlength=n * c * h * w)
-            feature._accum(acc.reshape(n, c, h, w).astype(fd.dtype))
-        if x.needs_grad or y.needs_grad:
-            if x.needs_grad:
-                dx = ((g01 - g00) * (1.0 - tye) + (g11 - g10) * tye) * g
-                mask = ((xd >= 0.0) & (xd <= w - 1.0)).astype(fd.dtype)
-                x._accum(dx.sum(axis=1) * mask)
-            if y.needs_grad:
-                dy = ((g10 - g00) * (1.0 - txe) + (g11 - g01) * txe) * g
-                mask = ((yd >= 0.0) & (yd <= h - 1.0)).astype(fd.dtype)
-                y._accum(dy.sum(axis=1) * mask)
+            gf = (sample.T @ gl).reshape(n, h, w, c)
+            feature._accum(np.ascontiguousarray(gf.transpose(0, 3, 1, 2)))
+        if x.needs_grad:
+            dx = ((corner_matrix(-uy, uy, -ty, ty) @ rows) * gl).sum(axis=1).reshape(n, m)
+            x._accum(dx * ((xd >= 0.0) & (xd <= w - 1.0)))
+        if y.needs_grad:
+            dy = ((corner_matrix(-ux, -tx, ux, tx) @ rows) * gl).sum(axis=1).reshape(n, m)
+            y._accum(dy * ((yd >= 0.0) & (yd <= h - 1.0)))
 
     return _make(data, (feature, x, y), bwd)
 
@@ -201,6 +214,60 @@ def chain_contract(sampled: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     return _make(data, (sampled, weight, bias), bwd)
 
 
+def _embed_kernels(weights: list[Tensor]) -> Tensor:
+    """Stack kernels (Co_i, Cin, k_i, k_i) along Cout, each centred in a
+    shared (sum Co_i, Cin, K, K) support, K the largest k_i."""
+    size = max(wt.data.shape[-1] for wt in weights)
+    rows = sum(wt.data.shape[0] for wt in weights)
+    ref = weights[0].data
+    data = np.zeros((rows, ref.shape[1], size, size), dtype=ref.dtype)
+    slices, row = [], 0
+    for wt in weights:
+        co, _, k, _ = wt.data.shape
+        o = (size - k) // 2
+        sl = (slice(row, row + co), slice(None), slice(o, o + k), slice(o, o + k))
+        data[sl] = wt.data
+        slices.append(sl)
+        row += co
+
+    def bwd(g):
+        for wt, sl in zip(weights, slices):
+            if wt.needs_grad:
+                wt._accum(g[sl])
+
+    return _make(data, tuple(weights), bwd)
+
+
+class PyramidLevel(Module):
+    """One pyramid level: a zero (4, Cin, k, k) kernel and a (4,) bias."""
+
+    def __init__(self, cin: int, k: int, bias: np.ndarray):
+        super().__init__()
+        self.weight = Parameter(np.zeros((4, cin, k, k), dtype=np.float32))
+        self.bias = Parameter(bias.copy())
+
+
+class PyramidConv2d(Conv2d):
+    """The pyramid levels (kernels 3/5/7/9, four channels each) as one 9x9
+    convolution with padding 4; output channels 4i..4i+3 come from level i.
+
+    The fused kernel is assembled from the level parameters on every call,
+    so it holds no parameters of its own.
+    """
+
+    def __init__(self, cin: int, bias: np.ndarray):
+        Module.__init__(self)
+        self.stride = 1
+        self.padding = PYRAMID_KERNELS[-1] // 2
+        self._levels = [self.register_module(str(k), PyramidLevel(cin, k, bias))
+                        for k in PYRAMID_KERNELS]
+
+    def forward(self, x: Tensor) -> Tensor:
+        return conv2d(x, _embed_kernels([lvl.weight for lvl in self._levels]),
+                      concat([lvl.bias for lvl in self._levels], axis=0),
+                      padding=self.padding)
+
+
 class SnakeConv2d(Module):
     """Deformable chain convolution over 9 snake points per pixel.
 
@@ -221,16 +288,10 @@ class SnakeConv2d(Module):
         self.frozen_offsets = frozen_offsets
         self._levels = []
         if not frozen_offsets:
-            for k in PYRAMID_KERNELS:
-                conv = Conv2d(cin, 4, k, padding=(k - 1) // 2, zero_init=True)
-                if axis == "horizontal":
-                    conv.bias.data[:] = np.array(
-                        [INIT_STEP_BIAS, 0.0, INIT_STEP_BIAS, 0.0], np.float32)
-                else:
-                    conv.bias.data[:] = np.array(
-                        [0.0, INIT_STEP_BIAS, 0.0, INIT_STEP_BIAS], np.float32)
-                self.register_module(f"pyramid.{k}", conv)
-                self._levels.append(conv)
+            bias = ([INIT_STEP_BIAS, 0.0, INIT_STEP_BIAS, 0.0] if axis == "horizontal"
+                    else [0.0, INIT_STEP_BIAS, 0.0, INIT_STEP_BIAS])
+            self.pyramid = PyramidConv2d(cin, np.array(bias, np.float32))
+            self._levels = self.pyramid._levels
         bound = 1.0 / math.sqrt(cin * CHAIN_LEN)
         self._chain_w = self.register_parameter(
             "chain.weight", Parameter(_uniform(rng, (cout, cin, CHAIN_LEN), bound)))
@@ -252,7 +313,7 @@ class SnakeConv2d(Module):
             pattern[start + 2::4][0:4] = STRAIGHT_BIAS
             raw = np.broadcast_to(pattern.reshape(1, -1, 1, 1), (n, OFFSET_CHANNELS, h, w))
             return OffsetField(raw=Tensor(raw), squashed=Tensor(np.tanh(raw)))
-        raw = concat([lvl(x) for lvl in self._levels], axis=1)
+        raw = self.pyramid(x)
         return OffsetField(raw=raw, squashed=tanh(raw))
 
     def forward(self, x: Tensor) -> Tensor:

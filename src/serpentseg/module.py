@@ -129,17 +129,13 @@ class Conv2d(Module):
     """Square-kernel convolution layer; fan-in uniform init."""
 
     def __init__(self, cin: int, cout: int, k: int, stride: int = 1, padding: int = 0,
-                 rng: np.random.Generator | None = None, zero_init: bool = False):
+                 rng: np.random.Generator | None = None):
         super().__init__()
         self.stride = stride
         self.padding = padding
-        if zero_init:
-            self.weight = Parameter(np.zeros((cout, cin, k, k), dtype=np.float32))
-            self.bias = Parameter(np.zeros(cout, dtype=np.float32))
-        else:
-            bound = 1.0 / np.sqrt(cin * k * k)
-            self.weight = Parameter(_uniform(rng, (cout, cin, k, k), bound))
-            self.bias = Parameter(_uniform(rng, (cout,), bound))
+        bound = 1.0 / np.sqrt(cin * k * k)
+        self.weight = Parameter(_uniform(rng, (cout, cin, k, k), bound))
+        self.bias = Parameter(_uniform(rng, (cout,), bound))
 
     def forward(self, x: Tensor) -> Tensor:
         return conv2d(x, self.weight, self.bias, stride=self.stride, padding=self.padding)

@@ -521,21 +521,31 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
 # -- convolution and pooling ---------------------------------------------------
 
 def _im2col(xp: np.ndarray, k: int, stride: int, ho: int, wo: int) -> np.ndarray:
-    """Flatten every kernel window of a padded (N, C, Hp, Wp) map into a row."""
+    """Window matrix of a padded (N, C, Hp, Wp) map, channel-major.
+
+    Row ``(c * k + i) * k + j`` holds input channel c shifted by kernel tap
+    (i, j) at every output position; columns run over (N, Ho, Wo). The rows
+    match ``weight.reshape(Cout, C * k * k)``, and each kernel tap is one
+    strided slice copy of all channels at once.
+    """
     n, c, _, _ = xp.shape
-    s0, s1, s2, s3 = xp.strides
-    view = np.lib.stride_tricks.as_strided(
-        xp, (n, ho, wo, c, k, k), (s0, s2 * stride, s3 * stride, s1, s2, s3),
-        writeable=False)
-    return np.ascontiguousarray(view).reshape(n * ho * wo, c * k * k)
+    xc = xp.transpose(1, 0, 2, 3)
+    cols = np.empty((c, k, k, n, ho, wo), dtype=xp.dtype)
+    for i in range(k):
+        for j in range(k):
+            cols[:, i, j] = xc[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride]
+    return cols.reshape(c * k * k, n * ho * wo)
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
            stride: int = 1, padding: int = 0) -> Tensor:
     """2-d convolution with zero padding and square odd kernels.
 
-    im2col plus a single GEMM each way; the window rows are kept for the
-    weight gradient.
+    Forward is one GEMM, ``weight (Cout, C*k*k) @ cols (C*k*k, N*Ho*Wo)``,
+    over the channel-major window matrix of ``_im2col``. Backward keeps that
+    matrix for the weight gradient; the input gradient is one GEMM
+    ``weight.T @ grad`` scattered back onto the padded input tap by tap
+    (col2im), the same for every stride and padding.
     """
     xd, wd = x.data, weight.data
     if xd.ndim != 4 or wd.ndim != 4:
@@ -562,36 +572,24 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
         xp = xd
     cols = _im2col(xp, k, stride, ho, wo)
     wmat = wd.reshape(cout, cin * k * k)
-    out = cols @ wmat.T
+    out = wmat @ cols
     if bias is not None:
-        out += bias.data
-    data = np.ascontiguousarray(out.reshape(n, ho, wo, cout).transpose(0, 3, 1, 2))
+        out += bias.data[:, None]
+    data = np.ascontiguousarray(out.reshape(cout, n, ho, wo).transpose(1, 0, 2, 3))
 
     def bwd(g):
-        g2 = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(-1, cout)
+        g2 = np.ascontiguousarray(g.transpose(1, 0, 2, 3)).reshape(cout, -1)
         if weight.needs_grad:
-            weight._accum((g2.T @ cols).reshape(wd.shape))
+            weight._accum((g2 @ cols.T).reshape(wd.shape))
         if x.needs_grad:
-            if stride == 1:
-                # input grad is the full correlation with the flipped kernel
-                gp = np.pad(g, ((0, 0), (0, 0), (k - 1 - padding,) * 2,
-                                (k - 1 - padding,) * 2))
-                gcols = _im2col(gp, k, 1, h, w)
-                wflip = np.ascontiguousarray(
-                    wd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)).reshape(cin, cout * k * k)
-                dx = (gcols @ wflip.T).reshape(n, h, w, cin)
-                x._accum(np.ascontiguousarray(dx.transpose(0, 3, 1, 2)))
-            else:
-                dcols = g2 @ wmat
-                dc = np.ascontiguousarray(
-                    dcols.reshape(n, ho, wo, cin, k, k).transpose(0, 3, 1, 2, 4, 5))
-                gxp = np.zeros((n, cin, h + 2 * padding, w + 2 * padding), dtype=g.dtype)
-                for i in range(k):
-                    for j in range(k):
-                        gxp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += \
-                            dc[..., i, j]
-                x._accum(gxp[:, :, padding:padding + h, padding:padding + w] if padding
-                         else gxp)
+            dcols = (wmat.T @ g2).reshape(cin, k, k, n, ho, wo)
+            gxp = np.zeros((cin, n) + xp.shape[2:], dtype=g.dtype)
+            for i in range(k):
+                for j in range(k):
+                    gxp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += \
+                        dcols[:, i, j]
+            gx = gxp[:, :, padding:padding + h, padding:padding + w]
+            x._accum(np.ascontiguousarray(gx.transpose(1, 0, 2, 3)))
         if bias is not None and bias.needs_grad:
             bias._accum(g.sum(axis=(0, 2, 3)))
 

@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 
+import serpentseg
+
 from oracles import (
     chain_points_oracle,
     clamped_row_conv_oracle,
@@ -21,8 +23,8 @@ from serpentseg.dsconv import (
     grid_sample_points,
     iterate_chain,
 )
-from serpentseg.gradcheck import grad_check
-from serpentseg.tensor import ContractViolation, Tensor
+from serpentseg.gradcheck import FunctionModule, grad_check
+from serpentseg.tensor import ContractViolation, Tensor, conv2d
 
 
 def make_snake(cin=2, cout=3, axis="horizontal", seed=0, pyramid_scale=0.0,
@@ -71,6 +73,37 @@ class TestPyramidOffsets:
             np.testing.assert_allclose(field.raw.data[:, 4 * li:4 * li + 4], ref, atol=1e-5)
             np.testing.assert_allclose(field.squashed.data[:, 4 * li:4 * li + 4],
                                        np.tanh(ref), atol=1e-5)
+
+    def test_level_gradients_match_separate_convs(self):
+        # the fused 9x9 conv must hand each level exactly the gradient its own
+        # 'same' convolution would get; float64 keeps rounding out of the way
+        conv = make_snake(cin=2, seed=30, pyramid_scale=0.3).set_dtype(np.float64)
+        rng = np.random.default_rng(31)
+        x = rng.standard_normal((2, 2, 7, 6))
+        upstream = rng.standard_normal((2, 16, 7, 6))
+        (conv.pyramid(Tensor(x)) * Tensor(upstream)).sum().backward()
+        for li, (lvl, k) in enumerate(zip(conv._levels, (3, 5, 7, 9))):
+            w = Tensor(lvl.weight.data.copy(), requires_grad=True)
+            b = Tensor(lvl.bias.data.copy(), requires_grad=True)
+            out = conv2d(Tensor(x), w, b, padding=(k - 1) // 2)
+            (out * Tensor(upstream[:, 4 * li:4 * li + 4])).sum().backward()
+            np.testing.assert_allclose(lvl.weight.grad, w.grad, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(lvl.bias.grad, b.grad, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("frozen,calls", [(False, 1), (True, 0)])
+    def test_one_conv_call_per_forward(self, monkeypatch, frozen, calls):
+        conv = make_snake(cin=2, seed=32, pyramid_scale=0.3, frozen=frozen)
+        seen = []
+
+        def counting(*args, **kwargs):
+            seen.append(args[1].data.shape)
+            return conv2d(*args, **kwargs)
+
+        for mod in (serpentseg.tensor, serpentseg.module, serpentseg.dsconv):
+            monkeypatch.setattr(mod, "conv2d", counting)
+        conv(Tensor(np.random.default_rng(33).standard_normal((1, 2, 6, 6))))
+        assert len(seen) == calls
+        assert all(shape == (16, 2, 9, 9) for shape in seen)
 
     def test_squashed_bounded_by_unit_box(self):
         # tanh keeps steps in (-1, 1) mathematically; float32 rounds extreme
@@ -144,6 +177,42 @@ class TestBilinearSample:
         f = Tensor(np.zeros((1, 1, 4, 4), dtype=np.float32))
         with pytest.raises(ContractViolation):
             bilinear_sample(f, (float("nan"), 0.0))
+
+    def test_batch_matches_each_image_alone(self):
+        rng = np.random.default_rng(34)
+        f = rng.standard_normal((2, 3, 5, 6))
+        xs = rng.uniform(-1.5, 6.5, (2, 7))
+        ys = rng.uniform(-1.5, 5.5, (2, 7))
+        upstream = rng.standard_normal((2, 3, 7))
+
+        def run(fd, xd, yd, g):
+            ts = [Tensor(a, requires_grad=True) for a in (fd, xd, yd)]
+            out = grid_sample_points(*ts)
+            (out * Tensor(g)).sum().backward()
+            return [out.data] + [t.grad for t in ts]
+
+        batch = run(f, xs, ys, upstream)
+        for i in range(2):
+            alone = run(f[i:i + 1], xs[i:i + 1], ys[i:i + 1], upstream[i:i + 1])
+            for got, want in zip(batch, alone):
+                np.testing.assert_allclose(got[i:i + 1], want, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("shape,pts", [
+        # repeated point, x clamped low, y clamped high, x clamped high
+        ((2, 2, 4, 5), [(1.3, 2.6), (1.3, 2.6), (-1.5, 1.2), (2.7, 5.9), (4.6, 0.4),
+                        (3.45, 2.55)]),
+        # width 1: the two x corners are one pixel, every x but 0 is clamped
+        ((1, 2, 3, 1), [(0.4, 1.3), (-0.2, 0.7), (0.4, 1.3), (0.1, 2.8), (0.0, 1.6)]),
+        ((1, 2, 1, 3), [(1.3, 0.4), (0.7, -0.2), (2.2, 0.3), (1.6, 0.0)]),
+    ])
+    def test_grad_check_repeated_clamped_and_degenerate(self, shape, pts):
+        rng = np.random.default_rng(35)
+        n = shape[0]
+        xs = np.array([[p[0] for p in pts]] * n) + 0.05 * np.arange(n)[:, None]
+        ys = np.array([[p[1] for p in pts]] * n)
+        sampler = FunctionModule(grid_sample_points)
+        report = grad_check(sampler, [rng.standard_normal(shape), xs, ys], tolerance=1e-6)
+        assert report.passed, str(report)
 
     def test_clamped_coordinate_has_zero_gradient(self):
         f = Tensor(np.random.default_rng(11).standard_normal((1, 1, 4, 4)).astype(np.float64))

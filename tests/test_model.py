@@ -1,6 +1,8 @@
 """Decoder fusion, full-model contracts, loss oracle, Adam, and the
 training loop."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -146,6 +148,17 @@ class TestSnakeFormerForward:
         other = SnakeFormer(micro_config(seed=99))
         other.load_state_dict(load_checkpoint(path))
         np.testing.assert_array_equal(other(x).data, before)
+
+
+def test_default_checkpoint_keys_and_shapes_are_pinned():
+    # checkpoint compatibility: the default model's parameter names, order
+    # and shapes, one "name AxBxC" line each
+    want = [line.split() for line in
+            (Path(__file__).parent / "model_keys.txt").read_text().splitlines()]
+    got = [[name, "x".join(map(str, arr.shape))]
+           for name, arr in SnakeFormer(ModelConfig()).state_dict().items()]
+    assert len(got) == 362
+    assert got == want
 
 
 class TestCombinedLoss:

@@ -303,6 +303,22 @@ class TestGradients:
         self._check(Conv2d(2, 3, 3, stride=2, padding=1, rng=rng),
                     rng.standard_normal((1, 2, 6, 6)))
 
+    @pytest.mark.parametrize("n,h,w,k,stride,padding", [
+        (1, 5, 5, 1, 1, 1),    # padding beyond k - 1: the windows reach past the input
+        (1, 5, 5, 3, 1, 3),
+        (2, 7, 6, 3, 2, 0),    # w - k = 3 is odd: the last input column is never read
+        (2, 7, 8, 5, 3, 1),    # neither side divisible by the stride
+    ])
+    def test_conv2d_backward_shapes(self, n, h, w, k, stride, padding):
+        rng = np.random.default_rng(100 + 10 * k + padding)
+        conv = Conv2d(2, 3, k, stride=stride, padding=padding, rng=rng)
+        x = rng.standard_normal((n, 2, h, w))
+        out = conv(Tensor(x.astype(np.float32)))
+        ref = conv2d_oracle(x, conv.weight.data.astype(np.float64),
+                            conv.bias.data.astype(np.float64), stride=stride, padding=padding)
+        np.testing.assert_allclose(out.data, ref, atol=1e-4)
+        self._check(conv, x)
+
     def test_depthwise_conv(self):
         rng = np.random.default_rng(13)
 
