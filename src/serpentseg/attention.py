@@ -1,10 +1,11 @@
 """Channel and spatial attention.
 
-``WeightedChannelAttention`` runs independent bottleneck MLPs over the
-average- and max-pooled channel descriptors and mixes them with learnable
-per-channel weights before the sigmoid. ``ChannelAttention`` is the plain
-shared-MLP variant kept for ablations. ``SpatialAttention`` is the stacked
-mean/max map followed by a 7x7 convolution and sigmoid.
+``WeightedChannelAttention`` runs two independent ``ChannelAttention``
+bottleneck MLPs over the average- and max-pooled channel descriptors and
+mixes them with learnable per-channel weights before the sigmoid.
+``ChannelAttention`` is the plain shared-MLP variant kept for ablations.
+``SpatialAttention`` is the stacked mean/max map followed by a 7x7
+convolution and sigmoid.
 """
 from __future__ import annotations
 
@@ -39,23 +40,9 @@ class WeightedChannelAttention(Module):
 
     def __init__(self, channels: int, ratio: int = 8,
                  rng: np.random.Generator | None = None):
-        super().__init__()
-        if channels % ratio:
-            raise ContractViolation(
-                f"reduction ratio {ratio} does not divide {channels} channels"
-            )
         self.channels = channels
-        hidden = channels // ratio
-        b0 = 1.0 / np.sqrt(channels)
-        b1 = 1.0 / np.sqrt(hidden)
-        self._avg_w0 = self.register_parameter(
-            "avg.w0", Parameter(_uniform(rng, (hidden, channels), b0)))
-        self._avg_w1 = self.register_parameter(
-            "avg.w1", Parameter(_uniform(rng, (channels, hidden), b1)))
-        self._max_w0 = self.register_parameter(
-            "max.w0", Parameter(_uniform(rng, (hidden, channels), b0)))
-        self._max_w1 = self.register_parameter(
-            "max.w1", Parameter(_uniform(rng, (channels, hidden), b1)))
+        self.avg = ChannelAttention(channels, ratio=ratio, rng=rng)
+        self.max = ChannelAttention(channels, ratio=ratio, rng=rng)
         # unit branch weights recover plain channel attention at init
         self.wavg = Parameter(np.ones(channels, dtype=np.float32))
         self.wmax = Parameter(np.ones(channels, dtype=np.float32))
@@ -67,9 +54,8 @@ class WeightedChannelAttention(Module):
                 f"input {x.data.shape} does not match {self.channels} channels"
             )
         favg, fmax = _pooled_rows(x)
-        m_avg = linear(relu(linear(favg, self._avg_w0)), self._avg_w1)
-        m_max = linear(relu(linear(fmax, self._max_w0)), self._max_w1)
-        mixed = mul(m_avg, reshape(self.wavg, (1, c))) + mul(m_max, reshape(self.wmax, (1, c)))
+        mixed = (mul(self.avg.mlp(favg), reshape(self.wavg, (1, c)))
+                 + mul(self.max.mlp(fmax), reshape(self.wmax, (1, c))))
         return reshape(sigmoid(mixed), (n, c, 1, 1))
 
 
@@ -78,7 +64,6 @@ class ChannelAttention(Module):
 
     def __init__(self, channels: int, ratio: int = 8,
                  rng: np.random.Generator | None = None):
-        super().__init__()
         if channels % ratio:
             raise ContractViolation(
                 f"reduction ratio {ratio} does not divide {channels} channels"
@@ -88,19 +73,20 @@ class ChannelAttention(Module):
         self.w0 = Parameter(_uniform(rng, (hidden, channels), 1.0 / np.sqrt(channels)))
         self.w1 = Parameter(_uniform(rng, (channels, hidden), 1.0 / np.sqrt(hidden)))
 
+    def mlp(self, v: Tensor) -> Tensor:
+        """The bottleneck MLP over (N, C) channel descriptors."""
+        return linear(relu(linear(v, self.w0)), self.w1)
+
     def forward(self, x: Tensor) -> Tensor:
         n, c = x.data.shape[:2]
         favg, fmax = _pooled_rows(x)
-        m = linear(relu(linear(favg, self.w0)), self.w1) + \
-            linear(relu(linear(fmax, self.w0)), self.w1)
-        return reshape(sigmoid(m), (n, c, 1, 1))
+        return reshape(sigmoid(self.mlp(favg) + self.mlp(fmax)), (n, c, 1, 1))
 
 
 class SpatialAttention(Module):
     """Per-pixel gate from the stacked channel-mean and channel-max maps."""
 
     def __init__(self, rng: np.random.Generator | None = None):
-        super().__init__()
         self.kernel = Parameter(_uniform(rng, (1, 2, 7, 7), 1.0 / np.sqrt(2 * 49)))
         self.bias = Parameter(np.zeros(1, dtype=np.float32))
 

@@ -23,7 +23,6 @@ receives the centre slice of the fused kernel's gradient.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_array, get_index_dtype
@@ -40,36 +39,6 @@ OFFSET_CHANNELS = 16  # 8 non-center points x 2 components
 INIT_STEP_BIAS = math.atanh(0.95)
 # tanh(20) rounds to 1.0 even in float64: exact unit steps for frozen chains
 STRAIGHT_BIAS = 20.0
-
-
-@dataclass
-class OffsetField:
-    """Raw and tanh-squashed per-step displacements, (N, 16, H, W) each."""
-
-    raw: Tensor
-    squashed: Tensor
-
-
-def iterate_chain(center: tuple[int, int], steps) -> list[tuple[float, float]]:
-    """Chain coordinates for one pixel.
-
-    ``center`` is (h, w); ``steps`` is the 16-vector of squashed offsets in
-    the layout above. Returns nine (x, y) points ordered t-4 .. t+4; the
-    center point is exactly (w, h).
-    """
-    h, w = center
-    pts: list = [None] * CHAIN_LEN
-    pts[4] = (float(w), float(h))
-    fx = fy = bx = by = 0.0
-    for c in range(1, 5):
-        base = 4 * (c - 1)
-        fx += float(steps[base + 0])
-        fy += float(steps[base + 1])
-        bx += float(steps[base + 2])
-        by += float(steps[base + 3])
-        pts[4 + c] = (w + fx, h + fy)
-        pts[4 - c] = (w - bx, h - by)
-    return pts
 
 
 def _chain_axis(squashed: Tensor, component: int, grid: np.ndarray) -> Tensor:
@@ -100,9 +69,9 @@ def _chain_axis(squashed: Tensor, component: int, grid: np.ndarray) -> Tensor:
     return _make(out, (squashed,), bwd_fn)
 
 
-def chain_coordinates(field: OffsetField) -> tuple[Tensor, Tensor]:
-    """Dense chain coordinates (xs, ys), each (N, 9, H, W), order t-4..t+4."""
-    s = field.squashed
+def chain_coordinates(s: Tensor) -> tuple[Tensor, Tensor]:
+    """Dense chain coordinates (xs, ys), each (N, 9, H, W), order t-4..t+4,
+    from the (N, 16, H, W) squashed steps."""
     n, c, h, w = s.data.shape
     if c != OFFSET_CHANNELS:
         raise ContractViolation(f"offset field needs 16 channels, got shape {s.data.shape}")
@@ -180,19 +149,6 @@ def grid_sample_points(feature: Tensor, x: Tensor, y: Tensor) -> Tensor:
     return _make(data, (feature, x, y), bwd)
 
 
-def bilinear_sample(feature: Tensor, point: tuple[float, float]) -> Tensor:
-    """Sample one (x, y) point from every channel; returns (N, Cin)."""
-    px, py = point
-    if not (math.isfinite(px) and math.isfinite(py)):
-        raise ContractViolation(f"non-finite sampling coordinate {point}")
-    n = feature.data.shape[0]
-    dt = feature.data.dtype
-    x = Tensor(np.full((n, 1), px, dtype=dt))
-    y = Tensor(np.full((n, 1), py, dtype=dt))
-    out = grid_sample_points(feature, x, y)
-    return reshape(out, (n, feature.data.shape[1]))
-
-
 def chain_contract(sampled: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """Contract (N, Cin, 9, H, W) samples with a (Cout, Cin, 9) weight."""
     sd, wd = sampled.data, weight.data
@@ -238,33 +194,38 @@ def _embed_kernels(weights: list[Tensor]) -> Tensor:
     return _make(data, tuple(weights), bwd)
 
 
-class PyramidLevel(Module):
-    """One pyramid level: a zero (4, Cin, k, k) kernel and a (4,) bias."""
+class WeightBias(Module):
+    """A bare weight and bias pair, for layers that apply them by hand."""
 
-    def __init__(self, cin: int, k: int, bias: np.ndarray):
-        super().__init__()
-        self.weight = Parameter(np.zeros((4, cin, k, k), dtype=np.float32))
-        self.bias = Parameter(bias.copy())
+    def __init__(self, weight: Parameter, bias: Parameter):
+        self.weight = weight
+        self.bias = bias
 
 
 class PyramidConv2d(Conv2d):
     """The pyramid levels (kernels 3/5/7/9, four channels each) as one 9x9
     convolution with padding 4; output channels 4i..4i+3 come from level i.
 
-    The fused kernel is assembled from the level parameters on every call,
-    so it holds no parameters of its own.
+    Each level is a zero (4, Cin, k, k) kernel and a (4,) bias, held as the
+    attribute "k"; iterating the module yields the levels in order. The fused
+    kernel is assembled from the level parameters on every call, so it holds
+    no parameters of its own.
     """
 
     def __init__(self, cin: int, bias: np.ndarray):
-        Module.__init__(self)
         self.stride = 1
         self.padding = PYRAMID_KERNELS[-1] // 2
-        self._levels = [self.register_module(str(k), PyramidLevel(cin, k, bias))
-                        for k in PYRAMID_KERNELS]
+        for k in PYRAMID_KERNELS:
+            setattr(self, str(k), WeightBias(
+                Parameter(np.zeros((4, cin, k, k), dtype=np.float32)), Parameter(bias.copy())))
+
+    def __iter__(self):
+        return iter(self._modules.values())
 
     def forward(self, x: Tensor) -> Tensor:
-        return conv2d(x, _embed_kernels([lvl.weight for lvl in self._levels]),
-                      concat([lvl.bias for lvl in self._levels], axis=0),
+        levels = list(self)
+        return conv2d(x, _embed_kernels([lvl.weight for lvl in levels]),
+                      concat([lvl.bias for lvl in levels], axis=0),
                       padding=self.padding)
 
 
@@ -279,29 +240,26 @@ class SnakeConv2d(Module):
 
     def __init__(self, cin: int, cout: int, axis: str, rng: np.random.Generator,
                  frozen_offsets: bool = False):
-        super().__init__()
         if axis not in ("horizontal", "vertical"):
             raise ContractViolation(f"axis must be horizontal|vertical, got {axis!r}")
         self.axis = axis
         self.cin = cin
         self.cout = cout
         self.frozen_offsets = frozen_offsets
-        self._levels = []
+        bound = 1.0 / math.sqrt(cin * CHAIN_LEN)
+        # set before ``pyramid``: checkpoint keys list chain.* first
+        self.chain = WeightBias(Parameter(_uniform(rng, (cout, cin, CHAIN_LEN), bound)),
+                                Parameter(_uniform(rng, (cout,), bound)))
         if not frozen_offsets:
             bias = ([INIT_STEP_BIAS, 0.0, INIT_STEP_BIAS, 0.0] if axis == "horizontal"
                     else [0.0, INIT_STEP_BIAS, 0.0, INIT_STEP_BIAS])
             self.pyramid = PyramidConv2d(cin, np.array(bias, np.float32))
-            self._levels = self.pyramid._levels
-        bound = 1.0 / math.sqrt(cin * CHAIN_LEN)
-        self._chain_w = self.register_parameter(
-            "chain.weight", Parameter(_uniform(rng, (cout, cin, CHAIN_LEN), bound)))
-        self._chain_b = self.register_parameter(
-            "chain.bias", Parameter(_uniform(rng, (cout,), bound)))
 
-    def compute_pyramid_offsets(self, x: Tensor) -> OffsetField:
-        """Predict per-step displacements; level with kernel 2c+1 serves chain distance c.
+    def compute_pyramid_offsets(self, x: Tensor) -> Tensor:
+        """Predict tanh-squashed per-step displacements, (N, 16, H, W); the
+        level with kernel 2c+1 serves chain distance c.
 
-        Frozen instances carry no pyramid parameters: their offset field is the
+        Frozen instances carry no pyramid parameters: their offsets are the
         constant saturated straight-chain pattern.
         """
         n, _, h, w = x.data.shape
@@ -312,9 +270,8 @@ class SnakeConv2d(Module):
             pattern[start::4][0:4] = STRAIGHT_BIAS
             pattern[start + 2::4][0:4] = STRAIGHT_BIAS
             raw = np.broadcast_to(pattern.reshape(1, -1, 1, 1), (n, OFFSET_CHANNELS, h, w))
-            return OffsetField(raw=Tensor(raw), squashed=Tensor(np.tanh(raw)))
-        raw = self.pyramid(x)
-        return OffsetField(raw=raw, squashed=tanh(raw))
+            return Tensor(np.tanh(raw))
+        return tanh(self.pyramid(x))
 
     def forward(self, x: Tensor) -> Tensor:
         n, c, h, w = x.data.shape
@@ -322,9 +279,8 @@ class SnakeConv2d(Module):
             raise ContractViolation(
                 f"input {x.data.shape} does not match configured {self.cin} channels"
             )
-        field = self.compute_pyramid_offsets(x)
-        xs, ys = chain_coordinates(field)
+        xs, ys = chain_coordinates(self.compute_pyramid_offsets(x))
         m = CHAIN_LEN * h * w
         sampled = grid_sample_points(x, reshape(xs, (n, m)), reshape(ys, (n, m)))
         sampled = reshape(sampled, (n, self.cin, CHAIN_LEN, h, w))
-        return chain_contract(sampled, self._chain_w, self._chain_b)
+        return chain_contract(sampled, self.chain.weight, self.chain.bias)

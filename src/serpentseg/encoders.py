@@ -15,7 +15,7 @@ import numpy as np
 
 from .attention import ChannelAttention, SpatialAttention, WeightedChannelAttention, apply_attention
 from .dsconv import SnakeConv2d
-from .module import Conv2d, LayerNorm, Linear, Module, Parameter, _uniform
+from .module import Conv2d, LayerNorm, Linear, Module, ModuleList, Parameter, _uniform
 from .tensor import (
     ContractViolation,
     Tensor,
@@ -59,7 +59,6 @@ class SnakeBlock(Module):
     def __init__(self, cin: int, cb: int, cout: int, rng: np.random.Generator,
                  conv_mode: str = "enhanced", channel_attention: str = "wcam",
                  ratio: int = 8):
-        super().__init__()
         if conv_mode not in CONV_MODES:
             raise ContractViolation(f"conv mode must be one of {CONV_MODES}, got {conv_mode!r}")
         if conv_mode == "vanilla":
@@ -88,24 +87,18 @@ class SnakeBlock(Module):
         return fused + res
 
 
-class SnakeEncoder(Module):
+class SnakeEncoder(ModuleList):
     """Five snake blocks with max pooling in between: 1/1 .. 1/16 features."""
 
     def __init__(self, cin: int, widths, rng: np.random.Generator,
                  conv_mode: str = "enhanced", channel_attention: str = "wcam",
                  ratio: int = 8):
-        super().__init__()
         if len(widths) != 5:
             raise ContractViolation(f"snake encoder takes 5 stage widths, got {widths}")
         self.widths = tuple(widths)
-        self._stages = []
-        prev = cin
-        for i, w in enumerate(widths):
-            block = SnakeBlock(prev, w, w, rng, conv_mode=conv_mode,
-                               channel_attention=channel_attention, ratio=ratio)
-            self.register_module(str(i), block)
-            self._stages.append(block)
-            prev = w
+        for prev, w in zip((cin, *widths), widths):
+            self.append(SnakeBlock(prev, w, w, rng, conv_mode=conv_mode,
+                                   channel_attention=channel_attention, ratio=ratio))
 
     def forward(self, x: Tensor) -> list[Tensor]:
         h, w = x.data.shape[2:]
@@ -113,7 +106,7 @@ class SnakeEncoder(Module):
             raise ContractViolation(f"snake encoder needs H, W divisible by 16, got {x.data.shape}")
         feats = []
         cur = x
-        for i, stage in enumerate(self._stages):
+        for i, stage in enumerate(self):
             if i > 0:
                 cur = max_pool2(cur)
             cur = stage(cur)
@@ -149,7 +142,6 @@ class EfficientSelfAttention(Module):
 
     def __init__(self, c: int, heads: int, reduction: int,
                  rng: np.random.Generator):
-        super().__init__()
         if c % heads:
             raise ContractViolation(f"channels {c} not divisible by heads {heads}")
         self.c = c
@@ -200,12 +192,13 @@ class MixFFN(Module):
     """Linear expand, 3x3 depthwise conv in the spatial layout, gelu, project."""
 
     def __init__(self, c: int, rng: np.random.Generator, expansion: int = 4):
-        super().__init__()
         hidden = c * expansion
         self.hidden = hidden
-        self.fc1 = Linear(c, hidden, rng=rng)
+        # fc1 draws from rng first but is set after dw_*, whose keys come first
+        fc1 = Linear(c, hidden, rng=rng)
         self.dw_weight = Parameter(_uniform(rng, (hidden, 3, 3), 1.0 / 3.0))
         self.dw_bias = Parameter(np.zeros(hidden, dtype=np.float32))
+        self.fc1 = fc1
         self.fc2 = Linear(hidden, c, rng=rng)
 
     def forward(self, x: Tensor, h: int, w: int) -> Tensor:
@@ -221,7 +214,6 @@ class MixFFN(Module):
 
 class TransformerBlock(Module):
     def __init__(self, c: int, heads: int, reduction: int, rng: np.random.Generator):
-        super().__init__()
         self.norm1 = LayerNorm(c)
         self.attn = EfficientSelfAttention(c, heads, reduction, rng)
         self.norm2 = LayerNorm(c)
@@ -236,7 +228,6 @@ class OverlapPatchEmbed(Module):
     """Strided overlapping convolution to tokens: k7/s4 first, k3/s2 after."""
 
     def __init__(self, cin: int, cout: int, first: bool, rng: np.random.Generator):
-        super().__init__()
         k, s, p = (7, 4, 3) if first else (3, 2, 1)
         self.stride = s
         self.conv = Conv2d(cin, cout, k, stride=s, padding=p, rng=rng)
@@ -251,39 +242,30 @@ class OverlapPatchEmbed(Module):
 class TransformerStage(Module):
     def __init__(self, cin: int, cout: int, depth: int, heads: int, reduction: int,
                  first: bool, rng: np.random.Generator):
-        super().__init__()
+        self.depth = depth
         self.embed = OverlapPatchEmbed(cin, cout, first, rng)
-        self._blocks = []
         for b in range(depth):
-            blk = TransformerBlock(cout, heads, reduction, rng)
-            self.register_module(str(b), blk)
-            self._blocks.append(blk)
+            setattr(self, str(b), TransformerBlock(cout, heads, reduction, rng))
         self.norm = LayerNorm(cout)
 
     def forward(self, x: Tensor) -> Tensor:
         t, h, w = self.embed(x)
-        for blk in self._blocks:
-            t = blk(t, h, w)
+        for b in range(self.depth):
+            t = getattr(self, str(b))(t, h, w)
         return tokens_to_map(self.norm(t), h, w)
 
 
-class MixTransformerEncoder(Module):
+class MixTransformerEncoder(ModuleList):
     """Four-stage hierarchical encoder: 1/4, 1/8, 1/16, 1/32 feature maps."""
 
     def __init__(self, cin: int, widths, depths, heads, reductions,
                  rng: np.random.Generator):
-        super().__init__()
         if not (len(widths) == len(depths) == len(heads) == len(reductions) == 4):
             raise ContractViolation("transformer encoder takes 4-entry config lists")
         self.widths = tuple(widths)
-        self._stages = []
-        prev = cin
-        for i in range(4):
-            stage = TransformerStage(prev, widths[i], depths[i], heads[i],
-                                     reductions[i], first=(i == 0), rng=rng)
-            self.register_module(str(i), stage)
-            self._stages.append(stage)
-            prev = widths[i]
+        for i, prev in enumerate((cin, *widths[:3])):
+            self.append(TransformerStage(prev, widths[i], depths[i], heads[i],
+                                         reductions[i], first=(i == 0), rng=rng))
 
     def forward(self, x: Tensor) -> list[Tensor]:
         h, w = x.data.shape[2:]
@@ -293,7 +275,7 @@ class MixTransformerEncoder(Module):
             )
         feats = []
         cur = x
-        for stage in self._stages:
+        for stage in self:
             cur = stage(cur)
             feats.append(cur)
         return feats

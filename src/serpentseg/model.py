@@ -98,7 +98,6 @@ class FusionStage(Module):
 
     def __init__(self, cin: int, cout: int, rng: np.random.Generator,
                  channel_attention: str = "wcam", ratio: int = 8):
-        super().__init__()
         self.ca = make_channel_attention(channel_attention, cin, ratio, rng)
         self.sa = SpatialAttention(rng=rng)
         self.conv1 = Conv2d(cin, cout, 3, padding=1, rng=rng)
@@ -123,48 +122,37 @@ class FusionStage(Module):
         return h + res
 
 
-class _Encoders(Module):
-    def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
-        super().__init__()
-        self.dsc = SnakeEncoder(cfg.image_channels, cfg.snake_widths, rng,
-                                conv_mode=cfg.conv_mode,
-                                channel_attention=cfg.channel_attention,
-                                ratio=cfg.wcam_ratio)
-        self.mit = MixTransformerEncoder(cfg.image_channels, cfg.transformer_widths,
-                                         cfg.transformer_depths, cfg.transformer_heads,
-                                         cfg.transformer_reductions, rng)
-
-
 class SnakeFormer(Module):
     """Dual-branch crack segmentation network with attention-fused decoding."""
 
     def __init__(self, cfg: ModelConfig):
-        super().__init__()
         cfg.validate()
         self.cfg = cfg
         rng = np.random.default_rng(cfg.seed)
-        self.enc = _Encoders(cfg, rng)
+        self.enc = Module()
+        self.enc.dsc = SnakeEncoder(cfg.image_channels, cfg.snake_widths, rng,
+                                    conv_mode=cfg.conv_mode,
+                                    channel_attention=cfg.channel_attention,
+                                    ratio=cfg.wcam_ratio)
+        self.enc.mit = MixTransformerEncoder(cfg.image_channels, cfg.transformer_widths,
+                                             cfg.transformer_depths, cfg.transformer_heads,
+                                             cfg.transformer_reductions, rng)
         sw = cfg.snake_widths
         tw = cfg.transformer_widths
         dw = cfg.decoder_widths
-        ca, ratio = cfg.channel_attention, cfg.wcam_ratio
+
+        def stage(cin, cout):
+            return FusionStage(cin, cout, rng, channel_attention=cfg.channel_attention,
+                               ratio=cfg.wcam_ratio)
+
+        self.dec = Module()
         # deepest stage refines the lone 1/32 transformer map at its own width
-        self._stage_in = [
-            tw[3],
-            sw[4] + tw[2] + tw[3],
-            sw[3] + tw[1] + dw[0],
-            sw[2] + tw[0] + dw[1],
-            sw[1] + dw[2],
-            sw[0] + dw[3],
-        ]
-        outs = [tw[3], *dw]
-        dec = Module()
-        for i, (cin, cout) in enumerate(zip(self._stage_in, outs)):
-            dec.register_module(f"s{32 >> i}", FusionStage(cin, cout, rng,
-                                                           channel_attention=ca,
-                                                           ratio=ratio))
-        self.dec = dec
-        self._stages = [dec._modules[f"s{32 >> i}"] for i in range(6)]
+        self.dec.s32 = stage(tw[3], tw[3])
+        self.dec.s16 = stage(sw[4] + tw[2] + tw[3], dw[0])
+        self.dec.s8 = stage(sw[3] + tw[1] + dw[0], dw[1])
+        self.dec.s4 = stage(sw[2] + tw[0] + dw[1], dw[2])
+        self.dec.s2 = stage(sw[1] + dw[2], dw[3])
+        self.dec.s1 = stage(sw[0] + dw[3], dw[4])
         self.head = Conv2d(dw[4], cfg.num_classes, 1, rng=rng)
 
     def forward(self, image: Tensor) -> Tensor:
@@ -175,12 +163,13 @@ class SnakeFormer(Module):
             )
         dsc = self.enc.dsc(image)   # 1/1, 1/2, 1/4, 1/8, 1/16
         mit = self.enc.mit(image)   # 1/4, 1/8, 1/16, 1/32
-        d = self._stages[0]([mit[3]])
-        d = self._stages[1]([dsc[4], mit[2], upsample_bilinear(d, 2)])
-        d = self._stages[2]([dsc[3], mit[1], upsample_bilinear(d, 2)])
-        d = self._stages[3]([dsc[2], mit[0], upsample_bilinear(d, 2)])
-        d = self._stages[4]([dsc[1], upsample_bilinear(d, 2)])
-        d = self._stages[5]([dsc[0], upsample_bilinear(d, 2)])
+        dec = self.dec
+        d = dec.s32([mit[3]])
+        d = dec.s16([dsc[4], mit[2], upsample_bilinear(d, 2)])
+        d = dec.s8([dsc[3], mit[1], upsample_bilinear(d, 2)])
+        d = dec.s4([dsc[2], mit[0], upsample_bilinear(d, 2)])
+        d = dec.s2([dsc[1], upsample_bilinear(d, 2)])
+        d = dec.s1([dsc[0], upsample_bilinear(d, 2)])
         return self.head(d)
 
 
@@ -263,10 +252,6 @@ class EpochRecord:
     val_f1: float
     seconds: float
 
-    def line(self) -> str:
-        return (f"{self.epoch}\t{self.train_loss:.6f}\t{self.val_iou:.6f}"
-                f"\t{self.val_f1:.6f}\t{self.seconds:.3f}")
-
 
 @dataclass
 class TrainResult:
@@ -284,7 +269,7 @@ def _as_batch(samples) -> tuple[np.ndarray, np.ndarray]:
 
 def evaluate_model(model: SnakeFormer, pairs, batch_size: int = 8):
     """Mean IoU and F1 of thresholded predictions over (image, mask) pairs."""
-    from .metrics import aggregate, confusion_counts, pixel_metrics
+    from .metrics import confusion_counts, pixel_metrics
 
     per = []
     for lo in range(0, len(pairs), batch_size):
@@ -304,6 +289,9 @@ def train_loop(model: SnakeFormer, train_pairs, val_pairs, epochs: int,
     from ``seed``. Keeps the state dict of the best-validation-IoU epoch."""
     if not train_pairs:
         raise ContractViolation("training set is empty")
+    if not val_pairs:
+        raise ContractViolation("validation set is empty: the best epoch is chosen by "
+                                "validation IoU")
     rng = np.random.default_rng(seed)
     opt = Adam(model.named_parameters(), lr=lr, weight_decay=weight_decay)
     result = TrainResult()

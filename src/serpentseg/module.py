@@ -1,12 +1,16 @@
 """Parameter containers, standard layers, and checkpoint I/O.
 
-Parameter names are path-like ("enc.dsc.0.fuse.weight") and come from the
-attribute path through the module tree; they must be unique and are the keys
-of the checkpoint file.
+A module's parameters and submodules are its public attributes; there is no
+other registration. Parameter names are the attribute paths through the
+module tree ("enc.dsc.0.fuse.weight"), listed in the order the attributes
+were first assigned, depth first. They must be unique and are the keys of
+the checkpoint file.
 """
 from __future__ import annotations
 
+import os
 import struct
+import threading
 
 import numpy as np
 
@@ -21,35 +25,23 @@ class Parameter(Tensor):
 
 
 class Module:
-    """Base class tracking parameters and submodules by attribute name."""
+    """Base class: public ``Parameter`` and ``Module`` attributes form the tree."""
 
-    def __init__(self):
-        object.__setattr__(self, "_params", {})
-        object.__setattr__(self, "_modules", {})
-
-    def __setattr__(self, name, value):
-        if not name.startswith("_"):
-            if isinstance(value, Parameter):
-                self._params[name] = value
-            elif isinstance(value, Module):
-                self._modules[name] = value
-        object.__setattr__(self, name, value)
-
-    def register_parameter(self, name: str, p: Parameter) -> Parameter:
-        """Register under an explicit (possibly dotted) name."""
-        self._params[name] = p
-        return p
-
-    def register_module(self, name: str, m: "Module") -> "Module":
-        self._modules[name] = m
-        return m
+    @property
+    def _modules(self) -> dict[str, "Module"]:
+        """The child modules, in assignment order."""
+        return {name: v for name, v in vars(self).items()
+                if not name.startswith("_") and isinstance(v, Module)}
 
     def named_parameters(self, prefix: str = ""):
-        for name, p in self._params.items():
-            yield (f"{prefix}.{name}" if prefix else name), p
-        for name, m in self._modules.items():
-            sub = f"{prefix}.{name}" if prefix else name
-            yield from m.named_parameters(sub)
+        for name, v in vars(self).items():
+            if name.startswith("_"):
+                continue
+            path = f"{prefix}.{name}" if prefix else name
+            if isinstance(v, Parameter):
+                yield path, v
+            elif isinstance(v, Module):
+                yield from v.named_parameters(path)
 
     def parameters(self):
         for _, p in self.named_parameters():
@@ -58,9 +50,6 @@ class Module:
     def zero_grad(self):
         for p in self.parameters():
             p.grad = None
-
-    def num_parameters(self) -> int:
-        return sum(p.data.size for p in self.parameters())
 
     def state_dict(self) -> dict[str, np.ndarray]:
         state = {}
@@ -101,24 +90,23 @@ class Module:
 
 
 class ModuleList(Module):
+    """Children are the attributes "0", "1", ... in order."""
+
     def __init__(self, mods=()):
-        super().__init__()
-        self._items = []
         for m in mods:
             self.append(m)
 
     def append(self, m: Module):
-        self.register_module(str(len(self._items)), m)
-        self._items.append(m)
+        setattr(self, str(len(self)), m)
 
     def __iter__(self):
-        return iter(self._items)
+        return iter(self._modules.values())
 
     def __getitem__(self, i):
-        return self._items[i]
+        return list(self)[i]
 
     def __len__(self):
-        return len(self._items)
+        return len(self._modules)
 
 
 def _uniform(rng: np.random.Generator, shape, bound: float) -> np.ndarray:
@@ -130,7 +118,6 @@ class Conv2d(Module):
 
     def __init__(self, cin: int, cout: int, k: int, stride: int = 1, padding: int = 0,
                  rng: np.random.Generator | None = None):
-        super().__init__()
         self.stride = stride
         self.padding = padding
         bound = 1.0 / np.sqrt(cin * k * k)
@@ -144,7 +131,6 @@ class Conv2d(Module):
 class Linear(Module):
     def __init__(self, cin: int, cout: int, rng: np.random.Generator | None = None,
                  bias: bool = True):
-        super().__init__()
         bound = 1.0 / np.sqrt(cin)
         self.weight = Parameter(_uniform(rng, (cout, cin), bound))
         if bias:
@@ -158,7 +144,6 @@ class Linear(Module):
 
 class LayerNorm(Module):
     def __init__(self, c: int, eps: float = 1e-5):
-        super().__init__()
         self.eps = eps
         self.gain = Parameter(np.ones(c, dtype=np.float32))
         self.shift = Parameter(np.zeros(c, dtype=np.float32))
@@ -189,8 +174,20 @@ def save_checkpoint(path, state: dict[str, np.ndarray]) -> None:
         chunks.append(struct.pack("<I", arr.ndim))
         chunks.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
         chunks.append(arr.tobytes())
-    with open(path, "wb") as fh:
-        fh.write(b"".join(chunks))
+    # write a sibling temp file and rename it over ``path``, so a crash or a
+    # concurrent reader never sees a half-written checkpoint; the name is
+    # unique per writing thread, and ``open`` keeps the umask's permissions
+    tmp = f"{os.fspath(path)}.{os.getpid()}.{threading.get_ident()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(b"".join(chunks))
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
@@ -212,11 +209,20 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
     state: dict[str, np.ndarray] = {}
     for _ in range(count):
         (nlen,) = struct.unpack("<I", take(4))
-        name = take(nlen).decode("utf-8")
+        at = pos
+        try:
+            name = take(nlen).decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise CheckpointError(f"name is not UTF-8 at byte {at + e.start}") from None
         (rank,) = struct.unpack("<I", take(4))
         dims = struct.unpack(f"<{rank}I", take(4 * rank)) if rank else ()
         size = int(np.prod(dims)) if dims else 1
+        at = pos
         vals = np.frombuffer(take(4 * size), dtype="<f4").reshape(dims)
+        bad = np.flatnonzero(~np.isfinite(vals))
+        if bad.size:
+            raise CheckpointError(
+                f"non-finite value in {name!r} at byte {at + 4 * int(bad[0])}")
         state[name] = vals.astype(np.float32).copy()
     if pos != len(blob):
         raise CheckpointError(f"trailing bytes at byte {pos}")

@@ -37,10 +37,6 @@ def no_grad():
         _GRAD_ENABLED = prev
 
 
-def grad_enabled() -> bool:
-    return _GRAD_ENABLED
-
-
 class Tensor:
     """N-d array plus optional gradient buffer and tape linkage.
 
@@ -101,18 +97,6 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
-
-    # -- constructors -------------------------------------------------------
-
-    @staticmethod
-    def from_array(arr, requires_grad: bool = False, dtype=np.float32) -> "Tensor":
-        return Tensor(np.asarray(arr, dtype=dtype), requires_grad=requires_grad)
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
-    def copy(self) -> "Tensor":
-        return Tensor(self.data.copy(), requires_grad=self.requires_grad)
 
     # -- operator sugar ------------------------------------------------------
 
@@ -371,16 +355,6 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
     return _make(data, (a,), bwd)
 
 
-def pad2d(a: Tensor, pad: int) -> Tensor:
-    """Zero-pad the two trailing spatial axes of an (N, C, H, W) tensor."""
-    data = np.pad(a.data, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-
-    def bwd(g):
-        a._accum(g[:, :, pad:-pad, pad:-pad] if pad else g)
-
-    return _make(data, (a,), bwd)
-
-
 # -- pointwise nonlinearities -------------------------------------------------
 
 def relu(a: Tensor) -> Tensor:
@@ -425,13 +399,6 @@ def gelu(a: Tensor) -> Tensor:
         a._accum(g * (cdf + x * pdf).astype(x.dtype))
 
     return _make(data, (a,), bwd)
-
-
-def pointwise_activation(a: Tensor, kind: str) -> Tensor:
-    fns = {"relu": relu, "sigmoid": sigmoid, "tanh": tanh, "gelu": gelu}
-    if kind not in fns:
-        raise ContractViolation(f"unknown activation kind {kind!r}")
-    return fns[kind](a)
 
 
 def exp(a: Tensor) -> Tensor:

@@ -49,8 +49,8 @@ def sam_reference(x, kernel, bias):
 
 
 def tie_branches(w: WeightedChannelAttention):
-    w._max_w0.data = w._avg_w0.data.copy()
-    w._max_w1.data = w._avg_w1.data.copy()
+    w.max.w0.data = w.avg.w0.data.copy()
+    w.max.w1.data = w.avg.w1.data.copy()
     w.wavg.data[:] = 1.0
     w.wmax.data[:] = 1.0
 
@@ -62,8 +62,8 @@ class TestWeightedChannelAttention:
         att.wmax.data[:] = 0.0
         x = rng.standard_normal((2, 8, 5, 5)).astype(np.float32)
         base = att(Tensor(x)).data
-        att._max_w0.data = rng.standard_normal(att._max_w0.data.shape).astype(np.float32)
-        att._max_w1.data = rng.standard_normal(att._max_w1.data.shape).astype(np.float32)
+        att.max.w0.data = rng.standard_normal(att.max.w0.data.shape).astype(np.float32)
+        att.max.w1.data = rng.standard_normal(att.max.w1.data.shape).astype(np.float32)
         np.testing.assert_allclose(att(Tensor(x)).data, base, atol=0)
 
     def test_spatially_constant_input(self):
@@ -76,8 +76,8 @@ class TestWeightedChannelAttention:
         def mlp(row, w0, w1):
             return np.maximum(row @ w0.T, 0.0) @ w1.T
 
-        m_avg = mlp(v, att._avg_w0.data, att._avg_w1.data)
-        m_max = mlp(v, att._max_w0.data, att._max_w1.data)
+        m_avg = mlp(v, att.avg.w0.data, att.avg.w1.data)
+        m_max = mlp(v, att.max.w0.data, att.max.w1.data)
         want = _sigmoid(att.wavg.data * m_avg + att.wmax.data * m_max)
         np.testing.assert_allclose(out, want, atol=1e-6)
 
@@ -88,8 +88,8 @@ class TestWeightedChannelAttention:
             tie_branches(att)
             x = rng.standard_normal((2, 8, 4, 4)).astype(np.float32)
             ref = cbam_channel_reference(x.astype(np.float64),
-                                         att._avg_w0.data.astype(np.float64),
-                                         att._avg_w1.data.astype(np.float64))
+                                         att.avg.w0.data.astype(np.float64),
+                                         att.avg.w1.data.astype(np.float64))
             np.testing.assert_allclose(att(Tensor(x)).data, ref, atol=1e-6)
 
     def test_matches_plain_channel_attention_module(self):
@@ -97,8 +97,8 @@ class TestWeightedChannelAttention:
         att = WeightedChannelAttention(8, ratio=4, rng=np.random.default_rng(60))
         tie_branches(att)
         cam = ChannelAttention(8, ratio=4, rng=np.random.default_rng(61))
-        cam.w0.data = att._avg_w0.data.copy()
-        cam.w1.data = att._avg_w1.data.copy()
+        cam.w0.data = att.avg.w0.data.copy()
+        cam.w1.data = att.avg.w1.data.copy()
         x = Tensor(rng.standard_normal((2, 8, 5, 5)).astype(np.float32))
         np.testing.assert_allclose(att(x).data, cam(x).data, atol=1e-6)
 
@@ -117,10 +117,10 @@ class TestWeightedChannelAttention:
         base = att(Tensor(x)).data
         perm = rng.permutation(6)
         permuted = WeightedChannelAttention(6, ratio=2, rng=np.random.default_rng(5))
-        permuted._avg_w0.data = att._avg_w0.data[:, perm].copy()
-        permuted._avg_w1.data = att._avg_w1.data[perm, :].copy()
-        permuted._max_w0.data = att._max_w0.data[:, perm].copy()
-        permuted._max_w1.data = att._max_w1.data[perm, :].copy()
+        permuted.avg.w0.data = att.avg.w0.data[:, perm].copy()
+        permuted.avg.w1.data = att.avg.w1.data[perm, :].copy()
+        permuted.max.w0.data = att.max.w0.data[:, perm].copy()
+        permuted.max.w1.data = att.max.w1.data[perm, :].copy()
         permuted.wavg.data = att.wavg.data[perm].copy()
         permuted.wmax.data = att.wmax.data[perm].copy()
         out = permuted(Tensor(x[:, perm])).data

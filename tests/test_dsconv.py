@@ -18,13 +18,11 @@ from serpentseg.dsconv import (
     INIT_STEP_BIAS,
     STRAIGHT_BIAS,
     SnakeConv2d,
-    bilinear_sample,
     chain_coordinates,
     grid_sample_points,
-    iterate_chain,
 )
 from serpentseg.gradcheck import FunctionModule, grad_check
-from serpentseg.tensor import ContractViolation, Tensor, conv2d
+from serpentseg.tensor import ContractViolation, Tensor, conv2d, reshape
 
 
 def make_snake(cin=2, cout=3, axis="horizontal", seed=0, pyramid_scale=0.0,
@@ -32,7 +30,7 @@ def make_snake(cin=2, cout=3, axis="horizontal", seed=0, pyramid_scale=0.0,
     rng = np.random.default_rng(seed)
     conv = SnakeConv2d(cin, cout, axis, rng, frozen_offsets=frozen)
     if pyramid_scale:
-        for lvl in conv._levels:
+        for lvl in (() if frozen else conv.pyramid):
             lvl.weight.data = (pyramid_scale
                                * rng.standard_normal(lvl.weight.data.shape)).astype(np.float32)
             lvl.bias.data = (pyramid_scale
@@ -40,19 +38,36 @@ def make_snake(cin=2, cout=3, axis="horizontal", seed=0, pyramid_scale=0.0,
     return conv
 
 
+def chain_points(center, steps):
+    """``chain_coordinates`` at one pixel: the (x, y) points t-4 .. t+4 for a
+    map that holds the 16 ``steps`` at ``center`` (h, w)."""
+    h, w = center
+    field = np.zeros((1, 16, h + 1, w + 1))
+    field[0, :, h, w] = steps
+    xs, ys = chain_coordinates(Tensor(field))
+    return [(xs.data[0, t, h, w], ys.data[0, t, h, w]) for t in range(9)]
+
+
+def bilinear_sample(feature, point):
+    """``grid_sample_points`` at one (x, y) point per image; returns (N, Cin)."""
+    n, c = feature.data.shape[:2]
+    coords = [Tensor(np.full((n, 1), v, dtype=feature.data.dtype)) for v in point]
+    return reshape(grid_sample_points(feature, *coords), (n, c))
+
+
 class TestPyramidOffsets:
     def test_zero_weights_zero_bias_gives_zero_offsets(self):
         conv = make_snake()
-        for lvl in conv._levels:
+        for lvl in conv.pyramid:
             lvl.bias.data[:] = 0.0
         x = Tensor(np.random.default_rng(1).standard_normal((1, 2, 5, 5)).astype(np.float32))
         field = conv.compute_pyramid_offsets(x)
-        np.testing.assert_array_equal(field.squashed.data, 0.0)
+        np.testing.assert_array_equal(field.data, 0.0)
 
     def test_axis_bias_gives_spatially_constant_tanh(self):
         conv = make_snake(axis="horizontal")
         x = Tensor(np.random.default_rng(2).standard_normal((1, 2, 6, 7)).astype(np.float32))
-        sq = conv.compute_pyramid_offsets(x).squashed.data
+        sq = conv.compute_pyramid_offsets(x).data
         want = math.tanh(INIT_STEP_BIAS)  # 0.95 by construction
         assert sq.shape == (1, 16, 6, 7)
         for c in range(4):
@@ -66,12 +81,13 @@ class TestPyramidOffsets:
         rng = np.random.default_rng(4)
         x = rng.standard_normal((1, 2, 6, 6)).astype(np.float32)
         field = conv.compute_pyramid_offsets(Tensor(x))
+        raw = conv.pyramid(Tensor(x))
         for li, k in enumerate((3, 5, 7, 9)):
-            lvl = conv._levels[li]
+            lvl = getattr(conv.pyramid, str(k))
             ref = conv2d_oracle(x.astype(np.float64), lvl.weight.data.astype(np.float64),
                                 lvl.bias.data.astype(np.float64), padding=(k - 1) // 2)
-            np.testing.assert_allclose(field.raw.data[:, 4 * li:4 * li + 4], ref, atol=1e-5)
-            np.testing.assert_allclose(field.squashed.data[:, 4 * li:4 * li + 4],
+            np.testing.assert_allclose(raw.data[:, 4 * li:4 * li + 4], ref, atol=1e-5)
+            np.testing.assert_allclose(field.data[:, 4 * li:4 * li + 4],
                                        np.tanh(ref), atol=1e-5)
 
     def test_level_gradients_match_separate_convs(self):
@@ -82,7 +98,7 @@ class TestPyramidOffsets:
         x = rng.standard_normal((2, 2, 7, 6))
         upstream = rng.standard_normal((2, 16, 7, 6))
         (conv.pyramid(Tensor(x)) * Tensor(upstream)).sum().backward()
-        for li, (lvl, k) in enumerate(zip(conv._levels, (3, 5, 7, 9))):
+        for li, (lvl, k) in enumerate(zip(conv.pyramid, (3, 5, 7, 9))):
             w = Tensor(lvl.weight.data.copy(), requires_grad=True)
             b = Tensor(lvl.bias.data.copy(), requires_grad=True)
             out = conv2d(Tensor(x), w, b, padding=(k - 1) // 2)
@@ -110,23 +126,23 @@ class TestPyramidOffsets:
         # raw values to exactly +-1, which still respects the closed 9x9 box
         conv = make_snake(seed=5, pyramid_scale=2.0)
         x = Tensor(np.random.default_rng(6).standard_normal((2, 2, 8, 8)).astype(np.float32))
-        sq = conv.compute_pyramid_offsets(x).squashed.data
+        sq = conv.compute_pyramid_offsets(x).data
         assert np.all(np.abs(sq) <= 1.0)
         mild = make_snake(seed=5, pyramid_scale=0.05)
-        sq = mild.compute_pyramid_offsets(x).squashed.data
+        sq = mild.compute_pyramid_offsets(x).data
         assert np.all(np.abs(sq) < 1.0)
 
 
 class TestIterateChain:
     def test_zero_steps_collapse_to_center(self):
-        pts = iterate_chain((3, 5), np.zeros(16))
+        pts = chain_points((3, 5), np.zeros(16))
         assert all(p == (5.0, 3.0) for p in pts)
 
     def test_saturated_horizontal_steps_make_a_row(self):
         steps = np.zeros(16)
         steps[0::4] = 1.0  # forward dx
         steps[2::4] = 1.0  # backward dx
-        pts = iterate_chain((2, 4), steps)
+        pts = chain_points((2, 4), steps)
         for c in range(-4, 5):
             assert pts[4 + c] == (4.0 + c, 2.0)
 
@@ -135,7 +151,7 @@ class TestIterateChain:
         for _ in range(20):
             steps = rng.uniform(-0.99, 0.99, 16)
             center = (int(rng.integers(0, 10)), int(rng.integers(0, 10)))
-            got = iterate_chain(center, steps)
+            got = chain_points(center, steps)
             want = chain_points_oracle(center, steps)
             for (gx, gy), (wx, wy) in zip(got, want):
                 assert gx == pytest.approx(wx, abs=1e-6)
@@ -149,7 +165,7 @@ class TestIterateChain:
         xs, ys = chain_coordinates(field)
         for hh in range(5):
             for ww in range(6):
-                pts = iterate_chain((hh, ww), field.squashed.data[0, :, hh, ww])
+                pts = chain_points_oracle((hh, ww), field.data[0, :, hh, ww])
                 for t in range(9):
                     assert xs.data[0, t, hh, ww] == pytest.approx(pts[t][0], abs=1e-5)
                     assert ys.data[0, t, hh, ww] == pytest.approx(pts[t][1], abs=1e-5)
@@ -233,8 +249,8 @@ class TestSnakeForward:
             x = rng.standard_normal((1, 2, 6, 7)).astype(np.float32)
             out = conv(Tensor(x))
             ref = clamped_row_conv_oracle(x.astype(np.float64),
-                                          conv._chain_w.data.astype(np.float64),
-                                          conv._chain_b.data.astype(np.float64))
+                                          conv.chain.weight.data.astype(np.float64),
+                                          conv.chain.bias.data.astype(np.float64))
             np.testing.assert_allclose(out.data, ref, atol=1e-5)
 
     def test_straight_vertical_chain_reduces_to_column_conv(self):
@@ -243,20 +259,20 @@ class TestSnakeForward:
         x = rng.standard_normal((2, 1, 7, 5)).astype(np.float32)
         out = conv(Tensor(x))
         ref = clamped_row_conv_oracle(x.astype(np.float64),
-                                      conv._chain_w.data.astype(np.float64),
-                                      conv._chain_b.data.astype(np.float64), vertical=True)
+                                      conv.chain.weight.data.astype(np.float64),
+                                      conv.chain.bias.data.astype(np.float64), vertical=True)
         np.testing.assert_allclose(out.data, ref, atol=1e-5)
 
     def test_constant_input_ignores_offsets(self):
         base = make_snake(cin=2, cout=3, seed=14, pyramid_scale=0.0)
         warped = make_snake(cin=2, cout=3, seed=14, pyramid_scale=0.8)
-        warped._chain_w.data = base._chain_w.data.copy()
-        warped._chain_b.data = base._chain_b.data.copy()
+        warped.chain.weight.data = base.chain.weight.data.copy()
+        warped.chain.bias.data = base.chain.bias.data.copy()
         x = Tensor(np.full((1, 2, 6, 6), 1.7, dtype=np.float32))
         a = base(x).data
         b = warped(x).data
         np.testing.assert_allclose(a, b, atol=1e-6)
-        expected = base._chain_w.data.sum(axis=(1, 2)) * 1.7 + base._chain_b.data
+        expected = base.chain.weight.data.sum(axis=(1, 2)) * 1.7 + base.chain.bias.data
         np.testing.assert_allclose(a[0, :, 3, 3], expected, atol=1e-5)
 
     def test_matches_fully_naive_reference(self):
@@ -267,10 +283,10 @@ class TestSnakeForward:
             out = conv(Tensor(x))
             ref = naive_snake_forward(
                 x.astype(np.float64),
-                [l.weight.data.astype(np.float64) for l in conv._levels],
-                [l.bias.data.astype(np.float64) for l in conv._levels],
-                conv._chain_w.data.astype(np.float64),
-                conv._chain_b.data.astype(np.float64),
+                [l.weight.data.astype(np.float64) for l in conv.pyramid],
+                [l.bias.data.astype(np.float64) for l in conv.pyramid],
+                conv.chain.weight.data.astype(np.float64),
+                conv.chain.bias.data.astype(np.float64),
             )
             np.testing.assert_allclose(out.data, ref, atol=1e-5)
 
@@ -325,7 +341,7 @@ class TestSnakeGradients:
         x = Tensor(np.random.default_rng(24).standard_normal((1, 1, 6, 6)).astype(np.float32),
                    requires_grad=True)
         conv(x).sum().backward()
-        assert conv._chain_w.grad is not None
+        assert conv.chain.weight.grad is not None
         assert x.grad is not None
 
     def test_straight_bias_saturates_exactly(self):

@@ -73,10 +73,10 @@ class TestSnakeBlock:
         rng = np.random.default_rng(5)
         block = SnakeBlock(2, 2, 4, rng, ratio=2)
         for mod in (block.branch_h, block.branch_v):
-            for lvl in mod._levels:
+            for lvl in mod.pyramid:
                 lvl.weight.data[:] = 0.0
         for mod in (block.branch_h, block.branch_v):
-            mod._chain_b.data[:] = 0.0
+            mod.chain.bias.data[:] = 0.0
         block.local.bias.data[:] = 0.0
         block.fuse.bias.data[:] = 0.0
         x = Tensor(np.abs(rng.standard_normal((1, 2, 8, 8))).astype(np.float32))
@@ -112,12 +112,12 @@ class TestSnakeEncoder:
         # the interior beyond its receptive-field margin
         rng = np.random.default_rng(8)
         enc = SnakeEncoder(1, (2, 2, 2, 2, 2), rng, ratio=1)
-        for stage in enc._stages:
+        for stage in enc:
             for mod in (stage.branch_h, stage.branch_v):
-                for lvl in mod._levels:
+                for lvl in mod.pyramid:
                     lvl.weight.data[:] = 0.0
         x = Tensor(np.full((1, 1, 32, 32), 0.6, dtype=np.float32))
-        stage1 = enc._stages[0]
+        stage1 = enc[0]
         for branch in (stage1.branch_h, stage1.branch_v):
             out = branch(x).data
             flat = out.reshape(out.shape[1], -1)
@@ -131,7 +131,7 @@ class TestSnakeEncoder:
         x = Tensor(rng.standard_normal((1, 1, 16, 16)).astype(np.float32))
         feats = enc(x)
         feats[-1].sum().backward()
-        g = enc._stages[0].local.weight.grad
+        g = enc[0].local.weight.grad
         assert g is not None and np.abs(g).max() > 0
 
 
@@ -305,7 +305,7 @@ class TestEncoderGradients:
         rng = np.random.default_rng(23)
         block = SnakeBlock(2, 2, 2, rng, ratio=2)
         for mod in (block.branch_h, block.branch_v):
-            for lvl in mod._levels:
+            for lvl in mod.pyramid:
                 lvl.weight.data = (0.2 * np.random.default_rng(24).standard_normal(
                     lvl.weight.data.shape)).astype(np.float32)
         report = grad_check(block, np.random.default_rng(25).standard_normal((1, 2, 6, 6)),
@@ -330,10 +330,10 @@ class TestEncoderGradients:
                                                  (1, 1, 1, 1), (2, 1, 1, 1), rng)
 
             def forward(self, x):
-                t, h, w = self.enc._stages[0].embed(x)
-                for blk in self.enc._stages[0]._blocks:
-                    t = blk(t, h, w)
-                return self.enc._stages[0].norm(t)
+                t, h, w = self.enc[0].embed(x)
+                for b in range(self.enc[0].depth):
+                    t = getattr(self.enc[0], str(b))(t, h, w)
+                return self.enc[0].norm(t)
 
         report = grad_check(OneStage(), np.random.default_rng(29).standard_normal((1, 1, 8, 8)),
                             tolerance=1e-3)

@@ -150,14 +150,27 @@ class TestSnakeFormerForward:
         np.testing.assert_array_equal(other(x).data, before)
 
 
-def test_default_checkpoint_keys_and_shapes_are_pinned():
-    # checkpoint compatibility: the default model's parameter names, order
-    # and shapes, one "name AxBxC" line each
-    want = [line.split() for line in
-            (Path(__file__).parent / "model_keys.txt").read_text().splitlines()]
+def _keys_and_shapes(cfg, pinned):
+    """(got, want): the model's parameter names, order and shapes, and those
+    pinned in ``pinned``, one "name AxBxC" line each."""
+    want = [line.split() for line in (Path(__file__).parent / pinned).read_text().splitlines()]
     got = [[name, "x".join(map(str, arr.shape))]
-           for name, arr in SnakeFormer(ModelConfig()).state_dict().items()]
+           for name, arr in SnakeFormer(cfg).state_dict().items()]
+    return got, want
+
+
+def test_default_checkpoint_keys_and_shapes_are_pinned():
+    # checkpoint compatibility of the default model
+    got, want = _keys_and_shapes(ModelConfig(), "model_keys.txt")
     assert len(got) == 362
+    assert got == want
+
+
+def test_frozen_chain_cam_checkpoint_keys_and_shapes_are_pinned():
+    # frozen chains carry only chain.* keys; plain channel attention is ca.w0/ca.w1
+    got, want = _keys_and_shapes(tiny_config(conv_mode="dsconv", channel_attention="cam"),
+                                 "model_keys_dsconv_cam.txt")
+    assert len(got) == 238
     assert got == want
 
 
@@ -317,6 +330,11 @@ class TestTrainLoop:
         model = SnakeFormer(micro_config(seed=26))
         with pytest.raises(ContractViolation):
             train_loop(model, [], [], epochs=1, batch_size=2)
+
+    def test_empty_validation_set_rejected(self):
+        model = SnakeFormer(micro_config(seed=26))
+        with pytest.raises(ContractViolation, match="validation set is empty"):
+            train_loop(model, _toy_pairs(2, 26), [], epochs=1, batch_size=2)
 
     def test_predict_masks_binary(self):
         model = SnakeFormer(micro_config(seed=27))

@@ -1,5 +1,6 @@
 """Module tree naming, state round-trips, and the SPT1 checkpoint format."""
 
+import os
 import struct
 
 import numpy as np
@@ -34,6 +35,19 @@ def test_parameter_names_are_path_like_and_unique():
     assert "blocks.1.bias" in names
     assert "scale" in names
     assert len(names) == len(set(names))
+    # keys follow assignment order: ``scale`` is set after both submodules
+    assert names == ["stem.weight", "stem.bias", "blocks.0.weight", "blocks.0.bias",
+                     "blocks.1.weight", "blocks.1.bias", "scale"]
+
+
+def test_children_are_public_attributes_in_order():
+    net = _Net(np.random.default_rng(8))
+    net._hidden = Linear(2, 2, rng=np.random.default_rng(9))
+    assert list(net._modules) == ["stem", "blocks"]
+    assert len(net.blocks) == 2
+    assert net.blocks[1] is getattr(net.blocks, "1")
+    assert list(net.blocks) == [net.blocks[0], net.blocks[-1]]
+    assert not any(n.startswith("_hidden") for n, _ in net.named_parameters())
 
 
 def test_state_dict_round_trip_preserves_values_and_names():
@@ -115,6 +129,37 @@ class TestCheckpointFile:
         path.write_bytes(blob[:-6])
         with pytest.raises(CheckpointError, match="byte"):
             load_checkpoint(path)
+
+    def test_bad_utf8_name_reports_offset(self, tmp_path):
+        path = tmp_path / "name.spt"
+        save_checkpoint(path, {"w": np.ones(2, dtype=np.float32)})
+        blob = bytearray(path.read_bytes())
+        blob[12] = 0xFF  # the name starts after magic, count and name length
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match="UTF-8 at byte 12"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_reports_offset(self, tmp_path, bad):
+        path = tmp_path / "nan.spt"
+        save_checkpoint(path, {"w": np.array([1.0, bad, 2.0], dtype=np.float32)})
+        # values start at 12 + 1 (name) + 4 (rank) + 4 (dim): the second is at 25
+        with pytest.raises(CheckpointError, match="'w' at byte 25"):
+            load_checkpoint(path)
+
+    def test_failed_save_keeps_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "keep.spt"
+        save_checkpoint(path, {"w": np.ones(3, dtype=np.float32)})
+        before = path.read_bytes()
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(path, {"w": np.zeros(5, dtype=np.float32)})
+        assert path.read_bytes() == before
+        assert [f.name for f in tmp_path.iterdir()] == ["keep.spt"]
 
     def test_save_load_forward_bit_identical(self, tmp_path):
         rng = np.random.default_rng(6)
