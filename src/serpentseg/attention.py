@@ -17,7 +17,6 @@ from .tensor import (
     Tensor,
     concat,
     conv2d,
-    global_pool,
     linear,
     max_along,
     mul,
@@ -29,10 +28,12 @@ from .tensor import (
 
 
 def _pooled_rows(x: Tensor) -> tuple[Tensor, Tensor]:
-    n, c = x.data.shape[:2]
-    favg = reshape(global_pool(x, "avg"), (n, c))
-    fmax = reshape(global_pool(x, "max"), (n, c))
-    return favg, fmax
+    """The (N, C) spatial mean and max descriptors of an (N, C, H, W) map."""
+    n, c, h, w = x.data.shape
+    if h * w < 1:
+        raise ContractViolation(f"channel attention: empty spatial extent {x.data.shape}")
+    fmax = max_along(reshape(x, (n, c, h * w)), axis=2, keepdims=False)
+    return tmean(x, axis=(2, 3)), fmax
 
 
 class WeightedChannelAttention(Module):

@@ -191,8 +191,8 @@ class EfficientSelfAttention(Module):
 class MixFFN(Module):
     """Linear expand, 3x3 depthwise conv in the spatial layout, gelu, project."""
 
-    def __init__(self, c: int, rng: np.random.Generator, expansion: int = 4):
-        hidden = c * expansion
+    def __init__(self, c: int, rng: np.random.Generator):
+        hidden = 4 * c
         self.hidden = hidden
         # fc1 draws from rng first but is set after dw_*, whose keys come first
         fc1 = Linear(c, hidden, rng=rng)

@@ -1,5 +1,11 @@
 """Pixel-level segmentation metrics: IoU, precision, recall, F1, Hausdorff.
 
+Hausdorff is read off exact Euclidean distance transforms (Huttenlocher et
+al., TPAMI 1993): the transform of the ground-truth background, sampled at the
+predicted pixels, gives each one's distance to the nearest ground-truth pixel,
+and the other way round; the larger of the two maxima is the distance. The
+cost is linear in the image size, not in the product of the positive counts.
+
 Degenerate cases follow the usual conventions: two empty masks count as a
 perfect match (all ratio metrics 1, Hausdorff 0); a single empty mask scores 0
 on any metric whose denominator vanishes and the image diagonal for Hausdorff.
@@ -10,6 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.ndimage import distance_transform_edt
 
 from .tensor import ContractViolation
 
@@ -73,22 +80,13 @@ def hausdorff(pred, gt) -> float:
     gt = _check_mask(gt, "gt")
     if pred.shape != gt.shape:
         raise ContractViolation(f"mask shapes differ: {pred.shape} vs {gt.shape}")
-    a = np.argwhere(pred).astype(np.float64)
-    b = np.argwhere(gt).astype(np.float64)
-    if len(a) == 0 and len(b) == 0:
+    if not pred.any() and not gt.any():
         return 0.0
-    if len(a) == 0 or len(b) == 0:
+    if not pred.any() or not gt.any():
         return math.hypot(*pred.shape)
-    return max(_directed(a, b), _directed(b, a))
-
-
-def _directed(a: np.ndarray, b: np.ndarray, chunk: int = 2048) -> float:
-    worst = 0.0
-    for lo in range(0, len(a), chunk):
-        block = a[lo:lo + chunk]
-        d2 = ((block[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
-        worst = max(worst, float(np.sqrt(d2.min(axis=1)).max()))
-    return worst
+    to_gt = distance_transform_edt(gt == 0)
+    to_pred = distance_transform_edt(pred == 0)
+    return float(max(to_gt[pred == 1].max(), to_pred[gt == 1].max()))
 
 
 def evaluate_pair(pred, gt) -> ImageMetrics:

@@ -9,7 +9,7 @@ resolution.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -53,7 +53,6 @@ class ModelConfig:
     transformer_reductions: tuple = (8, 4, 2, 1)
     decoder_widths: tuple = (64, 48, 32, 24, 16)  # scales 1/16, 1/8, 1/4, 1/2, 1/1
     wcam_ratio: int = 8
-    num_classes: int = 2
     seed: int = 0
     conv_mode: str = "enhanced"
     channel_attention: str = "wcam"
@@ -73,8 +72,6 @@ class ModelConfig:
         if self.channel_attention not in CHANNEL_ATTENTION_MODES:
             raise ContractViolation(
                 f"channel_attention must be one of {CHANNEL_ATTENTION_MODES}")
-        if self.num_classes != 2:
-            raise ContractViolation("binary segmentation only: num_classes is fixed at 2")
         return self
 
 
@@ -88,8 +85,10 @@ def tiny_config(seed: int = 0, **overrides) -> ModelConfig:
         wcam_ratio=4,
         seed=seed,
     )
-    for k, v in overrides.items():
-        setattr(cfg, k, v)
+    try:
+        cfg = replace(cfg, **overrides)
+    except TypeError as e:
+        raise ContractViolation(f"tiny_config: {e}") from None
     return cfg.validate()
 
 
@@ -153,7 +152,7 @@ class SnakeFormer(Module):
         self.dec.s4 = stage(sw[2] + tw[0] + dw[1], dw[2])
         self.dec.s2 = stage(sw[1] + dw[2], dw[3])
         self.dec.s1 = stage(sw[0] + dw[3], dw[4])
-        self.head = Conv2d(dw[4], cfg.num_classes, 1, rng=rng)
+        self.head = Conv2d(dw[4], 2, 1, rng=rng)  # background and crack logits
 
     def forward(self, image: Tensor) -> Tensor:
         h, w = image.data.shape[2:]

@@ -129,14 +129,10 @@ class Conv2d(Module):
 
 
 class Linear(Module):
-    def __init__(self, cin: int, cout: int, rng: np.random.Generator | None = None,
-                 bias: bool = True):
+    def __init__(self, cin: int, cout: int, rng: np.random.Generator | None = None):
         bound = 1.0 / np.sqrt(cin)
         self.weight = Parameter(_uniform(rng, (cout, cin), bound))
-        if bias:
-            self.bias = Parameter(_uniform(rng, (cout,), bound))
-        else:
-            self.bias = None
+        self.bias = Parameter(_uniform(rng, (cout,), bound))
 
     def forward(self, x: Tensor) -> Tensor:
         return linear(x, self.weight, self.bias)
@@ -168,6 +164,9 @@ def save_checkpoint(path, state: dict[str, np.ndarray]) -> None:
     chunks = [MAGIC, struct.pack("<I", len(state))]
     for name in sorted(state):
         arr = np.ascontiguousarray(state[name], dtype="<f4")
+        # ``load_checkpoint`` refuses non-finite values, so never write one
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"non-finite value in {name!r}; nothing written")
         nb = name.encode("utf-8")
         chunks.append(struct.pack("<I", len(nb)))
         chunks.append(nb)

@@ -11,6 +11,7 @@ or per-position scaling). Anything else raises ``ContractViolation``.
 """
 from __future__ import annotations
 
+import contextvars
 import math
 from contextlib import contextmanager
 
@@ -22,19 +23,18 @@ class ContractViolation(ValueError):
     """An operation was called with inputs that break its contract."""
 
 
-_GRAD_ENABLED = True
+# a context variable, so a thread inside ``no_grad`` leaves other threads taping
+_GRAD_ENABLED = contextvars.ContextVar("grad_enabled", default=True)
 
 
 @contextmanager
 def no_grad():
     """Disable tape recording inside the block (evaluation mode)."""
-    global _GRAD_ENABLED
-    prev = _GRAD_ENABLED
-    _GRAD_ENABLED = False
+    token = _GRAD_ENABLED.set(False)
     try:
         yield
     finally:
-        _GRAD_ENABLED = prev
+        _GRAD_ENABLED.reset(token)
 
 
 class Tensor:
@@ -97,6 +97,9 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+                # leaf grads accumulate across calls; a kept intermediate grad
+                # would be added in again by the next backward()
+                node.grad = None
 
     # -- operator sugar ------------------------------------------------------
 
@@ -149,7 +152,7 @@ def _lift(x, like: Tensor) -> Tensor:
 
 def _make(data: np.ndarray, parents: tuple, backward) -> Tensor:
     """Create an op output, recording tape links only when grads can flow."""
-    if not _GRAD_ENABLED:
+    if not _GRAD_ENABLED.get():
         return Tensor(data)
     parents = tuple(p for p in parents if p.needs_grad)
     if not parents:
@@ -605,44 +608,8 @@ def max_pool2(x: Tensor) -> Tensor:
     n, c, h, w = x.data.shape
     if h % 2 or w % 2:
         raise ContractViolation(f"max_pool2: H and W must be even, got {x.data.shape}")
-    win = x.data.reshape(n, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5)
-    win = np.ascontiguousarray(win).reshape(n, c, h // 2, w // 2, 4)
-    idx = np.argmax(win, axis=-1)
-    data = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
-
-    def bwd(g):
-        buf = np.zeros((n, c, h // 2, w // 2, 4), dtype=g.dtype)
-        np.put_along_axis(buf, idx[..., None], g[..., None], axis=-1)
-        buf = buf.reshape(n, c, h // 2, w // 2, 2, 2).transpose(0, 1, 2, 4, 3, 5)
-        x._accum(np.ascontiguousarray(buf).reshape(n, c, h, w))
-
-    return _make(data, (x,), bwd)
-
-
-def global_pool(x: Tensor, kind: str) -> Tensor:
-    """Reduce (N, C, H, W) spatially to (N, C, 1, 1) by mean or max."""
-    n, c, h, w = x.data.shape
-    if h * w < 1:
-        raise ContractViolation(f"global_pool: empty spatial extent {x.data.shape}")
-    if kind == "avg":
-        data = x.data.mean(axis=(2, 3), keepdims=True)
-
-        def bwd(g):
-            x._accum(np.broadcast_to(g / (h * w), x.data.shape).astype(g.dtype, copy=True))
-
-        return _make(data, (x,), bwd)
-    if kind == "max":
-        flat = x.data.reshape(n, c, h * w)
-        idx = np.argmax(flat, axis=-1)
-        data = np.take_along_axis(flat, idx[..., None], axis=-1).reshape(n, c, 1, 1)
-
-        def bwd(g):
-            buf = np.zeros((n, c, h * w), dtype=g.dtype)
-            np.put_along_axis(buf, idx[..., None], g.reshape(n, c, 1), axis=-1)
-            x._accum(buf.reshape(n, c, h, w))
-
-        return _make(data, (x,), bwd)
-    raise ContractViolation(f"global_pool: kind must be 'avg' or 'max', got {kind!r}")
+    win = transpose(reshape(x, (n, c, h // 2, 2, w // 2, 2)), (0, 1, 2, 4, 3, 5))
+    return max_along(reshape(win, (n, c, h // 2, w // 2, 4)), axis=-1, keepdims=False)
 
 
 def _interp_matrix(n_in: int, factor: int, dtype) -> np.ndarray:

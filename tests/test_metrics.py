@@ -125,9 +125,25 @@ class TestHausdorff:
 
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(3)
+        cases = []
         for _ in range(30):
             pred = (rng.random((12, 12)) < 0.15).astype(np.uint8)
             gt = (rng.random((12, 12)) < 0.15).astype(np.uint8)
+            cases.append((pred, gt))
+        # non-square masks and lone corner pixels expose a swapped axis
+        for h, w in ((9, 17), (17, 9)):
+            for _ in range(10):
+                cases.append(tuple((rng.random((h, w)) < 0.15).astype(np.uint8)
+                                   for _ in range(2)))
+            corners = [(0, 0), (0, w - 1), (h - 1, w - 1), (h - 1, 0)]
+            for i, corner in enumerate(corners):
+                pred = np.zeros((h, w), np.uint8)
+                pred[corner] = 1
+                gt = np.zeros((h, w), np.uint8)
+                gt[corners[(i + 1) % 4]] = 1
+                cases.append((pred, gt))
+                cases.append((pred, (rng.random((h, w)) < 0.15).astype(np.uint8)))
+        for pred, gt in cases:
             assert hausdorff(pred, gt) == pytest.approx(hausdorff_oracle(pred, gt), abs=1e-9)
 
     def test_symmetry_identity_triangle(self):

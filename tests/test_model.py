@@ -174,6 +174,11 @@ def test_frozen_chain_cam_checkpoint_keys_and_shapes_are_pinned():
     assert got == want
 
 
+def test_tiny_config_rejects_unknown_override():
+    with pytest.raises(ContractViolation, match="conv_mod"):
+        tiny_config(conv_mod="vanilla")
+
+
 class TestCombinedLoss:
     def test_confident_correct_prediction_near_zero(self):
         rng = np.random.default_rng(15)

@@ -142,10 +142,22 @@ class TestCheckpointFile:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_value_reports_offset(self, tmp_path, bad):
         path = tmp_path / "nan.spt"
-        save_checkpoint(path, {"w": np.array([1.0, bad, 2.0], dtype=np.float32)})
+        save_checkpoint(path, {"w": np.array([1.0, 0.0, 2.0], dtype=np.float32)})
         # values start at 12 + 1 (name) + 4 (rank) + 4 (dim): the second is at 25
+        blob = bytearray(path.read_bytes())
+        blob[25:29] = struct.pack("<f", bad)
+        path.write_bytes(bytes(blob))
         with pytest.raises(CheckpointError, match="'w' at byte 25"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_is_not_saved(self, tmp_path, bad):
+        path = tmp_path / "nan.spt"
+        state = {"a": np.ones(2, dtype=np.float32),
+                 "w": np.array([1.0, bad, 2.0], dtype=np.float32)}
+        with pytest.raises(CheckpointError, match="non-finite value in 'w'"):
+            save_checkpoint(path, state)
+        assert list(tmp_path.iterdir()) == []
 
     def test_failed_save_keeps_old_file(self, tmp_path, monkeypatch):
         path = tmp_path / "keep.spt"

@@ -1,10 +1,13 @@
 """Primitive-layer tests: every op against a naive loop oracle plus the
 gradient checker."""
 
+import threading
+
 import numpy as np
 import pytest
 
 from serpentseg import tensor as T
+from serpentseg.attention import _pooled_rows
 from serpentseg.gradcheck import FunctionModule, grad_check
 from serpentseg.module import Conv2d, LayerNorm, Linear, Module, Parameter
 from serpentseg.tensor import ContractViolation, Tensor
@@ -170,25 +173,30 @@ class TestMaxPool2:
 
 
 class TestGlobalPool:
+    """The (N, C) spatial mean and max descriptors of channel attention."""
+
     def test_constant(self):
         x = Tensor(np.full((2, 3, 4, 4), 1.25, dtype=np.float32))
-        for kind in ("avg", "max"):
-            out = T.global_pool(x, kind)
-            assert out.data.shape == (2, 3, 1, 1)
+        for out in _pooled_rows(x):
+            assert out.data.shape == (2, 3)
             assert np.all(out.data == 1.25)
 
     def test_small_channel(self):
         x = Tensor(np.array([[[[1.0, 2.0], [3.0, 4.0]]]], dtype=np.float32))
-        assert T.global_pool(x, "avg").data[0, 0, 0, 0] == pytest.approx(2.5)
-        assert T.global_pool(x, "max").data[0, 0, 0, 0] == 4.0
+        avg, mx = _pooled_rows(x)
+        assert avg.data[0, 0] == pytest.approx(2.5)
+        assert mx.data[0, 0] == 4.0
 
     def test_matches_reduction_oracle(self):
         rng = np.random.default_rng(4)
         x = rng.standard_normal((2, 5, 7, 7)).astype(np.float32)
-        avg = T.global_pool(Tensor(x), "avg").data[..., 0, 0]
-        mx = T.global_pool(Tensor(x), "max").data[..., 0, 0]
+        avg, mx = (t.data for t in _pooled_rows(Tensor(x)))
         np.testing.assert_allclose(avg, x.mean(axis=(2, 3)), atol=1e-6)
         np.testing.assert_allclose(mx, x.max(axis=(2, 3)), atol=0)
+
+    def test_empty_spatial_extent_raises(self):
+        with pytest.raises(ContractViolation, match="empty spatial extent"):
+            _pooled_rows(Tensor(np.zeros((1, 2, 0, 3), dtype=np.float32)))
 
 
 class TestUpsampleBilinear:
@@ -339,9 +347,9 @@ class TestGradients:
 
     def test_global_pools(self):
         rng = np.random.default_rng(15)
-        self._check(FunctionModule(lambda x: T.global_pool(x, "avg")),
+        self._check(FunctionModule(lambda x: _pooled_rows(x)[0]),
                     rng.standard_normal((2, 3, 4, 4)))
-        self._check(FunctionModule(lambda x: T.global_pool(x, "max")),
+        self._check(FunctionModule(lambda x: _pooled_rows(x)[1]),
                     rng.standard_normal((2, 3, 4, 4)))
 
     def test_upsample(self):
@@ -421,6 +429,14 @@ class TestTapeInvariants:
         y.sum().backward()
         assert x.grad[0] == pytest.approx(2 * 2.0 + 3.0)
 
+    def test_second_backward_adds_the_same_leaf_grad(self):
+        x = Tensor(np.array([1.0], dtype=np.float32), requires_grad=True)
+        y = (x * 3.0) * 2.0
+        y.backward()
+        assert x.grad[0] == 6.0
+        y.backward()
+        assert x.grad[0] == 12.0
+
     def test_dtype_preserved_through_graph(self):
         x = Tensor(np.ones((1, 1, 4, 4), dtype=np.float64), requires_grad=True)
         w = Tensor(np.ones((1, 1, 3, 3), dtype=np.float64))
@@ -432,6 +448,30 @@ class TestTapeInvariants:
         with T.no_grad():
             y = x * 2.0
         assert y._parents == ()
+
+    def test_no_grad_in_one_thread_keeps_taping_in_another(self):
+        x = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
+        inside, done = threading.Event(), threading.Event()
+        seen = {}
+
+        def evaluate():
+            with T.no_grad():
+                inside.set()
+                seen["overlapped"] = done.wait(10)
+                seen["eval"] = (x * 2.0)._parents
+
+        def train():
+            inside.wait(10)
+            seen["train"] = (x * 2.0)._parents
+            done.set()
+
+        threads = [threading.Thread(target=f) for f in (evaluate, train)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(10)
+        assert not any(t.is_alive() for t in threads)
+        assert seen == {"overlapped": True, "eval": (), "train": (x,)}
 
     def test_broadcast_rejected_on_rank_mismatch(self):
         a = Tensor(np.zeros((2, 3), dtype=np.float32))
