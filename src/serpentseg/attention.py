@@ -5,7 +5,8 @@ bottleneck MLPs over the average- and max-pooled channel descriptors and
 mixes them with learnable per-channel weights before the sigmoid.
 ``ChannelAttention`` is the plain shared-MLP variant kept for ablations.
 ``SpatialAttention`` is the stacked mean/max map followed by a 7x7
-convolution and sigmoid.
+convolution and sigmoid. ``attend`` is the gate the snake blocks and fusion
+stages share: the channel gate when there is one, then the spatial map.
 """
 from __future__ import annotations
 
@@ -39,8 +40,7 @@ def _pooled_rows(x: Tensor) -> tuple[Tensor, Tensor]:
 class WeightedChannelAttention(Module):
     """Per-channel gate in (0, 1) from weighted avg/max MLP branches."""
 
-    def __init__(self, channels: int, ratio: int = 8,
-                 rng: np.random.Generator | None = None):
+    def __init__(self, channels: int, ratio: int = 8, *, rng: np.random.Generator):
         self.channels = channels
         self.avg = ChannelAttention(channels, ratio=ratio, rng=rng)
         self.max = ChannelAttention(channels, ratio=ratio, rng=rng)
@@ -63,8 +63,7 @@ class WeightedChannelAttention(Module):
 class ChannelAttention(Module):
     """Shared-MLP channel attention: sigmoid(MLP(avg) + MLP(max))."""
 
-    def __init__(self, channels: int, ratio: int = 8,
-                 rng: np.random.Generator | None = None):
+    def __init__(self, channels: int, ratio: int = 8, *, rng: np.random.Generator):
         if channels % ratio:
             raise ContractViolation(
                 f"reduction ratio {ratio} does not divide {channels} channels"
@@ -87,7 +86,7 @@ class ChannelAttention(Module):
 class SpatialAttention(Module):
     """Per-pixel gate from the stacked channel-mean and channel-max maps."""
 
-    def __init__(self, rng: np.random.Generator | None = None):
+    def __init__(self, *, rng: np.random.Generator):
         self.kernel = Parameter(_uniform(rng, (1, 2, 7, 7), 1.0 / np.sqrt(2 * 49)))
         self.bias = Parameter(np.zeros(1, dtype=np.float32))
 
@@ -110,3 +109,12 @@ def apply_attention(x: Tensor, channel_att: Tensor, spatial_att: Tensor) -> Tens
             f"spatial attention {spatial_att.data.shape} does not match input {x.data.shape}"
         )
     return mul(mul(x, channel_att), spatial_att)
+
+
+def attend(x: Tensor, ca: Module | None, sa: SpatialAttention) -> Tensor:
+    """Gate ``x`` with the spatial map of ``sa`` and, unless ``ca`` is None,
+    first with the channel gate of ``ca`` as well."""
+    sa_map = sa(x)
+    if ca is None:
+        return mul(x, sa_map)
+    return apply_attention(x, ca(x), sa_map)

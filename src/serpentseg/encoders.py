@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .attention import ChannelAttention, SpatialAttention, WeightedChannelAttention, apply_attention
+from .attention import ChannelAttention, SpatialAttention, WeightedChannelAttention, attend
 from .dsconv import SnakeConv2d
 from .module import Conv2d, LayerNorm, Linear, Module, ModuleList, Parameter, _uniform
 from .tensor import (
@@ -22,10 +22,8 @@ from .tensor import (
     concat,
     depthwise_conv3x3,
     gelu,
-    linear,
     matmul,
     max_pool2,
-    mul,
     relu,
     reshape,
     softmax,
@@ -76,13 +74,7 @@ class SnakeBlock(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         parts = [relu(self.branch_h(x)), relu(self.branch_v(x)), relu(self.local(x))]
-        cat = concat(parts, axis=1)
-        sa_map = self.sa(cat)
-        if self.ca is not None:
-            att = apply_attention(cat, self.ca(cat), sa_map)
-        else:
-            att = mul(cat, sa_map)
-        fused = self.fuse(att)
+        fused = self.fuse(attend(concat(parts, axis=1), self.ca, self.sa))
         res = x if self.proj is None else self.proj(x)
         return fused + res
 
@@ -126,13 +118,6 @@ def tokens_to_map(x: Tensor, h: int, w: int) -> Tensor:
     return transpose(reshape(x, (n, h, w, c)), (0, 3, 1, 2))
 
 
-def _rows(fn: Linear, x: Tensor) -> Tensor:
-    """Apply a Linear over the last axis of (N, L, C)."""
-    n, l, c = x.data.shape
-    out = fn(reshape(x, (n * l, c)))
-    return reshape(out, (n, l, out.data.shape[-1]))
-
-
 class EfficientSelfAttention(Module):
     """Multi-head attention with keys/values taken from a spatially reduced map.
 
@@ -161,7 +146,7 @@ class EfficientSelfAttention(Module):
         grid = reshape(x, (n, h // r, r, w // r, r, self.c))
         patches = reshape(transpose(grid, (0, 1, 3, 2, 4, 5)),
                           (n, (h // r) * (w // r), r * r * self.c))
-        return self.sr_norm(_rows(self.sr, patches))
+        return self.sr_norm(self.sr(patches))
 
     def forward(self, x: Tensor, h: int, w: int) -> Tensor:
         n, l, c = x.data.shape
@@ -178,14 +163,14 @@ class EfficientSelfAttention(Module):
         def split_heads(t, length):
             return transpose(reshape(t, (n, length, self.heads, d)), (0, 2, 1, 3))
 
-        q = split_heads(_rows(self.q, x), l)
-        k = split_heads(_rows(self.k, kv_src), lk)
-        v = split_heads(_rows(self.v, kv_src), lk)
+        q = split_heads(self.q(x), l)
+        k = split_heads(self.k(kv_src), lk)
+        v = split_heads(self.v(kv_src), lk)
         scores = matmul(q, transpose(k, (0, 1, 3, 2))) * (1.0 / math.sqrt(d))
         probs = softmax(scores, axis=-1)
         ctx = matmul(probs, v)
         merged = reshape(transpose(ctx, (0, 2, 1, 3)), (n, l, c))
-        return _rows(self.o, merged)
+        return self.o(merged)
 
 
 class MixFFN(Module):
@@ -205,11 +190,11 @@ class MixFFN(Module):
         n, l, c = x.data.shape
         if l != h * w:
             raise ContractViolation(f"token count {l} does not match {h}x{w}")
-        t = _rows(self.fc1, x)
+        t = self.fc1(x)
         m = tokens_to_map(t, h, w)
         m = depthwise_conv3x3(m, self.dw_weight, self.dw_bias)
         t = gelu(map_to_tokens(m))
-        return _rows(self.fc2, t)
+        return self.fc2(t)
 
 
 class TransformerBlock(Module):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .attention import SpatialAttention, apply_attention
+from .attention import SpatialAttention, attend
 from .encoders import (
     CHANNEL_ATTENTION_MODES,
     CONV_MODES,
@@ -110,12 +110,7 @@ class FusionStage(Module):
                 f"fusion inputs disagree spatially: {[p.data.shape for p in parts]}"
             )
         cat = concat(parts, axis=1) if len(parts) > 1 else parts[0]
-        sa_map = self.sa(cat)
-        if self.ca is not None:
-            att = apply_attention(cat, self.ca(cat), sa_map)
-        else:
-            att = mul(cat, sa_map)
-        h = relu(self.conv1(att))
+        h = relu(self.conv1(attend(cat, self.ca, self.sa)))
         h = self.conv2(h)
         res = cat if self.proj is None else self.proj(cat)
         return h + res

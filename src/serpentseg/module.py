@@ -116,8 +116,8 @@ def _uniform(rng: np.random.Generator, shape, bound: float) -> np.ndarray:
 class Conv2d(Module):
     """Square-kernel convolution layer; fan-in uniform init."""
 
-    def __init__(self, cin: int, cout: int, k: int, stride: int = 1, padding: int = 0,
-                 rng: np.random.Generator | None = None):
+    def __init__(self, cin: int, cout: int, k: int, stride: int = 1, padding: int = 0, *,
+                 rng: np.random.Generator):
         self.stride = stride
         self.padding = padding
         bound = 1.0 / np.sqrt(cin * k * k)
@@ -129,7 +129,7 @@ class Conv2d(Module):
 
 
 class Linear(Module):
-    def __init__(self, cin: int, cout: int, rng: np.random.Generator | None = None):
+    def __init__(self, cin: int, cout: int, *, rng: np.random.Generator):
         bound = 1.0 / np.sqrt(cin)
         self.weight = Parameter(_uniform(rng, (cout, cin), bound))
         self.bias = Parameter(_uniform(rng, (cout,), bound))

@@ -189,72 +189,45 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 # -- elementwise arithmetic --------------------------------------------------
 
-def add(a, b) -> Tensor:
-    if not isinstance(a, Tensor):
-        a, b = b, a
-    b = _lift(b, a)
-    _check_broadcast(a.data, b.data, "add")
-    data = a.data + b.data
+def _binary(a, b, op: str, data_fn, grad_a, grad_b) -> Tensor:
+    """Elementwise ``data_fn(a, b)`` under the narrow broadcasting rule.
+
+    A non-tensor operand is lifted to the other's dtype. ``grad_a`` and
+    ``grad_b`` map ``(g, a.data, b.data)`` to each operand's gradient at the
+    output shape, which is then summed back over that operand's size-1 axes.
+    """
+    if isinstance(a, Tensor):
+        b = _lift(b, a)
+    else:
+        a = _lift(a, b)
+    ad, bd = a.data, b.data
+    _check_broadcast(ad, bd, op)
 
     def bwd(g):
         if a.needs_grad:
-            a._accum(_unbroadcast(g, a.data.shape))
+            a._accum(_unbroadcast(grad_a(g, ad, bd), ad.shape))
         if b.needs_grad:
-            b._accum(_unbroadcast(g, b.data.shape))
+            b._accum(_unbroadcast(grad_b(g, ad, bd), bd.shape))
 
-    return _make(data, (a, b), bwd)
+    return _make(data_fn(ad, bd), (a, b), bwd)
+
+
+def add(a, b) -> Tensor:
+    return _binary(a, b, "add", np.add, lambda g, ad, bd: g, lambda g, ad, bd: g)
 
 
 def sub(a, b) -> Tensor:
-    if isinstance(a, Tensor):
-        b = _lift(b, a)
-    else:
-        a = _lift(a, b)
-    _check_broadcast(a.data, b.data, "sub")
-    data = a.data - b.data
-
-    def bwd(g):
-        if a.needs_grad:
-            a._accum(_unbroadcast(g, a.data.shape))
-        if b.needs_grad:
-            b._accum(_unbroadcast(-g, b.data.shape))
-
-    return _make(data, (a, b), bwd)
+    return _binary(a, b, "sub", np.subtract, lambda g, ad, bd: g, lambda g, ad, bd: -g)
 
 
 def mul(a, b) -> Tensor:
-    if not isinstance(a, Tensor):
-        a, b = b, a
-    b = _lift(b, a)
-    _check_broadcast(a.data, b.data, "mul")
-    data = a.data * b.data
-    ad, bd = a.data, b.data
-
-    def bwd(g):
-        if a.needs_grad:
-            a._accum(_unbroadcast(g * bd, ad.shape))
-        if b.needs_grad:
-            b._accum(_unbroadcast(g * ad, bd.shape))
-
-    return _make(data, (a, b), bwd)
+    return _binary(a, b, "mul", np.multiply,
+                   lambda g, ad, bd: g * bd, lambda g, ad, bd: g * ad)
 
 
 def div(a, b) -> Tensor:
-    if isinstance(a, Tensor):
-        b = _lift(b, a)
-    else:
-        a = _lift(a, b)
-    _check_broadcast(a.data, b.data, "div")
-    data = a.data / b.data
-    ad, bd = a.data, b.data
-
-    def bwd(g):
-        if a.needs_grad:
-            a._accum(_unbroadcast(g / bd, ad.shape))
-        if b.needs_grad:
-            b._accum(_unbroadcast(-g * ad / (bd * bd), bd.shape))
-
-    return _make(data, (a, b), bwd)
+    return _binary(a, b, "div", np.divide,
+                   lambda g, ad, bd: g / bd, lambda g, ad, bd: -g * ad / (bd * bd))
 
 
 def neg(a: Tensor) -> Tensor:
@@ -286,12 +259,16 @@ def tmean(a: Tensor, axis=None, keepdims=False) -> Tensor:
     count = a.data.size if axis is None else np.prod(
         [a.data.shape[ax] for ax in (axis if isinstance(axis, tuple) else (axis,))]
     )
+    if count == 0:
+        raise ContractViolation(f"tmean: empty axis {axis} in shape {a.data.shape}")
     s = tsum(a, axis=axis, keepdims=keepdims)
     return mul(s, 1.0 / float(count))
 
 
 def max_along(a: Tensor, axis: int, keepdims: bool = True) -> Tensor:
     """Max over one axis; gradient routes to the first occurrence of the max."""
+    if a.data.shape[axis] == 0:
+        raise ContractViolation(f"max_along: empty axis {axis} in shape {a.data.shape}")
     idx = np.argmax(a.data, axis=axis)  # first occurrence on ties
     data = np.take_along_axis(a.data, np.expand_dims(idx, axis), axis=axis)
     if not keepdims:
@@ -466,23 +443,29 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
-    """Affine map of (N, Cin) rows by a (Cout, Cin) weight."""
+    """Affine map of the last axis of (..., Cin) by a (Cout, Cin) weight.
+
+    Leading axes are flattened into one row axis, so the map is one GEMM.
+    """
     xd, wd = x.data, weight.data
-    if xd.ndim != 2 or wd.ndim != 2 or xd.shape[1] != wd.shape[1]:
+    if xd.ndim < 2 or wd.ndim != 2 or xd.shape[-1] != wd.shape[1]:
         raise ContractViolation(
             f"linear: input {xd.shape} incompatible with weight {wd.shape}"
         )
-    data = xd @ wd.T
+    rows = xd.reshape(-1, wd.shape[1])
+    data = rows @ wd.T
     if bias is not None:
         data = data + bias.data
+    data = data.reshape(xd.shape[:-1] + (wd.shape[0],))
 
     def bwd(g):
+        g2 = g.reshape(-1, wd.shape[0])
         if x.needs_grad:
-            x._accum(g @ wd)
+            x._accum((g2 @ wd).reshape(xd.shape))
         if weight.needs_grad:
-            weight._accum(g.T @ xd)
+            weight._accum(g2.T @ rows)
         if bias is not None and bias.needs_grad:
-            bias._accum(g.sum(axis=0))
+            bias._accum(g2.sum(axis=0))
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     return _make(data, parents, bwd)
@@ -507,6 +490,19 @@ def _im2col(xp: np.ndarray, k: int, stride: int, ho: int, wo: int) -> np.ndarray
     return cols.reshape(c * k * k, n * ho * wo)
 
 
+def _col2im(dcols: np.ndarray, xp_shape: tuple, k: int, stride: int,
+            ho: int, wo: int) -> np.ndarray:
+    """Adjoint of ``_im2col``: add every window-matrix entry back onto the
+    padded (N, C, Hp, Wp) position it was read from, tap by tap."""
+    n, c, hp, wp = xp_shape
+    dcols = dcols.reshape(c, k, k, n, ho, wo)
+    gxp = np.zeros((c, n, hp, wp), dtype=dcols.dtype)
+    for i in range(k):
+        for j in range(k):
+            gxp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += dcols[:, i, j]
+    return gxp.transpose(1, 0, 2, 3)
+
+
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
            stride: int = 1, padding: int = 0) -> Tensor:
     """2-d convolution with zero padding and square odd kernels.
@@ -514,8 +510,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     Forward is one GEMM, ``weight (Cout, C*k*k) @ cols (C*k*k, N*Ho*Wo)``,
     over the channel-major window matrix of ``_im2col``. Backward keeps that
     matrix for the weight gradient; the input gradient is one GEMM
-    ``weight.T @ grad`` scattered back onto the padded input tap by tap
-    (col2im), the same for every stride and padding.
+    ``weight.T @ grad`` scattered back onto the padded input by ``_col2im``,
+    the same for every stride and padding.
     """
     xd, wd = x.data, weight.data
     if xd.ndim != 4 or wd.ndim != 4:
@@ -552,14 +548,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
         if weight.needs_grad:
             weight._accum((g2 @ cols.T).reshape(wd.shape))
         if x.needs_grad:
-            dcols = (wmat.T @ g2).reshape(cin, k, k, n, ho, wo)
-            gxp = np.zeros((cin, n) + xp.shape[2:], dtype=g.dtype)
-            for i in range(k):
-                for j in range(k):
-                    gxp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += \
-                        dcols[:, i, j]
-            gx = gxp[:, :, padding:padding + h, padding:padding + w]
-            x._accum(np.ascontiguousarray(gx.transpose(1, 0, 2, 3)))
+            gxp = _col2im(wmat.T @ g2, xp.shape, k, stride, ho, wo)
+            x._accum(np.ascontiguousarray(gxp[:, :, padding:padding + h, padding:padding + w]))
         if bias is not None and bias.needs_grad:
             bias._accum(g.sum(axis=(0, 2, 3)))
 
@@ -568,7 +558,12 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
 
 
 def depthwise_conv3x3(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
-    """Per-channel 3x3 convolution, padding 1. Weight shape (C, 3, 3)."""
+    """Per-channel 3x3 convolution, padding 1. Weight shape (C, 3, 3).
+
+    Runs on the (C, 9, N*H*W) view of the ``_im2col`` window matrix: each
+    channel's nine taps contract with its own nine weights, and the input
+    gradient is the ``_col2im`` of ``weight * grad``.
+    """
     xd, wd = x.data, weight.data
     n, c, h, w = xd.shape
     if wd.shape != (c, 3, 3):
@@ -576,26 +571,20 @@ def depthwise_conv3x3(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> 
             f"depthwise_conv3x3: weight {wd.shape} does not match input {xd.shape}"
         )
     xp = np.pad(xd, ((0, 0), (0, 0), (1, 1), (1, 1)))
-    data = np.zeros_like(xd)
-    for i in range(3):
-        for j in range(3):
-            data += xp[:, :, i:i + h, j:j + w] * wd[:, i, j].reshape(1, c, 1, 1)
+    cols = _im2col(xp, 3, 1, h, w).reshape(c, 9, n * h * w)
+    taps = wd.reshape(c, 9)
+    out = np.einsum("ct,ctm->cm", taps, cols).reshape(c, n, h, w)
+    data = np.ascontiguousarray(out.transpose(1, 0, 2, 3))
     if bias is not None:
-        data = data + bias.data.reshape(1, c, 1, 1)
+        data += bias.data.reshape(1, c, 1, 1)
 
     def bwd(g):
+        g2 = np.ascontiguousarray(g.transpose(1, 0, 2, 3)).reshape(c, n * h * w)
         if x.needs_grad:
-            gxp = np.zeros_like(xp)
-            for i in range(3):
-                for j in range(3):
-                    gxp[:, :, i:i + h, j:j + w] += g * wd[:, i, j].reshape(1, c, 1, 1)
+            gxp = _col2im(taps[:, :, None] * g2[:, None], xp.shape, 3, 1, h, w)
             x._accum(np.ascontiguousarray(gxp[:, :, 1:-1, 1:-1]))
         if weight.needs_grad:
-            gw = np.empty_like(wd)
-            for i in range(3):
-                for j in range(3):
-                    gw[:, i, j] = (g * xp[:, :, i:i + h, j:j + w]).sum(axis=(0, 2, 3))
-            weight._accum(gw)
+            weight._accum(np.einsum("cm,ctm->ct", g2, cols).reshape(wd.shape))
         if bias is not None and bias.needs_grad:
             bias._accum(g.sum(axis=(0, 2, 3)))
 
@@ -615,18 +604,14 @@ def max_pool2(x: Tensor) -> Tensor:
 def _interp_matrix(n_in: int, factor: int, dtype) -> np.ndarray:
     """Half-pixel-center linear interpolation matrix (n_in*factor, n_in)."""
     n_out = n_in * factor
+    src = np.clip((np.arange(n_out) + 0.5) / factor - 0.5, 0.0, n_in - 1.0)
+    lo = src.astype(np.intp)  # src >= 0, so truncation is floor
+    t = src - lo
+    rows = np.arange(n_out)
     m = np.zeros((n_out, n_in), dtype=dtype)
-    for i in range(n_out):
-        src = (i + 0.5) / factor - 0.5
-        src = min(max(src, 0.0), n_in - 1.0)
-        lo = int(math.floor(src))
-        if lo >= n_in - 1:
-            lo = n_in - 1
-            m[i, lo] = 1.0
-        else:
-            t = src - lo
-            m[i, lo] = 1.0 - t
-            m[i, lo + 1] = t
+    m[rows, lo] = 1.0 - t
+    # rows clamped to the last input have t == 0 and add nothing here
+    m[rows, np.minimum(lo + 1, n_in - 1)] += t
     return m
 
 

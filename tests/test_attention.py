@@ -9,6 +9,7 @@ from serpentseg.attention import (
     SpatialAttention,
     WeightedChannelAttention,
     apply_attention,
+    attend,
 )
 from serpentseg.gradcheck import FunctionModule, grad_check
 from serpentseg.module import Module
@@ -196,6 +197,17 @@ class TestApplyAttention:
         sa = Tensor(np.zeros((1, 1, 3, 3), dtype=np.float32))
         with pytest.raises(ContractViolation):
             apply_attention(x, bad_ca, sa)
+
+
+class TestAttend:
+    def test_gates_like_apply_attention_or_the_spatial_map_alone(self):
+        rng = np.random.default_rng(19)
+        x = Tensor(rng.standard_normal((2, 4, 5, 5)).astype(np.float32))
+        ca = WeightedChannelAttention(4, ratio=2, rng=rng)
+        sa = SpatialAttention(rng=rng)
+        np.testing.assert_array_equal(attend(x, ca, sa).data,
+                                      apply_attention(x, ca(x), sa(x)).data)
+        np.testing.assert_array_equal(attend(x, None, sa).data, (x * sa(x)).data)
 
 
 class _Composed(Module):

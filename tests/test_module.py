@@ -6,6 +6,7 @@ import struct
 import numpy as np
 import pytest
 
+from serpentseg.attention import ChannelAttention, SpatialAttention, WeightedChannelAttention
 from serpentseg.module import (
     CheckpointError,
     Conv2d,
@@ -38,6 +39,25 @@ def test_parameter_names_are_path_like_and_unique():
     # keys follow assignment order: ``scale`` is set after both submodules
     assert names == ["stem.weight", "stem.bias", "blocks.0.weight", "blocks.0.bias",
                      "blocks.1.weight", "blocks.1.bias", "scale"]
+
+
+@pytest.mark.parametrize("build", [
+    lambda **kw: Conv2d(1, 1, 3, **kw),
+    lambda **kw: Linear(2, 2, **kw),
+    lambda **kw: ChannelAttention(4, ratio=2, **kw),
+    lambda **kw: WeightedChannelAttention(4, ratio=2, **kw),
+    lambda **kw: SpatialAttention(**kw),
+], ids=["Conv2d", "Linear", "ChannelAttention", "WeightedChannelAttention",
+        "SpatialAttention"])
+def test_layers_require_an_rng_keyword(build):
+    with pytest.raises(TypeError, match="rng"):
+        build()
+    build(rng=np.random.default_rng(0))
+
+
+def test_rng_is_keyword_only():
+    with pytest.raises(TypeError):
+        Linear(2, 2, np.random.default_rng(0))
 
 
 def test_children_are_public_attributes_in_order():

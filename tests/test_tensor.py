@@ -6,6 +6,7 @@ import threading
 import numpy as np
 import pytest
 
+import oracles
 from serpentseg import tensor as T
 from serpentseg.attention import _pooled_rows
 from serpentseg.gradcheck import FunctionModule, grad_check
@@ -139,6 +140,45 @@ class TestLinear:
             T.linear(Tensor(np.zeros((2, 4), dtype=np.float32)),
                      Tensor(np.zeros((3, 5), dtype=np.float32)), None)
 
+    def test_maps_the_last_axis_of_a_3d_input(self):
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((2, 3, 4)).astype(np.float32)
+        w = rng.standard_normal((5, 4)).astype(np.float32)
+        b = rng.standard_normal(5).astype(np.float32)
+        out = T.linear(Tensor(x), Tensor(w), Tensor(b))
+        assert out.data.shape == (2, 3, 5)
+        for i in range(2):
+            ref = linear_oracle(x[i].astype(np.float64), w.astype(np.float64),
+                                b.astype(np.float64))
+            np.testing.assert_allclose(out.data[i], ref, atol=1e-5)
+
+    def test_rank_one_input_raises(self):
+        with pytest.raises(ContractViolation, match=r"\(4,\)"):
+            T.linear(Tensor(np.zeros(4, dtype=np.float32)),
+                     Tensor(np.zeros((3, 4), dtype=np.float32)), None)
+
+
+class TestDepthwiseConv3x3:
+    @pytest.mark.parametrize("with_bias", [True, False])
+    def test_matches_block_diagonal_conv_oracle(self, with_bias):
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((2, 3, 5, 4)).astype(np.float32)
+        w = rng.standard_normal((3, 3, 3)).astype(np.float32)
+        b = rng.standard_normal(3).astype(np.float32)
+        full = np.zeros((3, 3, 3, 3))
+        full[np.arange(3), np.arange(3)] = w  # output channel c reads input channel c only
+        out = T.depthwise_conv3x3(Tensor(x), Tensor(w), Tensor(b) if with_bias else None)
+        ref = oracles.conv2d_oracle(x.astype(np.float64), full,
+                                    b.astype(np.float64) if with_bias else np.zeros(3),
+                                    padding=1)
+        assert out.data.shape == x.shape
+        np.testing.assert_allclose(out.data, ref, atol=1e-5)
+
+    def test_weight_shape_mismatch_raises(self):
+        with pytest.raises(ContractViolation, match=r"\(2, 3, 3\)"):
+            T.depthwise_conv3x3(Tensor(np.zeros((1, 3, 4, 4), dtype=np.float32)),
+                                Tensor(np.zeros((2, 3, 3), dtype=np.float32)))
+
 
 class TestMaxPool2:
     def test_single_window(self):
@@ -199,6 +239,17 @@ class TestGlobalPool:
             _pooled_rows(Tensor(np.zeros((1, 2, 0, 3), dtype=np.float32)))
 
 
+class TestEmptyAxis:
+    def test_tmean_raises(self):
+        with pytest.raises(ContractViolation, match=r"tmean: empty axis 1 in shape \(2, 0\)"):
+            T.tmean(Tensor(np.zeros((2, 0), dtype=np.float32)), axis=1)
+
+    def test_max_along_raises(self):
+        with pytest.raises(ContractViolation,
+                           match=r"max_along: empty axis 1 in shape \(2, 0\)"):
+            T.max_along(Tensor(np.zeros((2, 0), dtype=np.float32)), axis=1)
+
+
 class TestUpsampleBilinear:
     def test_constant(self):
         x = Tensor(np.full((1, 2, 3, 3), 0.7, dtype=np.float32))
@@ -222,6 +273,21 @@ class TestUpsampleBilinear:
     def test_factor_below_two_raises(self):
         with pytest.raises(ContractViolation):
             T.upsample_bilinear(Tensor(np.zeros((1, 1, 2, 2), dtype=np.float32)), 1)
+
+    @pytest.mark.parametrize("n_in", [1, 2, 3, 7])
+    @pytest.mark.parametrize("factor", [2, 3, 4])
+    def test_interp_matrix_equals_row_rule_exactly(self, n_in, factor):
+        want = np.zeros((n_in * factor, n_in))
+        for i in range(n_in * factor):
+            src = min(max((i + 0.5) / factor - 0.5, 0.0), n_in - 1.0)
+            lo = int(np.floor(src))
+            t = src - lo
+            want[i, lo] += 1.0 - t
+            want[i, min(lo + 1, n_in - 1)] += t
+        for dtype in (np.float32, np.float64):
+            got = T._interp_matrix(n_in, factor, dtype)
+            assert got.dtype == dtype
+            np.testing.assert_array_equal(got, want.astype(dtype))
 
 
 class TestActivations:
@@ -302,6 +368,10 @@ class TestGradients:
         rng = np.random.default_rng(10)
         self._check(Linear(4, 3, rng=rng), rng.standard_normal((2, 4)))
 
+    def test_linear_over_last_axis(self):
+        rng = np.random.default_rng(30)
+        self._check(Linear(4, 3, rng=rng), rng.standard_normal((2, 3, 4)))
+
     def test_conv2d(self):
         rng = np.random.default_rng(11)
         self._check(Conv2d(2, 3, 3, padding=1, rng=rng), rng.standard_normal((1, 2, 5, 5)))
@@ -340,6 +410,45 @@ class TestGradients:
                 return T.depthwise_conv3x3(x, self.w, self.b)
 
         self._check(DW(), rng.standard_normal((2, 3, 4, 4)))
+
+    def test_depthwise_conv_without_bias(self):
+        rng = np.random.default_rng(31)
+        self._check(FunctionModule(T.depthwise_conv3x3),
+                    [rng.standard_normal((2, 3, 4, 5)), rng.standard_normal((3, 3, 3))])
+
+    @pytest.mark.parametrize("op", [T.add, T.sub, T.mul, T.div])
+    @pytest.mark.parametrize("a_shape,b_shape", [
+        ((2, 3, 4), (2, 3, 4)),
+        ((2, 3, 4), (1, 3, 1)),    # size-1 axes on the right operand
+        ((1, 3, 1), (2, 3, 4)),    # ... and on the left
+        ((2, 1, 4), (2, 3, 1)),    # on both
+        ((2, 3), ()),              # 0-d operand
+    ])
+    def test_binary_broadcasting(self, op, a_shape, b_shape):
+        rng = np.random.default_rng(32)
+        a = rng.standard_normal(a_shape)
+        b = rng.uniform(0.5, 1.5, b_shape) * rng.choice([-1.0, 1.0], b_shape)  # |b| >= 0.5 for div
+        self._check(FunctionModule(op), [a, b])
+
+    @pytest.mark.parametrize("fn", [
+        lambda t: 0.5 + t,
+        lambda t: T.add(0.5, t),
+        lambda t: 1.0 - t,
+        lambda t: 3.0 * t,
+        lambda t: T.mul(3.0, t),
+        lambda t: T.div(2.0, t),
+        lambda t: t - 1.0,
+        lambda t: t / 4.0,
+    ], ids=["radd", "add-left", "rsub", "rmul", "mul-left", "div-left", "sub", "div"])
+    def test_python_scalar_operands(self, fn):
+        rng = np.random.default_rng(33)
+        x = rng.uniform(0.5, 1.5, (2, 3))
+        self._check(FunctionModule(fn), x)
+        t = Tensor(x, requires_grad=True)
+        out = fn(t)
+        out.sum().backward()
+        assert out.data.dtype == np.float64 and t.grad.dtype == np.float64
+        assert fn(Tensor(x.astype(np.float32))).data.dtype == np.float32
 
     def test_max_pool2(self):
         rng = np.random.default_rng(14)
