@@ -16,7 +16,7 @@ Chain order everywhere is t-4 .. t+4, so the center sits at index 4.
 The four pyramid levels run as one 9x9 convolution (``PyramidConv2d``):
 each level's (4, Cin, k, k) kernel is embedded centred in the 9x9 support
 with zeros around it, which with padding 4 computes exactly that level's
-'same' convolution, so one window matrix serves all 16 offset channels. The
+'same' convolution, so one ``conv2d`` call serves all 16 offset channels. The
 level kernels stay separate parameters ("pyramid.{k}.weight"), and each
 receives the centre slice of the fused kernel's gradient.
 """

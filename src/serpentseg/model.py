@@ -150,6 +150,10 @@ class SnakeFormer(Module):
         self.head = Conv2d(dw[4], 2, 1, rng=rng)  # background and crack logits
 
     def forward(self, image: Tensor) -> Tensor:
+        if image.data.ndim != 4:
+            raise ContractViolation(f"image must be (N, C, H, W), got shape {image.data.shape}")
+        if not np.isfinite(image.data).all():
+            raise ContractViolation(f"image of shape {image.data.shape} has NaN or Inf values")
         h, w = image.data.shape[2:]
         if h % 32 or w % 32:
             raise ContractViolation(
@@ -265,6 +269,8 @@ def evaluate_model(model: SnakeFormer, pairs, batch_size: int = 8):
     """Mean IoU and F1 of thresholded predictions over (image, mask) pairs."""
     from .metrics import confusion_counts, pixel_metrics
 
+    if not pairs:
+        raise ContractViolation("evaluate_model: no (image, mask) pairs to score")
     per = []
     for lo in range(0, len(pairs), batch_size):
         imgs, masks = _as_batch(pairs[lo:lo + batch_size])

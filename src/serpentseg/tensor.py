@@ -122,6 +122,9 @@ class Tensor:
     def __truediv__(self, other):
         return div(self, other)
 
+    def __rtruediv__(self, other):
+        return div(other, self)
+
     def __neg__(self):
         return neg(self)
 
@@ -473,49 +476,91 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
 
 # -- convolution and pooling ---------------------------------------------------
 
-def _im2col(xp: np.ndarray, k: int, stride: int, ho: int, wo: int) -> np.ndarray:
-    """Window matrix of a padded (N, C, Hp, Wp) map, channel-major.
+def _window_layout(xd: np.ndarray, k: int, stride: int, padding: int):
+    """The zero-padded (N, C, H, W) map as ``(stride, C, length)`` flat rows.
 
-    Row ``(c * k + i) * k + j`` holds input channel c shifted by kernel tap
-    (i, j) at every output position; columns run over (N, Ho, Wo). The rows
-    match ``weight.reshape(Cout, C * k * k)``, and each kernel tap is one
-    strided slice copy of all channels at once.
+    The padded height and width are rounded up to Hq*stride and Wq*stride,
+    and padded row q*stride + b becomes row q of phase b, so each phase is a
+    channel-major (C, N, Hq, Wp) block, flattened. (k - 1) // stride + 1 zero
+    rows follow it, so every read of ``_shifts`` stays inside. Returns the
+    flat map, Hq and Wq.
     """
-    n, c, _, _ = xp.shape
-    xc = xp.transpose(1, 0, 2, 3)
-    cols = np.empty((c, k, k, n, ho, wo), dtype=xp.dtype)
-    for i in range(k):
-        for j in range(k):
-            cols[:, i, j] = xc[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride]
-    return cols.reshape(c * k * k, n * ho * wo)
+    n, c, h, w = xd.shape
+    hq = -(-(h + 2 * padding) // stride)
+    wq = -(-(w + 2 * padding) // stride)
+    wp = wq * stride
+    xp = np.pad(xd, ((0, 0), (0, 0), (padding, hq * stride - h - padding),
+                     (padding, wp - w - padding)))
+    flat = np.zeros((stride, c, n * hq + (k - 1) // stride + 1, wp), dtype=xd.dtype)
+    flat[:, :, :n * hq].reshape(stride, c, n, hq, wp)[...] = \
+        xp.reshape(n, c, hq, stride, wp).transpose(3, 1, 0, 2, 4)
+    return flat.reshape(stride, c, -1), hq, wq
 
 
-def _col2im(dcols: np.ndarray, xp_shape: tuple, k: int, stride: int,
-            ho: int, wo: int) -> np.ndarray:
-    """Adjoint of ``_im2col``: add every window-matrix entry back onto the
-    padded (N, C, Hp, Wp) position it was read from, tap by tap."""
-    n, c, hp, wp = xp_shape
-    dcols = dcols.reshape(c, k, k, n, ho, wo)
-    gxp = np.zeros((c, n, hp, wp), dtype=dcols.dtype)
+def _from_window_layout(gflat: np.ndarray, shape: tuple, stride: int, padding: int,
+                        hq: int, wq: int) -> np.ndarray:
+    """Adjoint of ``_window_layout``: the (N, C, H, W) interior of a flat map."""
+    n, c, h, w = shape
+    wp = wq * stride
+    phases = gflat.reshape(stride, c, -1, wp)[:, :, :n * hq].reshape(stride, c, n, hq, wp)
+    gxp = phases.transpose(2, 1, 3, 0, 4).reshape(n, c, hq * stride, wp)
+    return np.ascontiguousarray(gxp[:, :, padding:padding + h, padding:padding + w])
+
+
+def _shifts(flat: np.ndarray, k: int, stride: int, cols: int) -> np.ndarray:
+    """The k column shifts of a flat map, (stride, C*k, cols).
+
+    Row ``c * k + j`` of phase b holds ``flat[b, c, j + stride * m]`` at column
+    m: one strided copy per shift j, for all phases and channels at once.
+    """
+    phases, c, _ = flat.shape
+    out = np.empty((phases, c, k, cols), dtype=flat.dtype)
+    for j in range(k):
+        out[:, :, j] = flat[:, :, j:j + stride * (cols - 1) + 1:stride]
+    return out.reshape(phases, c * k, cols)
+
+
+def _kernel_rows(shifts: np.ndarray, k: int, stride: int, wq: int, span: int):
+    """(i, view) per kernel row i = a * stride + b: the ``span`` columns of
+    phase b's shift matrix that row i reads, a rows of Wq further on."""
     for i in range(k):
-        for j in range(k):
-            gxp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += dcols[:, i, j]
-    return gxp.transpose(1, 0, 2, 3)
+        a, b = divmod(i, stride)
+        yield i, shifts[b, ..., a * wq:a * wq + span]
+
+
+def _add_kernel_row(gflat: np.ndarray, i: int, grad: np.ndarray, stride: int, wq: int) -> None:
+    """Adjoint of kernel row i's view: add its (C, k, span) gradient onto the
+    flat positions it was read from, one strided add per column shift."""
+    a, b = divmod(i, stride)
+    span = grad.shape[-1]
+    for j in range(grad.shape[1]):
+        start = j + a * wq * stride
+        gflat[b, :, start:start + stride * (span - 1) + 1:stride] += grad[:, j]
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
            stride: int = 1, padding: int = 0) -> Tensor:
     """2-d convolution with zero padding and square odd kernels.
 
-    Forward is one GEMM, ``weight (Cout, C*k*k) @ cols (C*k*k, N*Ho*Wo)``,
-    over the channel-major window matrix of ``_im2col``. Backward keeps that
-    matrix for the weight gradient; the input gradient is one GEMM
-    ``weight.T @ grad`` scattered back onto the padded input by ``_col2im``,
-    the same for every stride and padding.
+    The input goes into the window layout of ``_window_layout`` and its k
+    column shifts are copied once (``_shifts``, C*k rows). Output position
+    (n, y, x) is column ``(n * Hq + y) * Wq + x`` of every phase, and moving a
+    column a*Wq further on reads a*stride padded rows further down, so kernel
+    row i = a*stride + b is one GEMM of ``weight[:, :, i, :]`` (Cout, C*k)
+    against phase b's shift matrix offset by a*Wq. Positions outside Ho x Wo,
+    the rows between images among them, are computed and dropped.
+
+    Backward keeps no window data. The weight gradient rebuilds the shifts
+    from the input and runs k GEMMs against the same views; the input
+    gradient is k GEMMs ``weight[:, :, i, :].T @ grad``, each added back onto
+    the flat map by ``_add_kernel_row``, then ``_from_window_layout``.
     """
     xd, wd = x.data, weight.data
     if xd.ndim != 4 or wd.ndim != 4:
         raise ContractViolation(f"conv2d: need 4-d input/weight, got {xd.shape}, {wd.shape}")
+    for name, value, lowest in (("stride", stride, 1), ("padding", padding, 0)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < lowest:
+            raise ContractViolation(f"conv2d: {name} must be an int >= {lowest}, got {value!r}")
     n, cin, h, w = xd.shape
     cout, cin_w, kh, kw = wd.shape
     if cin != cin_w:
@@ -532,24 +577,37 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
             f"conv2d: kernel {wd.shape} does not fit input {xd.shape} with padding {padding}"
         )
 
-    if padding:
-        xp = np.pad(xd, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    else:
-        xp = xd
-    cols = _im2col(xp, k, stride, ho, wo)
-    wmat = wd.reshape(cout, cin * k * k)
-    out = wmat @ cols
+    flat, hq, wq = _window_layout(xd, k, stride, padding)
+    flat_shape = flat.shape
+    span = n * hq * wq
+    cols = span + (k - 1) // stride * wq
+    wrows = np.ascontiguousarray(wd.transpose(2, 0, 1, 3)).reshape(k, cout, cin * k)
+    views = _kernel_rows(_shifts(flat, k, stride, cols), k, stride, wq, span)
+    i, view = next(views)
+    out = wrows[i] @ view
+    for i, view in views:
+        out += wrows[i] @ view
+    data = np.ascontiguousarray(out.reshape(cout, n, hq, wq)[:, :, :ho, :wo].transpose(1, 0, 2, 3))
     if bias is not None:
-        out += bias.data[:, None]
-    data = np.ascontiguousarray(out.reshape(cout, n, ho, wo).transpose(1, 0, 2, 3))
+        data += bias.data.reshape(1, cout, 1, 1)
 
     def bwd(g):
-        g2 = np.ascontiguousarray(g.transpose(1, 0, 2, 3)).reshape(cout, -1)
+        # position-major, so the weight-gradient GEMMs read it contiguously
+        gq = np.zeros((n, hq, wq, cout), dtype=g.dtype)
+        gq[:, :ho, :wo] = g.transpose(0, 2, 3, 1)
+        gq = gq.reshape(span, cout)
         if weight.needs_grad:
-            weight._accum((g2 @ cols.T).reshape(wd.shape))
+            shifts = _shifts(_window_layout(xd, k, stride, padding)[0], k, stride, cols)
+            gw = np.stack([view @ gq for _, view in _kernel_rows(shifts, k, stride, wq, span)])
+            del shifts  # freed before the input gradient allocates its buffers
+            weight._accum(gw.reshape(k, cin, k, cout).transpose(3, 1, 0, 2))
         if x.needs_grad:
-            gxp = _col2im(wmat.T @ g2, xp.shape, k, stride, ho, wo)
-            x._accum(np.ascontiguousarray(gxp[:, :, padding:padding + h, padding:padding + w]))
+            gflat = np.zeros(flat_shape, dtype=g.dtype)
+            dview = np.empty((cin * k, span), dtype=g.dtype)
+            for i in range(k):
+                np.matmul(wrows[i].T, gq.T, out=dview)
+                _add_kernel_row(gflat, i, dview.reshape(cin, k, span), stride, wq)
+            x._accum(_from_window_layout(gflat, xd.shape, stride, padding, hq, wq))
         if bias is not None and bias.needs_grad:
             bias._accum(g.sum(axis=(0, 2, 3)))
 
@@ -560,9 +618,11 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
 def depthwise_conv3x3(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     """Per-channel 3x3 convolution, padding 1. Weight shape (C, 3, 3).
 
-    Runs on the (C, 9, N*H*W) view of the ``_im2col`` window matrix: each
-    channel's nine taps contract with its own nine weights, and the input
-    gradient is the ``_col2im`` of ``weight * grad``.
+    Runs on the window layout of ``conv2d`` with stride 1: the (C, 3, cols)
+    shift matrix holds each channel's three column taps, and kernel row i
+    contracts each channel's three weights with it offset by i rows of Wq.
+    The input gradient adds ``weight[:, i] * grad`` back onto the flat map
+    row by row through ``_add_kernel_row``.
     """
     xd, wd = x.data, weight.data
     n, c, h, w = xd.shape
@@ -570,21 +630,32 @@ def depthwise_conv3x3(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> 
         raise ContractViolation(
             f"depthwise_conv3x3: weight {wd.shape} does not match input {xd.shape}"
         )
-    xp = np.pad(xd, ((0, 0), (0, 0), (1, 1), (1, 1)))
-    cols = _im2col(xp, 3, 1, h, w).reshape(c, 9, n * h * w)
-    taps = wd.reshape(c, 9)
-    out = np.einsum("ct,ctm->cm", taps, cols).reshape(c, n, h, w)
-    data = np.ascontiguousarray(out.transpose(1, 0, 2, 3))
+    flat, hq, wq = _window_layout(xd, 3, 1, 1)
+    flat_shape = flat.shape
+    span = n * hq * wq
+    cols = span + 2 * wq
+
+    def taps(flat):
+        return _kernel_rows(_shifts(flat, 3, 1, cols).reshape(1, c, 3, cols), 3, 1, wq, span)
+
+    out = sum(np.einsum("cj,cjm->cm", wd[:, i], view) for i, view in taps(flat))
+    data = np.ascontiguousarray(out.reshape(c, n, hq, wq)[:, :, :h, :w].transpose(1, 0, 2, 3))
     if bias is not None:
         data += bias.data.reshape(1, c, 1, 1)
 
     def bwd(g):
-        g2 = np.ascontiguousarray(g.transpose(1, 0, 2, 3)).reshape(c, n * h * w)
+        gq = np.zeros((c, n, hq, wq), dtype=g.dtype)
+        gq[:, :, :h, :w] = g.transpose(1, 0, 2, 3)
+        gq = gq.reshape(c, span)
         if x.needs_grad:
-            gxp = _col2im(taps[:, :, None] * g2[:, None], xp.shape, 3, 1, h, w)
-            x._accum(np.ascontiguousarray(gxp[:, :, 1:-1, 1:-1]))
+            gflat = np.zeros(flat_shape, dtype=g.dtype)
+            for i in range(3):
+                _add_kernel_row(gflat, i, wd[:, i, :, None] * gq[:, None], 1, wq)
+            x._accum(_from_window_layout(gflat, xd.shape, 1, 1, hq, wq))
         if weight.needs_grad:
-            weight._accum(np.einsum("cm,ctm->ct", g2, cols).reshape(wd.shape))
+            views = taps(_window_layout(xd, 3, 1, 1)[0])
+            weight._accum(np.stack([np.einsum("cm,cjm->cj", gq, view) for _, view in views],
+                                   axis=1))
         if bias is not None and bias.needs_grad:
             bias._accum(g.sum(axis=(0, 2, 3)))
 

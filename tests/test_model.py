@@ -113,6 +113,19 @@ class TestSnakeFormerForward:
         with pytest.raises(ContractViolation):
             model(Tensor(np.zeros((1, 1, 48, 64), dtype=np.float32)))
 
+    def test_three_dim_image_rejected(self):
+        model = SnakeFormer(micro_config(seed=7))
+        with pytest.raises(ContractViolation, match=r"\(1, 32, 32\)"):
+            model(Tensor(np.zeros((1, 32, 32), dtype=np.float32)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_image_rejected(self, bad):
+        model = SnakeFormer(micro_config(seed=7))
+        x = np.zeros((1, 1, 32, 32), dtype=np.float32)
+        x[0, 0, 5, 9] = bad
+        with pytest.raises(ContractViolation, match=r"\(1, 1, 32, 32\).*NaN or Inf"):
+            predict_masks(model, x)
+
     def test_different_seeds_differ(self):
         x = Tensor(np.random.default_rng(8).random((1, 1, 32, 32)).astype(np.float32))
         a = SnakeFormer(micro_config(seed=1))(x).data
@@ -347,6 +360,11 @@ class TestTrainLoop:
         masks = predict_masks(model, imgs)
         assert masks.shape == (2, 32, 32)
         assert set(np.unique(masks)) <= {0, 1}
+
+    def test_evaluate_model_rejects_empty_set(self):
+        model = SnakeFormer(micro_config(seed=29))
+        with pytest.raises(ContractViolation, match="no \\(image, mask\\) pairs"):
+            evaluate_model(model, [])
 
     def test_evaluate_model_returns_means(self):
         model = SnakeFormer(micro_config(seed=29))

@@ -2,6 +2,7 @@
 gradient checker."""
 
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,26 +16,6 @@ from serpentseg.tensor import ContractViolation, Tensor
 
 
 # -- oracles -------------------------------------------------------------------
-
-def conv2d_oracle(x, w, b, stride=1, padding=0):
-    n, cin, h, wid = x.shape
-    cout, _, k, _ = w.shape
-    ho = (h + 2 * padding - k) // stride + 1
-    wo = (wid + 2 * padding - k) // stride + 1
-    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    out = np.zeros((n, cout, ho, wo), dtype=np.float64)
-    for nn in range(n):
-        for co in range(cout):
-            for y in range(ho):
-                for xx in range(wo):
-                    acc = 0.0
-                    for ci in range(cin):
-                        for i in range(k):
-                            for j in range(k):
-                                acc += w[co, ci, i, j] * xp[nn, ci, y * stride + i, xx * stride + j]
-                    out[nn, co, y, xx] = acc + b[co]
-    return out
-
 
 def linear_oracle(x, w, b):
     n, cin = x.shape
@@ -90,7 +71,8 @@ class TestConv2d:
         w = rng.standard_normal((4, 3, 3, 3)).astype(np.float32)
         b = rng.standard_normal(4).astype(np.float32)
         out = T.conv2d(Tensor(x), Tensor(w), Tensor(b), padding=1)
-        ref = conv2d_oracle(x.astype(np.float64), w.astype(np.float64), b.astype(np.float64), padding=1)
+        ref = oracles.conv2d_oracle(x.astype(np.float64), w.astype(np.float64),
+                                    b.astype(np.float64), padding=1)
         np.testing.assert_allclose(out.data, ref, atol=1e-5)
 
     @pytest.mark.parametrize("stride,padding", [(1, 0), (2, 1), (2, 3), (4, 3)])
@@ -101,9 +83,50 @@ class TestConv2d:
         w = rng.standard_normal((3, 2, k, k)).astype(np.float32)
         b = rng.standard_normal(3).astype(np.float32)
         out = T.conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride, padding=padding)
-        ref = conv2d_oracle(x.astype(np.float64), w.astype(np.float64),
-                            b.astype(np.float64), stride=stride, padding=padding)
+        ref = oracles.conv2d_oracle(x.astype(np.float64), w.astype(np.float64),
+                                    b.astype(np.float64), stride=stride, padding=padding)
         np.testing.assert_allclose(out.data, ref, atol=1e-4)
+
+    @pytest.mark.parametrize("stride,padding,named", [
+        (0, 1, "stride"), (-1, 1, "stride"), (1.5, 1, "stride"), (True, 1, "stride"),
+        (1, -1, "padding"), (1, 1.0, "padding"), (1, "1", "padding"),
+    ])
+    def test_bad_stride_or_padding_raises(self, stride, padding, named):
+        x = Tensor(np.zeros((1, 2, 5, 5), dtype=np.float32))
+        w = Tensor(np.zeros((3, 2, 3, 3), dtype=np.float32))
+        with pytest.raises(ContractViolation, match=f"conv2d: {named} must be an int"):
+            T.conv2d(x, w, None, stride=stride, padding=padding)
+
+    def test_conv2d_layer_with_zero_stride_raises(self):
+        conv = Conv2d(2, 3, 3, stride=0, padding=1, rng=np.random.default_rng(0))
+        with pytest.raises(ContractViolation, match="stride must be an int >= 1, got 0"):
+            conv(Tensor(np.zeros((1, 2, 5, 5), dtype=np.float32)))
+
+    def test_numpy_integer_stride_and_padding_accepted(self):
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((1, 2, 7, 7)).astype(np.float32)
+        w = rng.standard_normal((3, 2, 3, 3)).astype(np.float32)
+        out = T.conv2d(Tensor(x), Tensor(w), None, stride=np.int64(2), padding=np.int32(1))
+        ref = oracles.conv2d_oracle(x.astype(np.float64), w.astype(np.float64), np.zeros(3),
+                                    stride=2, padding=1)
+        np.testing.assert_allclose(out.data, ref, atol=1e-4)
+
+    def test_taped_forward_keeps_no_window_matrix(self):
+        # a 9x9 im2col matrix of this input (C*81 rows by 3200 positions) is
+        # 8.3 MB; the taped forward may keep its output and little else
+        rng = np.random.default_rng(8)
+        x = Tensor(rng.standard_normal((2, 8, 40, 40)).astype(np.float32), requires_grad=True)
+        w = Tensor(rng.standard_normal((8, 8, 9, 9)).astype(np.float32), requires_grad=True)
+        padded_bytes = 2 * 8 * 48 * 48 * 4
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = T.conv2d(x, w, None, padding=4)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert out.data.shape == (2, 8, 40, 40)
+        assert kept <= 2 * padded_bytes, kept
 
     def test_channel_mismatch_raises(self):
         x = Tensor(np.zeros((1, 3, 4, 4), dtype=np.float32))
@@ -386,14 +409,19 @@ class TestGradients:
         (1, 5, 5, 3, 1, 3),
         (2, 7, 6, 3, 2, 0),    # w - k = 3 is odd: the last input column is never read
         (2, 7, 8, 5, 3, 1),    # neither side divisible by the stride
+        (3, 6, 10, 3, 3, 4),   # padding beyond k - 1 with a stride, batch 3
+        (1, 9, 11, 7, 4, 3),   # the patch embedding's kernel, stride and padding
+        (1, 9, 7, 1, 2, 0),    # 1x1 with stride 2: 9 and 7 are not stride multiples
+        (2, 3, 2, 5, 1, 2),    # input smaller than the kernel, fits only when padded
     ])
     def test_conv2d_backward_shapes(self, n, h, w, k, stride, padding):
         rng = np.random.default_rng(100 + 10 * k + padding)
         conv = Conv2d(2, 3, k, stride=stride, padding=padding, rng=rng)
         x = rng.standard_normal((n, 2, h, w))
         out = conv(Tensor(x.astype(np.float32)))
-        ref = conv2d_oracle(x, conv.weight.data.astype(np.float64),
-                            conv.bias.data.astype(np.float64), stride=stride, padding=padding)
+        ref = oracles.conv2d_oracle(x, conv.weight.data.astype(np.float64),
+                                    conv.bias.data.astype(np.float64),
+                                    stride=stride, padding=padding)
         np.testing.assert_allclose(out.data, ref, atol=1e-4)
         self._check(conv, x)
 
@@ -410,6 +438,18 @@ class TestGradients:
                 return T.depthwise_conv3x3(x, self.w, self.b)
 
         self._check(DW(), rng.standard_normal((2, 3, 4, 4)))
+
+    def test_depthwise_conv_odd_sizes_batch_two(self):
+        rng = np.random.default_rng(34)
+        x = rng.standard_normal((2, 3, 5, 7))
+        w = rng.standard_normal((3, 3, 3))
+        b = rng.standard_normal(3)
+        full = np.zeros((3, 3, 3, 3))
+        full[np.arange(3), np.arange(3)] = w
+        out = T.depthwise_conv3x3(Tensor(x), Tensor(w), Tensor(b))
+        np.testing.assert_allclose(out.data, oracles.conv2d_oracle(x, full, b, padding=1),
+                                   atol=1e-12)
+        self._check(FunctionModule(T.depthwise_conv3x3), [x, w, b])
 
     def test_depthwise_conv_without_bias(self):
         rng = np.random.default_rng(31)
@@ -439,7 +479,8 @@ class TestGradients:
         lambda t: T.div(2.0, t),
         lambda t: t - 1.0,
         lambda t: t / 4.0,
-    ], ids=["radd", "add-left", "rsub", "rmul", "mul-left", "div-left", "sub", "div"])
+        lambda t: 2.0 / t,
+    ], ids=["radd", "add-left", "rsub", "rmul", "mul-left", "div-left", "sub", "div", "rdiv"])
     def test_python_scalar_operands(self, fn):
         rng = np.random.default_rng(33)
         x = rng.uniform(0.5, 1.5, (2, 3))
