@@ -8,6 +8,13 @@ summed outward in both directions at once. The chain values are read with
 bilinear interpolation (border-clamped) and contracted against a
 (Cout, Cin, 9) weight.
 
+Everything between the offsets and the output works on pixel rows: points
+are ordered (n, h, w, t) and samples are channel-last, so each step is a
+linear map. Per axis, a pixel's nine chain coordinates are its center plus
+a fixed (9, 16) prefix-sum matrix (``_prefix_matrix``) times its 16 steps;
+the samples come back as (N, H*W*9, Cin) rows; and the contraction is one
+``linear`` over rows of 9*Cin samples.
+
 Offset channel layout, for chain distance c in 1..4 with base = 4*(c-1):
     base+0: dx of the forward point t+c      base+1: dy of t+c
     base+2: dx of the backward point t-c     base+3: dy of t-c
@@ -28,7 +35,8 @@ import numpy as np
 from scipy.sparse import csr_array, get_index_dtype
 
 from .module import Conv2d, Module, Parameter, _uniform
-from .tensor import ContractViolation, Tensor, _make, concat, conv2d, reshape, tanh
+from .tensor import (ContractViolation, Tensor, _make, concat, conv2d, linear, reshape, tanh,
+                     transpose)
 
 PYRAMID_KERNELS = (3, 5, 7, 9)
 CHAIN_LEN = 9
@@ -41,47 +49,51 @@ INIT_STEP_BIAS = math.atanh(0.95)
 STRAIGHT_BIAS = 20.0
 
 
-def _chain_axis(squashed: Tensor, component: int, grid: np.ndarray) -> Tensor:
-    """Prefix-sum one coordinate axis of the chain.
+def _prefix_matrix(component: int, dtype) -> np.ndarray:
+    """(9, 16) map from the steps to chain offsets along one axis.
 
-    ``component`` 0 builds x coordinates (dx channels), 1 builds y. ``grid``
-    broadcasts the integer center coordinate over (N, H, W).
+    ``component`` 0 is the x axis (dx channels), 1 the y axis. Row 4+c (point
+    t+c) sums the forward steps of distances 1..c and row 4-c subtracts the
+    backward ones, a lower-triangular block each; the center row is zero.
     """
-    s = squashed.data
-    n, _, h, w = s.shape
-    fwd = s[:, component::4][:, 0:4]          # channels component, component+4, ...
-    bwd = s[:, component + 2::4][:, 0:4]
-    cum_f = np.cumsum(fwd, axis=1)
-    cum_b = np.cumsum(bwd, axis=1)
-    out = np.empty((n, CHAIN_LEN, h, w), dtype=s.dtype)
-    out[:, 4] = grid
-    out[:, 5:9] = grid[:, None] + cum_f
-    out[:, 3::-1] = grid[:, None] - cum_b     # index 4-c pairs with cum step c
+    tri = np.tril(np.ones((4, 4), dtype=dtype))
+    p = np.zeros((CHAIN_LEN, OFFSET_CHANNELS), dtype=dtype)
+    p[5:, component::4] = tri
+    p[3::-1, component + 2::4] = -tri
+    return p
 
-    def bwd_fn(g):
-        gf = g[:, 5:9]
-        gb = g[:, 3::-1]
-        gs = np.zeros_like(squashed.data)
-        gs[:, component::4][:, 0:4] = np.cumsum(gf[:, ::-1], axis=1)[:, ::-1]
-        gs[:, component + 2::4][:, 0:4] = -np.cumsum(gb[:, ::-1], axis=1)[:, ::-1]
-        squashed._accum(gs)
 
-    return _make(out, (squashed,), bwd_fn)
+def _chain_axis(steps: Tensor, component: int, center: np.ndarray) -> Tensor:
+    """One coordinate of the chain as pixel rows (N, H, W, 9): ``center``
+    (H*W,) plus the prefix-sum matrix applied to the pixel's 16 steps."""
+    sd = steps.data
+    n, c, h, w = sd.shape
+    p = _prefix_matrix(component, sd.dtype)
+    rows = sd.reshape(n, c, h * w).transpose(0, 2, 1) @ p.T
+    rows += center[:, None]
+
+    def bwd(g):
+        steps._accum((g.reshape(n, h * w, CHAIN_LEN) @ p).transpose(0, 2, 1).reshape(n, c, h, w))
+
+    return _make(rows.reshape(n, h, w, CHAIN_LEN), (steps,), bwd)
 
 
 def chain_coordinates(s: Tensor) -> tuple[Tensor, Tensor]:
     """Dense chain coordinates (xs, ys), each (N, 9, H, W), order t-4..t+4,
-    from the (N, 16, H, W) squashed steps."""
+    from the (N, 16, H, W) squashed steps; both are transposed views of
+    pixel rows (N, H, W, 9)."""
     n, c, h, w = s.data.shape
     if c != OFFSET_CHANNELS:
         raise ContractViolation(f"offset field needs 16 channels, got shape {s.data.shape}")
-    gx = np.broadcast_to(np.arange(w, dtype=s.data.dtype), (n, h, w))
-    gy = np.broadcast_to(np.arange(h, dtype=s.data.dtype)[:, None], (n, h, w))
-    return _chain_axis(s, 0, gx), _chain_axis(s, 1, gy)
+    dt = s.data.dtype
+    centers = (np.tile(np.arange(w, dtype=dt), h), np.repeat(np.arange(h, dtype=dt), w))
+    return tuple(transpose(_chain_axis(s, i, ctr), (0, 3, 1, 2))
+                 for i, ctr in enumerate(centers))
 
 
 def grid_sample_points(feature: Tensor, x: Tensor, y: Tensor) -> Tensor:
-    """Bilinear reads of ``feature`` (N, C, H, W) at flat point lists (N, M).
+    """Bilinear reads of ``feature`` (N, C, H, W) at flat point lists (N, M),
+    returned as channel-last rows (N, M, C).
 
     Coordinates are clamped to the border before weighting; the gradient with
     respect to a clamped coordinate is zero. Differentiable in the feature
@@ -132,10 +144,9 @@ def grid_sample_points(feature: Tensor, x: Tensor, y: Tensor) -> Tensor:
 
     sample = corner_matrix(ux * uy, tx * uy, ux * ty, tx * ty)
     rows = np.ascontiguousarray(fd.transpose(0, 2, 3, 1)).reshape(n * h * w, c)
-    data = np.ascontiguousarray((sample @ rows).reshape(n, m, c).transpose(0, 2, 1))
 
     def bwd(g):
-        gl = np.ascontiguousarray(g.transpose(0, 2, 1)).reshape(n * m, c)
+        gl = g.reshape(n * m, c)
         if feature.needs_grad:
             gf = (sample.T @ gl).reshape(n, h, w, c)
             feature._accum(np.ascontiguousarray(gf.transpose(0, 3, 1, 2)))
@@ -146,28 +157,20 @@ def grid_sample_points(feature: Tensor, x: Tensor, y: Tensor) -> Tensor:
             dy = ((corner_matrix(-ux, -tx, ux, tx) @ rows) * gl).sum(axis=1).reshape(n, m)
             y._accum(dy * ((yd >= 0.0) & (yd <= h - 1.0)))
 
-    return _make(data, (feature, x, y), bwd)
+    return _make((sample @ rows).reshape(n, m, c), (feature, x, y), bwd)
 
 
 def chain_contract(sampled: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """Contract (N, Cin, 9, H, W) samples with a (Cout, Cin, 9) weight."""
-    sd, wd = sampled.data, weight.data
-    if sd.shape[1:3] != wd.shape[1:]:
-        raise ContractViolation(f"samples {sd.shape} do not match weight {wd.shape}")
-    out = np.tensordot(wd, sd, axes=([1, 2], [1, 2]))          # (Cout, N, H, W)
-    data = np.ascontiguousarray(out.transpose(1, 0, 2, 3))
-    data += bias.data.reshape(1, -1, 1, 1)
-
-    def bwd(g):
-        if sampled.needs_grad:
-            ds = np.tensordot(g, wd, axes=([1], [0]))           # (N, H, W, Cin, 9)
-            sampled._accum(np.ascontiguousarray(ds.transpose(0, 3, 4, 1, 2)))
-        if weight.needs_grad:
-            weight._accum(np.tensordot(g, sd, axes=([0, 2, 3], [0, 3, 4])))
-        if bias.needs_grad:
-            bias._accum(g.sum(axis=(0, 2, 3)))
-
-    return _make(data, (sampled, weight, bias), bwd)
+    """Contract per-pixel samples (N, H, W, 9, Cin) with a (Cout, Cin, 9)
+    weight into (N, Cout, H, W): one ``linear`` over rows of 9*Cin samples."""
+    n, h, w, t, cin = sampled.data.shape
+    cout = weight.data.shape[0]
+    if weight.data.shape[1:] != (cin, t):
+        raise ContractViolation(
+            f"samples {sampled.data.shape} do not match weight {weight.data.shape}")
+    rows = reshape(sampled, (n, h, w, t * cin))
+    return transpose(linear(rows, reshape(transpose(weight, (0, 2, 1)), (cout, t * cin)), bias),
+                     (0, 3, 1, 2))
 
 
 def _embed_kernels(weights: list[Tensor]) -> Tensor:
@@ -280,7 +283,6 @@ class SnakeConv2d(Module):
                 f"input {x.data.shape} does not match configured {self.cin} channels"
             )
         xs, ys = chain_coordinates(self.compute_pyramid_offsets(x))
-        m = CHAIN_LEN * h * w
-        sampled = grid_sample_points(x, reshape(xs, (n, m)), reshape(ys, (n, m)))
-        sampled = reshape(sampled, (n, self.cin, CHAIN_LEN, h, w))
+        xr, yr = (reshape(transpose(a, (0, 2, 3, 1)), (n, h * w * CHAIN_LEN)) for a in (xs, ys))
+        sampled = reshape(grid_sample_points(x, xr, yr), (n, h, w, CHAIN_LEN, c))
         return chain_contract(sampled, self.chain.weight, self.chain.bias)

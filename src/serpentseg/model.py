@@ -25,6 +25,7 @@ from .module import Conv2d, Module
 from .tensor import (
     ContractViolation,
     Tensor,
+    check_int,
     concat,
     exp,
     log_softmax,
@@ -58,15 +59,17 @@ class ModelConfig:
     channel_attention: str = "wcam"
 
     def validate(self):
-        if len(self.snake_widths) != 5 or len(self.decoder_widths) != 5:
-            raise ContractViolation("snake_widths and decoder_widths need 5 entries")
-        for name in ("transformer_widths", "transformer_depths", "transformer_heads",
-                     "transformer_reductions"):
-            if len(getattr(self, name)) != 4:
-                raise ContractViolation(f"{name} needs 4 entries")
-        if any(w <= 0 for w in (*self.snake_widths, *self.transformer_widths,
-                                *self.decoder_widths)):
-            raise ContractViolation("widths must be positive")
+        for name in ("image_channels", "wcam_ratio"):
+            check_int(name, getattr(self, name), 1)
+        for name, length, lowest in (("snake_widths", 5, 1), ("decoder_widths", 5, 1),
+                                     ("transformer_widths", 4, 1), ("transformer_heads", 4, 1),
+                                     ("transformer_reductions", 4, 1),
+                                     ("transformer_depths", 4, 0)):
+            values = getattr(self, name)
+            if len(values) != length:
+                raise ContractViolation(f"{name} needs {length} entries")
+            for value in values:
+                check_int(name, value, lowest)
         if self.conv_mode not in CONV_MODES:
             raise ContractViolation(f"conv_mode must be one of {CONV_MODES}")
         if self.channel_attention not in CHANNEL_ATTENTION_MODES:

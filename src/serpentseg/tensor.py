@@ -147,6 +147,13 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, grad={self.requires_grad})"
 
 
+def check_int(name: str, value, lowest: int) -> None:
+    """Raise ``ContractViolation`` naming ``name`` unless ``value`` is an int
+    (numpy integers included, bools not) of at least ``lowest``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < lowest:
+        raise ContractViolation(f"{name} must be an int >= {lowest}, got {value!r}")
+
+
 def _lift(x, like: Tensor) -> Tensor:
     if isinstance(x, Tensor):
         return x
@@ -234,10 +241,7 @@ def div(a, b) -> Tensor:
 
 
 def neg(a: Tensor) -> Tensor:
-    def bwd(g):
-        a._accum(-g)
-
-    return _make(-a.data, (a,), bwd)
+    return _unary(a, -a.data, lambda g: -g)
 
 
 # -- reductions ---------------------------------------------------------------
@@ -269,21 +273,18 @@ def tmean(a: Tensor, axis=None, keepdims=False) -> Tensor:
 
 
 def max_along(a: Tensor, axis: int, keepdims: bool = True) -> Tensor:
-    """Max over one axis; gradient routes to the first occurrence of the max."""
+    """Max over one axis; gradient routes to the first occurrence of the max,
+    which backward finds, so a forward without the tape runs no argmax."""
     if a.data.shape[axis] == 0:
         raise ContractViolation(f"max_along: empty axis {axis} in shape {a.data.shape}")
-    idx = np.argmax(a.data, axis=axis)  # first occurrence on ties
-    data = np.take_along_axis(a.data, np.expand_dims(idx, axis), axis=axis)
-    if not keepdims:
-        data = np.squeeze(data, axis=axis)
 
     def bwd(g):
-        gg = g if keepdims else np.expand_dims(g, axis)
+        idx = np.expand_dims(np.argmax(a.data, axis=axis), axis)  # first occurrence on ties
         buf = np.zeros_like(a.data)
-        np.put_along_axis(buf, np.expand_dims(idx, axis), gg, axis=axis)
+        np.put_along_axis(buf, idx, g if keepdims else np.expand_dims(g, axis), axis=axis)
         a._accum(buf)
 
-    return _make(data, (a,), bwd)
+    return _make(a.data.max(axis=axis, keepdims=keepdims), (a,), bwd)
 
 
 # -- shape surgery ------------------------------------------------------------
@@ -340,32 +341,27 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
 
 # -- pointwise nonlinearities -------------------------------------------------
 
-def relu(a: Tensor) -> Tensor:
-    data = np.maximum(a.data, 0)
-    mask = a.data > 0
-
+def _unary(a: Tensor, data: np.ndarray, grad) -> Tensor:
+    """Pointwise op with output ``data``; ``grad`` maps the upstream gradient
+    to the input's."""
     def bwd(g):
-        a._accum(g * mask)
+        a._accum(grad(g))
 
     return _make(data, (a,), bwd)
+
+
+def relu(a: Tensor) -> Tensor:
+    return _unary(a, np.maximum(a.data, 0), lambda g: g * (a.data > 0))
 
 
 def sigmoid(a: Tensor) -> Tensor:
     data = 1.0 / (1.0 + np.exp(-a.data))
-
-    def bwd(g):
-        a._accum(g * data * (1.0 - data))
-
-    return _make(data, (a,), bwd)
+    return _unary(a, data, lambda g: g * data * (1.0 - data))
 
 
 def tanh(a: Tensor) -> Tensor:
     data = np.tanh(a.data)
-
-    def bwd(g):
-        a._accum(g * (1.0 - data * data))
-
-    return _make(data, (a,), bwd)
+    return _unary(a, data, lambda g: g * (1.0 - data * data))
 
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -375,31 +371,17 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 def gelu(a: Tensor) -> Tensor:
     x = a.data
     cdf = 0.5 * (1.0 + _erf(x * _INV_SQRT2))
-    data = (x * cdf).astype(x.dtype)
-
-    def bwd(g):
-        pdf = np.exp(-0.5 * x * x) * _INV_SQRT_2PI
-        a._accum(g * (cdf + x * pdf).astype(x.dtype))
-
-    return _make(data, (a,), bwd)
+    return _unary(a, (x * cdf).astype(x.dtype),
+                  lambda g: g * (cdf + x * (np.exp(-0.5 * x * x) * _INV_SQRT_2PI)).astype(x.dtype))
 
 
 def exp(a: Tensor) -> Tensor:
     data = np.exp(a.data)
-
-    def bwd(g):
-        a._accum(g * data)
-
-    return _make(data, (a,), bwd)
+    return _unary(a, data, lambda g: g * data)
 
 
 def log(a: Tensor) -> Tensor:
-    data = np.log(a.data)
-
-    def bwd(g):
-        a._accum(g / a.data)
-
-    return _make(data, (a,), bwd)
+    return _unary(a, np.log(a.data), lambda g: g / a.data)
 
 
 def softmax(a: Tensor, axis: int) -> Tensor:
@@ -511,9 +493,12 @@ def _shifts(flat: np.ndarray, k: int, stride: int, cols: int) -> np.ndarray:
     """The k column shifts of a flat map, (stride, C*k, cols).
 
     Row ``c * k + j`` of phase b holds ``flat[b, c, j + stride * m]`` at column
-    m: one strided copy per shift j, for all phases and channels at once.
+    m: one strided copy per shift j, for all phases and channels at once. A
+    1x1 kernel has one shift, which is a view of ``flat`` itself.
     """
     phases, c, _ = flat.shape
+    if k == 1:
+        return flat[:, :, :stride * (cols - 1) + 1:stride]
     out = np.empty((phases, c, k, cols), dtype=flat.dtype)
     for j in range(k):
         out[:, :, j] = flat[:, :, j:j + stride * (cols - 1) + 1:stride]
@@ -543,7 +528,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     """2-d convolution with zero padding and square odd kernels.
 
     The input goes into the window layout of ``_window_layout`` and its k
-    column shifts are copied once (``_shifts``, C*k rows). Output position
+    column shifts are copied once (``_shifts``, C*k rows; a 1x1 kernel reads
+    the layout itself). Output position
     (n, y, x) is column ``(n * Hq + y) * Wq + x`` of every phase, and moving a
     column a*Wq further on reads a*stride padded rows further down, so kernel
     row i = a*stride + b is one GEMM of ``weight[:, :, i, :]`` (Cout, C*k)
@@ -558,9 +544,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     xd, wd = x.data, weight.data
     if xd.ndim != 4 or wd.ndim != 4:
         raise ContractViolation(f"conv2d: need 4-d input/weight, got {xd.shape}, {wd.shape}")
-    for name, value, lowest in (("stride", stride, 1), ("padding", padding, 0)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < lowest:
-            raise ContractViolation(f"conv2d: {name} must be an int >= {lowest}, got {value!r}")
+    check_int("conv2d: stride", stride, 1)
+    check_int("conv2d: padding", padding, 0)
     n, cin, h, w = xd.shape
     cout, cin_w, kh, kw = wd.shape
     if cin != cin_w:
@@ -668,8 +653,9 @@ def max_pool2(x: Tensor) -> Tensor:
     n, c, h, w = x.data.shape
     if h % 2 or w % 2:
         raise ContractViolation(f"max_pool2: H and W must be even, got {x.data.shape}")
-    win = transpose(reshape(x, (n, c, h // 2, 2, w // 2, 2)), (0, 1, 2, 4, 3, 5))
-    return max_along(reshape(win, (n, c, h // 2, w // 2, 4)), axis=-1, keepdims=False)
+    # window axis first: the max is then three elementwise maxima of whole maps
+    win = transpose(reshape(x, (n, c, h // 2, 2, w // 2, 2)), (3, 5, 0, 1, 2, 4))
+    return max_along(reshape(win, (4, n, c, h // 2, w // 2)), axis=0, keepdims=False)
 
 
 def _interp_matrix(n_in: int, factor: int, dtype) -> np.ndarray:

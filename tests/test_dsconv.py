@@ -199,7 +199,7 @@ class TestBilinearSample:
         f = rng.standard_normal((2, 3, 5, 6))
         xs = rng.uniform(-1.5, 6.5, (2, 7))
         ys = rng.uniform(-1.5, 5.5, (2, 7))
-        upstream = rng.standard_normal((2, 3, 7))
+        upstream = rng.standard_normal((2, 7, 3))
 
         def run(fd, xd, yd, g):
             ts = [Tensor(a, requires_grad=True) for a in (fd, xd, yd)]

@@ -1,6 +1,7 @@
 """Decoder fusion, full-model contracts, loss oracle, Adam, and the
 training loop."""
 
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -190,6 +191,83 @@ def test_frozen_chain_cam_checkpoint_keys_and_shapes_are_pinned():
 def test_tiny_config_rejects_unknown_override():
     with pytest.raises(ContractViolation, match="conv_mod"):
         tiny_config(conv_mod="vanilla")
+
+
+@pytest.mark.parametrize("field,value", [
+    ("snake_widths", (4, 8, 12.0, 16, 24)),
+    ("transformer_widths", (8, 0, 24, 32)),
+    ("decoder_widths", (24, 16, 12, -8, 8)),
+    ("transformer_heads", (1, 2, 0, 4)),
+    ("transformer_heads", (1, 2, 2, True)),
+    ("transformer_reductions", (8, 0, 2, 1)),
+    ("transformer_depths", (1, -1, 1, 1)),
+    ("transformer_depths", (1, 1, 0.5, 1)),
+    ("wcam_ratio", 0),
+    ("wcam_ratio", 4.0),
+    ("image_channels", 0),
+    ("image_channels", "1"),
+])
+def test_bad_config_value_names_its_field(field, value):
+    with pytest.raises(ContractViolation, match=field):
+        SnakeFormer(tiny_config(**{field: value}))
+
+
+def test_zero_depth_and_numpy_ints_are_valid():
+    cfg = tiny_config(transformer_depths=(0, 1, 0, 1), wcam_ratio=np.int64(2))
+    assert cfg.validate() is cfg
+
+
+# valid draws keep every constraint that spans fields: widths are even, so
+# heads of 1 or 2 and a channel-attention ratio of 1 or 2 divide every
+# attention width, and the reduction of stage i divides its 32/4/2**i grid
+FUZZ_VALID = {
+    "snake_widths": lambda r: tuple(int(v) for v in r.choice([2, 4, 6], 5)),
+    "transformer_widths": lambda r: tuple(int(v) for v in r.choice([2, 4, 8], 4)),
+    "decoder_widths": lambda r: tuple(int(v) for v in r.choice([2, 4, 6], 5)),
+    "transformer_heads": lambda r: tuple(int(v) for v in r.choice([1, 2], 4)),
+    "transformer_reductions": lambda r: tuple(int(r.choice([d for d in (1, 2, 4, 8)
+                                                            if (8 >> i) % d == 0]))
+                                              for i in range(4)),
+    "transformer_depths": lambda r: tuple(int(v) for v in r.choice([0, 1, 2], 4)),
+    "wcam_ratio": lambda r: int(r.choice([1, 2])),
+    "image_channels": lambda r: int(r.choice([1, 2])),
+    "conv_mode": lambda r: str(r.choice(["vanilla", "dsconv", "enhanced"])),
+    "channel_attention": lambda r: str(r.choice(["none", "cam", "wcam"])),
+}
+FUZZ_BAD = [0, -1, 1.5, True, "2"]
+
+
+def test_fuzzed_configs_run_forward_and_backward_or_are_rejected():
+    rng = np.random.default_rng(2027)
+    base = micro_config(transformer_reductions=(1, 1, 1, 1))
+    ran = rejected = 0
+    for _ in range(16):
+        fields = rng.choice(sorted(FUZZ_VALID), size=3, replace=False)
+        changes = {f: FUZZ_VALID[f](rng) for f in fields}
+        bad = None
+        if rng.random() < 0.4:
+            bad = str(fields[0])
+            value = FUZZ_BAD[rng.integers(len(FUZZ_BAD))]
+            if isinstance(changes[bad], tuple):
+                entries = list(changes[bad])
+                entries[rng.integers(len(entries))] = value
+                value = tuple(entries)
+            changes[bad] = value
+        cfg = replace(base, **changes)
+        if bad is not None:
+            with pytest.raises(ContractViolation, match=bad):
+                cfg.validate()
+            rejected += 1
+            continue
+        model = SnakeFormer(cfg)
+        x = rng.standard_normal((1, cfg.image_channels, 32, 32)).astype(np.float32)
+        loss = combined_loss(model(Tensor(x)), (rng.random((1, 32, 32)) < 0.2).astype(np.uint8))
+        loss.backward()
+        assert np.isfinite(loss.item()), changes
+        for name, p in model.named_parameters():
+            assert p.grad is None or np.isfinite(p.grad).all(), (name, changes)
+        ran += 1
+    assert ran >= 5 and rejected >= 3, (ran, rejected)
 
 
 class TestCombinedLoss:

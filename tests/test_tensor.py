@@ -128,6 +128,24 @@ class TestConv2d:
         assert out.data.shape == (2, 8, 40, 40)
         assert kept <= 2 * padded_bytes, kept
 
+    def test_pointwise_forward_makes_no_shift_copy(self):
+        # a 1x1 conv reads the window layout as it is, so the forward holds at
+        # most the padded map and the layout (2x the input); a copy of the
+        # shifts would add a third input's worth
+        rng = np.random.default_rng(9)
+        x = Tensor(rng.standard_normal((2, 16, 40, 40)).astype(np.float32), requires_grad=True)
+        w = Tensor(rng.standard_normal((8, 16, 1, 1)).astype(np.float32), requires_grad=True)
+        tracemalloc.start()
+        try:
+            out = T.conv2d(x, w, None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        ref = oracles.conv2d_oracle(x.data.astype(np.float64), w.data.astype(np.float64),
+                                    np.zeros(8))
+        np.testing.assert_allclose(out.data, ref, atol=1e-4)
+        assert peak <= 2.5 * x.data.nbytes, peak
+
     def test_channel_mismatch_raises(self):
         x = Tensor(np.zeros((1, 3, 4, 4), dtype=np.float32))
         w = Tensor(np.zeros((2, 4, 3, 3), dtype=np.float32))
@@ -234,6 +252,12 @@ class TestMaxPool2:
         expected[0, 0, 0, 0] = 1.0
         np.testing.assert_array_equal(x.grad, expected)
 
+    def test_tie_break_scans_rows_first(self):
+        # the maxima at (0, 1) and (1, 0) tie; (0, 1) comes first row by row
+        x = Tensor(np.array([[[[1.0, 2.0], [2.0, 0.0]]]], dtype=np.float32), requires_grad=True)
+        T.max_pool2(x).sum().backward()
+        np.testing.assert_array_equal(x.grad[0, 0], [[0.0, 1.0], [0.0, 0.0]])
+
 
 class TestGlobalPool:
     """The (N, C) spatial mean and max descriptors of channel attention."""
@@ -317,6 +341,11 @@ class TestActivations:
     def test_relu_values(self):
         out = T.relu(Tensor(np.array([-1.0, 2.0], dtype=np.float32)))
         np.testing.assert_array_equal(out.data, [0.0, 2.0])
+
+    def test_relu_gradient_is_zero_at_zero(self):
+        x = Tensor(np.array([-1.0, 0.0, 2.0], dtype=np.float32), requires_grad=True)
+        T.relu(x).sum().backward()
+        np.testing.assert_array_equal(x.grad, [0.0, 0.0, 1.0])
 
     def test_sigmoid_tanh_at_zero(self):
         z = Tensor(np.zeros(1, dtype=np.float32))
