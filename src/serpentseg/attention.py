@@ -68,7 +68,6 @@ class ChannelAttention(Module):
             raise ContractViolation(
                 f"reduction ratio {ratio} does not divide {channels} channels"
             )
-        self.channels = channels
         hidden = channels // ratio
         self.w0 = Parameter(_uniform(rng, (hidden, channels), 1.0 / np.sqrt(channels)))
         self.w1 = Parameter(_uniform(rng, (channels, hidden), 1.0 / np.sqrt(hidden)))

@@ -247,7 +247,6 @@ class SnakeConv2d(Module):
             raise ContractViolation(f"axis must be horizontal|vertical, got {axis!r}")
         self.axis = axis
         self.cin = cin
-        self.cout = cout
         self.frozen_offsets = frozen_offsets
         bound = 1.0 / math.sqrt(cin * CHAIN_LEN)
         # set before ``pyramid``: checkpoint keys list chain.* first

@@ -87,7 +87,6 @@ class SnakeEncoder(ModuleList):
                  ratio: int = 8):
         if len(widths) != 5:
             raise ContractViolation(f"snake encoder takes 5 stage widths, got {widths}")
-        self.widths = tuple(widths)
         for prev, w in zip((cin, *widths), widths):
             self.append(SnakeBlock(prev, w, w, rng, conv_mode=conv_mode,
                                    channel_attention=channel_attention, ratio=ratio))
@@ -178,7 +177,6 @@ class MixFFN(Module):
 
     def __init__(self, c: int, rng: np.random.Generator):
         hidden = 4 * c
-        self.hidden = hidden
         # fc1 draws from rng first but is set after dw_*, whose keys come first
         fc1 = Linear(c, hidden, rng=rng)
         self.dw_weight = Parameter(_uniform(rng, (hidden, 3, 3), 1.0 / 3.0))
@@ -214,7 +212,6 @@ class OverlapPatchEmbed(Module):
 
     def __init__(self, cin: int, cout: int, first: bool, rng: np.random.Generator):
         k, s, p = (7, 4, 3) if first else (3, 2, 1)
-        self.stride = s
         self.conv = Conv2d(cin, cout, k, stride=s, padding=p, rng=rng)
         self.norm = LayerNorm(cout)
 
@@ -247,7 +244,6 @@ class MixTransformerEncoder(ModuleList):
                  rng: np.random.Generator):
         if not (len(widths) == len(depths) == len(heads) == len(reductions) == 4):
             raise ContractViolation("transformer encoder takes 4-entry config lists")
-        self.widths = tuple(widths)
         for i, prev in enumerate((cin, *widths[:3])):
             self.append(TransformerStage(prev, widths[i], depths[i], heads[i],
                                          reductions[i], first=(i == 0), rng=rng))

@@ -458,88 +458,82 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
 
 # -- convolution and pooling ---------------------------------------------------
 
-def _window_layout(xd: np.ndarray, k: int, stride: int, padding: int):
-    """The zero-padded (N, C, H, W) map as ``(stride, C, length)`` flat rows.
+def _kernel_rows(xd: np.ndarray, k: int, stride: int, padding: int):
+    """The k kernel-row views of ``xd``'s window layout and the grid they span.
 
-    The padded height and width are rounded up to Hq*stride and Wq*stride,
-    and padded row q*stride + b becomes row q of phase b, so each phase is a
-    channel-major (C, N, Hq, Wp) block, flattened. (k - 1) // stride + 1 zero
-    rows follow it, so every read of ``_shifts`` stays inside. Returns the
-    flat map, Hq and Wq.
+    The layout is the zero-padded (N, C, H + 2p, Wp) map stored channel-major
+    as C flat rows, with Wp = W + 2p rounded up to Wq * stride and zeros after
+    it, so every read stays inside; the input is written straight into it.
+    Its k column shifts are copied once (a 1x1 kernel reads the layout
+    itself): shift j holds ``flat[c, j + stride * m]`` at column m, so column
+    m = (n * Hp + y) * Wq + x reads padded row y, column stride * x, and
+    kernel row i is the same (C, k, cols) matrix offset by i * Wq columns,
+    i padded rows further down. Returns the k (C, k, span) views and the
+    (N, Hp, Wq) grid of their columns.
     """
     n, c, h, w = xd.shape
-    hq = -(-(h + 2 * padding) // stride)
+    hp = h + 2 * padding
     wq = -(-(w + 2 * padding) // stride)
     wp = wq * stride
-    xp = np.pad(xd, ((0, 0), (0, 0), (padding, hq * stride - h - padding),
-                     (padding, wp - w - padding)))
-    flat = np.zeros((stride, c, n * hq + (k - 1) // stride + 1, wp), dtype=xd.dtype)
-    flat[:, :, :n * hq].reshape(stride, c, n, hq, wp)[...] = \
-        xp.reshape(n, c, hq, stride, wp).transpose(3, 1, 0, 2, 4)
-    return flat.reshape(stride, c, -1), hq, wq
-
-
-def _from_window_layout(gflat: np.ndarray, shape: tuple, stride: int, padding: int,
-                        hq: int, wq: int) -> np.ndarray:
-    """Adjoint of ``_window_layout``: the (N, C, H, W) interior of a flat map."""
-    n, c, h, w = shape
-    wp = wq * stride
-    phases = gflat.reshape(stride, c, -1, wp)[:, :, :n * hq].reshape(stride, c, n, hq, wp)
-    gxp = phases.transpose(2, 1, 3, 0, 4).reshape(n, c, hq * stride, wp)
-    return np.ascontiguousarray(gxp[:, :, padding:padding + h, padding:padding + w])
-
-
-def _shifts(flat: np.ndarray, k: int, stride: int, cols: int) -> np.ndarray:
-    """The k column shifts of a flat map, (stride, C*k, cols).
-
-    Row ``c * k + j`` of phase b holds ``flat[b, c, j + stride * m]`` at column
-    m: one strided copy per shift j, for all phases and channels at once. A
-    1x1 kernel has one shift, which is a view of ``flat`` itself.
-    """
-    phases, c, _ = flat.shape
+    flat = np.zeros((c, n * hp * wp + (k - 1) * (wp + 1)), dtype=xd.dtype)
+    flat[:, :n * hp * wp].reshape(c, n, hp, wp)[:, :, padding:padding + h,
+                                                padding:padding + w] = xd.transpose(1, 0, 2, 3)
+    span = n * hp * wq
+    cols = span + (k - 1) * wq
     if k == 1:
-        return flat[:, :, :stride * (cols - 1) + 1:stride]
-    out = np.empty((phases, c, k, cols), dtype=flat.dtype)
-    for j in range(k):
-        out[:, :, j] = flat[:, :, j:j + stride * (cols - 1) + 1:stride]
-    return out.reshape(phases, c * k, cols)
+        shifts = flat[:, None, :stride * (cols - 1) + 1:stride]
+    else:
+        shifts = np.empty((c, k, cols), dtype=xd.dtype)
+        for j in range(k):
+            shifts[:, j] = flat[:, j:j + stride * (cols - 1) + 1:stride]
+    return [shifts[..., i * wq:i * wq + span] for i in range(k)], (n, hp, wq)
 
 
-def _kernel_rows(shifts: np.ndarray, k: int, stride: int, wq: int, span: int):
-    """(i, view) per kernel row i = a * stride + b: the ``span`` columns of
-    phase b's shift matrix that row i reads, a rows of Wq further on."""
-    for i in range(k):
-        a, b = divmod(i, stride)
-        yield i, shifts[b, ..., a * wq:a * wq + span]
+def _from_grid(out: np.ndarray, grid: tuple, stride: int, ho: int, wo: int) -> np.ndarray:
+    """The (N, Cout, Ho, Wo) outputs among the (Cout, span) grid columns."""
+    n, hp, wq = grid
+    rows = out.reshape(-1, n, hp, wq)[:, :, :ho * stride:stride, :wo]
+    return np.ascontiguousarray(rows.transpose(1, 0, 2, 3))
 
 
-def _add_kernel_row(gflat: np.ndarray, i: int, grad: np.ndarray, stride: int, wq: int) -> None:
-    """Adjoint of kernel row i's view: add its (C, k, span) gradient onto the
-    flat positions it was read from, one strided add per column shift."""
-    a, b = divmod(i, stride)
-    span = grad.shape[-1]
-    for j in range(grad.shape[1]):
-        start = j + a * wq * stride
-        gflat[b, :, start:start + stride * (span - 1) + 1:stride] += grad[:, j]
+def _to_grid(g: np.ndarray, grid: tuple, stride: int) -> np.ndarray:
+    """Adjoint of ``_from_grid``: (N, Cout, Ho, Wo) onto zeroed (Cout, span) columns."""
+    n, hp, wq = grid
+    _, cout, ho, wo = g.shape
+    gq = np.zeros((cout, n, hp, wq), dtype=g.dtype)
+    gq[:, :, :ho * stride:stride, :wo] = g.transpose(1, 0, 2, 3)
+    return gq.reshape(cout, -1)
+
+
+def _correlate(xd: np.ndarray, wd: np.ndarray, stride: int, padding: int) -> np.ndarray:
+    """(N, Cout, Ho, Wo) correlation of (N, C, H, W) with (Cout, C, k, k):
+    one GEMM of ``wd[:, :, i, :]`` (Cout, C*k) per kernel row i."""
+    c, h, w = xd.shape[1:]
+    cout, _, k, _ = wd.shape
+    views, grid = _kernel_rows(xd, k, stride, padding)
+    wrows = np.ascontiguousarray(wd.transpose(2, 0, 1, 3)).reshape(k, cout, c * k)
+    out = wrows[0] @ views[0].reshape(c * k, -1)
+    for i in range(1, k):
+        out += wrows[i] @ views[i].reshape(c * k, -1)
+    return _from_grid(out, grid, stride, (h + 2 * padding - k) // stride + 1,
+                      (w + 2 * padding - k) // stride + 1)
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
            stride: int = 1, padding: int = 0) -> Tensor:
-    """2-d convolution with zero padding and square odd kernels.
+    """2-d convolution (a correlation) with zero padding and square odd kernels.
 
-    The input goes into the window layout of ``_window_layout`` and its k
-    column shifts are copied once (``_shifts``, C*k rows; a 1x1 kernel reads
-    the layout itself). Output position
-    (n, y, x) is column ``(n * Hq + y) * Wq + x`` of every phase, and moving a
-    column a*Wq further on reads a*stride padded rows further down, so kernel
-    row i = a*stride + b is one GEMM of ``weight[:, :, i, :]`` (Cout, C*k)
-    against phase b's shift matrix offset by a*Wq. Positions outside Ho x Wo,
-    the rows between images among them, are computed and dropped.
+    The input goes into the window layout of ``_kernel_rows``, and kernel
+    row i is one GEMM against its view (``_correlate``). Grid positions
+    outside Ho x Wo, the rows between images and those a stride skips among
+    them, are computed and dropped.
 
-    Backward keeps no window data. The weight gradient rebuilds the shifts
-    from the input and runs k GEMMs against the same views; the input
-    gradient is k GEMMs ``weight[:, :, i, :].T @ grad``, each added back onto
-    the flat map by ``_add_kernel_row``, then ``_from_window_layout``.
+    Backward keeps no window data. The weight gradient rebuilds the views
+    from the input and runs k GEMMs against them. The input gradient is a
+    correlation by the same code: the output gradient, spread back to
+    stride 1 with zeros, against the flipped kernel with in- and
+    out-channels swapped, at padding k - 1 - padding (at padding 0 and
+    cropped when that is negative).
     """
     xd, wd = x.data, weight.data
     if xd.ndim != 4 or wd.ndim != 4:
@@ -555,44 +549,30 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     if kh != kw or kh % 2 == 0:
         raise ContractViolation(f"conv2d: kernel must be square and odd, got {wd.shape}")
     k = kh
-    ho = (h + 2 * padding - k) // stride + 1
-    wo = (w + 2 * padding - k) // stride + 1
-    if ho < 1 or wo < 1:
+    if h + 2 * padding < k or w + 2 * padding < k:
         raise ContractViolation(
             f"conv2d: kernel {wd.shape} does not fit input {xd.shape} with padding {padding}"
         )
-
-    flat, hq, wq = _window_layout(xd, k, stride, padding)
-    flat_shape = flat.shape
-    span = n * hq * wq
-    cols = span + (k - 1) // stride * wq
-    wrows = np.ascontiguousarray(wd.transpose(2, 0, 1, 3)).reshape(k, cout, cin * k)
-    views = _kernel_rows(_shifts(flat, k, stride, cols), k, stride, wq, span)
-    i, view = next(views)
-    out = wrows[i] @ view
-    for i, view in views:
-        out += wrows[i] @ view
-    data = np.ascontiguousarray(out.reshape(cout, n, hq, wq)[:, :, :ho, :wo].transpose(1, 0, 2, 3))
+    data = _correlate(xd, wd, stride, padding)
     if bias is not None:
         data += bias.data.reshape(1, cout, 1, 1)
 
     def bwd(g):
-        # position-major, so the weight-gradient GEMMs read it contiguously
-        gq = np.zeros((n, hq, wq, cout), dtype=g.dtype)
-        gq[:, :ho, :wo] = g.transpose(0, 2, 3, 1)
-        gq = gq.reshape(span, cout)
         if weight.needs_grad:
-            shifts = _shifts(_window_layout(xd, k, stride, padding)[0], k, stride, cols)
-            gw = np.stack([view @ gq for _, view in _kernel_rows(shifts, k, stride, wq, span)])
-            del shifts  # freed before the input gradient allocates its buffers
-            weight._accum(gw.reshape(k, cin, k, cout).transpose(3, 1, 0, 2))
+            views, grid = _kernel_rows(xd, k, stride, padding)
+            gq = _to_grid(g, grid, stride)
+            gw = np.stack([gq @ view.reshape(cin * k, -1).T for view in views])
+            del views  # freed before the input gradient allocates its buffers
+            weight._accum(gw.reshape(k, cout, cin, k).transpose(1, 2, 0, 3))
         if x.needs_grad:
-            gflat = np.zeros(flat_shape, dtype=g.dtype)
-            dview = np.empty((cin * k, span), dtype=g.dtype)
-            for i in range(k):
-                np.matmul(wrows[i].T, gq.T, out=dview)
-                _add_kernel_row(gflat, i, dview.reshape(cin, k, span), stride, wq)
-            x._accum(_from_window_layout(gflat, xd.shape, stride, padding, hq, wq))
+            g1 = g
+            if stride > 1:
+                g1 = np.zeros((n, cout, h + 2 * padding - k + 1, w + 2 * padding - k + 1),
+                              dtype=g.dtype)
+                g1[:, :, ::stride, ::stride] = g
+            pad = k - 1 - padding
+            gx = _correlate(g1, wd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), 1, max(pad, 0))
+            x._accum(gx if pad >= 0 else gx[:, :, -pad:h - pad, -pad:w - pad])
         if bias is not None and bias.needs_grad:
             bias._accum(g.sum(axis=(0, 2, 3)))
 
@@ -600,46 +580,43 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     return _make(data, parents, bwd)
 
 
+def _correlate_depthwise(xd: np.ndarray, wd: np.ndarray) -> np.ndarray:
+    """Per-channel 3x3 correlation of (N, C, H, W) with (C, 3, 3), padding 1:
+    kernel row i contracts each channel's three weights with its view."""
+    h, w = xd.shape[2:]
+    views, grid = _kernel_rows(xd, 3, 1, 1)
+    out = sum(np.einsum("cj,cjm->cm", wd[:, i], view) for i, view in enumerate(views))
+    return _from_grid(out, grid, 1, h, w)
+
+
 def depthwise_conv3x3(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     """Per-channel 3x3 convolution, padding 1. Weight shape (C, 3, 3).
 
-    Runs on the window layout of ``conv2d`` with stride 1: the (C, 3, cols)
-    shift matrix holds each channel's three column taps, and kernel row i
-    contracts each channel's three weights with it offset by i rows of Wq.
-    The input gradient adds ``weight[:, i] * grad`` back onto the flat map
-    row by row through ``_add_kernel_row``.
+    Runs on the window layout of ``conv2d`` with stride 1: kernel row i
+    contracts each channel's three weights with its view
+    (``_correlate_depthwise``). The input gradient is the same per-channel
+    correlation, of the output gradient with the flipped kernel; the weight
+    gradient contracts the output gradient with the views rebuilt from the
+    input.
     """
     xd, wd = x.data, weight.data
-    n, c, h, w = xd.shape
-    if wd.shape != (c, 3, 3):
+    if xd.ndim != 4:
+        raise ContractViolation(f"depthwise_conv3x3: need a 4-d input, got {xd.shape}")
+    if wd.shape != (xd.shape[1], 3, 3):
         raise ContractViolation(
             f"depthwise_conv3x3: weight {wd.shape} does not match input {xd.shape}"
         )
-    flat, hq, wq = _window_layout(xd, 3, 1, 1)
-    flat_shape = flat.shape
-    span = n * hq * wq
-    cols = span + 2 * wq
-
-    def taps(flat):
-        return _kernel_rows(_shifts(flat, 3, 1, cols).reshape(1, c, 3, cols), 3, 1, wq, span)
-
-    out = sum(np.einsum("cj,cjm->cm", wd[:, i], view) for i, view in taps(flat))
-    data = np.ascontiguousarray(out.reshape(c, n, hq, wq)[:, :, :h, :w].transpose(1, 0, 2, 3))
+    data = _correlate_depthwise(xd, wd)
     if bias is not None:
-        data += bias.data.reshape(1, c, 1, 1)
+        data += bias.data.reshape(1, -1, 1, 1)
 
     def bwd(g):
-        gq = np.zeros((c, n, hq, wq), dtype=g.dtype)
-        gq[:, :, :h, :w] = g.transpose(1, 0, 2, 3)
-        gq = gq.reshape(c, span)
         if x.needs_grad:
-            gflat = np.zeros(flat_shape, dtype=g.dtype)
-            for i in range(3):
-                _add_kernel_row(gflat, i, wd[:, i, :, None] * gq[:, None], 1, wq)
-            x._accum(_from_window_layout(gflat, xd.shape, 1, 1, hq, wq))
+            x._accum(_correlate_depthwise(g, wd[:, ::-1, ::-1]))
         if weight.needs_grad:
-            views = taps(_window_layout(xd, 3, 1, 1)[0])
-            weight._accum(np.stack([np.einsum("cm,cjm->cj", gq, view) for _, view in views],
+            views, grid = _kernel_rows(xd, 3, 1, 1)
+            gq = _to_grid(g, grid, 1)
+            weight._accum(np.stack([np.einsum("cm,cjm->cj", gq, view) for view in views],
                                    axis=1))
         if bias is not None and bias.needs_grad:
             bias._accum(g.sum(axis=(0, 2, 3)))
@@ -650,6 +627,8 @@ def depthwise_conv3x3(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> 
 
 def max_pool2(x: Tensor) -> Tensor:
     """2x2 max pooling, stride 2; ties go to the first position in row-major scan."""
+    if x.data.ndim != 4:
+        raise ContractViolation(f"max_pool2: need a 4-d input, got {x.data.shape}")
     n, c, h, w = x.data.shape
     if h % 2 or w % 2:
         raise ContractViolation(f"max_pool2: H and W must be even, got {x.data.shape}")
@@ -674,8 +653,9 @@ def _interp_matrix(n_in: int, factor: int, dtype) -> np.ndarray:
 
 def upsample_bilinear(x: Tensor, factor: int) -> Tensor:
     """Bilinear upsampling with half-pixel sample centers."""
-    if factor < 2:
-        raise ContractViolation(f"upsample_bilinear: factor must be >= 2, got {factor}")
+    check_int("upsample_bilinear: factor", factor, 2)
+    if x.data.ndim != 4:
+        raise ContractViolation(f"upsample_bilinear: need a 4-d input, got {x.data.shape}")
     n, c, h, w = x.data.shape
     ry = _interp_matrix(h, factor, x.data.dtype)
     rx = _interp_matrix(w, factor, x.data.dtype)

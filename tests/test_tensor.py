@@ -129,9 +129,10 @@ class TestConv2d:
         assert kept <= 2 * padded_bytes, kept
 
     def test_pointwise_forward_makes_no_shift_copy(self):
-        # a 1x1 conv reads the window layout as it is, so the forward holds at
-        # most the padded map and the layout (2x the input); a copy of the
-        # shifts would add a third input's worth
+        # a 1x1 conv reads the window layout (the zero-padded map, here the
+        # input's size) as it is, so the forward holds the layout and its
+        # output, under 2x the input; a copy of the shifts would add a third
+        # input's worth
         rng = np.random.default_rng(9)
         x = Tensor(rng.standard_normal((2, 16, 40, 40)).astype(np.float32), requires_grad=True)
         w = Tensor(rng.standard_normal((8, 16, 1, 1)).astype(np.float32), requires_grad=True)
@@ -145,6 +146,22 @@ class TestConv2d:
                                     np.zeros(8))
         np.testing.assert_allclose(out.data, ref, atol=1e-4)
         assert peak <= 2.5 * x.data.nbytes, peak
+
+    def test_input_gradient_keeps_memory_bounded(self):
+        # the input gradient is one correlation of the (2, 16, 40, 40) output
+        # gradient: its 9 column shifts (3.5x the input here) and the result
+        rng = np.random.default_rng(7)
+        x = Tensor(rng.standard_normal((2, 64, 40, 40)).astype(np.float32), requires_grad=True)
+        w = Tensor(rng.standard_normal((16, 64, 9, 9)).astype(np.float32))
+        loss = T.conv2d(x, w, None, padding=4).sum()
+        tracemalloc.start()
+        try:
+            loss.backward()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert x.grad.shape == x.data.shape
+        assert peak <= 10 * x.data.nbytes, peak
 
     def test_channel_mismatch_raises(self):
         x = Tensor(np.zeros((1, 3, 4, 4), dtype=np.float32))
@@ -220,6 +237,11 @@ class TestDepthwiseConv3x3:
             T.depthwise_conv3x3(Tensor(np.zeros((1, 3, 4, 4), dtype=np.float32)),
                                 Tensor(np.zeros((2, 3, 3), dtype=np.float32)))
 
+    def test_three_d_input_raises(self):
+        with pytest.raises(ContractViolation, match=r"depthwise_conv3x3: .*\(3, 4, 4\)"):
+            T.depthwise_conv3x3(Tensor(np.zeros((3, 4, 4), dtype=np.float32)),
+                                Tensor(np.zeros((3, 3, 3), dtype=np.float32)))
+
 
 class TestMaxPool2:
     def test_single_window(self):
@@ -243,6 +265,10 @@ class TestMaxPool2:
     def test_odd_dims_raise(self):
         with pytest.raises(ContractViolation):
             T.max_pool2(Tensor(np.zeros((1, 1, 5, 4), dtype=np.float32)))
+
+    def test_three_d_input_raises(self):
+        with pytest.raises(ContractViolation, match=r"max_pool2: .*\(1, 4, 4\)"):
+            T.max_pool2(Tensor(np.zeros((1, 4, 4), dtype=np.float32)))
 
     def test_tie_break_first_occurrence(self):
         x = Tensor(np.full((1, 1, 2, 2), 2.0, dtype=np.float32), requires_grad=True)
@@ -320,6 +346,14 @@ class TestUpsampleBilinear:
     def test_factor_below_two_raises(self):
         with pytest.raises(ContractViolation):
             T.upsample_bilinear(Tensor(np.zeros((1, 1, 2, 2), dtype=np.float32)), 1)
+
+    def test_three_d_input_raises(self):
+        with pytest.raises(ContractViolation, match=r"upsample_bilinear: .*\(1, 2, 2\)"):
+            T.upsample_bilinear(Tensor(np.zeros((1, 2, 2), dtype=np.float32)), 2)
+
+    def test_non_int_factor_raises(self):
+        with pytest.raises(ContractViolation, match="upsample_bilinear: factor must be an int"):
+            T.upsample_bilinear(Tensor(np.zeros((1, 1, 2, 2), dtype=np.float32)), 2.5)
 
     @pytest.mark.parametrize("n_in", [1, 2, 3, 7])
     @pytest.mark.parametrize("factor", [2, 3, 4])
@@ -442,6 +476,7 @@ class TestGradients:
         (1, 9, 11, 7, 4, 3),   # the patch embedding's kernel, stride and padding
         (1, 9, 7, 1, 2, 0),    # 1x1 with stride 2: 9 and 7 are not stride multiples
         (2, 3, 2, 5, 1, 2),    # input smaller than the kernel, fits only when padded
+        (1, 4, 4, 9, 1, 4),    # the 9x9 pyramid conv on a map smaller than its kernel
     ])
     def test_conv2d_backward_shapes(self, n, h, w, k, stride, padding):
         rng = np.random.default_rng(100 + 10 * k + padding)
