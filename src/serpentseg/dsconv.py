@@ -15,6 +15,12 @@ a fixed (9, 16) prefix-sum matrix (``_prefix_matrix``) times its 16 steps;
 the samples come back as (N, H*W*9, Cin) rows; and the contraction is one
 ``linear`` over rows of 9*Cin samples.
 
+The bilinear reads are a sparse matrix of corner weights over the feature
+rows, built from the coordinates and dropped after forward: the tape keeps
+only the feature and the two coordinate tensors, and backward rebuilds the
+corner indices and weights from the coordinates, then the matrices of the
+feature gradient and of the x and y derivatives one at a time.
+
 Offset channel layout, for chain distance c in 1..4 with base = 4*(c-1):
     base+0: dx of the forward point t+c      base+1: dy of t+c
     base+2: dx of the backward point t-c     base+3: dy of t-c
@@ -91,6 +97,61 @@ def chain_coordinates(s: Tensor) -> tuple[Tensor, Tensor]:
                  for i, ctr in enumerate(centers))
 
 
+def _axis_weights(d: np.ndarray, size: int, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Lower corner (float) and (1 - t, t) weights, (..., 2), of coordinates
+    ``d`` along an axis of ``size`` pixels, clamped to the border first."""
+    c = np.clip(d, 0.0, size - 1.0)
+    lo = np.floor(c)
+    np.minimum(lo, max(size - 2, 0), out=lo)
+    wt = np.empty(d.shape + (2,), dtype=dtype)
+    np.subtract(c, lo, out=wt[..., 1])
+    np.subtract(1.0, wt[..., 1], out=wt[..., 0])
+    return lo, wt
+
+
+def _corners(xd: np.ndarray, yd: np.ndarray, h: int, w: int, dtype):
+    """CSR column indices (N*M*4,), row pointers (N*M+1,) and per-axis
+    weights ``wx``, ``wy`` (N, M, 2) of bilinear reads at points (N, M).
+
+    Row n*M + m reads point m's corners over the rows of the channel-last
+    feature (N*H*W, C), in the order (00, 01, 10, 11): corner 2a+b is y-step
+    a and x-step b. Corners stay in the point's own image, so the matrix is
+    block diagonal over the batch; along a side of length 1 the two corners
+    coincide.
+    """
+    n, m = xd.shape
+    x0, wx = _axis_weights(xd, w, dtype)
+    y0, wy = _axis_weights(yd, h, dtype)
+    idx_t = get_index_dtype(maxval=max(4 * n * m, n * h * w))
+    cols = np.empty((n, m, 4), dtype=idx_t)
+    i00 = cols[..., 0]
+    i00[...] = y0
+    i00 *= w
+    i00 += x0.astype(idx_t)
+    i00 += (np.arange(n, dtype=idx_t) * (h * w))[:, None]
+    sx, sy = min(w - 1, 1), min(h - 1, 1) * w
+    for corner, step in ((1, sx), (2, sy), (3, sx + sy)):
+        np.add(i00, step, out=cols[..., corner])
+    indptr = np.arange(0, 4 * n * m + 1, 4, dtype=idx_t)
+    return cols.reshape(-1), indptr, wx, wy
+
+
+def _corner_matrix(ay: np.ndarray, ax: np.ndarray, cols: np.ndarray, indptr: np.ndarray,
+                   shape: tuple[int, int]) -> csr_array:
+    """CSR matrix whose corner 2a+b of each row holds ``ay[..., a] * ax[..., b]``;
+    either factor may be a constant (2,) pair."""
+    vals = np.empty((indptr.size - 1, 4), dtype=np.result_type(ay, ax))
+    for a in range(2):
+        for b in range(2):
+            np.multiply(ay[..., a].reshape(-1), ax[..., b].reshape(-1), out=vals[:, 2 * a + b])
+    return csr_array((vals.reshape(-1), cols, indptr), shape=shape)
+
+
+def _feature_rows(fd: np.ndarray) -> np.ndarray:
+    n, c, h, w = fd.shape
+    return np.ascontiguousarray(fd.transpose(0, 2, 3, 1)).reshape(n * h * w, c)
+
+
 def grid_sample_points(feature: Tensor, x: Tensor, y: Tensor) -> Tensor:
     """Bilinear reads of ``feature`` (N, C, H, W) at flat point lists (N, M),
     returned as channel-last rows (N, M, C).
@@ -98,6 +159,14 @@ def grid_sample_points(feature: Tensor, x: Tensor, y: Tensor) -> Tensor:
     Coordinates are clamped to the border before weighting; the gradient with
     respect to a clamped coordinate is zero. Differentiable in the feature
     values and both coordinates.
+
+    The tape keeps only ``feature``, ``x`` and ``y``: forward builds the
+    sparse sampling matrix of corner weights, applies it to the channel-last
+    feature rows and drops both. Backward rebuilds the indices and weights
+    from the coordinates (``_corners``) and, one at a time, the matrices of
+    the feature gradient (the sampling matrix, transposed) and of the x and
+    y derivatives, whose corner weights are the sampling weights with the
+    derivative's axis replaced by (-1, 1).
     """
     fd, xd, yd = feature.data, x.data, y.data
     n, c, h, w = fd.shape
@@ -109,55 +178,28 @@ def grid_sample_points(feature: Tensor, x: Tensor, y: Tensor) -> Tensor:
         raise ContractViolation("non-finite sampling coordinate")
 
     m = xd.shape[1]
-    xc = np.clip(xd, 0.0, w - 1.0)
-    yc = np.clip(yd, 0.0, h - 1.0)
-    x0 = np.minimum(np.floor(xc), max(w - 2, 0))
-    y0 = np.minimum(np.floor(yc), max(h - 2, 0))
-    tx = (xc - x0).astype(fd.dtype, copy=False)
-    ty = (yc - y0).astype(fd.dtype, copy=False)
-    ux = 1.0 - tx
-    uy = 1.0 - ty
-
-    # Row n*M + m of the sampling matrix holds point m's corner weights
-    # (00, 01, 10, 11) over the rows of the channel-last feature (N*H*W, C).
-    # Corners stay in the point's own image, so the matrix is block diagonal
-    # over the batch; along a side of length 1 the two corners coincide.
     shape = (n * m, n * h * w)
-    idx_t = get_index_dtype(maxval=max(4 * n * m, n * h * w))
-    cols = np.empty((n, m, 4), dtype=idx_t)
-    i00 = y0.astype(idx_t) * w
-    i00 += x0.astype(idx_t)
-    i00 += (np.arange(n, dtype=idx_t) * (h * w))[:, None]
-    sx, sy = min(w - 1, 1), min(h - 1, 1) * w
-    cols[..., 0] = i00
-    np.add(i00, sx, out=cols[..., 1])
-    np.add(i00, sy, out=cols[..., 2])
-    np.add(i00, sx + sy, out=cols[..., 3])
-    cols = cols.reshape(-1)
-    indptr = np.arange(0, 4 * n * m + 1, 4, dtype=idx_t)
-
-    def corner_matrix(w00, w01, w10, w11):
-        vals = np.empty((n, m, 4), dtype=fd.dtype)
-        for i, wi in enumerate((w00, w01, w10, w11)):
-            vals[..., i] = wi
-        return csr_array((vals.reshape(-1), cols, indptr), shape=shape)
-
-    sample = corner_matrix(ux * uy, tx * uy, ux * ty, tx * ty)
-    rows = np.ascontiguousarray(fd.transpose(0, 2, 3, 1)).reshape(n * h * w, c)
+    cols, indptr, wx, wy = _corners(xd, yd, h, w, fd.dtype)
+    out = _corner_matrix(wy, wx, cols, indptr, shape) @ _feature_rows(fd)
 
     def bwd(g):
+        cols, indptr, wx, wy = _corners(xd, yd, h, w, fd.dtype)
         gl = g.reshape(n * m, c)
         if feature.needs_grad:
-            gf = (sample.T @ gl).reshape(n, h, w, c)
+            gf = (_corner_matrix(wy, wx, cols, indptr, shape).T @ gl).reshape(n, h, w, c)
             feature._accum(np.ascontiguousarray(gf.transpose(0, 3, 1, 2)))
-        if x.needs_grad:
-            dx = ((corner_matrix(-uy, uy, -ty, ty) @ rows) * gl).sum(axis=1).reshape(n, m)
-            x._accum(dx * ((xd >= 0.0) & (xd <= w - 1.0)))
-        if y.needs_grad:
-            dy = ((corner_matrix(-ux, -tx, ux, tx) @ rows) * gl).sum(axis=1).reshape(n, m)
-            y._accum(dy * ((yd >= 0.0) & (yd <= h - 1.0)))
+        if not (x.needs_grad or y.needs_grad):
+            return
+        rows = _feature_rows(fd)
+        step = np.array([-1.0, 1.0], dtype=fd.dtype)
+        for t, (ay, ax), d, size in ((x, (wy, step), xd, w), (y, (step, wx), yd, h)):
+            if t.needs_grad:
+                deriv = _corner_matrix(ay, ax, cols, indptr, shape) @ rows
+                deriv *= gl
+                deriv = deriv.sum(axis=1).reshape(n, m)
+                t._accum(deriv * ((d >= 0.0) & (d <= size - 1.0)))
 
-    return _make((sample @ rows).reshape(n, m, c), (feature, x, y), bwd)
+    return _make(out.reshape(n, m, c), (feature, x, y), bwd)
 
 
 def chain_contract(sampled: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
@@ -216,7 +258,6 @@ class PyramidConv2d(Conv2d):
     """
 
     def __init__(self, cin: int, bias: np.ndarray):
-        self.stride = 1
         self.padding = PYRAMID_KERNELS[-1] // 2
         for k in PYRAMID_KERNELS:
             setattr(self, str(k), WeightBias(

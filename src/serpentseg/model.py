@@ -75,7 +75,30 @@ class ModelConfig:
         if self.channel_attention not in CHANNEL_ATTENTION_MODES:
             raise ContractViolation(
                 f"channel_attention must be one of {CHANNEL_ATTENTION_MODES}")
+        for i, (width, heads) in enumerate(zip(self.transformer_widths, self.transformer_heads)):
+            if width % heads:
+                raise ContractViolation(f"transformer_heads[{i}] = {heads} does not divide "
+                                        f"transformer_widths[{i}] = {width}")
+        if self.channel_attention != "none":
+            gated = [(f"3 * snake_widths[{i}]", 3 * w) for i, w in enumerate(self.snake_widths)]
+            gated += [(f"the input of decoder stage {name}", cin)
+                      for name, (cin, _) in self.fusion_widths().items()]
+            for where, width in gated:
+                if width % self.wcam_ratio:
+                    raise ContractViolation(f"wcam_ratio {self.wcam_ratio} does not divide "
+                                            f"{where} = {width}")
         return self
+
+    def fusion_widths(self) -> dict[str, tuple[int, int]]:
+        """(input, output) widths of the decoder stages, deepest first."""
+        sw, tw, dw = self.snake_widths, self.transformer_widths, self.decoder_widths
+        # the deepest stage refines the lone 1/32 transformer map at its own width
+        return {"s32": (tw[3], tw[3]),
+                "s16": (sw[4] + tw[2] + tw[3], dw[0]),
+                "s8": (sw[3] + tw[1] + dw[0], dw[1]),
+                "s4": (sw[2] + tw[0] + dw[1], dw[2]),
+                "s2": (sw[1] + dw[2], dw[3]),
+                "s1": (sw[0] + dw[3], dw[4])}
 
 
 def tiny_config(seed: int = 0, **overrides) -> ModelConfig:
@@ -134,23 +157,12 @@ class SnakeFormer(Module):
         self.enc.mit = MixTransformerEncoder(cfg.image_channels, cfg.transformer_widths,
                                              cfg.transformer_depths, cfg.transformer_heads,
                                              cfg.transformer_reductions, rng)
-        sw = cfg.snake_widths
-        tw = cfg.transformer_widths
-        dw = cfg.decoder_widths
-
-        def stage(cin, cout):
-            return FusionStage(cin, cout, rng, channel_attention=cfg.channel_attention,
-                               ratio=cfg.wcam_ratio)
-
         self.dec = Module()
-        # deepest stage refines the lone 1/32 transformer map at its own width
-        self.dec.s32 = stage(tw[3], tw[3])
-        self.dec.s16 = stage(sw[4] + tw[2] + tw[3], dw[0])
-        self.dec.s8 = stage(sw[3] + tw[1] + dw[0], dw[1])
-        self.dec.s4 = stage(sw[2] + tw[0] + dw[1], dw[2])
-        self.dec.s2 = stage(sw[1] + dw[2], dw[3])
-        self.dec.s1 = stage(sw[0] + dw[3], dw[4])
-        self.head = Conv2d(dw[4], 2, 1, rng=rng)  # background and crack logits
+        for name, (cin, cout) in cfg.fusion_widths().items():
+            setattr(self.dec, name, FusionStage(cin, cout, rng,
+                                                channel_attention=cfg.channel_attention,
+                                                ratio=cfg.wcam_ratio))
+        self.head = Conv2d(cfg.decoder_widths[4], 2, 1, rng=rng)  # background and crack logits
 
     def forward(self, image: Tensor) -> Tensor:
         if image.data.ndim != 4:
@@ -199,10 +211,16 @@ def combined_loss(logits: Tensor, target) -> Tensor:
     return ce + dice
 
 
-def predict_probabilities(model: SnakeFormer, images: np.ndarray) -> np.ndarray:
-    """Crack-class probability maps for a (N, C, H, W) image batch."""
+def predict_probabilities(model: SnakeFormer, images) -> np.ndarray:
+    """Crack-class probability maps for a (N, C, H, W) image batch, given as
+    any array-like that converts to float32."""
+    try:
+        batch = np.asarray(images, dtype=np.float32)
+    except (TypeError, ValueError) as e:
+        raise ContractViolation(
+            f"images of type {type(images).__name__} are not a numeric array: {e}") from None
     with no_grad():
-        logits = model(Tensor(images.astype(np.float32)))
+        logits = model(Tensor(batch))
         probs = softmax(logits, axis=1)
     return probs.data[:, 1]
 
@@ -272,6 +290,7 @@ def evaluate_model(model: SnakeFormer, pairs, batch_size: int = 8):
     """Mean IoU and F1 of thresholded predictions over (image, mask) pairs."""
     from .metrics import confusion_counts, pixel_metrics
 
+    check_int("batch_size", batch_size, 1)
     if not pairs:
         raise ContractViolation("evaluate_model: no (image, mask) pairs to score")
     per = []
@@ -290,6 +309,8 @@ def train_loop(model: SnakeFormer, train_pairs, val_pairs, epochs: int,
                seed: int = 0, log=None) -> TrainResult:
     """Deterministic training: shuffling, batching, and updates all derive
     from ``seed``. Keeps the state dict of the best-validation-IoU epoch."""
+    check_int("epochs", epochs, 1)
+    check_int("batch_size", batch_size, 1)
     if not train_pairs:
         raise ContractViolation("training set is empty")
     if not val_pairs:

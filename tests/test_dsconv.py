@@ -2,6 +2,7 @@
 against brute-force references."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -229,6 +230,49 @@ class TestBilinearSample:
         sampler = FunctionModule(grid_sample_points)
         report = grad_check(sampler, [rng.standard_normal(shape), xs, ys], tolerance=1e-6)
         assert report.passed, str(report)
+
+    @staticmethod
+    def _chain_sized_inputs():
+        # a (2, 8, 40, 40) map read at 9 points per pixel, a tenth of them
+        # outside the border; the (2, 14400, 8) output is 0.92 MB
+        rng = np.random.default_rng(12)
+        n, c, h, w = 2, 8, 40, 40
+        m = h * w * 9
+        f = Tensor(rng.standard_normal((n, c, h, w)).astype(np.float32), requires_grad=True)
+        x = Tensor(rng.uniform(-2, w + 1, (n, m)).astype(np.float32), requires_grad=True)
+        y = Tensor(rng.uniform(-2, h + 1, (n, m)).astype(np.float32), requires_grad=True)
+        return f, x, y
+
+    def test_taped_forward_keeps_only_its_output(self):
+        # the corner matrix with its indices and weights (1.8x the output
+        # here) is rebuilt in backward from x and y, which the tape holds
+        # anyway, so the taped forward keeps its output and little else
+        f, x, y = self._chain_sized_inputs()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = grid_sample_points(f, x, y)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert out.data.shape == (2, 14400, 8)
+        assert kept <= 1.05 * out.data.nbytes, kept
+
+    def test_backward_builds_one_matrix_at_a_time(self):
+        # backward holds the upstream gradient (1x the output), the rebuilt
+        # indices and weights (1.1x), one corner matrix's values (0.5x) and
+        # that matrix times the feature rows (1x); 4.2x in all
+        f, x, y = self._chain_sized_inputs()
+        out = grid_sample_points(f, x, y)
+        loss = out.sum()
+        tracemalloc.start()
+        try:
+            loss.backward()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(t.grad.shape == t.data.shape for t in (f, x, y))
+        assert peak <= 4.5 * out.data.nbytes, peak
 
     def test_clamped_coordinate_has_zero_gradient(self):
         f = Tensor(np.random.default_rng(11).standard_normal((1, 1, 4, 4)).astype(np.float64))

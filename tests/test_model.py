@@ -17,6 +17,7 @@ from serpentseg.model import (
     combined_loss,
     evaluate_model,
     predict_masks,
+    predict_probabilities,
     tiny_config,
     train_loop,
 )
@@ -217,6 +218,26 @@ def test_zero_depth_and_numpy_ints_are_valid():
     assert cfg.validate() is cfg
 
 
+@pytest.mark.parametrize("overrides,words", [
+    ({"transformer_heads": (1, 2, 5, 4)}, ("transformer_heads[2]", "transformer_widths[2] = 24")),
+    ({"wcam_ratio": 5}, ("wcam_ratio 5", "snake_widths[0] = 12")),
+    ({"snake_widths": (4, 8, 12, 16, 26)}, ("wcam_ratio 4", "snake_widths[4] = 78")),
+    # 3 * snake width stays a multiple of 4; the s8 stage input 16 + 16 + 26 does not
+    ({"decoder_widths": (26, 16, 12, 8, 8)}, ("wcam_ratio 4", "stage s8 = 58")),
+    ({"wcam_ratio": 3, "channel_attention": "cam"}, ("wcam_ratio 3", "stage s32 = 32")),
+])
+def test_cross_field_constraints_are_checked_by_validate(overrides, words):
+    with pytest.raises(ContractViolation) as err:
+        tiny_config(**overrides)
+    assert all(w in str(err.value) for w in words), str(err.value)
+
+
+def test_ratio_is_unconstrained_without_channel_attention():
+    cfg = micro_config(wcam_ratio=5, channel_attention="none")
+    imgs = np.random.default_rng(33).random((1, 1, 32, 32))
+    assert predict_probabilities(SnakeFormer(cfg), imgs).shape == (1, 32, 32)
+
+
 # valid draws keep every constraint that spans fields: widths are even, so
 # heads of 1 or 2 and a channel-attention ratio of 1 or 2 divide every
 # attention width, and the reduction of stage i divides its 32/4/2**i grid
@@ -268,6 +289,39 @@ def test_fuzzed_configs_run_forward_and_backward_or_are_rejected():
             assert p.grad is None or np.isfinite(p.grad).all(), (name, changes)
         ran += 1
     assert ran >= 5 and rejected >= 3, (ran, rejected)
+
+
+# draws that may break a constraint spanning fields: four heads against
+# widths of 2 or 6, and ratios of 2 or 3 against odd widths or sums
+FUZZ_CROSS = {
+    "snake_widths": lambda r: tuple(int(v) for v in r.choice([2, 3, 4], 5)),
+    "transformer_widths": lambda r: tuple(int(v) for v in r.choice([2, 4, 6, 8], 4)),
+    "decoder_widths": lambda r: tuple(int(v) for v in r.choice([2, 3, 4], 5)),
+    "transformer_heads": lambda r: tuple(int(v) for v in r.choice([1, 2, 4], 4)),
+    "wcam_ratio": lambda r: int(r.choice([1, 2, 3])),
+    "channel_attention": lambda r: str(r.choice(["none", "cam", "wcam"])),
+}
+
+
+def test_fuzzed_cross_field_configs_are_rejected_only_by_validate():
+    # a config that validate() accepts must build and run; before the
+    # cross-field checks, these draws failed while the layers were built
+    rng = np.random.default_rng(2030)
+    base = micro_config(transformer_reductions=(1, 1, 1, 1))
+    ran = rejected = 0
+    for _ in range(16):
+        fields = rng.choice(sorted(FUZZ_CROSS), size=2, replace=False)
+        cfg = replace(base, **{str(f): FUZZ_CROSS[f](rng) for f in fields})
+        try:
+            cfg.validate()
+        except ContractViolation as e:
+            assert "transformer_heads" in str(e) or "wcam_ratio" in str(e), str(e)
+            rejected += 1
+            continue
+        imgs = rng.random((1, cfg.image_channels, 32, 32))
+        assert np.isfinite(predict_probabilities(SnakeFormer(cfg), imgs)).all()
+        ran += 1
+    assert ran >= 4 and rejected >= 4, (ran, rejected)
 
 
 class TestCombinedLoss:
@@ -443,6 +497,33 @@ class TestTrainLoop:
         model = SnakeFormer(micro_config(seed=29))
         with pytest.raises(ContractViolation, match="no \\(image, mask\\) pairs"):
             evaluate_model(model, [])
+
+    @pytest.mark.parametrize("field,value", [("epochs", 0), ("batch_size", 0),
+                                             ("batch_size", 1.5), ("epochs", True)])
+    def test_epochs_and_batch_size_are_checked(self, field, value):
+        model = SnakeFormer(micro_config(seed=26))
+        kw = {"epochs": 1, "batch_size": 2, field: value}
+        pairs = _toy_pairs(2, 26)
+        with pytest.raises(ContractViolation, match=field):
+            train_loop(model, pairs, pairs, **kw)
+
+    def test_evaluate_model_checks_batch_size(self):
+        model = SnakeFormer(micro_config(seed=29))
+        with pytest.raises(ContractViolation, match="batch_size"):
+            evaluate_model(model, _toy_pairs(2, 30), batch_size=0)
+
+    def test_predict_probabilities_takes_nested_lists(self):
+        model = SnakeFormer(micro_config(seed=27))
+        imgs = np.random.default_rng(28).random((1, 1, 32, 32))
+        want = predict_probabilities(model, imgs)
+        np.testing.assert_array_equal(predict_probabilities(model, imgs.tolist()), want)
+
+    @pytest.mark.parametrize("images,kind", [([[[[0.0, 1.0], [2.0]]]], "list"),
+                                             ("crack.png", "str"), ({"image": 1}, "dict")])
+    def test_predict_probabilities_rejects_non_numeric_input(self, images, kind):
+        model = SnakeFormer(micro_config(seed=27))
+        with pytest.raises(ContractViolation, match=kind):
+            predict_probabilities(model, images)
 
     def test_evaluate_model_returns_means(self):
         model = SnakeFormer(micro_config(seed=29))
