@@ -5,7 +5,9 @@ standard convolution in parallel) with 2x2 max pooling in between, producing
 features at 1/1 .. 1/16 resolution. The transformer branch is a lightweight
 hierarchical encoder with overlapping patch embedding, reduced-key/value
 self-attention, a depthwise-conv FFN, and no positional encodings, producing
-features at 1/4 .. 1/32 resolution.
+features at 1/4 .. 1/32 resolution. Inside a stage every module works on one
+channel-last (N, H, W, C) map, so the spatial shape travels with the tensor;
+each stage returns its map as (N, C, H, W) like the snake branch.
 """
 from __future__ import annotations
 
@@ -73,8 +75,8 @@ class SnakeBlock(Module):
         self.proj = Conv2d(cin, cout, 1, rng=rng) if cin != cout else None
 
     def forward(self, x: Tensor) -> Tensor:
-        parts = [relu(self.branch_h(x)), relu(self.branch_v(x)), relu(self.local(x))]
-        fused = self.fuse(attend(concat(parts, axis=1), self.ca, self.sa))
+        cat = relu(concat([self.branch_h(x), self.branch_v(x), self.local(x)], axis=1))
+        fused = self.fuse(attend(cat, self.ca, self.sa))
         res = x if self.proj is None else self.proj(x)
         return fused + res
 
@@ -105,20 +107,9 @@ class SnakeEncoder(ModuleList):
         return feats
 
 
-def map_to_tokens(x: Tensor) -> Tensor:
-    n, c, h, w = x.data.shape
-    return reshape(transpose(x, (0, 2, 3, 1)), (n, h * w, c))
-
-
-def tokens_to_map(x: Tensor, h: int, w: int) -> Tensor:
-    n, l, c = x.data.shape
-    if l != h * w:
-        raise ContractViolation(f"token count {l} does not match {h}x{w}")
-    return transpose(reshape(x, (n, h, w, c)), (0, 3, 1, 2))
-
-
 class EfficientSelfAttention(Module):
-    """Multi-head attention with keys/values taken from a spatially reduced map.
+    """Multi-head attention over the positions of an (N, H, W, C) map, with
+    keys/values taken from a spatially reduced map.
 
     The reduction is a non-overlapping RxR patch flatten followed by a linear
     map and layer norm (equivalent to a stride-R, kernel-R convolution).
@@ -139,41 +130,39 @@ class EfficientSelfAttention(Module):
             self.sr = Linear(c * reduction * reduction, c, rng=rng)
             self.sr_norm = LayerNorm(c)
 
-    def _reduce(self, x: Tensor, h: int, w: int) -> Tensor:
+    def _reduce(self, x: Tensor) -> Tensor:
         r = self.reduction
-        n = x.data.shape[0]
-        grid = reshape(x, (n, h // r, r, w // r, r, self.c))
+        n, h, w, c = x.data.shape
+        grid = reshape(x, (n, h // r, r, w // r, r, c))
         patches = reshape(transpose(grid, (0, 1, 3, 2, 4, 5)),
-                          (n, (h // r) * (w // r), r * r * self.c))
+                          (n, (h // r) * (w // r), r * r * c))
         return self.sr_norm(self.sr(patches))
 
-    def forward(self, x: Tensor, h: int, w: int) -> Tensor:
-        n, l, c = x.data.shape
-        if l != h * w:
-            raise ContractViolation(f"token count {l} does not match {h}x{w}")
-        if h % self.reduction or w % self.reduction:
-            raise ContractViolation(
-                f"grid {h}x{w} not divisible by reduction {self.reduction}"
-            )
-        kv_src = self._reduce(x, h, w) if self.reduction > 1 else x
-        lk = kv_src.data.shape[1]
+    def forward(self, x: Tensor) -> Tensor:
+        r = self.reduction
+        shape = x.data.shape
+        if len(shape) != 4 or shape[3] != self.c or shape[1] % r or shape[2] % r:
+            raise ContractViolation(f"attention needs an (N, H, W, {self.c}) map with H, W "
+                                    f"divisible by reduction {r}, got {shape}")
+        n, h, w, c = shape
+        kv_src = self._reduce(x) if r > 1 else x
         d = c // self.heads
 
-        def split_heads(t, length):
-            return transpose(reshape(t, (n, length, self.heads, d)), (0, 2, 1, 3))
+        def split_heads(t):
+            return transpose(reshape(t, (n, -1, self.heads, d)), (0, 2, 1, 3))
 
-        q = split_heads(self.q(x), l)
-        k = split_heads(self.k(kv_src), lk)
-        v = split_heads(self.v(kv_src), lk)
+        q = split_heads(self.q(x))
+        k = split_heads(self.k(kv_src))
+        v = split_heads(self.v(kv_src))
         scores = matmul(q, transpose(k, (0, 1, 3, 2))) * (1.0 / math.sqrt(d))
         probs = softmax(scores, axis=-1)
         ctx = matmul(probs, v)
-        merged = reshape(transpose(ctx, (0, 2, 1, 3)), (n, l, c))
+        merged = reshape(transpose(ctx, (0, 2, 1, 3)), (n, h, w, c))
         return self.o(merged)
 
 
 class MixFFN(Module):
-    """Linear expand, 3x3 depthwise conv in the spatial layout, gelu, project."""
+    """Linear expand, 3x3 depthwise conv, gelu, project; all on the (N, H, W, C) map."""
 
     def __init__(self, c: int, rng: np.random.Generator):
         hidden = 4 * c
@@ -184,15 +173,8 @@ class MixFFN(Module):
         self.fc1 = fc1
         self.fc2 = Linear(hidden, c, rng=rng)
 
-    def forward(self, x: Tensor, h: int, w: int) -> Tensor:
-        n, l, c = x.data.shape
-        if l != h * w:
-            raise ContractViolation(f"token count {l} does not match {h}x{w}")
-        t = self.fc1(x)
-        m = tokens_to_map(t, h, w)
-        m = depthwise_conv3x3(m, self.dw_weight, self.dw_bias)
-        t = gelu(map_to_tokens(m))
-        return self.fc2(t)
+    def forward(self, x: Tensor) -> Tensor:
+        return self.fc2(gelu(depthwise_conv3x3(self.fc1(x), self.dw_weight, self.dw_bias)))
 
 
 class TransformerBlock(Module):
@@ -202,26 +184,27 @@ class TransformerBlock(Module):
         self.norm2 = LayerNorm(c)
         self.ffn = MixFFN(c, rng)
 
-    def forward(self, x: Tensor, h: int, w: int) -> Tensor:
-        x = x + self.attn(self.norm1(x), h, w)
-        return x + self.ffn(self.norm2(x), h, w)
+    def forward(self, x: Tensor) -> Tensor:
+        x = x + self.attn(self.norm1(x))
+        return x + self.ffn(self.norm2(x))
 
 
 class OverlapPatchEmbed(Module):
-    """Strided overlapping convolution to tokens: k7/s4 first, k3/s2 after."""
+    """Strided overlapping convolution to a normed channel-last map: k7/s4
+    first, k3/s2 after."""
 
     def __init__(self, cin: int, cout: int, first: bool, rng: np.random.Generator):
         k, s, p = (7, 4, 3) if first else (3, 2, 1)
         self.conv = Conv2d(cin, cout, k, stride=s, padding=p, rng=rng)
         self.norm = LayerNorm(cout)
 
-    def forward(self, x: Tensor) -> tuple[Tensor, int, int]:
-        m = self.conv(x)
-        h, w = m.data.shape[2:]
-        return self.norm(map_to_tokens(m)), h, w
+    def forward(self, x: Tensor) -> Tensor:
+        return self.norm(transpose(self.conv(x), (0, 2, 3, 1)))
 
 
 class TransformerStage(Module):
+    """Patch embedding, blocks and norm on the channel-last map; returns (N, C, H, W)."""
+
     def __init__(self, cin: int, cout: int, depth: int, heads: int, reduction: int,
                  first: bool, rng: np.random.Generator):
         self.depth = depth
@@ -231,10 +214,10 @@ class TransformerStage(Module):
         self.norm = LayerNorm(cout)
 
     def forward(self, x: Tensor) -> Tensor:
-        t, h, w = self.embed(x)
+        t = self.embed(x)
         for b in range(self.depth):
-            t = getattr(self, str(b))(t, h, w)
-        return tokens_to_map(self.norm(t), h, w)
+            t = getattr(self, str(b))(t)
+        return transpose(self.norm(t), (0, 3, 1, 2))
 
 
 class MixTransformerEncoder(ModuleList):

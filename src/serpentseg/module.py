@@ -8,6 +8,7 @@ the checkpoint file.
 """
 from __future__ import annotations
 
+import math
 import os
 import struct
 import threading
@@ -215,7 +216,7 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
             raise CheckpointError(f"name is not UTF-8 at byte {at + e.start}") from None
         (rank,) = struct.unpack("<I", take(4))
         dims = struct.unpack(f"<{rank}I", take(4 * rank)) if rank else ()
-        size = int(np.prod(dims)) if dims else 1
+        size = math.prod(dims)
         at = pos
         vals = np.frombuffer(take(4 * size), dtype="<f4").reshape(dims)
         bad = np.flatnonzero(~np.isfinite(vals))

@@ -40,9 +40,9 @@ def no_grad():
 class Tensor:
     """N-d array plus optional gradient buffer and tape linkage.
 
-    Feature maps are (N, C, H, W); token sequences are (N, L, C); losses are
-    0-d. ``grad`` is filled by ``backward()`` and has the same shape as
-    ``data``.
+    Feature maps are (N, C, H, W), or channel-last (N, H, W, C) inside the
+    transformer branch; losses are 0-d. ``grad`` is filled by ``backward()``
+    and has the same shape as ``data``.
     """
 
     def __init__(self, data, requires_grad: bool = False):
@@ -154,6 +154,12 @@ def check_int(name: str, value, lowest: int) -> None:
         raise ContractViolation(f"{name} must be an int >= {lowest}, got {value!r}")
 
 
+def _check_bias(op: str, bias: Tensor | None, cout: int) -> None:
+    """Raise ``ContractViolation`` unless ``bias`` is None or of shape (cout,)."""
+    if bias is not None and bias.data.shape != (cout,):
+        raise ContractViolation(f"{op}: bias {bias.data.shape} does not match {(cout,)}")
+
+
 def _lift(x, like: Tensor) -> Tensor:
     if isinstance(x, Tensor):
         return x
@@ -251,13 +257,9 @@ def tsum(a: Tensor, axis=None, keepdims=False) -> Tensor:
     shape = a.data.shape
 
     def bwd(g):
-        if axis is None:
-            a._accum(np.broadcast_to(g, shape).astype(g.dtype, copy=True))
-            return
-        gg = g
-        if not keepdims:
-            gg = np.expand_dims(gg, axis)
-        a._accum(np.broadcast_to(gg, shape).astype(g.dtype, copy=True))
+        if not (keepdims or axis is None):
+            g = np.expand_dims(g, axis)
+        a._accum(np.broadcast_to(g, shape).astype(g.dtype, copy=True))
 
     return _make(data, (a,), bwd)
 
@@ -437,6 +439,7 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
         raise ContractViolation(
             f"linear: input {xd.shape} incompatible with weight {wd.shape}"
         )
+    _check_bias("linear", bias, wd.shape[0])
     rows = xd.reshape(-1, wd.shape[1])
     data = rows @ wd.T
     if bias is not None:
@@ -489,34 +492,20 @@ def _kernel_rows(xd: np.ndarray, k: int, stride: int, padding: int):
     return [shifts[..., i * wq:i * wq + span] for i in range(k)], (n, hp, wq)
 
 
-def _from_grid(out: np.ndarray, grid: tuple, stride: int, ho: int, wo: int) -> np.ndarray:
-    """The (N, Cout, Ho, Wo) outputs among the (Cout, span) grid columns."""
-    n, hp, wq = grid
-    rows = out.reshape(-1, n, hp, wq)[:, :, :ho * stride:stride, :wo]
-    return np.ascontiguousarray(rows.transpose(1, 0, 2, 3))
-
-
-def _to_grid(g: np.ndarray, grid: tuple, stride: int) -> np.ndarray:
-    """Adjoint of ``_from_grid``: (N, Cout, Ho, Wo) onto zeroed (Cout, span) columns."""
-    n, hp, wq = grid
-    _, cout, ho, wo = g.shape
-    gq = np.zeros((cout, n, hp, wq), dtype=g.dtype)
-    gq[:, :, :ho * stride:stride, :wo] = g.transpose(1, 0, 2, 3)
-    return gq.reshape(cout, -1)
-
-
 def _correlate(xd: np.ndarray, wd: np.ndarray, stride: int, padding: int) -> np.ndarray:
     """(N, Cout, Ho, Wo) correlation of (N, C, H, W) with (Cout, C, k, k):
-    one GEMM of ``wd[:, :, i, :]`` (Cout, C*k) per kernel row i."""
+    one GEMM of ``wd[:, :, i, :]`` (Cout, C*k) per kernel row i, then the
+    outputs are picked from the (N, Hp, Wq) grid of columns."""
     c, h, w = xd.shape[1:]
     cout, _, k, _ = wd.shape
-    views, grid = _kernel_rows(xd, k, stride, padding)
+    views, (n, hp, wq) = _kernel_rows(xd, k, stride, padding)
     wrows = np.ascontiguousarray(wd.transpose(2, 0, 1, 3)).reshape(k, cout, c * k)
     out = wrows[0] @ views[0].reshape(c * k, -1)
     for i in range(1, k):
         out += wrows[i] @ views[i].reshape(c * k, -1)
-    return _from_grid(out, grid, stride, (h + 2 * padding - k) // stride + 1,
-                      (w + 2 * padding - k) // stride + 1)
+    ho, wo = (h + 2 * padding - k) // stride + 1, (w + 2 * padding - k) // stride + 1
+    rows = out.reshape(cout, n, hp, wq)[:, :, :ho * stride:stride, :wo]
+    return np.ascontiguousarray(rows.transpose(1, 0, 2, 3))
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
@@ -553,14 +542,18 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
         raise ContractViolation(
             f"conv2d: kernel {wd.shape} does not fit input {xd.shape} with padding {padding}"
         )
+    _check_bias("conv2d", bias, cout)
     data = _correlate(xd, wd, stride, padding)
     if bias is not None:
         data += bias.data.reshape(1, cout, 1, 1)
 
     def bwd(g):
         if weight.needs_grad:
-            views, grid = _kernel_rows(xd, k, stride, padding)
-            gq = _to_grid(g, grid, stride)
+            views, (_, hp, wq) = _kernel_rows(xd, k, stride, padding)
+            # g back onto the zeroed grid columns ``_correlate`` picked it from
+            gq = np.zeros((cout, n, hp, wq), dtype=g.dtype)
+            gq[:, :, :g.shape[2] * stride:stride, :g.shape[3]] = g.transpose(1, 0, 2, 3)
+            gq = gq.reshape(cout, -1)
             gw = np.stack([gq @ view.reshape(cin * k, -1).T for view in views])
             del views  # freed before the input gradient allocates its buffers
             weight._accum(gw.reshape(k, cout, cin, k).transpose(1, 2, 0, 3))
@@ -580,46 +573,57 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     return _make(data, parents, bwd)
 
 
+def _padded_shifts(xd: np.ndarray) -> list:
+    """The nine shifts (i, j), row-major, of channel-last (N, H, W, C) ``xd``
+    zero-padded by 1: shift (i, j) reads padded row y + i, column x + j at
+    (y, x). Each is an (N, H, W * C) view, so a tap runs along whole rows."""
+    n, h, w, c = xd.shape
+    xp = np.zeros((n, h + 2, w + 2, c), dtype=xd.dtype)
+    xp[:, 1:-1, 1:-1] = xd
+    rows = xp.reshape(n, h + 2, (w + 2) * c)
+    return [rows[:, i:i + h, j * c:(j + w) * c] for i in range(3) for j in range(3)]
+
+
 def _correlate_depthwise(xd: np.ndarray, wd: np.ndarray) -> np.ndarray:
-    """Per-channel 3x3 correlation of (N, C, H, W) with (C, 3, 3), padding 1:
-    kernel row i contracts each channel's three weights with its view."""
-    h, w = xd.shape[2:]
-    views, grid = _kernel_rows(xd, 3, 1, 1)
-    out = sum(np.einsum("cj,cjm->cm", wd[:, i], view) for i, view in enumerate(views))
-    return _from_grid(out, grid, 1, h, w)
+    """Per-channel 3x3 correlation of (N, H, W, C) with (C, 3, 3), padding 1:
+    nine shifted multiply-adds, each tap's channel weights tiled along a row."""
+    n, h, w, c = xd.shape
+    taps = np.tile(wd.reshape(c, 9).T, w)
+    out = np.zeros((n, h, w * c), dtype=xd.dtype)
+    for view, tap in zip(_padded_shifts(xd), taps):
+        out += view * tap
+    return out.reshape(xd.shape)
 
 
 def depthwise_conv3x3(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
-    """Per-channel 3x3 convolution, padding 1. Weight shape (C, 3, 3).
+    """Per-channel 3x3 convolution, padding 1, of a channel-last (N, H, W, C)
+    map. Weight shape (C, 3, 3), bias shape (C,).
 
-    Runs on the window layout of ``conv2d`` with stride 1: kernel row i
-    contracts each channel's three weights with its view
-    (``_correlate_depthwise``). The input gradient is the same per-channel
-    correlation, of the output gradient with the flipped kernel; the weight
-    gradient contracts the output gradient with the views rebuilt from the
-    input.
+    The input gradient is the same per-channel correlation, of the output
+    gradient with the flipped kernel; the weight gradient contracts the output
+    gradient with the nine shifts of the padded input.
     """
     xd, wd = x.data, weight.data
     if xd.ndim != 4:
         raise ContractViolation(f"depthwise_conv3x3: need a 4-d input, got {xd.shape}")
-    if wd.shape != (xd.shape[1], 3, 3):
+    if wd.shape != (xd.shape[3], 3, 3):
         raise ContractViolation(
             f"depthwise_conv3x3: weight {wd.shape} does not match input {xd.shape}"
         )
+    _check_bias("depthwise_conv3x3", bias, xd.shape[3])
     data = _correlate_depthwise(xd, wd)
     if bias is not None:
-        data += bias.data.reshape(1, -1, 1, 1)
+        data += bias.data
 
     def bwd(g):
         if x.needs_grad:
             x._accum(_correlate_depthwise(g, wd[:, ::-1, ::-1]))
         if weight.needs_grad:
-            views, grid = _kernel_rows(xd, 3, 1, 1)
-            gq = _to_grid(g, grid, 1)
-            weight._accum(np.stack([np.einsum("cm,cjm->cj", gq, view) for view in views],
-                                   axis=1))
+            g_rows = g.reshape(g.shape[0], g.shape[1], -1)
+            gw = np.stack([np.einsum("nyk,nyk->k", g_rows, view) for view in _padded_shifts(xd)])
+            weight._accum(gw.reshape(9, -1, wd.shape[0]).sum(axis=1).T.reshape(wd.shape))
         if bias is not None and bias.needs_grad:
-            bias._accum(g.sum(axis=(0, 2, 3)))
+            bias._accum(g.sum(axis=(0, 1, 2)))
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     return _make(data, parents, bwd)
@@ -668,9 +672,10 @@ def upsample_bilinear(x: Tensor, factor: int) -> Tensor:
 
 
 def layer_norm(x: Tensor, gain: Tensor, shift: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize each (n, l) row of (N, L, C) over C, then scale and shift."""
+    """Normalize the last axis of (..., C), then scale and shift: token rows
+    (N, L, C) and channel-last maps (N, H, W, C) alike."""
     xd = x.data
-    if xd.ndim != 3 or gain.data.shape != (xd.shape[-1],) or shift.data.shape != (xd.shape[-1],):
+    if xd.ndim < 2 or gain.data.shape != (xd.shape[-1],) or shift.data.shape != (xd.shape[-1],):
         raise ContractViolation(
             f"layer_norm: input {xd.shape} with gain {gain.data.shape}, shift {shift.data.shape}"
         )
@@ -679,12 +684,13 @@ def layer_norm(x: Tensor, gain: Tensor, shift: Tensor, eps: float = 1e-5) -> Ten
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (xd - mu) * inv
     data = xhat * gain.data + shift.data
+    lead = tuple(range(xd.ndim - 1))
 
     def bwd(g):
         if gain.needs_grad:
-            gain._accum((g * xhat).sum(axis=(0, 1)))
+            gain._accum((g * xhat).sum(axis=lead))
         if shift.needs_grad:
-            shift._accum(g.sum(axis=(0, 1)))
+            shift._accum(g.sum(axis=lead))
         if x.needs_grad:
             gx = g * gain.data
             m1 = gx.mean(axis=-1, keepdims=True)

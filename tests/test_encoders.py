@@ -1,6 +1,8 @@
 """Snake blocks, the five-stage snake encoder, and the hierarchical
 transformer branch."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -11,11 +13,8 @@ from serpentseg.encoders import (
     SnakeBlock,
     SnakeEncoder,
     TransformerBlock,
-    map_to_tokens,
-    tokens_to_map,
 )
 from serpentseg.gradcheck import grad_check
-from serpentseg.module import Module
 from serpentseg.tensor import ContractViolation, Tensor, concat, mul, no_grad, relu
 from serpentseg.attention import apply_attention
 
@@ -179,11 +178,11 @@ class TestEfficientSelfAttention:
     def test_single_token_is_value_projection(self):
         rng = np.random.default_rng(10)
         mod = EfficientSelfAttention(8, heads=2, reduction=1, rng=rng)
-        x = rng.standard_normal((1, 1, 8)).astype(np.float32)
-        out = mod(Tensor(x), 1, 1)
-        v = x[0] @ mod.v.weight.data.T + mod.v.bias.data
+        x = rng.standard_normal((1, 1, 1, 8)).astype(np.float32)
+        out = mod(Tensor(x))
+        v = x[0, 0] @ mod.v.weight.data.T + mod.v.bias.data
         want = v @ mod.o.weight.data.T + mod.o.bias.data
-        np.testing.assert_allclose(out.data[0], want, atol=1e-5)
+        np.testing.assert_allclose(out.data[0, 0], want, atol=1e-5)
 
     def test_two_identical_tokens_attend_half_half(self):
         rng = np.random.default_rng(11)
@@ -196,16 +195,16 @@ class TestEfficientSelfAttention:
         e = np.exp(scores - scores.max(axis=-1, keepdims=True))
         probs = e / e.sum(axis=-1, keepdims=True)
         np.testing.assert_allclose(probs, 0.5, atol=1e-12)
-        out = mod(Tensor(x.astype(np.float32)), 1, 2)
-        np.testing.assert_allclose(out.data[0, 0], out.data[0, 1], atol=1e-6)
+        out = mod(Tensor(x.astype(np.float32).reshape(1, 1, 2, 4)))
+        np.testing.assert_allclose(out.data[0, 0, 0], out.data[0, 0, 1], atol=1e-6)
 
     def test_matches_naive_oracle_with_reduction(self):
         rng = np.random.default_rng(12)
         mod = EfficientSelfAttention(8, heads=2, reduction=2, rng=rng)
         x = rng.standard_normal((1, 16, 8)).astype(np.float32)
-        out = mod(Tensor(x), 4, 4)
+        out = mod(Tensor(x.reshape(1, 4, 4, 8)))
         ref = esa_reference(x.astype(np.float64), mod)
-        np.testing.assert_allclose(out.data, ref, atol=1e-5)
+        np.testing.assert_allclose(out.data.reshape(1, 16, 8), ref, atol=1e-5)
 
     def test_divisibility_violations_rejected(self):
         rng = np.random.default_rng(13)
@@ -213,7 +212,14 @@ class TestEfficientSelfAttention:
             EfficientSelfAttention(6, heads=4, reduction=1, rng=rng)
         mod = EfficientSelfAttention(8, heads=2, reduction=2, rng=rng)
         with pytest.raises(ContractViolation):
-            mod(Tensor(np.zeros((1, 15, 8), dtype=np.float32)), 3, 5)
+            mod(Tensor(np.zeros((1, 3, 5, 8), dtype=np.float32)))
+
+    @pytest.mark.parametrize("shape", [(1, 16, 8), (1, 4, 4, 6)])
+    @pytest.mark.parametrize("build", [EfficientSelfAttention, TransformerBlock])
+    def test_rejects_input_that_is_not_a_channel_last_map(self, build, shape):
+        mod = build(8, heads=2, reduction=2, rng=np.random.default_rng(18))
+        with pytest.raises(ContractViolation, match=re.escape(str(shape))):
+            mod(Tensor(np.zeros(shape, dtype=np.float32)))
 
 
 class TestMixFFN:
@@ -221,14 +227,14 @@ class TestMixFFN:
         rng = np.random.default_rng(14)
         mod = MixFFN(4, rng)
         _zero_params(mod)
-        out = mod(Tensor(np.random.default_rng(15).standard_normal((1, 16, 4)).astype(np.float32)), 4, 4)
+        out = mod(Tensor(np.random.default_rng(15).standard_normal((1, 4, 4, 4)).astype(np.float32)))
         np.testing.assert_array_equal(out.data, 0.0)
 
     def test_shape_preserved(self):
         rng = np.random.default_rng(16)
         mod = MixFFN(16, rng)
-        out = mod(Tensor(rng.standard_normal((1, 64, 16)).astype(np.float32)), 8, 8)
-        assert out.data.shape == (1, 64, 16)
+        out = mod(Tensor(rng.standard_normal((1, 8, 8, 16)).astype(np.float32)))
+        assert out.data.shape == (1, 8, 8, 16)
 
     def test_matches_composition_oracle(self):
         rng = np.random.default_rng(17)
@@ -247,13 +253,8 @@ class TestMixFFN:
         act = 0.5 * conv * (1 + erf(conv / np.sqrt(2)))
         tok = act.transpose(0, 2, 3, 1).reshape(1, 16, 16)
         want = tok @ mod.fc2.weight.data.T.astype(np.float64) + mod.fc2.bias.data
-        out = mod(Tensor(x.astype(np.float32)), h, w)
-        np.testing.assert_allclose(out.data, want, atol=1e-5)
-
-    def test_token_count_mismatch_rejected(self):
-        mod = MixFFN(4, np.random.default_rng(18))
-        with pytest.raises(ContractViolation):
-            mod(Tensor(np.zeros((1, 10, 4), dtype=np.float32)), 3, 3)
+        out = mod(Tensor(x.astype(np.float32).reshape(1, h, w, 4)))
+        np.testing.assert_allclose(out.data.reshape(1, 16, 4), want, atol=1e-5)
 
 
 class TestTransformerEncoder:
@@ -283,22 +284,6 @@ class TestTransformerEncoder:
         for f, fp in zip(feats, feats_p):
             np.testing.assert_allclose(fp.data, f.data[perm], atol=1e-6)
 
-    def test_tokens_map_round_trip(self):
-        rng = np.random.default_rng(22)
-        x = Tensor(rng.standard_normal((2, 3, 4, 5)).astype(np.float32))
-        back = tokens_to_map(map_to_tokens(x), 4, 5)
-        np.testing.assert_array_equal(back.data, x.data)
-
-
-class _BlockWrap(Module):
-    def __init__(self, block, h, w):
-        super().__init__()
-        self.block = block
-        self.hw = (h, w)
-
-    def forward(self, x):
-        return self.block(x, *self.hw)
-
 
 class TestEncoderGradients:
     def test_snake_block_grad_check(self):
@@ -315,26 +300,13 @@ class TestEncoderGradients:
     def test_transformer_block_grad_check(self):
         rng = np.random.default_rng(26)
         block = TransformerBlock(8, heads=2, reduction=2, rng=rng)
-        wrapped = _BlockWrap(block, 4, 4)
-        report = grad_check(wrapped, np.random.default_rng(27).standard_normal((1, 16, 8)),
+        report = grad_check(block, np.random.default_rng(27).standard_normal((1, 4, 4, 8)),
                             tolerance=1e-3)
         assert report.passed, str(report)
 
     def test_single_stage_transformer_grad_check(self):
         rng = np.random.default_rng(28)
-
-        class OneStage(Module):
-            def __init__(self):
-                super().__init__()
-                self.enc = MixTransformerEncoder(1, (4, 4, 4, 4), (1, 0, 0, 0),
-                                                 (1, 1, 1, 1), (2, 1, 1, 1), rng)
-
-            def forward(self, x):
-                t, h, w = self.enc[0].embed(x)
-                for b in range(self.enc[0].depth):
-                    t = getattr(self.enc[0], str(b))(t, h, w)
-                return self.enc[0].norm(t)
-
-        report = grad_check(OneStage(), np.random.default_rng(29).standard_normal((1, 1, 8, 8)),
+        enc = MixTransformerEncoder(1, (4, 4, 4, 4), (1, 0, 0, 0), (1, 1, 1, 1), (2, 1, 1, 1), rng)
+        report = grad_check(enc[0], np.random.default_rng(29).standard_normal((1, 1, 8, 8)),
                             tolerance=1e-3)
         assert report.passed, str(report)

@@ -150,6 +150,16 @@ class TestCheckpointFile:
         with pytest.raises(CheckpointError, match="byte"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("dims", [(65536,) * 4, (2**32 - 1, 2**32 - 1)])
+    def test_dims_beyond_int64_report_offset(self, tmp_path, dims):
+        # the element count overflows int64, so it must be taken exactly
+        path = tmp_path / "huge.spt"
+        path.write_bytes(b"SPT1" + struct.pack("<I", 1) + struct.pack("<I", 1) + b"w"
+                         + struct.pack("<I", len(dims)) + struct.pack(f"<{len(dims)}I", *dims))
+        values_at = 12 + 1 + 4 + 4 * len(dims)
+        with pytest.raises(CheckpointError, match=f"truncated checkpoint at byte {values_at} "):
+            load_checkpoint(path)
+
     def test_bad_utf8_name_reports_offset(self, tmp_path):
         path = tmp_path / "name.spt"
         save_checkpoint(path, {"w": np.ones(2, dtype=np.float32)})

@@ -1,6 +1,7 @@
 """Primitive-layer tests: every op against a naive loop oracle plus the
 gradient checker."""
 
+import re
 import threading
 import tracemalloc
 
@@ -225,22 +226,36 @@ class TestDepthwiseConv3x3:
         b = rng.standard_normal(3).astype(np.float32)
         full = np.zeros((3, 3, 3, 3))
         full[np.arange(3), np.arange(3)] = w  # output channel c reads input channel c only
-        out = T.depthwise_conv3x3(Tensor(x), Tensor(w), Tensor(b) if with_bias else None)
+        x_last = x.transpose(0, 2, 3, 1)
+        out = T.depthwise_conv3x3(Tensor(x_last), Tensor(w), Tensor(b) if with_bias else None)
         ref = oracles.conv2d_oracle(x.astype(np.float64), full,
                                     b.astype(np.float64) if with_bias else np.zeros(3),
                                     padding=1)
-        assert out.data.shape == x.shape
-        np.testing.assert_allclose(out.data, ref, atol=1e-5)
+        assert out.data.shape == x_last.shape
+        np.testing.assert_allclose(out.data, ref.transpose(0, 2, 3, 1), atol=1e-5)
 
     def test_weight_shape_mismatch_raises(self):
         with pytest.raises(ContractViolation, match=r"\(2, 3, 3\)"):
-            T.depthwise_conv3x3(Tensor(np.zeros((1, 3, 4, 4), dtype=np.float32)),
+            T.depthwise_conv3x3(Tensor(np.zeros((1, 4, 4, 3), dtype=np.float32)),
                                 Tensor(np.zeros((2, 3, 3), dtype=np.float32)))
 
     def test_three_d_input_raises(self):
-        with pytest.raises(ContractViolation, match=r"depthwise_conv3x3: .*\(3, 4, 4\)"):
-            T.depthwise_conv3x3(Tensor(np.zeros((3, 4, 4), dtype=np.float32)),
+        with pytest.raises(ContractViolation, match=r"depthwise_conv3x3: .*\(4, 4, 3\)"):
+            T.depthwise_conv3x3(Tensor(np.zeros((4, 4, 3), dtype=np.float32)),
                                 Tensor(np.zeros((3, 3, 3), dtype=np.float32)))
+
+
+@pytest.mark.parametrize("op,x_shape,w_shape", [
+    (T.conv2d, (1, 2, 4, 4), (3, 2, 3, 3)),
+    (T.depthwise_conv3x3, (1, 4, 4, 3), (3, 3, 3)),
+    (T.linear, (2, 4), (3, 4)),
+], ids=["conv2d", "depthwise_conv3x3", "linear"])
+@pytest.mark.parametrize("b_shape", [(1,), (4,), (1, 3)])
+def test_bias_needs_one_value_per_output_channel(op, x_shape, w_shape, b_shape):
+    # a (1,) bias would broadcast over every output without the check
+    x, w, b = (Tensor(np.zeros(shape, dtype=np.float32)) for shape in (x_shape, w_shape, b_shape))
+    with pytest.raises(ContractViolation, match=re.escape(f"bias {b_shape} does not match (3,)")):
+        op(x, w, b)
 
 
 class TestMaxPool2:
@@ -501,7 +516,7 @@ class TestGradients:
             def forward(self, x):
                 return T.depthwise_conv3x3(x, self.w, self.b)
 
-        self._check(DW(), rng.standard_normal((2, 3, 4, 4)))
+        self._check(DW(), rng.standard_normal((2, 4, 4, 3)))
 
     def test_depthwise_conv_odd_sizes_batch_two(self):
         rng = np.random.default_rng(34)
@@ -510,15 +525,16 @@ class TestGradients:
         b = rng.standard_normal(3)
         full = np.zeros((3, 3, 3, 3))
         full[np.arange(3), np.arange(3)] = w
-        out = T.depthwise_conv3x3(Tensor(x), Tensor(w), Tensor(b))
-        np.testing.assert_allclose(out.data, oracles.conv2d_oracle(x, full, b, padding=1),
-                                   atol=1e-12)
-        self._check(FunctionModule(T.depthwise_conv3x3), [x, w, b])
+        x_last = np.ascontiguousarray(x.transpose(0, 2, 3, 1))  # grad_check perturbs in place
+        out = T.depthwise_conv3x3(Tensor(x_last), Tensor(w), Tensor(b))
+        np.testing.assert_allclose(out.data, oracles.conv2d_oracle(x, full, b, padding=1)
+                                   .transpose(0, 2, 3, 1), atol=1e-12)
+        self._check(FunctionModule(T.depthwise_conv3x3), [x_last, w, b])
 
     def test_depthwise_conv_without_bias(self):
         rng = np.random.default_rng(31)
         self._check(FunctionModule(T.depthwise_conv3x3),
-                    [rng.standard_normal((2, 3, 4, 5)), rng.standard_normal((3, 3, 3))])
+                    [rng.standard_normal((2, 4, 5, 3)), rng.standard_normal((3, 3, 3))])
 
     @pytest.mark.parametrize("op", [T.add, T.sub, T.mul, T.div])
     @pytest.mark.parametrize("a_shape,b_shape", [
@@ -580,6 +596,7 @@ class TestGradients:
     def test_layer_norm(self):
         rng = np.random.default_rng(18)
         self._check(LayerNorm(6), rng.standard_normal((2, 3, 6)))
+        self._check(LayerNorm(6), rng.standard_normal((2, 3, 2, 6)))  # a channel-last map
 
     def test_softmax_and_matmul(self):
         rng = np.random.default_rng(19)
