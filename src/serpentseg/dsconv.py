@@ -9,17 +9,18 @@ bilinear interpolation (border-clamped) and contracted against a
 (Cout, Cin, 9) weight.
 
 Everything between the offsets and the output works on pixel rows: points
-are ordered (n, h, w, t) and samples are channel-last, so each step is a
-linear map. Per axis, a pixel's nine chain coordinates are its center plus
-a fixed (9, 16) prefix-sum matrix (``_prefix_matrix``) times its 16 steps;
-the samples come back as (N, H*W*9, Cin) rows; and the contraction is one
-``linear`` over rows of 9*Cin samples.
+are ordered (n, h, w, t), a point is one (x, y) pair, and samples are
+channel-last, so each step is a linear map. A pixel's nine chain points are
+its center plus one fixed (18, 16) prefix-sum matrix (``_prefix_matrix``)
+times its 16 steps, giving one (N, H*W*9, 2) point tensor; the samples come
+back as (N, H*W*9, Cin) rows; and the contraction is one ``linear`` over
+rows of 9*Cin samples.
 
 The bilinear reads are a sparse matrix of corner weights over the feature
-rows, built from the coordinates and dropped after forward: the tape keeps
-only the feature and the two coordinate tensors, and backward rebuilds the
-corner indices and weights from the coordinates, then the matrices of the
-feature gradient and of the x and y derivatives one at a time.
+rows, built from the points and dropped after forward: the tape keeps only
+the feature and the point tensor, and backward rebuilds the corner indices
+and weights from the points, then the matrices of the feature gradient and
+of the x and y derivatives one at a time.
 
 Offset channel layout, for chain distance c in 1..4 with base = 4*(c-1):
     base+0: dx of the forward point t+c      base+1: dy of t+c
@@ -51,99 +52,92 @@ OFFSET_CHANNELS = 16  # 8 non-center points x 2 components
 # atanh(0.95): initial steps of 0.95 px along the instance axis, so fresh
 # instances start as near-straight rows/columns instead of collapsed points
 INIT_STEP_BIAS = math.atanh(0.95)
-# tanh(20) rounds to 1.0 even in float64: exact unit steps for frozen chains
-STRAIGHT_BIAS = 20.0
 
 
-def _prefix_matrix(component: int, dtype) -> np.ndarray:
-    """(9, 16) map from the steps to chain offsets along one axis.
+def _prefix_matrix(dtype) -> np.ndarray:
+    """(18, 16) map from a pixel's steps to its chain offsets.
 
-    ``component`` 0 is the x axis (dx channels), 1 the y axis. Row 4+c (point
-    t+c) sums the forward steps of distances 1..c and row 4-c subtracts the
-    backward ones, a lower-triangular block each; the center row is zero.
+    Row 2t + a is point t's offset along axis a (0: x, 1: y). Point t+c sums
+    the forward steps of distances 1..c along that axis and point t-c
+    subtracts the backward ones, a lower-triangular block each; the center
+    rows are zero.
     """
     tri = np.tril(np.ones((4, 4), dtype=dtype))
-    p = np.zeros((CHAIN_LEN, OFFSET_CHANNELS), dtype=dtype)
-    p[5:, component::4] = tri
-    p[3::-1, component + 2::4] = -tri
-    return p
+    p = np.zeros((CHAIN_LEN, 2, OFFSET_CHANNELS), dtype=dtype)
+    for a in range(2):
+        p[5:, a, a::4] = tri
+        p[3::-1, a, a + 2::4] = -tri
+    return p.reshape(2 * CHAIN_LEN, OFFSET_CHANNELS)
 
 
-def _chain_axis(steps: Tensor, component: int, center: np.ndarray) -> Tensor:
-    """One coordinate of the chain as pixel rows (N, H, W, 9): ``center``
-    (H*W,) plus the prefix-sum matrix applied to the pixel's 16 steps."""
+def chain_coordinates(steps: Tensor) -> Tensor:
+    """Chain points (N, H*W*9, 2) of the (N, 16, H, W) squashed steps.
+
+    Points are ordered (n, h, w, t), t-4..t+4, with (x, y) last: each pixel's
+    center plus its 16 steps times the prefix matrix. The backward is the
+    transposed matmul.
+    """
     sd = steps.data
     n, c, h, w = sd.shape
-    p = _prefix_matrix(component, sd.dtype)
-    rows = sd.reshape(n, c, h * w).transpose(0, 2, 1) @ p.T
-    rows += center[:, None]
+    if c != OFFSET_CHANNELS:
+        raise ContractViolation(f"offset field needs 16 channels, got shape {sd.shape}")
+    p = _prefix_matrix(sd.dtype)
+    pts = (sd.reshape(n, c, h * w).transpose(0, 2, 1) @ p.T).reshape(n, h, w, CHAIN_LEN, 2)
+    pts[..., 0] += np.arange(w, dtype=sd.dtype)[:, None]
+    pts[..., 1] += np.arange(h, dtype=sd.dtype)[:, None, None]
 
     def bwd(g):
-        steps._accum((g.reshape(n, h * w, CHAIN_LEN) @ p).transpose(0, 2, 1).reshape(n, c, h, w))
+        gs = g.reshape(n, h * w, 2 * CHAIN_LEN) @ p
+        steps._accum(gs.transpose(0, 2, 1).reshape(n, c, h, w))
 
-    return _make(rows.reshape(n, h, w, CHAIN_LEN), (steps,), bwd)
-
-
-def chain_coordinates(s: Tensor) -> tuple[Tensor, Tensor]:
-    """Dense chain coordinates (xs, ys), each (N, 9, H, W), order t-4..t+4,
-    from the (N, 16, H, W) squashed steps; both are transposed views of
-    pixel rows (N, H, W, 9)."""
-    n, c, h, w = s.data.shape
-    if c != OFFSET_CHANNELS:
-        raise ContractViolation(f"offset field needs 16 channels, got shape {s.data.shape}")
-    dt = s.data.dtype
-    centers = (np.tile(np.arange(w, dtype=dt), h), np.repeat(np.arange(h, dtype=dt), w))
-    return tuple(transpose(_chain_axis(s, i, ctr), (0, 3, 1, 2))
-                 for i, ctr in enumerate(centers))
+    return _make(pts.reshape(n, h * w * CHAIN_LEN, 2), (steps,), bwd)
 
 
-def _axis_weights(d: np.ndarray, size: int, dtype) -> tuple[np.ndarray, np.ndarray]:
-    """Lower corner (float) and (1 - t, t) weights, (..., 2), of coordinates
-    ``d`` along an axis of ``size`` pixels, clamped to the border first."""
-    c = np.clip(d, 0.0, size - 1.0)
-    lo = np.floor(c)
-    np.minimum(lo, max(size - 2, 0), out=lo)
-    wt = np.empty(d.shape + (2,), dtype=dtype)
-    np.subtract(c, lo, out=wt[..., 1])
-    np.subtract(1.0, wt[..., 1], out=wt[..., 0])
-    return lo, wt
-
-
-def _corners(xd: np.ndarray, yd: np.ndarray, h: int, w: int, dtype):
-    """CSR column indices (N*M*4,), row pointers (N*M+1,) and per-axis
-    weights ``wx``, ``wy`` (N, M, 2) of bilinear reads at points (N, M).
+def _corners(pd: np.ndarray, h: int, w: int, dtype):
+    """CSR column indices (N*M*4,), row pointers (N*M+1,), weights
+    (2, 2, N*M) and in-border mask (2, N*M) of bilinear reads at points
+    (N, M, 2).
 
     Row n*M + m reads point m's corners over the rows of the channel-last
     feature (N*H*W, C), in the order (00, 01, 10, 11): corner 2a+b is y-step
-    a and x-step b. Corners stay in the point's own image, so the matrix is
-    block diagonal over the batch; along a side of length 1 the two corners
-    coincide.
+    a and x-step b. The points are worked on axis-major (row 0 x, row 1 y),
+    so each axis is one contiguous row: they are clamped to the border, and
+    weight [a] holds (1 - t, t) along axis a. Corners stay in the point's
+    own image, so the matrix is block diagonal over the batch; along a side
+    of length 1 the two corners coincide.
     """
-    n, m = xd.shape
-    x0, wx = _axis_weights(xd, w, dtype)
-    y0, wy = _axis_weights(yd, h, dtype)
+    n, m, _ = pd.shape
+    pa = pd.reshape(n * m, 2).T.copy()  # clamped in place below
+    hi = np.array([[w - 1], [h - 1]], dtype=pd.dtype)
+    inside = (pa >= 0.0) & (pa <= hi)
+    np.clip(pa, 0.0, hi, out=pa)
+    lo = np.floor(pa)
+    np.minimum(lo, np.maximum(hi - 1, 0), out=lo)
+    wt = np.empty((2, 2, n * m), dtype=dtype)
+    np.subtract(pa, lo, out=wt[:, 1])
+    np.subtract(1.0, wt[:, 1], out=wt[:, 0])
     idx_t = get_index_dtype(maxval=max(4 * n * m, n * h * w))
     cols = np.empty((n, m, 4), dtype=idx_t)
     i00 = cols[..., 0]
-    i00[...] = y0
+    i00[...] = lo[1].reshape(n, m)
     i00 *= w
-    i00 += x0.astype(idx_t)
+    i00 += lo[0].reshape(n, m).astype(idx_t)
     i00 += (np.arange(n, dtype=idx_t) * (h * w))[:, None]
     sx, sy = min(w - 1, 1), min(h - 1, 1) * w
     for corner, step in ((1, sx), (2, sy), (3, sx + sy)):
         np.add(i00, step, out=cols[..., corner])
     indptr = np.arange(0, 4 * n * m + 1, 4, dtype=idx_t)
-    return cols.reshape(-1), indptr, wx, wy
+    return cols.reshape(-1), indptr, wt, inside
 
 
 def _corner_matrix(ay: np.ndarray, ax: np.ndarray, cols: np.ndarray, indptr: np.ndarray,
                    shape: tuple[int, int]) -> csr_array:
-    """CSR matrix whose corner 2a+b of each row holds ``ay[..., a] * ax[..., b]``;
-    either factor may be a constant (2,) pair."""
+    """CSR matrix whose corner 2a+b of each row holds ``ay[a] * ax[b]``; each
+    factor is a (2, N*M) weight pair or a constant (2,) pair."""
     vals = np.empty((indptr.size - 1, 4), dtype=np.result_type(ay, ax))
     for a in range(2):
         for b in range(2):
-            np.multiply(ay[..., a].reshape(-1), ax[..., b].reshape(-1), out=vals[:, 2 * a + b])
+            np.multiply(ay[a], ax[b], out=vals[:, 2 * a + b])
     return csr_array((vals.reshape(-1), cols, indptr), shape=shape)
 
 
@@ -152,65 +146,64 @@ def _feature_rows(fd: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(fd.transpose(0, 2, 3, 1)).reshape(n * h * w, c)
 
 
-def grid_sample_points(feature: Tensor, x: Tensor, y: Tensor) -> Tensor:
-    """Bilinear reads of ``feature`` (N, C, H, W) at flat point lists (N, M),
+def grid_sample_points(feature: Tensor, points: Tensor) -> Tensor:
+    """Bilinear reads of ``feature`` (N, C, H, W) at (x, y) points (N, M, 2),
     returned as channel-last rows (N, M, C).
 
-    Coordinates are clamped to the border before weighting; the gradient with
+    Points are clamped to the border before weighting; the gradient with
     respect to a clamped coordinate is zero. Differentiable in the feature
-    values and both coordinates.
+    values and the points.
 
-    The tape keeps only ``feature``, ``x`` and ``y``: forward builds the
-    sparse sampling matrix of corner weights, applies it to the channel-last
-    feature rows and drops both. Backward rebuilds the indices and weights
-    from the coordinates (``_corners``) and, one at a time, the matrices of
-    the feature gradient (the sampling matrix, transposed) and of the x and
-    y derivatives, whose corner weights are the sampling weights with the
+    The tape keeps only ``feature`` and ``points``: forward builds the sparse
+    sampling matrix of corner weights, applies it to the channel-last feature
+    rows and drops both. Backward rebuilds the indices and weights from the
+    points (``_corners``) and, one at a time, the matrices of the feature
+    gradient (the sampling matrix, transposed) and of the x and y
+    derivatives, whose corner weights are the sampling weights with the
     derivative's axis replaced by (-1, 1).
     """
-    fd, xd, yd = feature.data, x.data, y.data
+    fd, pd = feature.data, points.data
     n, c, h, w = fd.shape
-    if xd.shape != yd.shape or xd.shape[0] != n or xd.ndim != 2:
-        raise ContractViolation(
-            f"points {xd.shape}/{yd.shape} do not match feature {fd.shape}"
-        )
-    if not (np.isfinite(xd).all() and np.isfinite(yd).all()):
+    if pd.ndim != 3 or pd.shape[0] != n or pd.shape[2] != 2:
+        raise ContractViolation(f"points {pd.shape} do not match feature {fd.shape}: "
+                                f"need (N, M, 2)")
+    if not np.isfinite(pd).all():
         raise ContractViolation("non-finite sampling coordinate")
 
-    m = xd.shape[1]
+    m = pd.shape[1]
     shape = (n * m, n * h * w)
-    cols, indptr, wx, wy = _corners(xd, yd, h, w, fd.dtype)
-    out = _corner_matrix(wy, wx, cols, indptr, shape) @ _feature_rows(fd)
+    cols, indptr, wt, _ = _corners(pd, h, w, fd.dtype)
+    out = _corner_matrix(wt[1], wt[0], cols, indptr, shape) @ _feature_rows(fd)
 
     def bwd(g):
-        cols, indptr, wx, wy = _corners(xd, yd, h, w, fd.dtype)
+        cols, indptr, wt, inside = _corners(pd, h, w, fd.dtype)
         gl = g.reshape(n * m, c)
         if feature.needs_grad:
-            gf = (_corner_matrix(wy, wx, cols, indptr, shape).T @ gl).reshape(n, h, w, c)
-            feature._accum(np.ascontiguousarray(gf.transpose(0, 3, 1, 2)))
-        if not (x.needs_grad or y.needs_grad):
+            gf = _corner_matrix(wt[1], wt[0], cols, indptr, shape).T @ gl
+            feature._accum(np.ascontiguousarray(gf.reshape(n, h, w, c).transpose(0, 3, 1, 2)))
+        if not points.needs_grad:
             return
         rows = _feature_rows(fd)
         step = np.array([-1.0, 1.0], dtype=fd.dtype)
-        for t, (ay, ax), d, size in ((x, (wy, step), xd, w), (y, (step, wx), yd, h)):
-            if t.needs_grad:
-                deriv = _corner_matrix(ay, ax, cols, indptr, shape) @ rows
-                deriv *= gl
-                deriv = deriv.sum(axis=1).reshape(n, m)
-                t._accum(deriv * ((d >= 0.0) & (d <= size - 1.0)))
+        gp = np.empty((2, n * m), dtype=fd.dtype)
+        for a, (ay, ax) in enumerate(((wt[1], step), (step, wt[0]))):
+            deriv = _corner_matrix(ay, ax, cols, indptr, shape) @ rows
+            deriv *= gl
+            gp[a] = deriv.sum(axis=1)
+            del deriv  # before the next product is built
+        gp *= inside
+        points._accum(gp.T.reshape(n, m, 2))
 
-    return _make(out.reshape(n, m, c), (feature, x, y), bwd)
+    return _make(out.reshape(n, m, c), (feature, points), bwd)
 
 
-def chain_contract(sampled: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """Contract per-pixel samples (N, H, W, 9, Cin) with a (Cout, Cin, 9)
-    weight into (N, Cout, H, W): one ``linear`` over rows of 9*Cin samples."""
-    n, h, w, t, cin = sampled.data.shape
-    cout = weight.data.shape[0]
-    if weight.data.shape[1:] != (cin, t):
+def chain_contract(rows: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+    """Contract per-pixel sample rows (N, H, W, 9*Cin), ordered (t, Cin), with
+    a (Cout, Cin, 9) weight into (N, Cout, H, W): one ``linear``."""
+    cout, cin, t = weight.data.shape
+    if rows.data.ndim != 4 or rows.data.shape[3] != t * cin:
         raise ContractViolation(
-            f"samples {sampled.data.shape} do not match weight {weight.data.shape}")
-    rows = reshape(sampled, (n, h, w, t * cin))
+            f"samples {rows.data.shape} do not match weight {weight.data.shape}")
     return transpose(linear(rows, reshape(transpose(weight, (0, 2, 1)), (cout, t * cin)), bias),
                      (0, 3, 1, 2))
 
@@ -302,18 +295,14 @@ class SnakeConv2d(Module):
         """Predict tanh-squashed per-step displacements, (N, 16, H, W); the
         level with kernel 2c+1 serves chain distance c.
 
-        Frozen instances carry no pyramid parameters: their offsets are the
-        constant saturated straight-chain pattern.
+        Frozen instances carry no pyramid parameters: their steps are exact
+        unit steps along the axis (a straight 9-point line).
         """
         n, _, h, w = x.data.shape
-        dt = x.data.dtype
         if self.frozen_offsets:
-            pattern = np.zeros(OFFSET_CHANNELS, dtype=dt)
-            start = 0 if self.axis == "horizontal" else 1
-            pattern[start::4][0:4] = STRAIGHT_BIAS
-            pattern[start + 2::4][0:4] = STRAIGHT_BIAS
-            raw = np.broadcast_to(pattern.reshape(1, -1, 1, 1), (n, OFFSET_CHANNELS, h, w))
-            return Tensor(np.tanh(raw))
+            steps = np.zeros((n, OFFSET_CHANNELS, h, w), dtype=x.data.dtype)
+            steps[:, (0 if self.axis == "horizontal" else 1)::2] = 1.0
+            return Tensor(steps)
         return tanh(self.pyramid(x))
 
     def forward(self, x: Tensor) -> Tensor:
@@ -322,7 +311,6 @@ class SnakeConv2d(Module):
             raise ContractViolation(
                 f"input {x.data.shape} does not match configured {self.cin} channels"
             )
-        xs, ys = chain_coordinates(self.compute_pyramid_offsets(x))
-        xr, yr = (reshape(transpose(a, (0, 2, 3, 1)), (n, h * w * CHAIN_LEN)) for a in (xs, ys))
-        sampled = reshape(grid_sample_points(x, xr, yr), (n, h, w, CHAIN_LEN, c))
+        points = chain_coordinates(self.compute_pyramid_offsets(x))
+        sampled = reshape(grid_sample_points(x, points), (n, h, w, CHAIN_LEN * c))
         return chain_contract(sampled, self.chain.weight, self.chain.bias)

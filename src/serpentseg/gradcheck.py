@@ -45,7 +45,8 @@ def grad_check(module: Module, inputs, tolerance: float = 1e-3, h: float = 1e-4,
         inputs = [inputs]
     module.set_dtype(np.float64)
     try:
-        in_tensors = [Tensor(np.asarray(a, dtype=np.float64), requires_grad=True)
+        # C-ordered copies: each input is perturbed in place through a flat view
+        in_tensors = [Tensor(np.array(a, dtype=np.float64, order="C"), requires_grad=True)
                       for a in inputs]
         probe_rng = np.random.default_rng(loss_seed)
         weights_cache: dict[tuple, np.ndarray] = {}

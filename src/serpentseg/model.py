@@ -8,6 +8,7 @@ resolution.
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 
@@ -170,10 +171,16 @@ class SnakeFormer(Module):
         if not np.isfinite(image.data).all():
             raise ContractViolation(f"image of shape {image.data.shape} has NaN or Inf values")
         h, w = image.data.shape[2:]
-        if h % 32 or w % 32:
-            raise ContractViolation(
-                f"input spatial dims must be divisible by 32, got {image.data.shape}"
-            )
+        # 32 for the 1/32 scale, and stage i's reduction must divide its 1/2^(i+2) grid
+        side, why = 32, ""
+        for i, (r, depth) in enumerate(zip(self.cfg.transformer_reductions,
+                                           self.cfg.transformer_depths)):
+            if depth and 32 % (r << (i + 2)):
+                side = math.lcm(side, r << (i + 2))
+                why += f", transformer_reductions[{i}] = {r} on the 1/{4 << i} grid"
+        if h % side or w % side:
+            raise ContractViolation(f"image sides must be multiples of {side}{why}; "
+                                    f"got {image.data.shape}")
         dsc = self.enc.dsc(image)   # 1/1, 1/2, 1/4, 1/8, 1/16
         mit = self.enc.mit(image)   # 1/4, 1/8, 1/16, 1/32
         dec = self.dec

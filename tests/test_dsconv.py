@@ -2,6 +2,7 @@
 against brute-force references."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -17,7 +18,6 @@ from oracles import (
 )
 from serpentseg.dsconv import (
     INIT_STEP_BIAS,
-    STRAIGHT_BIAS,
     SnakeConv2d,
     chain_coordinates,
     grid_sample_points,
@@ -45,15 +45,15 @@ def chain_points(center, steps):
     h, w = center
     field = np.zeros((1, 16, h + 1, w + 1))
     field[0, :, h, w] = steps
-    xs, ys = chain_coordinates(Tensor(field))
-    return [(xs.data[0, t, h, w], ys.data[0, t, h, w]) for t in range(9)]
+    pts = chain_coordinates(Tensor(field)).data.reshape(h + 1, w + 1, 9, 2)
+    return [tuple(pts[h, w, t]) for t in range(9)]
 
 
 def bilinear_sample(feature, point):
     """``grid_sample_points`` at one (x, y) point per image; returns (N, Cin)."""
     n, c = feature.data.shape[:2]
-    coords = [Tensor(np.full((n, 1), v, dtype=feature.data.dtype)) for v in point]
-    return reshape(grid_sample_points(feature, *coords), (n, c))
+    points = np.broadcast_to(np.array(point, dtype=feature.data.dtype), (n, 1, 2))
+    return reshape(grid_sample_points(feature, Tensor(points.copy())), (n, c))
 
 
 class TestPyramidOffsets:
@@ -163,13 +163,13 @@ class TestIterateChain:
         rng = np.random.default_rng(9)
         x = rng.standard_normal((1, 1, 5, 6)).astype(np.float32)
         field = conv.compute_pyramid_offsets(Tensor(x))
-        xs, ys = chain_coordinates(field)
+        got = chain_coordinates(field).data.reshape(5, 6, 9, 2)
         for hh in range(5):
             for ww in range(6):
                 pts = chain_points_oracle((hh, ww), field.data[0, :, hh, ww])
                 for t in range(9):
-                    assert xs.data[0, t, hh, ww] == pytest.approx(pts[t][0], abs=1e-5)
-                    assert ys.data[0, t, hh, ww] == pytest.approx(pts[t][1], abs=1e-5)
+                    assert got[hh, ww, t, 0] == pytest.approx(pts[t][0], abs=1e-5)
+                    assert got[hh, ww, t, 1] == pytest.approx(pts[t][1], abs=1e-5)
 
 
 class TestBilinearSample:
@@ -200,17 +200,18 @@ class TestBilinearSample:
         f = rng.standard_normal((2, 3, 5, 6))
         xs = rng.uniform(-1.5, 6.5, (2, 7))
         ys = rng.uniform(-1.5, 5.5, (2, 7))
+        pts = np.stack([xs, ys], axis=-1)
         upstream = rng.standard_normal((2, 7, 3))
 
-        def run(fd, xd, yd, g):
-            ts = [Tensor(a, requires_grad=True) for a in (fd, xd, yd)]
+        def run(fd, pd, g):
+            ts = [Tensor(a, requires_grad=True) for a in (fd, pd)]
             out = grid_sample_points(*ts)
             (out * Tensor(g)).sum().backward()
             return [out.data] + [t.grad for t in ts]
 
-        batch = run(f, xs, ys, upstream)
+        batch = run(f, pts, upstream)
         for i in range(2):
-            alone = run(f[i:i + 1], xs[i:i + 1], ys[i:i + 1], upstream[i:i + 1])
+            alone = run(f[i:i + 1], pts[i:i + 1], upstream[i:i + 1])
             for got, want in zip(batch, alone):
                 np.testing.assert_allclose(got[i:i + 1], want, rtol=1e-12, atol=1e-12)
 
@@ -228,7 +229,8 @@ class TestBilinearSample:
         xs = np.array([[p[0] for p in pts]] * n) + 0.05 * np.arange(n)[:, None]
         ys = np.array([[p[1] for p in pts]] * n)
         sampler = FunctionModule(grid_sample_points)
-        report = grad_check(sampler, [rng.standard_normal(shape), xs, ys], tolerance=1e-6)
+        report = grad_check(sampler, [rng.standard_normal(shape), np.stack([xs, ys], axis=-1)],
+                            tolerance=1e-6)
         assert report.passed, str(report)
 
     @staticmethod
@@ -239,19 +241,19 @@ class TestBilinearSample:
         n, c, h, w = 2, 8, 40, 40
         m = h * w * 9
         f = Tensor(rng.standard_normal((n, c, h, w)).astype(np.float32), requires_grad=True)
-        x = Tensor(rng.uniform(-2, w + 1, (n, m)).astype(np.float32), requires_grad=True)
-        y = Tensor(rng.uniform(-2, h + 1, (n, m)).astype(np.float32), requires_grad=True)
-        return f, x, y
+        x = rng.uniform(-2, w + 1, (n, m)).astype(np.float32)
+        y = rng.uniform(-2, h + 1, (n, m)).astype(np.float32)
+        return f, Tensor(np.stack([x, y], axis=-1), requires_grad=True)
 
     def test_taped_forward_keeps_only_its_output(self):
         # the corner matrix with its indices and weights (1.8x the output
         # here) is rebuilt in backward from x and y, which the tape holds
         # anyway, so the taped forward keeps its output and little else
-        f, x, y = self._chain_sized_inputs()
+        f, pts = self._chain_sized_inputs()
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            out = grid_sample_points(f, x, y)
+            out = grid_sample_points(f, pts)
             kept = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
@@ -262,8 +264,8 @@ class TestBilinearSample:
         # backward holds the upstream gradient (1x the output), the rebuilt
         # indices and weights (1.1x), one corner matrix's values (0.5x) and
         # that matrix times the feature rows (1x); 4.2x in all
-        f, x, y = self._chain_sized_inputs()
-        out = grid_sample_points(f, x, y)
+        f, pts = self._chain_sized_inputs()
+        out = grid_sample_points(f, pts)
         loss = out.sum()
         tracemalloc.start()
         try:
@@ -271,17 +273,22 @@ class TestBilinearSample:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert all(t.grad.shape == t.data.shape for t in (f, x, y))
+        assert all(t.grad.shape == t.data.shape for t in (f, pts))
         assert peak <= 4.5 * out.data.nbytes, peak
+
+    @pytest.mark.parametrize("shape", [(2, 5), (2, 5, 3), (3, 5, 2)])
+    def test_points_of_wrong_shape_rejected(self, shape):
+        f = Tensor(np.zeros((2, 1, 4, 4), dtype=np.float32))
+        with pytest.raises(ContractViolation, match=re.escape(f"points {shape}")):
+            grid_sample_points(f, Tensor(np.zeros(shape, dtype=np.float32)))
 
     def test_clamped_coordinate_has_zero_gradient(self):
         f = Tensor(np.random.default_rng(11).standard_normal((1, 1, 4, 4)).astype(np.float64))
-        x = Tensor(np.array([[-1.5]], dtype=np.float64), requires_grad=True)
-        y = Tensor(np.array([[1.3]], dtype=np.float64), requires_grad=True)
-        out = grid_sample_points(f, x, y)
+        pts = Tensor(np.array([[[-1.5, 1.3]]], dtype=np.float64), requires_grad=True)
+        out = grid_sample_points(f, pts)
         out.sum().backward()
-        assert x.grad[0, 0] == 0.0
-        assert y.grad[0, 0] != 0.0
+        assert pts.grad[0, 0, 0] == 0.0
+        assert pts.grad[0, 0, 1] != 0.0
 
 
 class TestSnakeForward:
@@ -334,6 +341,25 @@ class TestSnakeForward:
             )
             np.testing.assert_allclose(out.data, ref, atol=1e-5)
 
+    def test_chain_points_reach_the_sampler_as_they_are(self, monkeypatch):
+        made, read = [], []
+
+        def chain(steps):
+            made.append(chain_coordinates(steps))
+            return made[-1]
+
+        def sample(feature, points):
+            read.append(points)
+            return grid_sample_points(feature, points)
+
+        monkeypatch.setattr(serpentseg.dsconv, "chain_coordinates", chain)
+        monkeypatch.setattr(serpentseg.dsconv, "grid_sample_points", sample)
+        make_snake(seed=36, pyramid_scale=0.3)(
+            Tensor(np.random.default_rng(37).standard_normal((2, 2, 5, 6))))
+        assert len(made) == len(read) == 1
+        assert read[0] is made[0]
+        assert made[0].data.shape == (2, 5 * 6 * 9, 2)
+
     def test_channel_mismatch_raises(self):
         conv = make_snake(cin=2)
         with pytest.raises(ContractViolation):
@@ -348,20 +374,21 @@ class TestChainInvariants:
         for trial in range(25):
             conv = make_snake(cin=1, seed=400 + trial, pyramid_scale=3.0)
             x = Tensor(rng.standard_normal((1, 1, 8, 8)).astype(np.float32))
-            xs, ys = chain_coordinates(conv.compute_pyramid_offsets(x))
-            gx = np.arange(8)[None, None, None, :]
-            gy = np.arange(8)[None, None, :, None]
-            assert np.all(np.abs(xs.data - gx) <= 4.0 + 1e-5)
-            assert np.all(np.abs(ys.data - gy) <= 4.0 + 1e-5)
-            assert np.all(np.abs(np.diff(xs.data, axis=1)) <= 1.0 + 1e-5)
-            assert np.all(np.abs(np.diff(ys.data, axis=1)) <= 1.0 + 1e-5)
+            pts = chain_coordinates(conv.compute_pyramid_offsets(x)).data.reshape(1, 8, 8, 9, 2)
+            xs, ys = pts[..., 0], pts[..., 1]
+            gx = np.arange(8)[None, None, :, None]
+            gy = np.arange(8)[None, :, None, None]
+            assert np.all(np.abs(xs - gx) <= 4.0 + 1e-5)
+            assert np.all(np.abs(ys - gy) <= 4.0 + 1e-5)
+            assert np.all(np.abs(np.diff(xs, axis=3)) <= 1.0 + 1e-5)
+            assert np.all(np.abs(np.diff(ys, axis=3)) <= 1.0 + 1e-5)
 
     def test_center_point_is_exact_grid_position(self):
         conv = make_snake(cin=1, seed=17, pyramid_scale=1.0)
         x = Tensor(np.random.default_rng(18).standard_normal((1, 1, 5, 5)).astype(np.float32))
-        xs, ys = chain_coordinates(conv.compute_pyramid_offsets(x))
-        np.testing.assert_array_equal(xs.data[:, 4], np.broadcast_to(np.arange(5.0), (1, 5, 5)))
-        np.testing.assert_array_equal(ys.data[:, 4],
+        pts = chain_coordinates(conv.compute_pyramid_offsets(x)).data.reshape(1, 5, 5, 9, 2)
+        np.testing.assert_array_equal(pts[..., 4, 0], np.broadcast_to(np.arange(5.0), (1, 5, 5)))
+        np.testing.assert_array_equal(pts[..., 4, 1],
                                       np.broadcast_to(np.arange(5.0)[:, None], (1, 5, 5)))
 
 
@@ -387,6 +414,3 @@ class TestSnakeGradients:
         conv(x).sum().backward()
         assert conv.chain.weight.grad is not None
         assert x.grad is not None
-
-    def test_straight_bias_saturates_exactly(self):
-        assert math.tanh(STRAIGHT_BIAS) == 1.0

@@ -115,6 +115,30 @@ class TestSnakeFormerForward:
         with pytest.raises(ContractViolation):
             model(Tensor(np.zeros((1, 1, 48, 64), dtype=np.float32)))
 
+    def test_side_must_be_a_multiple_of_every_attention_grid(self, monkeypatch):
+        # reduction 16 on the 1/4 grid needs sides that are multiples of 64;
+        # the check fires before either encoder runs
+        model = SnakeFormer(tiny_config(transformer_reductions=(16, 4, 2, 1)))
+        for enc in (model.enc.dsc, model.enc.mit):
+            monkeypatch.setattr(enc, "forward", lambda x: pytest.fail("encoder ran"))
+        with pytest.raises(ContractViolation,
+                           match=r"multiples of 64, transformer_reductions\[0\] = 16"):
+            model(Tensor(np.zeros((1, 1, 32, 32), dtype=np.float32)))
+        monkeypatch.undo()
+        assert model(Tensor(np.zeros((1, 1, 64, 64), dtype=np.float32))).data.shape[2:] == (64, 64)
+
+    @pytest.mark.parametrize("reductions,depths,side", [
+        ((8, 4, 2, 1), (1, 1, 1, 1), 32),
+        ((3, 4, 2, 1), (1, 1, 1, 1), 96),
+        ((16, 4, 2, 1), (0, 1, 1, 1), 32),   # a stage without blocks reduces nothing
+        ((1, 1, 1, 5), (1, 1, 1, 1), 160),
+    ])
+    def test_rejection_names_the_side_multiple(self, reductions, depths, side):
+        model = SnakeFormer(tiny_config(transformer_reductions=reductions,
+                                        transformer_depths=depths))
+        with pytest.raises(ContractViolation, match=f"multiples of {side}[,;]"):
+            model(Tensor(np.zeros((1, 1, 16, 16), dtype=np.float32)))
+
     def test_three_dim_image_rejected(self):
         model = SnakeFormer(micro_config(seed=7))
         with pytest.raises(ContractViolation, match=r"\(1, 32, 32\)"):

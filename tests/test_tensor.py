@@ -465,6 +465,12 @@ class TestGradients:
         report = grad_check(module, inputs, tolerance=tol)
         assert report.passed, str(report)
 
+    def test_transposed_view_input(self):
+        # a non-contiguous float64 input is perturbed in the copy that the
+        # forward reads, not in a flattened copy of it
+        x = np.random.default_rng(38).standard_normal((4, 3)).T
+        self._check(FunctionModule(lambda t: t * t), x)
+
     def test_linear(self):
         rng = np.random.default_rng(10)
         self._check(Linear(4, 3, rng=rng), rng.standard_normal((2, 4)))
