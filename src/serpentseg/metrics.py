@@ -1,5 +1,8 @@
 """Pixel-level segmentation metrics: IoU, precision, recall, F1, Hausdorff.
 
+``evaluate_pair`` scores one mask pair and ``aggregate`` summarises many: the
+one scorer behind training validation, ``evaluate_model`` and the benchmark.
+
 Hausdorff is read off exact Euclidean distance transforms (Huttenlocher et
 al., TPAMI 1993): the transform of the ground-truth background, sampled at the
 predicted pixels, gives each one's distance to the nearest ground-truth pixel,
@@ -13,7 +16,7 @@ on any metric whose denominator vanishes and the image diagonal for Hausdorff.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.ndimage import distance_transform_edt
@@ -30,9 +33,6 @@ class ImageMetrics:
     hausdorff: float
 
 
-METRIC_NAMES = ("iou", "precision", "recall", "f1", "hausdorff")
-
-
 @dataclass
 class MetricsReport:
     per_image: list[ImageMetrics]
@@ -40,20 +40,20 @@ class MetricsReport:
     std: dict[str, float]
 
 
-def _check_mask(m: np.ndarray, role: str) -> np.ndarray:
-    m = np.asarray(m)
-    if m.ndim != 2:
-        raise ContractViolation(f"{role} mask must be 2-d, got shape {m.shape}")
-    if not np.isin(m, (0, 1)).all():
-        raise ContractViolation(f"{role} mask must be binary")
-    return m.astype(np.uint8)
+def _check_masks(pred, gt) -> tuple[np.ndarray, np.ndarray]:
+    pred, gt = np.asarray(pred), np.asarray(gt)
+    for m, role in ((pred, "pred"), (gt, "gt")):
+        if m.ndim != 2:
+            raise ContractViolation(f"{role} mask must be 2-d, got shape {m.shape}")
+        if not np.isin(m, (0, 1)).all():
+            raise ContractViolation(f"{role} mask must be binary")
+    if pred.shape != gt.shape:
+        raise ContractViolation(f"mask shapes differ: {pred.shape} vs {gt.shape}")
+    return pred.astype(np.uint8), gt.astype(np.uint8)
 
 
 def confusion_counts(pred, gt) -> tuple[int, int, int, int]:
-    pred = _check_mask(pred, "pred")
-    gt = _check_mask(gt, "gt")
-    if pred.shape != gt.shape:
-        raise ContractViolation(f"mask shapes differ: {pred.shape} vs {gt.shape}")
+    pred, gt = _check_masks(pred, gt)
     tp = int(np.count_nonzero(pred & gt))
     fp = int(np.count_nonzero(pred & ~gt & 1))
     fn = int(np.count_nonzero(~pred & 1 & gt))
@@ -76,10 +76,7 @@ def pixel_metrics(counts) -> tuple[float, float, float, float]:
 
 def hausdorff(pred, gt) -> float:
     """Symmetric Hausdorff distance between positive-pixel sets, in pixels."""
-    pred = _check_mask(pred, "pred")
-    gt = _check_mask(gt, "gt")
-    if pred.shape != gt.shape:
-        raise ContractViolation(f"mask shapes differ: {pred.shape} vs {gt.shape}")
+    pred, gt = _check_masks(pred, gt)
     if not pred.any() and not gt.any():
         return 0.0
     if not pred.any() or not gt.any():
@@ -99,23 +96,8 @@ def aggregate(per_image: list[ImageMetrics]) -> MetricsReport:
     if not per_image:
         raise ContractViolation("aggregate needs at least one per-image report")
     mean, std = {}, {}
-    for name in METRIC_NAMES:
-        vals = np.array([getattr(m, name) for m in per_image], dtype=np.float64)
-        mean[name] = float(vals.mean())
-        std[name] = float(vals.std())
+    for f in fields(ImageMetrics):
+        vals = np.array([getattr(m, f.name) for m in per_image], dtype=np.float64)
+        mean[f.name] = float(vals.mean())
+        std[f.name] = float(vals.std())
     return MetricsReport(per_image, mean, std)
-
-
-def report_tsv(report: MetricsReport) -> str:
-    lines = ["index\t" + "\t".join(METRIC_NAMES)]
-    for i, m in enumerate(report.per_image):
-        lines.append(f"{i}\t" + "\t".join(f"{getattr(m, n):.6f}" for n in METRIC_NAMES))
-    return "\n".join(lines) + "\n"
-
-
-def report_keyvalues(report: MetricsReport) -> str:
-    lines = []
-    for name in METRIC_NAMES:
-        lines.append(f"{name}_mean = {report.mean[name]:.6f}")
-        lines.append(f"{name}_std = {report.std[name]:.6f}")
-    return "\n".join(lines) + "\n"

@@ -22,6 +22,7 @@ from .encoders import (
     SnakeEncoder,
     make_channel_attention,
 )
+from .metrics import MetricsReport, aggregate, evaluate_pair
 from .module import Conv2d, Module
 from .tensor import (
     ContractViolation,
@@ -272,10 +273,11 @@ class Adam:
 
 @dataclass
 class EpochRecord:
+    """``val`` is the ``mean`` dict of ``evaluate_model`` on the validation
+    pairs, keyed by metric name; ``seconds`` includes validation."""
     epoch: int
     train_loss: float
-    val_iou: float
-    val_f1: float
+    val: dict[str, float]
     seconds: float
 
 
@@ -287,28 +289,32 @@ class TrainResult:
     best_epoch: int = 0
 
 
-def _as_batch(samples) -> tuple[np.ndarray, np.ndarray]:
+def _as_batch(pairs, indices) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked images and masks of ``pairs[i]``, ``i`` in ``indices``; one shape each."""
+    samples = [pairs[i] for i in indices]
+    for k, role in enumerate(("image", "mask")):
+        first = np.shape(samples[0][k])
+        for i, s in zip(indices, samples):
+            if np.shape(s[k]) != first:
+                raise ContractViolation(
+                    f"{role} of pair {i} has shape {np.shape(s[k])} but {role} of pair "
+                    f"{indices[0]} has {first}; one batch holds one size")
     imgs = np.stack([s[0] for s in samples])[:, None, :, :].astype(np.float32)
     masks = np.stack([s[1] for s in samples]).astype(np.uint8)
     return imgs, masks
 
 
-def evaluate_model(model: SnakeFormer, pairs, batch_size: int = 8):
-    """Mean IoU and F1 of thresholded predictions over (image, mask) pairs."""
-    from .metrics import confusion_counts, pixel_metrics
-
+def evaluate_model(model: SnakeFormer, pairs, batch_size: int = 8) -> MetricsReport:
+    """``aggregate`` of ``evaluate_pair`` on each pair's thresholded prediction
+    and mask; ``per_image`` follows ``pairs``, ``mean``/``std`` are keyed by metric name."""
     check_int("batch_size", batch_size, 1)
     if not pairs:
         raise ContractViolation("evaluate_model: no (image, mask) pairs to score")
-    per = []
+    per_image = []
     for lo in range(0, len(pairs), batch_size):
-        imgs, masks = _as_batch(pairs[lo:lo + batch_size])
-        preds = predict_masks(model, imgs)
-        for p, m in zip(preds, masks):
-            per.append(pixel_metrics(confusion_counts(p, m)))
-    ious = float(np.mean([m[0] for m in per]))
-    f1s = float(np.mean([m[3] for m in per]))
-    return ious, f1s
+        imgs, masks = _as_batch(pairs, range(lo, min(lo + batch_size, len(pairs))))
+        per_image += map(evaluate_pair, predict_masks(model, imgs), masks)
+    return aggregate(per_image)
 
 
 def train_loop(model: SnakeFormer, train_pairs, val_pairs, epochs: int,
@@ -331,8 +337,7 @@ def train_loop(model: SnakeFormer, train_pairs, val_pairs, epochs: int,
         order = rng.permutation(len(train_pairs))
         losses = []
         for bi, lo in enumerate(range(0, len(order), batch_size)):
-            chunk = [train_pairs[i] for i in order[lo:lo + batch_size]]
-            imgs, masks = _as_batch(chunk)
+            imgs, masks = _as_batch(train_pairs, order[lo:lo + batch_size])
             logits = model(Tensor(imgs))
             loss = combined_loss(logits, masks)
             value = loss.item()
@@ -342,14 +347,13 @@ def train_loop(model: SnakeFormer, train_pairs, val_pairs, epochs: int,
             loss.backward()
             opt.step()
             losses.append(value)
-        val_iou, val_f1 = evaluate_model(model, val_pairs, batch_size)
-        rec = EpochRecord(epoch, float(np.mean(losses)), val_iou, val_f1,
-                          time.perf_counter() - t0)
+        val = evaluate_model(model, val_pairs, batch_size).mean
+        rec = EpochRecord(epoch, float(np.mean(losses)), val, time.perf_counter() - t0)
         result.records.append(rec)
         if log is not None:
             log(rec)
-        if val_iou > result.best_iou:
-            result.best_iou = val_iou
+        if val["iou"] > result.best_iou:
+            result.best_iou = val["iou"]
             result.best_epoch = epoch
             result.best_state = model.state_dict()
     return result

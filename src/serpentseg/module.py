@@ -61,6 +61,7 @@ class Module:
         return state
 
     def load_state_dict(self, state: dict[str, np.ndarray]):
+        """Load values: array-likes of the parameters' shapes, bool, int or float."""
         own = dict(self.named_parameters())
         missing = sorted(set(own) - set(state))
         extra = sorted(set(state) - set(own))
@@ -69,13 +70,18 @@ class Module:
                 f"state mismatch: missing={missing[:3]} extra={extra[:3]}"
             )
         for name in sorted(own):
-            src = state[name]
-            if tuple(src.shape) != tuple(own[name].data.shape):
+            try:
+                src = np.asarray(state[name])
+            except (TypeError, ValueError) as e:
+                raise ContractViolation(f"{name!r} is not a numeric array: {e}") from None
+            if src.dtype.kind not in "biuf":
+                raise ContractViolation(f"{name!r} is not a numeric array: dtype {src.dtype}")
+            if src.shape != own[name].data.shape:
                 raise ContractViolation(
                     f"shape mismatch for {name!r}: checkpoint {src.shape} vs model "
                     f"{own[name].data.shape}"
                 )
-            own[name].data = src.astype(own[name].data.dtype).copy()
+            own[name].data = src.astype(own[name].data.dtype)
 
     def set_dtype(self, dtype):
         """Switch parameter precision in place (float64 for gradient checks)."""

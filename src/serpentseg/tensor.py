@@ -67,8 +67,9 @@ class Tensor:
         return self.requires_grad or bool(self._parents)
 
     def _accum(self, g: np.ndarray) -> None:
+        # kept as given, even if shared: accumulation allocates, nothing writes .grad in place
         if self.grad is None:
-            self.grad = g.copy() if isinstance(g, np.ndarray) else np.asarray(g)
+            self.grad = np.asarray(g)
         else:
             self.grad = self.grad + g
 
@@ -141,6 +142,8 @@ class Tensor:
         return transpose(self, axes)
 
     def item(self) -> float:
+        if self.data.size != 1:
+            raise ContractViolation(f"item() requires a scalar, got shape {self.data.shape}")
         return float(self.data.reshape(()))
 
     def __repr__(self):

@@ -12,8 +12,6 @@ from serpentseg.metrics import (
     evaluate_pair,
     hausdorff,
     pixel_metrics,
-    report_keyvalues,
-    report_tsv,
 )
 from serpentseg.tensor import ContractViolation
 
@@ -179,16 +177,6 @@ class TestAggregate:
     def test_empty_rejected(self):
         with pytest.raises(ContractViolation):
             aggregate([])
-
-    def test_report_files_have_expected_fields(self):
-        rep = aggregate([ImageMetrics(0.5, 0.6, 0.7, 0.8, 2.0)])
-        kv = report_keyvalues(rep)
-        for name in ("iou", "precision", "recall", "f1", "hausdorff"):
-            assert f"{name}_mean = " in kv
-            assert f"{name}_std = " in kv
-        tsv = report_tsv(rep)
-        assert tsv.splitlines()[0] == "index\tiou\tprecision\trecall\tf1\thausdorff"
-        assert len(tsv.splitlines()) == 2
 
 
 def test_evaluate_pair_combines_everything():

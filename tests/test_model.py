@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from serpentseg.gradcheck import FunctionModule, grad_check
+from serpentseg.metrics import confusion_counts, pixel_metrics
 from serpentseg.model import (
     Adam,
     FusionStage,
@@ -477,7 +478,7 @@ class TestTrainLoop:
         for k in a.best_state:
             assert np.array_equal(a.best_state[k], b.best_state[k]), k
         assert [r.train_loss for r in a.records] == [r.train_loss for r in b.records]
-        assert [r.val_iou for r in a.records] == [r.val_iou for r in b.records]
+        assert [r.val for r in a.records] == [r.val for r in b.records]
 
     def test_loss_decreases_on_fixed_batch(self):
         # soft smoke property: a few optimization steps on one batch reduce
@@ -552,6 +553,49 @@ class TestTrainLoop:
     def test_evaluate_model_returns_means(self):
         model = SnakeFormer(micro_config(seed=29))
         pairs = _toy_pairs(3, 30)
-        iou, f1 = evaluate_model(model, pairs, batch_size=2)
+        report = evaluate_model(model, pairs, batch_size=2)
+        iou, f1 = report.mean["iou"], report.mean["f1"]
         assert 0.0 <= iou <= 1.0
         assert 0.0 <= f1 <= 1.0
+
+    def test_evaluate_model_means_are_the_per_pair_loop(self):
+        model = SnakeFormer(micro_config(seed=29))
+        pairs = _toy_pairs(5, 31)
+        report = evaluate_model(model, pairs, batch_size=2)
+        ious, f1s = [], []
+        for lo in range(0, len(pairs), 2):
+            imgs = np.stack([img for img, _ in pairs[lo:lo + 2]])[:, None]
+            for pred, (_, mask) in zip(predict_masks(model, imgs), pairs[lo:lo + 2]):
+                iou, _, _, f1 = pixel_metrics(confusion_counts(pred, mask))
+                ious.append(iou)
+                f1s.append(f1)
+        assert [m.iou for m in report.per_image] == ious
+        assert [m.f1 for m in report.per_image] == f1s
+        assert report.mean["iou"] == sum(ious) / len(ious)
+        assert report.mean["f1"] == sum(f1s) / len(f1s)
+        assert set(report.mean) == {"iou", "precision", "recall", "f1", "hausdorff"}
+
+    @pytest.mark.parametrize("entry", ["evaluate_model", "train_loop"])
+    def test_mixed_image_sizes_in_one_batch_name_both_pairs(self, entry):
+        model = SnakeFormer(micro_config(seed=32))
+        pairs = _toy_pairs(1, 33, size=32) + _toy_pairs(1, 34, size=64)
+        with pytest.raises(ContractViolation, match="image of pair") as err:
+            if entry == "evaluate_model":
+                evaluate_model(model, pairs, batch_size=2)
+            else:
+                train_loop(model, pairs, pairs, epochs=1, batch_size=2)
+        for part in ("pair 0", "pair 1", "(32, 32)", "(64, 64)"):
+            assert part in str(err.value)
+
+    def test_mixed_mask_sizes_in_one_batch_name_both_pairs(self):
+        model = SnakeFormer(micro_config(seed=32))
+        pairs = _toy_pairs(2, 35)
+        pairs[1] = (pairs[1][0], pairs[1][1][:, :30])
+        with pytest.raises(ContractViolation,
+                           match=r"mask of pair 1 has shape \(32, 30\) .* pair 0 has \(32, 32\)"):
+            evaluate_model(model, pairs, batch_size=2)
+
+    def test_sizes_may_differ_between_batches(self):
+        model = SnakeFormer(micro_config(seed=32))
+        pairs = _toy_pairs(1, 33, size=32) + _toy_pairs(1, 34, size=64)
+        assert len(evaluate_model(model, pairs, batch_size=1).per_image) == 2

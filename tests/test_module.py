@@ -88,6 +88,24 @@ def test_load_rejects_shape_mismatch_naming_tensor():
         net.load_state_dict(state)
 
 
+def test_load_takes_nested_lists():
+    net = _Net(np.random.default_rng(3))
+    state = {k: v.tolist() for k, v in _Net(np.random.default_rng(5)).state_dict().items()}
+    net.load_state_dict(state)
+    for name, p in net.named_parameters():
+        assert p.data.dtype == np.float32
+        np.testing.assert_array_equal(p.data, np.asarray(state[name], dtype=np.float32))
+
+
+@pytest.mark.parametrize("value", ["weights", {"w": 1.0}, [[1.0, 2.0], [3.0]], None])
+def test_load_rejects_non_numeric_value_naming_key(value):
+    net = _Net(np.random.default_rng(3))
+    state = net.state_dict()
+    state["stem.weight"] = value
+    with pytest.raises(ContractViolation, match="stem.weight"):
+        net.load_state_dict(state)
+
+
 def test_load_rejects_missing_keys():
     net = _Net(np.random.default_rng(4))
     state = net.state_dict()

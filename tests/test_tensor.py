@@ -674,6 +674,21 @@ class TestTapeInvariants:
         y.backward()
         assert x.grad[0] == 12.0
 
+    def test_shared_first_grad_is_never_accumulated_in_place(self):
+        # add hands one upstream gradient to both parents; a later backward must
+        # not write through one leaf's gradient into the other's
+        a = Tensor(np.zeros(3, dtype=np.float32), requires_grad=True)
+        b = Tensor(np.zeros(3, dtype=np.float32), requires_grad=True)
+        for _ in range(2):
+            (a + b).sum().backward()
+        np.testing.assert_array_equal(a.grad, [2.0, 2.0, 2.0])
+        np.testing.assert_array_equal(b.grad, [2.0, 2.0, 2.0])
+
+    def test_item_rejects_non_scalar_naming_shape(self):
+        assert Tensor(np.array([[3.0]], dtype=np.float32)).item() == 3.0
+        with pytest.raises(ContractViolation, match=r"\(2,\)"):
+            Tensor(np.array([1.0, 2.0], dtype=np.float32)).item()
+
     def test_dtype_preserved_through_graph(self):
         x = Tensor(np.ones((1, 1, 4, 4), dtype=np.float64), requires_grad=True)
         w = Tensor(np.ones((1, 1, 3, 3), dtype=np.float64))
