@@ -18,9 +18,9 @@ rows of 9*Cin samples.
 
 The bilinear reads are a sparse matrix of corner weights over the feature
 rows, built from the points and dropped after forward: the tape keeps only
-the feature and the point tensor, and backward rebuilds the corner indices
-and weights from the points, then the matrices of the feature gradient and
-of the x and y derivatives one at a time.
+the point tensor and, for the point gradient, the feature, and backward
+rebuilds the corner indices and weights from the points, then the matrices
+of the feature gradient and of the x and y derivatives one at a time.
 
 Offset channel layout, for chain distance c in 1..4 with base = 4*(c-1):
     base+0: dx of the forward point t+c      base+1: dy of t+c
@@ -42,8 +42,8 @@ import numpy as np
 from scipy.sparse import csr_array, get_index_dtype
 
 from .module import Conv2d, Module, Parameter, _uniform
-from .tensor import (ContractViolation, Tensor, _make, concat, conv2d, linear, reshape, tanh,
-                     transpose)
+from .tensor import (ContractViolation, Tensor, _make, _tape, concat, conv2d, linear, reshape,
+                     tanh, transpose)
 
 PYRAMID_KERNELS = (3, 5, 7, 9)
 CHAIN_LEN = 9
@@ -85,12 +85,13 @@ def chain_coordinates(steps: Tensor) -> Tensor:
     pts = (sd.reshape(n, c, h * w).transpose(0, 2, 1) @ p.T).reshape(n, h, w, CHAIN_LEN, 2)
     pts[..., 0] += np.arange(w, dtype=sd.dtype)[:, None]
     pts[..., 1] += np.arange(h, dtype=sd.dtype)[:, None, None]
+    es = _tape(steps)
 
     def bwd(g):
         gs = g.reshape(n, h * w, 2 * CHAIN_LEN) @ p
-        steps._accum(gs.transpose(0, 2, 1).reshape(n, c, h, w))
+        es._accum(gs.transpose(0, 2, 1).reshape(n, c, h, w))
 
-    return _make(pts.reshape(n, h * w * CHAIN_LEN, 2), (steps,), bwd)
+    return _make(pts.reshape(n, h * w * CHAIN_LEN, 2), (es,), bwd)
 
 
 def _corners(pd: np.ndarray, h: int, w: int, dtype):
@@ -154,9 +155,9 @@ def grid_sample_points(feature: Tensor, points: Tensor) -> Tensor:
     respect to a clamped coordinate is zero. Differentiable in the feature
     values and the points.
 
-    The tape keeps only ``feature`` and ``points``: forward builds the sparse
-    sampling matrix of corner weights, applies it to the channel-last feature
-    rows and drops both. Backward rebuilds the indices and weights from the
+    The tape keeps only the points, and the feature when the points need a
+    gradient: forward builds the sparse sampling matrix of corner weights,
+    applies it to the channel-last feature rows and drops both. Backward rebuilds the indices and weights from the
     points (``_corners``) and, one at a time, the matrices of the feature
     gradient (the sampling matrix, transposed) and of the x and y
     derivatives, whose corner weights are the sampling weights with the
@@ -174,27 +175,30 @@ def grid_sample_points(feature: Tensor, points: Tensor) -> Tensor:
     shape = (n * m, n * h * w)
     cols, indptr, wt, _ = _corners(pd, h, w, fd.dtype)
     out = _corner_matrix(wt[1], wt[0], cols, indptr, shape) @ _feature_rows(fd)
+    ef, ep = _tape(feature), _tape(points)
+    dtype = fd.dtype
+    fkept = fd if ep is not None else None  # only the point gradient reads the feature
 
     def bwd(g):
-        cols, indptr, wt, inside = _corners(pd, h, w, fd.dtype)
+        cols, indptr, wt, inside = _corners(pd, h, w, dtype)
         gl = g.reshape(n * m, c)
-        if feature.needs_grad:
+        if ef is not None:
             gf = _corner_matrix(wt[1], wt[0], cols, indptr, shape).T @ gl
-            feature._accum(np.ascontiguousarray(gf.reshape(n, h, w, c).transpose(0, 3, 1, 2)))
-        if not points.needs_grad:
+            ef._accum(np.ascontiguousarray(gf.reshape(n, h, w, c).transpose(0, 3, 1, 2)))
+        if ep is None:
             return
-        rows = _feature_rows(fd)
-        step = np.array([-1.0, 1.0], dtype=fd.dtype)
-        gp = np.empty((2, n * m), dtype=fd.dtype)
+        rows = _feature_rows(fkept)
+        step = np.array([-1.0, 1.0], dtype=dtype)
+        gp = np.empty((2, n * m), dtype=dtype)
         for a, (ay, ax) in enumerate(((wt[1], step), (step, wt[0]))):
             deriv = _corner_matrix(ay, ax, cols, indptr, shape) @ rows
             deriv *= gl
             gp[a] = deriv.sum(axis=1)
             del deriv  # before the next product is built
         gp *= inside
-        points._accum(gp.T.reshape(n, m, 2))
+        ep._accum(gp.T.reshape(n, m, 2))
 
-    return _make(out.reshape(n, m, c), (feature, points), bwd)
+    return _make(out.reshape(n, m, c), (ef, ep), bwd)
 
 
 def chain_contract(rows: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
@@ -223,13 +227,14 @@ def _embed_kernels(weights: list[Tensor]) -> Tensor:
         data[sl] = wt.data
         slices.append(sl)
         row += co
+    entries = tuple(_tape(wt) for wt in weights)
 
     def bwd(g):
-        for wt, sl in zip(weights, slices):
-            if wt.needs_grad:
-                wt._accum(g[sl])
+        for e, sl in zip(entries, slices):
+            if e is not None:
+                e._accum(g[sl])
 
-    return _make(data, tuple(weights), bwd)
+    return _make(data, entries, bwd)
 
 
 class WeightBias(Module):

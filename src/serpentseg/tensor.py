@@ -1,9 +1,17 @@
 """Dense tensors with tape-based reverse-mode differentiation.
 
-Every operation records a backward closure on the output node; ``backward()``
-replays the tape in reverse topological order. Values are float32 on
-production paths, but all ops preserve the incoming dtype so the gradient
-checker can re-run a graph in float64.
+Every operation records a backward closure in its output's tape entry;
+``backward()`` replays the tape in reverse topological order. Values are
+float32 on production paths, but all ops preserve the incoming dtype so the
+gradient checker can re-run a graph in float64.
+
+The tape is a graph of entries, kept apart from the values. An op output's
+entry (``_Entry``) holds its gradient, its parents' entries and its backward
+closure, but no array, so an output's value is freed once the caller drops
+it, unless a closure reads it. A leaf (a ``Parameter`` or a ``requires_grad``
+input) is its own entry. The rule for every backward closure: capture the
+parents' entries (``_tape``) and only the arrays its own formula reads, never
+a parent tensor.
 
 Broadcasting is deliberately narrow: elementwise ops accept equal shapes or
 equal-rank shapes where one operand has size-1 axes (bias-add and per-channel
@@ -37,22 +45,46 @@ def no_grad():
         _GRAD_ENABLED.reset(token)
 
 
+class _Entry:
+    """An op output on the tape: its gradient, its parents' entries (op
+    entries or leaf tensors) and its backward closure; no array."""
+
+    __slots__ = ("grad", "_parents", "_backward")
+
+    def __init__(self, parents: tuple = (), backward=None):
+        self.grad = None
+        self._parents = parents
+        self._backward = backward
+
+    def _accum(self, g: np.ndarray) -> None:
+        # kept as given, even if shared: accumulation allocates, nothing writes .grad in place
+        if self.grad is None:
+            self.grad = np.asarray(g)
+        else:
+            self.grad = self.grad + g
+
+
 class Tensor:
     """N-d array plus optional gradient buffer and tape linkage.
 
     Feature maps are (N, C, H, W), or channel-last (N, H, W, C) inside the
     transformer branch; losses are 0-d. ``grad`` is filled by ``backward()``
-    and has the same shape as ``data``.
+    and has the same shape as ``data``. ``grad``, ``_parents`` and
+    ``_backward`` live in the tensor's entry: an op output's shared tape
+    entry, or a leaf's own.
     """
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data)
-        self.grad = None
         self.requires_grad = requires_grad
-        self._parents: tuple = ()
-        self._backward = None
+        self._entry = _Entry()  # ``_make`` swaps in a taped output's entry
 
     # -- tape plumbing ------------------------------------------------------
+
+    grad = property(lambda t: t._entry.grad, lambda t, g: setattr(t._entry, "grad", g))
+    _parents = property(lambda t: t._entry._parents)
+    _backward = property(lambda t: t._entry._backward,
+                         lambda t, f: setattr(t._entry, "_backward", f))
 
     @property
     def shape(self):
@@ -67,11 +99,7 @@ class Tensor:
         return self.requires_grad or bool(self._parents)
 
     def _accum(self, g: np.ndarray) -> None:
-        # kept as given, even if shared: accumulation allocates, nothing writes .grad in place
-        if self.grad is None:
-            self.grad = np.asarray(g)
-        else:
-            self.grad = self.grad + g
+        self._entry._accum(g)
 
     def backward(self) -> None:
         """Backpropagate from this scalar through the recorded tape."""
@@ -79,9 +107,9 @@ class Tensor:
             raise ContractViolation(
                 f"backward() requires a scalar, got shape {self.data.shape}"
             )
-        topo: list[Tensor] = []
+        topo: list = []
         seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        stack: list[tuple] = [(self._entry, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
@@ -169,16 +197,24 @@ def _lift(x, like: Tensor) -> Tensor:
     return Tensor(np.asarray(x, dtype=like.data.dtype))
 
 
+def _tape(t: Tensor | None):
+    """What the tape records for ``t``: an op output's entry, a leaf itself,
+    or None when no gradient flows to ``t``."""
+    if t is None:
+        return None
+    if t._parents:
+        return t._entry
+    return t if t.requires_grad else None
+
+
 def _make(data: np.ndarray, parents: tuple, backward) -> Tensor:
-    """Create an op output, recording tape links only when grads can flow."""
-    if not _GRAD_ENABLED.get():
-        return Tensor(data)
-    parents = tuple(p for p in parents if p.needs_grad)
-    if not parents:
-        return Tensor(data)
+    """Create an op output; ``parents`` are the operands' ``_tape`` entries,
+    recorded, with ``backward``, only when grads can flow."""
     out = Tensor(data)
-    out._parents = parents
-    out._backward = backward
+    if _GRAD_ENABLED.get():
+        parents = tuple(p for p in parents if p is not None)
+        if parents:
+            out._entry = _Entry(parents, backward)
     return out
 
 
@@ -208,27 +244,35 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 # -- elementwise arithmetic --------------------------------------------------
 
-def _binary(a, b, op: str, data_fn, grad_a, grad_b) -> Tensor:
+def _binary(a, b, op: str, data_fn, grad_a, grad_b, reads_a: str = "",
+            reads_b: str = "") -> Tensor:
     """Elementwise ``data_fn(a, b)`` under the narrow broadcasting rule.
 
     A non-tensor operand is lifted to the other's dtype. ``grad_a`` and
     ``grad_b`` map ``(g, a.data, b.data)`` to each operand's gradient at the
     output shape, which is then summed back over that operand's size-1 axes.
+    ``reads_a`` and ``reads_b`` name the operands ("a", "b") each formula
+    reads; the tape keeps those of the gradients it computes, and passes
+    None for the others.
     """
     if isinstance(a, Tensor):
         b = _lift(b, a)
     else:
         a = _lift(a, b)
-    ad, bd = a.data, b.data
-    _check_broadcast(ad, bd, op)
+    _check_broadcast(a.data, b.data, op)
+    ea, eb = _tape(a), _tape(b)
+    reads = (reads_a if ea is not None else "") + (reads_b if eb is not None else "")
+    ad = a.data if "a" in reads else None
+    bd = b.data if "b" in reads else None
+    sa, sb = a.data.shape, b.data.shape
 
     def bwd(g):
-        if a.needs_grad:
-            a._accum(_unbroadcast(grad_a(g, ad, bd), ad.shape))
-        if b.needs_grad:
-            b._accum(_unbroadcast(grad_b(g, ad, bd), bd.shape))
+        if ea is not None:
+            ea._accum(_unbroadcast(grad_a(g, ad, bd), sa))
+        if eb is not None:
+            eb._accum(_unbroadcast(grad_b(g, ad, bd), sb))
 
-    return _make(data_fn(ad, bd), (a, b), bwd)
+    return _make(data_fn(a.data, b.data), (ea, eb), bwd)
 
 
 def add(a, b) -> Tensor:
@@ -241,12 +285,12 @@ def sub(a, b) -> Tensor:
 
 def mul(a, b) -> Tensor:
     return _binary(a, b, "mul", np.multiply,
-                   lambda g, ad, bd: g * bd, lambda g, ad, bd: g * ad)
+                   lambda g, ad, bd: g * bd, lambda g, ad, bd: g * ad, "b", "a")
 
 
 def div(a, b) -> Tensor:
     return _binary(a, b, "div", np.divide,
-                   lambda g, ad, bd: g / bd, lambda g, ad, bd: -g * ad / (bd * bd))
+                   lambda g, ad, bd: g / bd, lambda g, ad, bd: -g * ad / (bd * bd), "b", "ab")
 
 
 def neg(a: Tensor) -> Tensor:
@@ -258,13 +302,14 @@ def neg(a: Tensor) -> Tensor:
 def tsum(a: Tensor, axis=None, keepdims=False) -> Tensor:
     data = a.data.sum(axis=axis, keepdims=keepdims)
     shape = a.data.shape
+    ea = _tape(a)
 
     def bwd(g):
         if not (keepdims or axis is None):
             g = np.expand_dims(g, axis)
-        a._accum(np.broadcast_to(g, shape).astype(g.dtype, copy=True))
+        ea._accum(np.broadcast_to(g, shape).astype(g.dtype, copy=True))
 
-    return _make(data, (a,), bwd)
+    return _make(data, (ea,), bwd)
 
 
 def tmean(a: Tensor, axis=None, keepdims=False) -> Tensor:
@@ -280,16 +325,18 @@ def tmean(a: Tensor, axis=None, keepdims=False) -> Tensor:
 def max_along(a: Tensor, axis: int, keepdims: bool = True) -> Tensor:
     """Max over one axis; gradient routes to the first occurrence of the max,
     which backward finds, so a forward without the tape runs no argmax."""
-    if a.data.shape[axis] == 0:
-        raise ContractViolation(f"max_along: empty axis {axis} in shape {a.data.shape}")
+    ad = a.data
+    if ad.shape[axis] == 0:
+        raise ContractViolation(f"max_along: empty axis {axis} in shape {ad.shape}")
+    ea = _tape(a)
 
     def bwd(g):
-        idx = np.expand_dims(np.argmax(a.data, axis=axis), axis)  # first occurrence on ties
-        buf = np.zeros_like(a.data)
+        idx = np.expand_dims(np.argmax(ad, axis=axis), axis)  # first occurrence on ties
+        buf = np.zeros_like(ad)
         np.put_along_axis(buf, idx, g if keepdims else np.expand_dims(g, axis), axis=axis)
-        a._accum(buf)
+        ea._accum(buf)
 
-    return _make(a.data.max(axis=axis, keepdims=keepdims), (a,), bwd)
+    return _make(ad.max(axis=axis, keepdims=keepdims), (ea,), bwd)
 
 
 # -- shape surgery ------------------------------------------------------------
@@ -297,22 +344,24 @@ def max_along(a: Tensor, axis: int, keepdims: bool = True) -> Tensor:
 def reshape(a: Tensor, shape) -> Tensor:
     old = a.data.shape
     data = a.data.reshape(shape)
+    ea = _tape(a)
 
     def bwd(g):
-        a._accum(g.reshape(old))
+        ea._accum(g.reshape(old))
 
-    return _make(data, (a,), bwd)
+    return _make(data, (ea,), bwd)
 
 
 def transpose(a: Tensor, axes) -> Tensor:
     axes = tuple(axes)
     inv = tuple(np.argsort(axes))
     data = a.data.transpose(axes)
+    ea = _tape(a)
 
     def bwd(g):
-        a._accum(g.transpose(inv))
+        ea._accum(g.transpose(inv))
 
-    return _make(data, (a,), bwd)
+    return _make(data, (ea,), bwd)
 
 
 def concat(tensors, axis: int) -> Tensor:
@@ -320,14 +369,15 @@ def concat(tensors, axis: int) -> Tensor:
     data = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = [t.data.shape[axis] for t in tensors]
     splits = np.cumsum(sizes)[:-1]
+    entries = tuple(_tape(t) for t in tensors)
 
     def bwd(g):
         parts = np.split(g, splits, axis=axis)
-        for t, p in zip(tensors, parts):
-            if t.needs_grad:
-                t._accum(p)
+        for e, p in zip(entries, parts):
+            if e is not None:
+                e._accum(p)
 
-    return _make(data, tuple(tensors), bwd)
+    return _make(data, entries, bwd)
 
 
 def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
@@ -335,13 +385,15 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
     sl[axis] = slice(start, start + length)
     sl = tuple(sl)
     data = a.data[sl].copy()
+    shape, dtype = a.data.shape, a.data.dtype
+    ea = _tape(a)
 
     def bwd(g):
-        buf = np.zeros_like(a.data)
+        buf = np.zeros(shape, dtype=dtype)
         buf[sl] = g
-        a._accum(buf)
+        ea._accum(buf)
 
-    return _make(data, (a,), bwd)
+    return _make(data, (ea,), bwd)
 
 
 # -- pointwise nonlinearities -------------------------------------------------
@@ -349,14 +401,18 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
 def _unary(a: Tensor, data: np.ndarray, grad) -> Tensor:
     """Pointwise op with output ``data``; ``grad`` maps the upstream gradient
     to the input's."""
-    def bwd(g):
-        a._accum(grad(g))
+    ea = _tape(a)
 
-    return _make(data, (a,), bwd)
+    def bwd(g):
+        ea._accum(grad(g))
+
+    return _make(data, (ea,), bwd)
 
 
 def relu(a: Tensor) -> Tensor:
-    return _unary(a, np.maximum(a.data, 0), lambda g: g * (a.data > 0))
+    # the output is positive where the input is, so the mask reads the output
+    data = np.maximum(a.data, 0)
+    return _unary(a, data, lambda g: g * (data > 0))
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -386,19 +442,21 @@ def exp(a: Tensor) -> Tensor:
 
 
 def log(a: Tensor) -> Tensor:
-    return _unary(a, np.log(a.data), lambda g: g / a.data)
+    ad = a.data
+    return _unary(a, np.log(ad), lambda g: g / ad)
 
 
 def softmax(a: Tensor, axis: int) -> Tensor:
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     data = e / e.sum(axis=axis, keepdims=True)
+    ea = _tape(a)
 
     def bwd(g):
         dot = (g * data).sum(axis=axis, keepdims=True)
-        a._accum(data * (g - dot))
+        ea._accum(data * (g - dot))
 
-    return _make(data, (a,), bwd)
+    return _make(data, (ea,), bwd)
 
 
 def log_softmax(a: Tensor, axis: int) -> Tensor:
@@ -406,11 +464,12 @@ def log_softmax(a: Tensor, axis: int) -> Tensor:
     lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
     data = shifted - lse
     p = np.exp(data)
+    ea = _tape(a)
 
     def bwd(g):
-        a._accum(g - p * g.sum(axis=axis, keepdims=True))
+        ea._accum(g - p * g.sum(axis=axis, keepdims=True))
 
-    return _make(data, (a,), bwd)
+    return _make(data, (ea,), bwd)
 
 
 # -- linear algebra -----------------------------------------------------------
@@ -422,14 +481,18 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if ad.ndim != bd.ndim or ad.shape[:-2] != bd.shape[:-2] or ad.shape[-1] != bd.shape[-2]:
         raise ContractViolation(f"matmul: incompatible shapes {ad.shape} @ {bd.shape}")
     data = ad @ bd
+    ea, eb = _tape(a), _tape(b)
+    # each operand's gradient reads the other operand
+    bt = bd.swapaxes(-1, -2) if ea is not None else None
+    at = ad.swapaxes(-1, -2) if eb is not None else None
 
     def bwd(g):
-        if a.needs_grad:
-            a._accum(g @ bd.swapaxes(-1, -2))
-        if b.needs_grad:
-            b._accum(ad.swapaxes(-1, -2) @ g)
+        if ea is not None:
+            ea._accum(g @ bt)
+        if eb is not None:
+            eb._accum(at @ g)
 
-    return _make(data, (a, b), bwd)
+    return _make(data, (ea, eb), bwd)
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -448,18 +511,20 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     if bias is not None:
         data = data + bias.data
     data = data.reshape(xd.shape[:-1] + (wd.shape[0],))
+    ex, ew, eb = _tape(x), _tape(weight), _tape(bias)
+    xshape, cout = xd.shape, wd.shape[0]
+    xrows = rows if ew is not None else None  # the weight gradient's only read
 
     def bwd(g):
-        g2 = g.reshape(-1, wd.shape[0])
-        if x.needs_grad:
-            x._accum((g2 @ wd).reshape(xd.shape))
-        if weight.needs_grad:
-            weight._accum(g2.T @ rows)
-        if bias is not None and bias.needs_grad:
-            bias._accum(g2.sum(axis=0))
+        g2 = g.reshape(-1, cout)
+        if ex is not None:
+            ex._accum((g2 @ wd).reshape(xshape))
+        if ew is not None:
+            ew._accum(g2.T @ xrows)
+        if eb is not None:
+            eb._accum(g2.sum(axis=0))
 
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    return _make(data, parents, bwd)
+    return _make(data, (ex, ew, eb), bwd)
 
 
 # -- convolution and pooling ---------------------------------------------------
@@ -549,18 +614,22 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     data = _correlate(xd, wd, stride, padding)
     if bias is not None:
         data += bias.data.reshape(1, cout, 1, 1)
+    ex, ew, eb = _tape(x), _tape(weight), _tape(bias)
+    xkept = xd if ew is not None else None  # the weight gradient's only read
 
     def bwd(g):
-        if weight.needs_grad:
-            views, (_, hp, wq) = _kernel_rows(xd, k, stride, padding)
+        if ew is not None:
+            views, (_, hp, wq) = _kernel_rows(xkept, k, stride, padding)
             # g back onto the zeroed grid columns ``_correlate`` picked it from
             gq = np.zeros((cout, n, hp, wq), dtype=g.dtype)
             gq[:, :, :g.shape[2] * stride:stride, :g.shape[3]] = g.transpose(1, 0, 2, 3)
             gq = gq.reshape(cout, -1)
-            gw = np.stack([gq @ view.reshape(cin * k, -1).T for view in views])
+            # (C*k, span) @ (span, Cout): BLAS splits the C*k rows over the
+            # cores, where the long span as the output's inner axis would not
+            gw = np.stack([view.reshape(cin * k, -1) @ gq.T for view in views])
             del views  # freed before the input gradient allocates its buffers
-            weight._accum(gw.reshape(k, cout, cin, k).transpose(1, 2, 0, 3))
-        if x.needs_grad:
+            ew._accum(gw.reshape(k, cin, k, cout).transpose(3, 1, 0, 2))
+        if ex is not None:
             g1 = g
             if stride > 1:
                 g1 = np.zeros((n, cout, h + 2 * padding - k + 1, w + 2 * padding - k + 1),
@@ -568,12 +637,11 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
                 g1[:, :, ::stride, ::stride] = g
             pad = k - 1 - padding
             gx = _correlate(g1, wd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), 1, max(pad, 0))
-            x._accum(gx if pad >= 0 else gx[:, :, -pad:h - pad, -pad:w - pad])
-        if bias is not None and bias.needs_grad:
-            bias._accum(g.sum(axis=(0, 2, 3)))
+            ex._accum(gx if pad >= 0 else gx[:, :, -pad:h - pad, -pad:w - pad])
+        if eb is not None:
+            eb._accum(g.sum(axis=(0, 2, 3)))
 
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    return _make(data, parents, bwd)
+    return _make(data, (ex, ew, eb), bwd)
 
 
 def _padded_shifts(xd: np.ndarray) -> list:
@@ -617,19 +685,21 @@ def depthwise_conv3x3(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> 
     data = _correlate_depthwise(xd, wd)
     if bias is not None:
         data += bias.data
+    ex, ew, eb = _tape(x), _tape(weight), _tape(bias)
+    xkept = xd if ew is not None else None  # the weight gradient's only read
 
     def bwd(g):
-        if x.needs_grad:
-            x._accum(_correlate_depthwise(g, wd[:, ::-1, ::-1]))
-        if weight.needs_grad:
+        if ex is not None:
+            ex._accum(_correlate_depthwise(g, wd[:, ::-1, ::-1]))
+        if ew is not None:
             g_rows = g.reshape(g.shape[0], g.shape[1], -1)
-            gw = np.stack([np.einsum("nyk,nyk->k", g_rows, view) for view in _padded_shifts(xd)])
-            weight._accum(gw.reshape(9, -1, wd.shape[0]).sum(axis=1).T.reshape(wd.shape))
-        if bias is not None and bias.needs_grad:
-            bias._accum(g.sum(axis=(0, 1, 2)))
+            gw = np.stack([np.einsum("nyk,nyk->k", g_rows, view)
+                           for view in _padded_shifts(xkept)])
+            ew._accum(gw.reshape(9, -1, wd.shape[0]).sum(axis=1).T.reshape(wd.shape))
+        if eb is not None:
+            eb._accum(g.sum(axis=(0, 1, 2)))
 
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    return _make(data, parents, bwd)
+    return _make(data, (ex, ew, eb), bwd)
 
 
 def max_pool2(x: Tensor) -> Tensor:
@@ -667,11 +737,12 @@ def upsample_bilinear(x: Tensor, factor: int) -> Tensor:
     ry = _interp_matrix(h, factor, x.data.dtype)
     rx = _interp_matrix(w, factor, x.data.dtype)
     data = ry @ x.data @ rx.T
+    ex = _tape(x)
 
     def bwd(g):
-        x._accum(ry.T @ g @ rx)
+        ex._accum(ry.T @ g @ rx)
 
-    return _make(data, (x,), bwd)
+    return _make(data, (ex,), bwd)
 
 
 def layer_norm(x: Tensor, gain: Tensor, shift: Tensor, eps: float = 1e-5) -> Tensor:
@@ -686,18 +757,20 @@ def layer_norm(x: Tensor, gain: Tensor, shift: Tensor, eps: float = 1e-5) -> Ten
     var = xd.var(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (xd - mu) * inv
-    data = xhat * gain.data + shift.data
+    gd = gain.data
+    data = xhat * gd + shift.data
     lead = tuple(range(xd.ndim - 1))
+    ex, eg, es = _tape(x), _tape(gain), _tape(shift)
 
     def bwd(g):
-        if gain.needs_grad:
-            gain._accum((g * xhat).sum(axis=lead))
-        if shift.needs_grad:
-            shift._accum(g.sum(axis=lead))
-        if x.needs_grad:
-            gx = g * gain.data
+        if eg is not None:
+            eg._accum((g * xhat).sum(axis=lead))
+        if es is not None:
+            es._accum(g.sum(axis=lead))
+        if ex is not None:
+            gx = g * gd
             m1 = gx.mean(axis=-1, keepdims=True)
             m2 = (gx * xhat).mean(axis=-1, keepdims=True)
-            x._accum(inv * (gx - m1 - xhat * m2))
+            ex._accum(inv * (gx - m1 - xhat * m2))
 
-    return _make(data, (x, gain, shift), bwd)
+    return _make(data, (ex, eg, es), bwd)
