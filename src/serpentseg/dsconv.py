@@ -157,11 +157,11 @@ def grid_sample_points(feature: Tensor, points: Tensor) -> Tensor:
 
     The tape keeps only the points, and the feature when the points need a
     gradient: forward builds the sparse sampling matrix of corner weights,
-    applies it to the channel-last feature rows and drops both. Backward rebuilds the indices and weights from the
-    points (``_corners``) and, one at a time, the matrices of the feature
-    gradient (the sampling matrix, transposed) and of the x and y
-    derivatives, whose corner weights are the sampling weights with the
-    derivative's axis replaced by (-1, 1).
+    applies it to the channel-last feature rows and drops both. Backward
+    rebuilds the indices and weights from the points (``_corners``) and, one
+    at a time, the matrices of the feature gradient (the sampling matrix,
+    transposed) and of the x and y derivatives, whose corner weights are the
+    sampling weights with the derivative's axis replaced by (-1, 1).
     """
     fd, pd = feature.data, points.data
     n, c, h, w = fd.shape

@@ -41,15 +41,22 @@ class MetricsReport:
 
 
 def _check_masks(pred, gt) -> tuple[np.ndarray, np.ndarray]:
+    """Both masks as uint8, after checking they are 2-d, binary and of one
+    shape; a uint8 mask comes back as given."""
     pred, gt = np.asarray(pred), np.asarray(gt)
     for m, role in ((pred, "pred"), (gt, "gt")):
         if m.ndim != 2:
             raise ContractViolation(f"{role} mask must be 2-d, got shape {m.shape}")
-        if not np.isin(m, (0, 1)).all():
+        # bool is binary by type and uint8 has no negatives, so its max decides
+        if m.dtype == np.uint8:
+            binary = m.size == 0 or m.max() <= 1
+        else:
+            binary = m.dtype == bool or np.isin(m, (0, 1)).all()
+        if not binary:
             raise ContractViolation(f"{role} mask must be binary")
     if pred.shape != gt.shape:
         raise ContractViolation(f"mask shapes differ: {pred.shape} vs {gt.shape}")
-    return pred.astype(np.uint8), gt.astype(np.uint8)
+    return pred.astype(np.uint8, copy=False), gt.astype(np.uint8, copy=False)
 
 
 def confusion_counts(pred, gt) -> tuple[int, int, int, int]:
@@ -87,6 +94,8 @@ def hausdorff(pred, gt) -> float:
 
 
 def evaluate_pair(pred, gt) -> ImageMetrics:
+    # one full check: the checks inside then see uint8 masks, one max pass each
+    pred, gt = _check_masks(pred, gt)
     iou, precision, recall, f1 = pixel_metrics(confusion_counts(pred, gt))
     return ImageMetrics(iou, precision, recall, f1, hausdorff(pred, gt))
 

@@ -61,7 +61,11 @@ class Module:
         return state
 
     def load_state_dict(self, state: dict[str, np.ndarray]):
-        """Load values: array-likes of the parameters' shapes, bool, int or float."""
+        """Load values: array-likes of the parameters' shapes, bool, int or float.
+
+        Every value is converted and checked before any is assigned, so a
+        failed load leaves the model unchanged.
+        """
         own = dict(self.named_parameters())
         missing = sorted(set(own) - set(state))
         extra = sorted(set(state) - set(own))
@@ -69,6 +73,7 @@ class Module:
             raise ContractViolation(
                 f"state mismatch: missing={missing[:3]} extra={extra[:3]}"
             )
+        loaded = {}
         for name in sorted(own):
             try:
                 src = np.asarray(state[name])
@@ -81,7 +86,9 @@ class Module:
                     f"shape mismatch for {name!r}: checkpoint {src.shape} vs model "
                     f"{own[name].data.shape}"
                 )
-            own[name].data = src.astype(own[name].data.dtype)
+            loaded[name] = src.astype(own[name].data.dtype)
+        for name, value in loaded.items():
+            own[name].data = value
 
     def set_dtype(self, dtype):
         """Switch parameter precision in place (float64 for gradient checks)."""

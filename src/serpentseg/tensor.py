@@ -46,8 +46,10 @@ def no_grad():
 
 
 class _Entry:
-    """An op output on the tape: its gradient, its parents' entries (op
-    entries or leaf tensors) and its backward closure; no array."""
+    """A tensor's tape state: its gradient, its parents' entries (op entries
+    or leaf tensors) and its backward closure; no array. The tape records an
+    op output's entry, which outlives the output, and a leaf tensor itself,
+    whose entry only stores its gradient."""
 
     __slots__ = ("grad", "_parents", "_backward")
 
@@ -513,7 +515,7 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     data = data.reshape(xd.shape[:-1] + (wd.shape[0],))
     ex, ew, eb = _tape(x), _tape(weight), _tape(bias)
     xshape, cout = xd.shape, wd.shape[0]
-    xrows = rows if ew is not None else None  # the weight gradient's only read
+    xrows = rows if ew is not None else None  # read only by the weight gradient
 
     def bwd(g):
         g2 = g.reshape(-1, cout)
@@ -615,7 +617,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     if bias is not None:
         data += bias.data.reshape(1, cout, 1, 1)
     ex, ew, eb = _tape(x), _tape(weight), _tape(bias)
-    xkept = xd if ew is not None else None  # the weight gradient's only read
+    xkept = xd if ew is not None else None  # read only by the weight gradient
 
     def bwd(g):
         if ew is not None:
@@ -686,7 +688,7 @@ def depthwise_conv3x3(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> 
     if bias is not None:
         data += bias.data
     ex, ew, eb = _tape(x), _tape(weight), _tape(bias)
-    xkept = xd if ew is not None else None  # the weight gradient's only read
+    xkept = xd if ew is not None else None  # read only by the weight gradient
 
     def bwd(g):
         if ex is not None:

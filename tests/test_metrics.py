@@ -188,3 +188,18 @@ def test_evaluate_pair_combines_everything():
     m = evaluate_pair(pred, gt)
     assert m.iou == pytest.approx(0.5)
     assert m.hausdorff == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize("dtype", [bool, np.uint8, np.int64, np.float32])
+def test_evaluate_pair_checks_every_mask_dtype_alike(dtype):
+    rng = np.random.default_rng(6)
+    pred = rng.random((9, 9)) < 0.3
+    gt = rng.random((9, 9)) < 0.3
+    assert evaluate_pair(pred.astype(dtype), gt.astype(dtype)) == evaluate_pair(pred, gt)
+    if dtype is not bool:  # a bool mask cannot hold a 2
+        bad = pred.astype(dtype)
+        bad[0, 0] = 2
+        with pytest.raises(ContractViolation, match="pred mask must be binary"):
+            evaluate_pair(bad, gt.astype(dtype))
+    empty = np.zeros((0, 4), dtype)
+    assert evaluate_pair(empty, empty) == ImageMetrics(1.0, 1.0, 1.0, 1.0, 0.0)

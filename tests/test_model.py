@@ -1,6 +1,7 @@
 """Decoder fusion, full-model contracts, loss oracle, Adam, and the
 training loop."""
 
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -599,3 +600,22 @@ class TestTrainLoop:
         model = SnakeFormer(micro_config(seed=32))
         pairs = _toy_pairs(1, 33, size=32) + _toy_pairs(1, 34, size=64)
         assert len(evaluate_model(model, pairs, batch_size=1).per_image) == 2
+
+
+def test_taped_forward_keeps_a_bounded_tape():
+    # the tape holds an op output's array only while a backward formula reads
+    # it: 21.3 MiB measured, against 32.0 MiB when every output held its parents
+    net = SnakeFormer(ModelConfig())
+    rng = np.random.default_rng(0)
+    image = rng.standard_normal((2, 1, 64, 64)).astype(np.float32)
+    mask = (rng.random((2, 64, 64)) < 0.1).astype(np.uint8)
+    combined_loss(net(Tensor(image)), mask)  # first-call caches stay out of the count
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        loss = combined_loss(net(Tensor(image)), mask)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(loss.item())
+    assert kept <= 1.05 * 21.3 * 2 ** 20, kept / 2 ** 20

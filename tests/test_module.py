@@ -106,6 +106,18 @@ def test_load_rejects_non_numeric_value_naming_key(value):
         net.load_state_dict(state)
 
 
+def test_failed_load_leaves_the_model_unchanged():
+    net = _Net(np.random.default_rng(3))
+    before = net.state_dict()
+    # every value changes, and the bad key is the last in name order
+    state = _Net(np.random.default_rng(5)).state_dict()
+    state["stem.weight"] = "weights"
+    with pytest.raises(ContractViolation, match="stem.weight"):
+        net.load_state_dict(state)
+    for name, value in net.state_dict().items():
+        np.testing.assert_array_equal(value, before[name], err_msg=name)
+
+
 def test_load_rejects_missing_keys():
     net = _Net(np.random.default_rng(4))
     state = net.state_dict()

@@ -4,6 +4,7 @@ gradient checker."""
 import re
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ import pytest
 import oracles
 from serpentseg import tensor as T
 from serpentseg.attention import _pooled_rows
+from serpentseg.dsconv import _embed_kernels, chain_coordinates
 from serpentseg.gradcheck import FunctionModule, grad_check
 from serpentseg.module import Conv2d, LayerNorm, Linear, Module, Parameter
 from serpentseg.tensor import ContractViolation, Tensor
@@ -730,3 +732,45 @@ class TestTapeInvariants:
         b = Tensor(np.zeros((2, 3, 1), dtype=np.float32))
         with pytest.raises(ContractViolation):
             T.add(a, b)
+
+
+# op -> (input shapes, op, whether the tape lets the op's output go): every
+# keep-shapes op, and relu (whose closure reads its output) and layer_norm
+TAPE_OPS = {
+    "add": ([(2, 3), (2, 3)], T.add, True),
+    "sub": ([(2, 3), (2, 3)], T.sub, True),
+    "concat": ([(2, 3), (2, 2)], lambda a, b: T.concat([a, b], axis=1), True),
+    "reshape": ([(2, 6)], lambda a: T.reshape(a, (3, 4)), True),
+    "transpose": ([(2, 3, 4)], lambda a: T.transpose(a, (2, 0, 1)), True),
+    "narrow": ([(2, 5)], lambda a: T.narrow(a, 1, 1, 3), True),
+    "tsum": ([(2, 3, 4)], lambda a: T.tsum(a, axis=1), True),
+    "upsample_bilinear": ([(1, 2, 3, 3)], lambda a: T.upsample_bilinear(a, 2), True),
+    "chain_coordinates": ([(1, 16, 2, 3)], chain_coordinates, True),
+    "_embed_kernels": ([(4, 2, 3, 3), (4, 2, 5, 5)], lambda *ws: _embed_kernels(list(ws)),
+                       True),
+    "relu": ([(2, 5)], T.relu, False),
+    "layer_norm": ([(2, 3, 4)], lambda a: T.layer_norm(
+        a, Parameter(np.linspace(0.5, 1.5, 4)), Parameter(np.zeros(4))), True),
+}
+
+
+@pytest.mark.parametrize("name", list(TAPE_OPS))
+def test_tape_frees_arrays_that_backward_does_not_read(name):
+    shapes, op, frees_output = TAPE_OPS[name]
+
+    def leaf_grads(drop: bool):
+        rng = np.random.default_rng(30)
+        leaves = [Tensor(rng.standard_normal(s), requires_grad=True) for s in shapes]
+        inputs = [leaf * 2.0 for leaf in leaves]  # op outputs only the caller holds
+        out = op(*inputs)
+        # the weighting keeps its constant weight, not ``out``
+        loss = T.tsum(out * Tensor(rng.standard_normal(out.data.shape)))
+        refs = [weakref.ref(t.data) for t in inputs + [out] * frees_output]
+        if drop:
+            del inputs, out
+            assert all(r() is None for r in refs), [r() is None for r in refs]
+        loss.backward()
+        return [leaf.grad for leaf in leaves]
+
+    for kept, dropped in zip(leaf_grads(False), leaf_grads(True)):
+        np.testing.assert_array_equal(kept, dropped)
