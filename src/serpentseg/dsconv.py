@@ -17,10 +17,12 @@ back as (N, H*W*9, Cin) rows; and the contraction is one ``linear`` over
 rows of 9*Cin samples.
 
 The bilinear reads are a sparse matrix of corner weights over the feature
-rows, built from the points and dropped after forward: the tape keeps only
-the point tensor and, for the point gradient, the feature, and backward
-rebuilds the corner indices and weights from the points, then the matrices
-of the feature gradient and of the x and y derivatives one at a time.
+rows, built from the points in blocks of ``POINT_BLOCK`` points, each block
+applied and dropped before the next, so the sampler's scratch memory does
+not grow with the map. The tape keeps only the point tensor and, for the
+point gradient, the feature; backward rebuilds each block's corner indices
+and weights from the points, then the block's matrices of the feature
+gradient and of the x and y derivatives one at a time.
 
 Offset channel layout, for chain distance c in 1..4 with base = 4*(c-1):
     base+0: dx of the forward point t+c      base+1: dy of t+c
@@ -39,7 +41,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.sparse import csr_array, get_index_dtype
+from scipy.sparse import get_index_dtype
+from scipy.sparse._sparsetools import csc_matvec, csc_matvecs, csr_matvec, csr_matvecs
 
 from .module import Conv2d, Module, Parameter, _uniform
 from .tensor import (ContractViolation, Tensor, _make, _tape, concat, conv2d, linear, reshape,
@@ -52,6 +55,10 @@ OFFSET_CHANNELS = 16  # 8 non-center points x 2 components
 # atanh(0.95): initial steps of 0.95 px along the instance axis, so fresh
 # instances start as near-straight rows/columns instead of collapsed points
 INIT_STEP_BIAS = math.atanh(0.95)
+
+# Points ``grid_sample_points`` reads per block: a block's corner indices,
+# weights and matrix values take about 3 MiB at float32, whatever the map size
+POINT_BLOCK = 65536
 
 
 def _prefix_matrix(dtype) -> np.ndarray:
@@ -94,12 +101,12 @@ def chain_coordinates(steps: Tensor) -> Tensor:
     return _make(pts.reshape(n, h * w * CHAIN_LEN, 2), (es,), bwd)
 
 
-def _corners(pd: np.ndarray, h: int, w: int, dtype):
-    """CSR column indices (N*M*4,), row pointers (N*M+1,), weights
-    (2, 2, N*M) and in-border mask (2, N*M) of bilinear reads at points
-    (N, M, 2).
+def _corners(pb: np.ndarray, lo: int, m: int, h: int, w: int, idx_t, dtype):
+    """CSR column indices (P*4,), weights (2, 2, P) and in-border mask (2, P)
+    of bilinear reads at the (P, 2) points ``pb``, points lo..lo+P of the
+    flat (N*M, 2) points.
 
-    Row n*M + m reads point m's corners over the rows of the channel-last
+    Point p = n*M + m reads its corners over the rows of the channel-last
     feature (N*H*W, C), in the order (00, 01, 10, 11): corner 2a+b is y-step
     a and x-step b. The points are worked on axis-major (row 0 x, row 1 y),
     so each axis is one contiguous row: they are clamped to the border, and
@@ -107,39 +114,73 @@ def _corners(pd: np.ndarray, h: int, w: int, dtype):
     own image, so the matrix is block diagonal over the batch; along a side
     of length 1 the two corners coincide.
     """
-    n, m, _ = pd.shape
-    pa = pd.reshape(n * m, 2).T.copy()  # clamped in place below
-    hi = np.array([[w - 1], [h - 1]], dtype=pd.dtype)
-    inside = (pa >= 0.0) & (pa <= hi)
-    np.clip(pa, 0.0, hi, out=pa)
-    lo = np.floor(pa)
-    np.minimum(lo, np.maximum(hi - 1, 0), out=lo)
-    wt = np.empty((2, 2, n * m), dtype=dtype)
-    np.subtract(pa, lo, out=wt[:, 1])
+    pa = pb.T.copy()  # clamped in place below
+    top = np.array([[w - 1], [h - 1]], dtype=pb.dtype)
+    inside = (pa >= 0.0) & (pa <= top)
+    np.clip(pa, 0.0, top, out=pa)
+    low = np.floor(pa)
+    np.minimum(low, np.maximum(top - 1, 0), out=low)
+    wt = np.empty((2, 2, pa.shape[1]), dtype=dtype)
+    np.subtract(pa, low, out=wt[:, 1])
     np.subtract(1.0, wt[:, 1], out=wt[:, 0])
-    idx_t = get_index_dtype(maxval=max(4 * n * m, n * h * w))
-    cols = np.empty((n, m, 4), dtype=idx_t)
-    i00 = cols[..., 0]
-    i00[...] = lo[1].reshape(n, m)
+    x0, i00 = low.astype(idx_t)  # corner 00's row y * w + x, worked on contiguously
     i00 *= w
-    i00 += lo[0].reshape(n, m).astype(idx_t)
-    i00 += (np.arange(n, dtype=idx_t) * (h * w))[:, None]
+    i00 += x0
+    hi = lo + pa.shape[1]
+    for img in range(lo // m, (hi - 1) // m + 1):
+        i00[max(img * m, lo) - lo:min(img * m + m, hi) - lo] += img * h * w
+    cols = np.empty((pa.shape[1], 4), dtype=idx_t)
+    cols[:, 0] = i00
     sx, sy = min(w - 1, 1), min(h - 1, 1) * w
     for corner, step in ((1, sx), (2, sy), (3, sx + sy)):
-        np.add(i00, step, out=cols[..., corner])
-    indptr = np.arange(0, 4 * n * m + 1, 4, dtype=idx_t)
-    return cols.reshape(-1), indptr, wt, inside
+        np.add(i00, step, out=cols[:, corner])
+    return cols.reshape(-1), wt, inside
 
 
-def _corner_matrix(ay: np.ndarray, ax: np.ndarray, cols: np.ndarray, indptr: np.ndarray,
-                   shape: tuple[int, int]) -> csr_array:
-    """CSR matrix whose corner 2a+b of each row holds ``ay[a] * ax[b]``; each
-    factor is a (2, N*M) weight pair or a constant (2,) pair."""
-    vals = np.empty((indptr.size - 1, 4), dtype=np.result_type(ay, ax))
+def _blocks(pd: np.ndarray, m: int, shape: tuple, dtype):
+    """The flat (N*M, 2) points ``pd`` of a (N, C, H, W) feature ``shape`` in
+    blocks of ``POINT_BLOCK`` consecutive points, which may straddle images:
+    yields (lo, hi, indptr, cols, wt, inside) for points lo..hi, the CSR row
+    pointers and ``_corners`` of the block, built when the block is taken."""
+    n, _, h, w = shape
+    total = pd.shape[0]
+    size = max(min(POINT_BLOCK, total), 1)
+    idx_t = get_index_dtype(maxval=max(4 * size, n * h * w))
+    indptr = np.arange(0, 4 * size + 1, 4, dtype=idx_t)
+    for lo in range(0, total, size):
+        hi = min(lo + size, total)
+        yield (lo, hi, indptr[:hi - lo + 1]) + _corners(pd[lo:hi], lo, m, h, w, idx_t, dtype)
+
+
+def _corner_values(ay: np.ndarray, ax: np.ndarray) -> np.ndarray:
+    """CSR values whose corner 2a+b of each row holds ``ay[a] * ax[b]``; each
+    factor is a (2, P) weight pair or a constant (2,) pair."""
+    rows = np.broadcast_shapes(ay.shape[1:], ax.shape[1:])
+    vals = np.empty(rows + (4,), dtype=np.result_type(ay, ax))
     for a in range(2):
         for b in range(2):
             np.multiply(ay[a], ax[b], out=vals[:, 2 * a + b])
-    return csr_array((vals.reshape(-1), cols, indptr), shape=shape)
+    return vals.reshape(-1)
+
+
+def _spmm(indptr: np.ndarray, cols: np.ndarray, vals: np.ndarray, x: np.ndarray,
+          y: np.ndarray, transposed: bool = False) -> None:
+    """``y += A @ x``, or ``y += A.T @ x``, in place, for the CSR matrix A =
+    (vals, cols, indptr) and C-contiguous (rows, C) ``x`` and ``y``.
+
+    These are the kernels scipy's own products run (a single column by the
+    one-vector kernel), called on the caller's output: the sums of a block
+    go into the same buffer as those of the blocks before it, in the same
+    order as one product of the whole matrix.
+    """
+    points = indptr.size - 1
+    shape = (y.shape[0], points) if transposed else (points, x.shape[0])
+    if x.shape[1] == 1:
+        kernel = csc_matvec if transposed else csr_matvec
+        kernel(*shape, indptr, cols, vals, x.ravel(), y.ravel())
+    else:
+        kernel = csc_matvecs if transposed else csr_matvecs
+        kernel(*shape, x.shape[1], indptr, cols, vals, x.ravel(), y.ravel())
 
 
 def _feature_rows(fd: np.ndarray) -> np.ndarray:
@@ -155,13 +196,22 @@ def grid_sample_points(feature: Tensor, points: Tensor) -> Tensor:
     respect to a clamped coordinate is zero. Differentiable in the feature
     values and the points.
 
+    The reads run in blocks of ``POINT_BLOCK`` consecutive points
+    (``_blocks``): a block's corner indices, weights and sparse sampling
+    matrix are built, applied to the channel-last feature rows and dropped
+    before the next, so a call's scratch is bounded by the block, not the
+    map. Forward writes each block's rows into the (N, M, C) result.
+
     The tape keeps only the points, and the feature when the points need a
-    gradient: forward builds the sparse sampling matrix of corner weights,
-    applies it to the channel-last feature rows and drops both. Backward
-    rebuilds the indices and weights from the points (``_corners``) and, one
-    at a time, the matrices of the feature gradient (the sampling matrix,
-    transposed) and of the x and y derivatives, whose corner weights are the
-    sampling weights with the derivative's axis replaced by (-1, 1).
+    gradient. Backward rebuilds each block from the points and, one at a
+    time, the matrices of the feature gradient (the sampling matrix,
+    transposed), which it adds into the feature gradient, and of the x and
+    y derivatives, whose corner weights are the sampling weights with the
+    derivative's axis replaced by (-1, 1); each derivative is reduced
+    against that block of the upstream gradient. The sparse products
+    accumulate in place (``_spmm``), so every sum runs in point order, as
+    one product of the whole map would: outputs and gradients do not depend
+    on the block size.
     """
     fd, pd = feature.data, points.data
     n, c, h, w = fd.shape
@@ -172,31 +222,40 @@ def grid_sample_points(feature: Tensor, points: Tensor) -> Tensor:
         raise ContractViolation("non-finite sampling coordinate")
 
     m = pd.shape[1]
-    shape = (n * m, n * h * w)
-    cols, indptr, wt, _ = _corners(pd, h, w, fd.dtype)
-    out = _corner_matrix(wt[1], wt[0], cols, indptr, shape) @ _feature_rows(fd)
+    pflat = pd.reshape(n * m, 2)
+    rows = _feature_rows(fd)
+    out = np.zeros((n * m, c), dtype=fd.dtype)
+    for lo, hi, indptr, cols, wt, _ in _blocks(pflat, m, fd.shape, fd.dtype):
+        _spmm(indptr, cols, _corner_values(wt[1], wt[0]), rows, out[lo:hi])
     ef, ep = _tape(feature), _tape(points)
     dtype = fd.dtype
     fkept = fd if ep is not None else None  # only the point gradient reads the feature
 
     def bwd(g):
-        cols, indptr, wt, inside = _corners(pd, h, w, dtype)
-        gl = g.reshape(n * m, c)
+        gl = np.ascontiguousarray(g.reshape(n * m, c), dtype=dtype)
+        gf = np.zeros((n * h * w, c), dtype=dtype) if ef is not None else None
+        if ep is not None:
+            rows = _feature_rows(fkept)
+            step = np.array([-1.0, 1.0], dtype=dtype)
+            gp = np.empty((n * m, 2), dtype=dtype)
+            deriv = np.empty(min(POINT_BLOCK, n * m) * c, dtype=dtype)
+        for lo, hi, indptr, cols, wt, inside in _blocks(pflat, m, (n, c, h, w), dtype):
+            gb = gl[lo:hi]
+            if ef is not None:
+                _spmm(indptr, cols, _corner_values(wt[1], wt[0]), gb, gf, transposed=True)
+            if ep is None:
+                continue
+            d = deriv[:gb.size].reshape(gb.shape)
+            for a, (ay, ax) in enumerate(((wt[1], step), (step, wt[0]))):
+                d.fill(0)
+                _spmm(indptr, cols, _corner_values(ay, ax), rows, d)
+                d *= gb
+                gp[lo:hi, a] = d.sum(axis=1)
+            gp[lo:hi] *= inside.T
         if ef is not None:
-            gf = _corner_matrix(wt[1], wt[0], cols, indptr, shape).T @ gl
             ef._accum(np.ascontiguousarray(gf.reshape(n, h, w, c).transpose(0, 3, 1, 2)))
-        if ep is None:
-            return
-        rows = _feature_rows(fkept)
-        step = np.array([-1.0, 1.0], dtype=dtype)
-        gp = np.empty((2, n * m), dtype=dtype)
-        for a, (ay, ax) in enumerate(((wt[1], step), (step, wt[0]))):
-            deriv = _corner_matrix(ay, ax, cols, indptr, shape) @ rows
-            deriv *= gl
-            gp[a] = deriv.sum(axis=1)
-            del deriv  # before the next product is built
-        gp *= inside
-        ep._accum(gp.T.reshape(n, m, 2))
+        if ep is not None:
+            ep._accum(gp.reshape(n, m, 2))
 
     return _make(out.reshape(n, m, c), (ef, ep), bwd)
 

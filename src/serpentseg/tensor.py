@@ -325,16 +325,24 @@ def tmean(a: Tensor, axis=None, keepdims=False) -> Tensor:
 
 
 def max_along(a: Tensor, axis: int, keepdims: bool = True) -> Tensor:
-    """Max over one axis; gradient routes to the first occurrence of the max,
-    which backward finds, so a forward without the tape runs no argmax."""
+    """Max over one axis; gradient routes to the first occurrence of the max.
+
+    A taped forward keeps that position, in the smallest unsigned type that
+    holds the axis length, instead of its input; a forward without the tape
+    runs no argmax."""
     ad = a.data
     if ad.shape[axis] == 0:
         raise ContractViolation(f"max_along: empty axis {axis} in shape {ad.shape}")
     ea = _tape(a)
+    shape, dtype = ad.shape, ad.dtype
+    idx = None
+    if ea is not None and _GRAD_ENABLED.get():
+        # first occurrence on ties
+        idx = np.expand_dims(np.argmax(ad, axis=axis), axis).astype(
+            np.min_scalar_type(shape[axis] - 1))
 
     def bwd(g):
-        idx = np.expand_dims(np.argmax(ad, axis=axis), axis)  # first occurrence on ties
-        buf = np.zeros_like(ad)
+        buf = np.zeros(shape, dtype=dtype)
         np.put_along_axis(buf, idx, g if keepdims else np.expand_dims(g, axis), axis=axis)
         ea._accum(buf)
 
@@ -531,18 +539,34 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
 
 # -- convolution and pooling ---------------------------------------------------
 
-def _kernel_rows(xd: np.ndarray, k: int, stride: int, padding: int):
-    """The k kernel-row views of ``xd``'s window layout and the grid they span.
+# Bytes a correlation tile may hold: its column shifts and the two buffers of
+# its outputs, sized to stay in cache instead of copying all k shifts of a
+# whole map (cache blocking: Goto & van de Geijn, "Anatomy of High-Performance
+# Matrix Multiplication", ACM TOMS 2008)
+CONV_TILE_BYTES = 2 << 20
+
+
+def _kernel_tiles(xd: np.ndarray, k: int, stride: int, padding: int, cout: int | None):
+    """The window layout of ``xd`` and its k kernel-row views, one column tile
+    at a time.
 
     The layout is the zero-padded (N, C, H + 2p, Wp) map stored channel-major
     as C flat rows, with Wp = W + 2p rounded up to Wq * stride and zeros after
-    it, so every read stays inside; the input is written straight into it.
-    Its k column shifts are copied once (a 1x1 kernel reads the layout
-    itself): shift j holds ``flat[c, j + stride * m]`` at column m, so column
-    m = (n * Hp + y) * Wq + x reads padded row y, column stride * x, and
-    kernel row i is the same (C, k, cols) matrix offset by i * Wq columns,
-    i padded rows further down. Returns the k (C, k, span) views and the
-    (N, Hp, Wq) grid of their columns.
+    it, so every read stays inside; the input is written straight into it,
+    and it is whole. Column m = (n * Hp + y) * Wq + x of the (N, Hp, Wq) grid
+    reads padded row y, column stride * x: shift j holds ``flat[c, j + stride
+    * m]`` at column m, and kernel row i is the (C, k, cols) shift matrix
+    offset by i * Wq columns, i padded rows further down.
+
+    The shifts are copied one tile of whole grid rows at a time into one
+    buffer, which spans the tile's rows and the k - 1 rows its last kernel
+    row reaches below them. Tiles are sized so that this buffer and two
+    (``cout``, cols) buffers of the tile's outputs fit in ``CONV_TILE_BYTES``,
+    but hold at least one grid row; ``cout=None``, and a 1x1 kernel, which
+    reads the layout itself with no copy, make the whole grid one tile.
+    Returns the (N, Hp, Wq) grid and an iterator of (lo, hi, views): grid
+    columns lo..hi and the k (C, k, hi - lo) views of their kernel rows,
+    valid until the next tile is taken.
     """
     n, c, h, w = xd.shape
     hp = h + 2 * padding
@@ -552,47 +576,95 @@ def _kernel_rows(xd: np.ndarray, k: int, stride: int, padding: int):
     flat[:, :n * hp * wp].reshape(c, n, hp, wp)[:, :, padding:padding + h,
                                                 padding:padding + w] = xd.transpose(1, 0, 2, 3)
     span = n * hp * wq
-    cols = span + (k - 1) * wq
-    if k == 1:
-        shifts = flat[:, None, :stride * (cols - 1) + 1:stride]
-    else:
-        shifts = np.empty((c, k, cols), dtype=xd.dtype)
-        for j in range(k):
-            shifts[:, j] = flat[:, j:j + stride * (cols - 1) + 1:stride]
-    return [shifts[..., i * wq:i * wq + span] for i in range(k)], (n, hp, wq)
+    halo = (k - 1) * wq
+    rows = n * hp
+    if cout is not None and k > 1:
+        rows = (CONV_TILE_BYTES // (xd.itemsize * wq) - c * k * (k - 1)) // (c * k + 2 * cout)
+    step = max(min(max(rows, 1) * wq, span), 1)
+
+    def tiles():
+        buf = np.empty(c * k * (step + halo) if k > 1 else 0, dtype=xd.dtype)
+        for lo in range(0, max(span, 1), step):  # an empty batch is one empty tile
+            hi = min(lo + step, span)
+            cols = hi - lo + halo
+            if k == 1:
+                shifts = flat[:, None, stride * lo:stride * (hi - 1) + 1:stride]
+            else:
+                shifts = buf[:c * k * cols].reshape(c, k, cols)
+                for j in range(k):
+                    start = j + stride * lo
+                    shifts[:, j] = flat[:, start:start + stride * (cols - 1) + 1:stride]
+            yield lo, hi, [shifts[..., i * wq:i * wq + hi - lo] for i in range(k)]
+
+    return (n, hp, wq), tiles()
 
 
 def _correlate(xd: np.ndarray, wd: np.ndarray, stride: int, padding: int) -> np.ndarray:
-    """(N, Cout, Ho, Wo) correlation of (N, C, H, W) with (Cout, C, k, k):
-    one GEMM of ``wd[:, :, i, :]`` (Cout, C*k) per kernel row i, then the
-    outputs are picked from the (N, Hp, Wq) grid of columns."""
+    """(N, Cout, Ho, Wo) correlation of (N, C, H, W) with (Cout, C, k, k).
+
+    Per tile of ``_kernel_tiles``: one GEMM of ``wd[:, :, i, :]`` (Cout, C*k)
+    per kernel row i, summed in one tile-sized buffer, whose grid positions
+    inside Ho x Wo are written straight into the result. A 1x1 kernel at
+    stride 1 has the output as its grid: one GEMM per image writes it.
+    """
     c, h, w = xd.shape[1:]
     cout, _, k, _ = wd.shape
-    views, (n, hp, wq) = _kernel_rows(xd, k, stride, padding)
-    wrows = np.ascontiguousarray(wd.transpose(2, 0, 1, 3)).reshape(k, cout, c * k)
-    out = wrows[0] @ views[0].reshape(c * k, -1)
-    for i in range(1, k):
-        out += wrows[i] @ views[i].reshape(c * k, -1)
     ho, wo = (h + 2 * padding - k) // stride + 1, (w + 2 * padding - k) // stride + 1
-    rows = out.reshape(cout, n, hp, wq)[:, :, :ho * stride:stride, :wo]
-    return np.ascontiguousarray(rows.transpose(1, 0, 2, 3))
+    (n, hp, wq), tiles = _kernel_tiles(xd, k, stride, padding, cout)
+    wrows = np.ascontiguousarray(wd.transpose(2, 0, 1, 3)).reshape(k, cout, c * k)
+    out = np.empty((n, cout, ho, wo), dtype=np.result_type(xd, wd))
+    if k == 1 and stride == 1:
+        ((_, _, (view,)),) = tiles
+        view = view.reshape(c, n, hp * wq)
+        for nn in range(n):
+            np.matmul(wrows[0], view[:, nn], out=out[nn].reshape(cout, -1))
+        return out
+    acc = part = None
+    for lo, hi, views in tiles:
+        if acc is None:  # sized by the first tile, the largest
+            acc = np.empty(cout * (hi - lo), dtype=out.dtype)
+            part = np.empty_like(acc) if k > 1 else None
+        t = acc[:cout * (hi - lo)].reshape(cout, hi - lo)
+        np.matmul(wrows[0], views[0].reshape(c * k, -1), out=t)
+        for i in range(1, k):
+            p = part[:t.size].reshape(t.shape)
+            np.matmul(wrows[i], views[i].reshape(c * k, -1), out=p)
+            t += p
+        # grid row q = nn * hp + yo * stride holds output row yo of image nn
+        r0, r1 = lo // wq, hi // wq
+        t = t.reshape(cout, r1 - r0, wq)
+        for nn in range(r0 // hp, (r1 - 1) // hp + 1):
+            base = nn * hp
+            y0 = max(0, -(-(r0 - base) // stride))
+            y1 = min(ho, -(-(r1 - base) // stride))
+            if y1 > y0:
+                first = base + y0 * stride - r0
+                out[nn, :, y0:y1] = t[:, first:first + (y1 - y0 - 1) * stride + 1:stride, :wo]
+    return out
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
            stride: int = 1, padding: int = 0) -> Tensor:
     """2-d convolution (a correlation) with zero padding and square odd kernels.
 
-    The input goes into the window layout of ``_kernel_rows``, and kernel
+    The input goes into the window layout of ``_kernel_tiles``, and kernel
     row i is one GEMM against its view (``_correlate``). Grid positions
     outside Ho x Wo, the rows between images and those a stride skips among
     them, are computed and dropped.
 
+    Bounded working set: the input, the layout and the output are whole,
+    but the k column shifts are copied one tile of grid rows at a time, and
+    a tile's kernel-row GEMMs sum into one buffer of its outputs. A tile's
+    shifts and output buffers fit in ``CONV_TILE_BYTES`` (or hold one padded
+    row, if that is more), so besides the whole maps a forward holds one
+    tile, whatever the map's area.
+
     Backward keeps no window data. The weight gradient rebuilds the views
-    from the input and runs k GEMMs against them. The input gradient is a
-    correlation by the same code: the output gradient, spread back to
-    stride 1 with zeros, against the flipped kernel with in- and
-    out-channels swapped, at padding k - 1 - padding (at padding 0 and
-    cropped when that is negative).
+    from the input as one tile of the whole span and runs k GEMMs against
+    them. The input gradient is a correlation by the same code, so it runs
+    in tiles: the output gradient, spread back to stride 1 with zeros,
+    against the flipped kernel with in- and out-channels swapped, at padding
+    k - 1 - padding (at padding 0 and cropped when that is negative).
     """
     xd, wd = x.data, weight.data
     if xd.ndim != 4 or wd.ndim != 4:
@@ -605,6 +677,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
         raise ContractViolation(
             f"conv2d: input channels {xd.shape} do not match weight {wd.shape}"
         )
+    if cin == 0 or cout == 0:
+        raise ContractViolation(f"conv2d: weight {wd.shape} has no input or output channels")
     if kh != kw or kh % 2 == 0:
         raise ContractViolation(f"conv2d: kernel must be square and odd, got {wd.shape}")
     k = kh
@@ -621,7 +695,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
 
     def bwd(g):
         if ew is not None:
-            views, (_, hp, wq) = _kernel_rows(xkept, k, stride, padding)
+            (_, hp, wq), tiles = _kernel_tiles(xkept, k, stride, padding, None)
+            ((_, _, views),) = tiles
             # g back onto the zeroed grid columns ``_correlate`` picked it from
             gq = np.zeros((cout, n, hp, wq), dtype=g.dtype)
             gq[:, :, :g.shape[2] * stride:stride, :g.shape[3]] = g.transpose(1, 0, 2, 3)
@@ -629,7 +704,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
             # (C*k, span) @ (span, Cout): BLAS splits the C*k rows over the
             # cores, where the long span as the output's inner axis would not
             gw = np.stack([view.reshape(cin * k, -1) @ gq.T for view in views])
-            del views  # freed before the input gradient allocates its buffers
+            del views, tiles  # freed before the input gradient allocates its buffers
             ew._accum(gw.reshape(k, cin, k, cout).transpose(3, 1, 0, 2))
         if ex is not None:
             g1 = g

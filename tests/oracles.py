@@ -31,6 +31,25 @@ def conv2d_oracle(x, w, b, stride=1, padding=0):
     return out
 
 
+def conv2d_grads_oracle(x, w, g, stride=1, padding=0):
+    """Input and weight gradients of sum(g * conv2d_oracle(x, w, 0)), one
+    kernel tap at a time: tap (i, j) reads the padded input at
+    (y * stride + i, x * stride + j)."""
+    _, _, h, wid = x.shape
+    k = w.shape[2]
+    ho, wo = g.shape[2:]
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    gxp = np.zeros_like(xp)
+    gw = np.zeros_like(w)
+    for i in range(k):
+        for j in range(k):
+            sl = (slice(None), slice(None), slice(i, i + stride * (ho - 1) + 1, stride),
+                  slice(j, j + stride * (wo - 1) + 1, stride))
+            gw[:, :, i, j] = np.einsum("nohw,nchw->oc", g, xp[sl])
+            gxp[sl] += np.einsum("oc,nohw->nchw", w[:, :, i, j], g)
+    return gxp[:, :, padding:padding + h, padding:padding + wid], gw
+
+
 def bilinear_oracle(grid, px, py):
     """Clamped bilinear read of a 2-d array at a fractional point."""
     h, w = grid.shape

@@ -276,6 +276,73 @@ class TestBilinearSample:
         assert all(t.grad.shape == t.data.shape for t in (f, pts))
         assert peak <= 4.5 * out.data.nbytes, peak
 
+    @pytest.mark.parametrize("block", [1, 7, 50, 113])
+    def test_blocks_are_bit_identical_to_one_block(self, monkeypatch, block):
+        # 2 x 113 points on a 5x8 map, a fifth outside the border: blocks of
+        # 50 straddle the images, and the last block of 7 or 50 ends short
+        rng = np.random.default_rng(36)
+        f = rng.standard_normal((2, 3, 5, 8)).astype(np.float32)
+        pts = np.stack([rng.uniform(-1.5, 8.5, (2, 113)), rng.uniform(-1.5, 5.5, (2, 113))],
+                       axis=-1).astype(np.float32)
+        upstream = Tensor(rng.standard_normal((2, 113, 3)).astype(np.float32))
+
+        def run():
+            ts = [Tensor(a, requires_grad=True) for a in (f, pts)]
+            out = grid_sample_points(*ts)
+            (out * upstream).sum().backward()
+            return [out.data] + [t.grad for t in ts]
+
+        monkeypatch.setattr(serpentseg.dsconv, "POINT_BLOCK", 2 * 113)
+        whole = run()
+        monkeypatch.setattr(serpentseg.dsconv, "POINT_BLOCK", block)
+        for got, want in zip(run(), whole):
+            np.testing.assert_array_equal(got, want)
+
+    def test_stage_zero_forward_peaks_under_four_outputs(self):
+        # the first snake stage at 256x256: one channel read at 9 points per
+        # pixel (590k points); building every point's corners at once peaked
+        # at 14.5x the output
+        rng = np.random.default_rng(37)
+        f = Tensor(rng.standard_normal((1, 1, 256, 256)).astype(np.float32))
+        m = 256 * 256 * 9
+        pts = Tensor(np.stack([rng.uniform(-2, 257, (1, m)), rng.uniform(-2, 257, (1, m))],
+                              axis=-1).astype(np.float32))
+        tracemalloc.start()
+        try:
+            out = grid_sample_points(f, pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * out.data.nbytes, peak
+
+    def test_backward_in_blocks_peaks_under_two_and_a_half_outputs(self, monkeypatch):
+        # in blocks of 4096 points, backward holds the upstream gradient (1x),
+        # the point gradient (0.25x) and the feature gradient with its
+        # channel-first copy (0.2x) and one block's matrices; the derivative
+        # products of all points at once peaked at 4.3x
+        monkeypatch.setattr(serpentseg.dsconv, "POINT_BLOCK", 4096)
+        f, pts = self._chain_sized_inputs()
+        out = grid_sample_points(f, pts)
+        loss = out.sum()
+        tracemalloc.start()
+        try:
+            loss.backward()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(t.grad.shape == t.data.shape for t in (f, pts))
+        assert peak <= 2.5 * out.data.nbytes, peak
+
+    @pytest.mark.parametrize("f_shape,m", [((2, 3, 4, 5), 0), ((0, 3, 4, 5), 6)])
+    def test_no_points_give_empty_samples_and_zero_gradients(self, f_shape, m):
+        f = Tensor(np.ones(f_shape, dtype=np.float32), requires_grad=True)
+        pts = Tensor(np.zeros((f_shape[0], m, 2), dtype=np.float32), requires_grad=True)
+        out = grid_sample_points(f, pts)
+        out.sum().backward()
+        assert out.data.shape == (f_shape[0], m, 3)
+        np.testing.assert_array_equal(f.grad, np.zeros(f_shape))
+        assert pts.grad.shape == pts.data.shape
+
     @pytest.mark.parametrize("shape", [(2, 5), (2, 5, 3), (3, 5, 2)])
     def test_points_of_wrong_shape_rejected(self, shape):
         f = Tensor(np.zeros((2, 1, 4, 4), dtype=np.float32))

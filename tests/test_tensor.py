@@ -166,11 +166,110 @@ class TestConv2d:
         assert x.grad.shape == x.data.shape
         assert peak <= 10 * x.data.nbytes, peak
 
+    @pytest.mark.parametrize("k,stride", [(3, 1), (1, 1), (3, 2)])
+    def test_empty_batch_gives_empty_output_and_zero_weight_gradient(self, k, stride):
+        x = Tensor(np.zeros((0, 2, 5, 5), dtype=np.float32), requires_grad=True)
+        w = Tensor(np.ones((3, 2, k, k), dtype=np.float32), requires_grad=True)
+        out = T.conv2d(x, w, None, stride=stride, padding=1)
+        T.tsum(out).backward()
+        side = (5 + 2 - k) // stride + 1
+        assert out.data.shape == (0, 3, side, side)
+        assert x.grad.shape == x.data.shape
+        np.testing.assert_array_equal(w.grad, np.zeros_like(w.data))
+
+    @pytest.mark.parametrize("x_shape,w_shape", [
+        ((1, 0, 5, 5), (3, 0, 3, 3)),
+        ((1, 2, 5, 5), (0, 2, 3, 3)),
+    ])
+    def test_zero_channels_raise(self, x_shape, w_shape):
+        x = Tensor(np.zeros(x_shape, dtype=np.float32))
+        w = Tensor(np.zeros(w_shape, dtype=np.float32))
+        with pytest.raises(ContractViolation, match="no input or output channels"):
+            T.conv2d(x, w, None, padding=1)
+
     def test_channel_mismatch_raises(self):
         x = Tensor(np.zeros((1, 3, 4, 4), dtype=np.float32))
         w = Tensor(np.zeros((2, 4, 3, 3), dtype=np.float32))
         with pytest.raises(ContractViolation, match=r"\(1, 3, 4, 4\)"):
             T.conv2d(x, w, Tensor(np.zeros(2, dtype=np.float32)), padding=1)
+
+
+class TestConvTiles:
+    """conv2d with ``CONV_TILE_BYTES`` shrunk, so that the maps run in
+    several column tiles, against the float64 oracles."""
+
+    @staticmethod
+    def _record_tiles(monkeypatch) -> list:
+        """Make ``_kernel_tiles`` record each tile's grid and column range."""
+        tiles, kernel_tiles = [], T._kernel_tiles
+
+        def recording(*args):
+            grid, it = kernel_tiles(*args)
+
+            def each():
+                for lo, hi, views in it:
+                    tiles.append((grid, lo, hi))
+                    yield lo, hi, views
+            return grid, each()
+
+        monkeypatch.setattr(T, "_kernel_tiles", recording)
+        return tiles
+
+    @pytest.mark.parametrize("rows", [1, 4])
+    @pytest.mark.parametrize("k", [1, 3, 9])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_tiled_forward_and_gradients_match_oracles(self, monkeypatch, n, stride, k, rows):
+        rng = np.random.default_rng(40 + k + n)
+        cin, cout, h, w, pad = 2, 3, 11, 9, k // 2
+        x = rng.standard_normal((n, cin, h, w))
+        wd = rng.standard_normal((cout, cin, k, k))
+        # the budget of forward tiles of ``rows`` grid rows: their shifts, with
+        # the k - 1 rows below, and two buffers of their outputs
+        wq = -(-(w + 2 * pad) // stride)
+        monkeypatch.setattr(T, "CONV_TILE_BYTES",
+                            4 * wq * ((cin * k + 2 * cout) * rows + cin * k * (k - 1)))
+        tiles = self._record_tiles(monkeypatch)
+        xt = Tensor(x.astype(np.float32), requires_grad=True)
+        wt = Tensor(wd.astype(np.float32), requires_grad=True)
+        out = T.conv2d(xt, wt, None, stride=stride, padding=pad)
+        forward = list(tiles)
+        g = rng.standard_normal(out.data.shape)
+        T.tsum(out * Tensor(g.astype(np.float32))).backward()
+
+        np.testing.assert_allclose(out.data, oracles.conv2d_oracle(x, wd, np.zeros(cout),
+                                                                  stride, pad), atol=1e-4)
+        gx, gw = oracles.conv2d_grads_oracle(x, wd, g, stride, pad)
+        np.testing.assert_allclose(xt.grad, gx, atol=1e-4)
+        np.testing.assert_allclose(wt.grad, gw, atol=1e-4)
+        if k == 1:  # a 1x1 kernel reads the layout itself, as one tile
+            assert len(forward) == 1
+            return
+        (_, hp, wq), _, _ = forward[0]
+        sizes = [hi - lo for _, lo, hi in forward]
+        assert sizes[:-1] == [rows * wq] * (len(sizes) - 1) and sum(sizes) == n * hp * wq
+        if rows > 1:  # hp is odd: the last tile is short and, at n = 3, one straddles images
+            assert sizes[-1] < rows * wq
+            assert n == 1 or any(lo // (hp * wq) != (hi - 1) // (hp * wq)
+                                 for _, lo, hi in forward)
+
+    def test_forward_holds_the_layout_and_one_tile(self):
+        # a 3x3 conv of a (1, 32, 256, 256) map to 16 channels: copying the k
+        # column shifts of the whole map (25 MB) peaked at 34.3 MB, against
+        # the 25.4 MB bound here; tiles hold at most the budget besides the
+        # layout and the output
+        rng = np.random.default_rng(41)
+        x = Tensor(rng.standard_normal((1, 32, 256, 256)).astype(np.float32))
+        w = Tensor(rng.standard_normal((16, 32, 3, 3)).astype(np.float32))
+        layout = 32 * (258 * 258 + 2 * 259) * 4
+        tracemalloc.start()
+        try:
+            out = T.conv2d(x, w, None, padding=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.data.shape == (1, 16, 256, 256)
+        assert peak <= x.data.nbytes + out.data.nbytes + layout + 2 * T.CONV_TILE_BYTES, peak
 
 
 class TestLinear:
@@ -300,6 +399,38 @@ class TestMaxPool2:
         x = Tensor(np.array([[[[1.0, 2.0], [2.0, 0.0]]]], dtype=np.float32), requires_grad=True)
         T.max_pool2(x).sum().backward()
         np.testing.assert_array_equal(x.grad[0, 0], [[0.0, 1.0], [0.0, 0.0]])
+
+    def test_taped_forward_keeps_an_index_not_its_input(self):
+        # the tape kept the (4, N, C, H/2, W/2) window copy, 5.0x the output
+        # with the output itself; a uint8 window index is a quarter of it
+        x = Tensor(np.random.default_rng(43).standard_normal((2, 8, 64, 64)).astype(np.float32),
+                   requires_grad=True)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = T.max_pool2(x)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert kept <= 1.5 * out.data.nbytes, kept
+
+    def test_forward_without_tape_runs_no_argmax(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("argmax in a forward without the tape")
+
+        x = Tensor(np.random.default_rng(44).standard_normal((1, 2, 4, 4)), requires_grad=True)
+        monkeypatch.setattr(T.np, "argmax", refuse)
+        with T.no_grad():
+            T.max_pool2(x)
+        T.max_along(Tensor(x.data), axis=1)  # no gradient flows to a plain tensor
+
+    def test_gradient_reaches_positions_past_255(self):
+        # a 300-long axis needs a uint16 index; uint8 would wrap 280 to 24
+        a = np.zeros((2, 300))
+        a[0, 280], a[1, 24] = 1.0, 1.0
+        x = Tensor(a, requires_grad=True)
+        T.tsum(T.max_along(x, axis=1)).backward()
+        np.testing.assert_array_equal(x.grad, a)
 
 
 class TestGlobalPool:
@@ -735,7 +866,8 @@ class TestTapeInvariants:
 
 
 # op -> (input shapes, op, whether the tape lets the op's output go): every
-# keep-shapes op, and relu (whose closure reads its output) and layer_norm
+# keep-shapes op, max_along (which keeps an index), and relu (whose closure
+# reads its output) and layer_norm
 TAPE_OPS = {
     "add": ([(2, 3), (2, 3)], T.add, True),
     "sub": ([(2, 3), (2, 3)], T.sub, True),
@@ -748,6 +880,7 @@ TAPE_OPS = {
     "chain_coordinates": ([(1, 16, 2, 3)], chain_coordinates, True),
     "_embed_kernels": ([(4, 2, 3, 3), (4, 2, 5, 5)], lambda *ws: _embed_kernels(list(ws)),
                        True),
+    "max_along": ([(3, 4)], lambda a: T.max_along(a, axis=1), True),
     "relu": ([(2, 5)], T.relu, False),
     "layer_norm": ([(2, 3, 4)], lambda a: T.layer_norm(
         a, Parameter(np.linspace(0.5, 1.5, 4)), Parameter(np.zeros(4))), True),
