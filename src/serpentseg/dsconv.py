@@ -42,7 +42,6 @@ import math
 
 import numpy as np
 from scipy.sparse import get_index_dtype
-from scipy.sparse._sparsetools import csc_matvec, csc_matvecs, csr_matvec, csr_matvecs
 
 from .module import Conv2d, Module, Parameter, _uniform
 from .tensor import (ContractViolation, Tensor, _make, _tape, concat, conv2d, linear, reshape,
@@ -171,15 +170,26 @@ def _spmm(indptr: np.ndarray, cols: np.ndarray, vals: np.ndarray, x: np.ndarray,
     These are the kernels scipy's own products run (a single column by the
     one-vector kernel), called on the caller's output: the sums of a block
     go into the same buffer as those of the blocks before it, in the same
-    order as one product of the whole matrix.
+    order as one product of the whole matrix. The kernels write through
+    ``y.ravel()``, which is ``y`` itself only when ``y`` is C-contiguous, so
+    anything else is refused rather than summed into a discarded copy.
+    ``scipy.sparse._sparsetools`` is private: it is imported here, not with
+    the package, and ``test_spmm_matches_scipy_products`` pins what it does.
     """
+    from scipy.sparse import _sparsetools
+
+    for name, a in (("x", x), ("y", y)):
+        if a.ndim != 2 or not a.flags.c_contiguous or a.dtype != vals.dtype:
+            raise ContractViolation(f"_spmm: {name} must be C-contiguous 2-d {vals.dtype}, "
+                                    f"got {a.shape} {a.dtype}")
     points = indptr.size - 1
     shape = (y.shape[0], points) if transposed else (points, x.shape[0])
+    kind = "csc" if transposed else "csr"
     if x.shape[1] == 1:
-        kernel = csc_matvec if transposed else csr_matvec
+        kernel = getattr(_sparsetools, kind + "_matvec")
         kernel(*shape, indptr, cols, vals, x.ravel(), y.ravel())
     else:
-        kernel = csc_matvecs if transposed else csr_matvecs
+        kernel = getattr(_sparsetools, kind + "_matvecs")
         kernel(*shape, x.shape[1], indptr, cols, vals, x.ravel(), y.ravel())
 
 

@@ -560,10 +560,11 @@ def _kernel_tiles(xd: np.ndarray, k: int, stride: int, padding: int, cout: int |
 
     The shifts are copied one tile of whole grid rows at a time into one
     buffer, which spans the tile's rows and the k - 1 rows its last kernel
-    row reaches below them. Tiles are sized so that this buffer and two
-    (``cout``, cols) buffers of the tile's outputs fit in ``CONV_TILE_BYTES``,
-    but hold at least one grid row; ``cout=None``, and a 1x1 kernel, which
-    reads the layout itself with no copy, make the whole grid one tile.
+    row reaches below them; a 1x1 kernel has one shift, the layout itself,
+    and its tiles are views of it with no copy. Tiles are sized so that this
+    buffer and two (``cout``, cols) buffers of the tile's outputs fit in
+    ``CONV_TILE_BYTES``, but hold at least one grid row; ``cout=None`` makes
+    the whole grid one tile.
     Returns the (N, Hp, Wq) grid and an iterator of (lo, hi, views): grid
     columns lo..hi and the k (C, k, hi - lo) views of their kernel rows,
     valid until the next tile is taken.
@@ -578,7 +579,7 @@ def _kernel_tiles(xd: np.ndarray, k: int, stride: int, padding: int, cout: int |
     span = n * hp * wq
     halo = (k - 1) * wq
     rows = n * hp
-    if cout is not None and k > 1:
+    if cout is not None:
         rows = (CONV_TILE_BYTES // (xd.itemsize * wq) - c * k * (k - 1)) // (c * k + 2 * cout)
     step = max(min(max(rows, 1) * wq, span), 1)
 
@@ -604,8 +605,7 @@ def _correlate(xd: np.ndarray, wd: np.ndarray, stride: int, padding: int) -> np.
 
     Per tile of ``_kernel_tiles``: one GEMM of ``wd[:, :, i, :]`` (Cout, C*k)
     per kernel row i, summed in one tile-sized buffer, whose grid positions
-    inside Ho x Wo are written straight into the result. A 1x1 kernel at
-    stride 1 has the output as its grid: one GEMM per image writes it.
+    inside Ho x Wo are written straight into the result.
     """
     c, h, w = xd.shape[1:]
     cout, _, k, _ = wd.shape
@@ -613,12 +613,6 @@ def _correlate(xd: np.ndarray, wd: np.ndarray, stride: int, padding: int) -> np.
     (n, hp, wq), tiles = _kernel_tiles(xd, k, stride, padding, cout)
     wrows = np.ascontiguousarray(wd.transpose(2, 0, 1, 3)).reshape(k, cout, c * k)
     out = np.empty((n, cout, ho, wo), dtype=np.result_type(xd, wd))
-    if k == 1 and stride == 1:
-        ((_, _, (view,)),) = tiles
-        view = view.reshape(c, n, hp * wq)
-        for nn in range(n):
-            np.matmul(wrows[0], view[:, nn], out=out[nn].reshape(cout, -1))
-        return out
     acc = part = None
     for lo, hi, views in tiles:
         if acc is None:  # sized by the first tile, the largest

@@ -7,6 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_array
 
 import serpentseg
 
@@ -19,6 +20,7 @@ from oracles import (
 from serpentseg.dsconv import (
     INIT_STEP_BIAS,
     SnakeConv2d,
+    _spmm,
     chain_coordinates,
     grid_sample_points,
 )
@@ -297,6 +299,37 @@ class TestBilinearSample:
         monkeypatch.setattr(serpentseg.dsconv, "POINT_BLOCK", block)
         for got, want in zip(run(), whole):
             np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("c", [1, 3])
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_spmm_matches_scipy_products(self, c, transposed):
+        # ``_spmm`` calls scipy's private sparse kernels on the caller's
+        # buffers: from zeros they must give scipy's public product bit for
+        # bit, and a second call must add to what is there
+        rng = np.random.default_rng(38)
+        points, rows = 10, 12
+        indptr = np.arange(0, 4 * points + 1, 4, dtype=np.int32)
+        cols = rng.integers(0, rows, 4 * points).astype(np.int32)
+        vals = rng.standard_normal(4 * points).astype(np.float32)
+        a = csr_array((vals, cols, indptr), shape=(points, rows))
+        a = a.T if transposed else a
+        x = rng.standard_normal((a.shape[1], c)).astype(np.float32)
+        y = np.zeros((a.shape[0], c), dtype=np.float32)
+        _spmm(indptr, cols, vals, x, y, transposed=transposed)
+        np.testing.assert_array_equal(y, a @ x)
+        _spmm(indptr, cols, vals, x, y, transposed=transposed)
+        np.testing.assert_allclose(y, 2 * (a @ x), rtol=1e-6)
+
+    @pytest.mark.parametrize("y", [np.zeros((3, 4), dtype=np.float32)[:, ::2],
+                                   np.zeros((3, 2), dtype=np.float64)])
+    def test_spmm_refuses_an_output_it_would_not_write(self, y):
+        # the kernels write through ``y.ravel()``: a strided or retyped
+        # output would be a copy, and its sums would be lost
+        indptr = np.arange(0, 9, 4, dtype=np.int32)
+        cols = np.zeros(8, dtype=np.int32)
+        x = np.ones((1, 2), dtype=np.float32)
+        with pytest.raises(ContractViolation, match="_spmm: y must be C-contiguous"):
+            _spmm(indptr, cols, np.ones(8, dtype=np.float32), x, y)
 
     def test_stage_zero_forward_peaks_under_four_outputs(self):
         # the first snake stage at 256x256: one channel read at 9 points per
