@@ -96,24 +96,19 @@ class SpatialAttention(Module):
         return sigmoid(conv2d(stacked, self.kernel, self.bias, padding=3))
 
 
-def apply_attention(x: Tensor, channel_att: Tensor, spatial_att: Tensor) -> Tensor:
-    """Gate features channel-wise then spatially (in that order)."""
-    n, c, h, w = x.data.shape
-    if channel_att.data.shape != (n, c, 1, 1):
-        raise ContractViolation(
-            f"channel attention {channel_att.data.shape} does not match input {x.data.shape}"
-        )
-    if spatial_att.data.shape != (n, 1, h, w):
-        raise ContractViolation(
-            f"spatial attention {spatial_att.data.shape} does not match input {x.data.shape}"
-        )
-    return mul(mul(x, channel_att), spatial_att)
-
-
 def attend(x: Tensor, ca: Module | None, sa: SpatialAttention) -> Tensor:
-    """Gate ``x`` with the spatial map of ``sa`` and, unless ``ca`` is None,
-    first with the channel gate of ``ca`` as well."""
+    """Gate (N, C, H, W) ``x`` channel-wise with the (N, C, 1, 1) gate of
+    ``ca``, unless it is None, then spatially with the (N, 1, H, W) map of
+    ``sa``."""
+    n, c, h, w = x.data.shape
     sa_map = sa(x)
+    if sa_map.data.shape != (n, 1, h, w):
+        raise ContractViolation(f"spatial attention {sa_map.data.shape} does not match "
+                                f"input {x.data.shape}")
     if ca is None:
         return mul(x, sa_map)
-    return apply_attention(x, ca(x), sa_map)
+    ca_gate = ca(x)
+    if ca_gate.data.shape != (n, c, 1, 1):
+        raise ContractViolation(f"channel attention {ca_gate.data.shape} does not match "
+                                f"input {x.data.shape}")
+    return mul(mul(x, ca_gate), sa_map)

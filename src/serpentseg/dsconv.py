@@ -17,12 +17,9 @@ back as (N, H*W*9, Cin) rows; and the contraction is one ``linear`` over
 rows of 9*Cin samples.
 
 The bilinear reads are a sparse matrix of corner weights over the feature
-rows, built from the points in blocks of ``POINT_BLOCK`` points, each block
-applied and dropped before the next, so the sampler's scratch memory does
-not grow with the map. The tape keeps only the point tensor and, for the
-point gradient, the feature; backward rebuilds each block's corner indices
-and weights from the points, then the block's matrices of the feature
-gradient and of the x and y derivatives one at a time.
+rows, built and applied in blocks of ``POINT_BLOCK`` points, forward and
+backward, so the sampler's scratch memory does not grow with the map
+(``grid_sample_points``).
 
 Offset channel layout, for chain distance c in 1..4 with base = 4*(c-1):
     base+0: dx of the forward point t+c      base+1: dy of t+c
@@ -101,9 +98,8 @@ def chain_coordinates(steps: Tensor) -> Tensor:
 
 
 def _corners(pb: np.ndarray, lo: int, m: int, h: int, w: int, idx_t, dtype):
-    """CSR column indices (P*4,), weights (2, 2, P) and in-border mask (2, P)
-    of bilinear reads at the (P, 2) points ``pb``, points lo..lo+P of the
-    flat (N*M, 2) points.
+    """CSR column indices (P*4,) and weights (2, 2, P) of bilinear reads at
+    the (P, 2) points ``pb``, points lo..lo+P of the flat (N*M, 2) points.
 
     Point p = n*M + m reads its corners over the rows of the channel-last
     feature (N*H*W, C), in the order (00, 01, 10, 11): corner 2a+b is y-step
@@ -115,7 +111,6 @@ def _corners(pb: np.ndarray, lo: int, m: int, h: int, w: int, idx_t, dtype):
     """
     pa = pb.T.copy()  # clamped in place below
     top = np.array([[w - 1], [h - 1]], dtype=pb.dtype)
-    inside = (pa >= 0.0) & (pa <= top)
     np.clip(pa, 0.0, top, out=pa)
     low = np.floor(pa)
     np.minimum(low, np.maximum(top - 1, 0), out=low)
@@ -133,13 +128,13 @@ def _corners(pb: np.ndarray, lo: int, m: int, h: int, w: int, idx_t, dtype):
     sx, sy = min(w - 1, 1), min(h - 1, 1) * w
     for corner, step in ((1, sx), (2, sy), (3, sx + sy)):
         np.add(i00, step, out=cols[:, corner])
-    return cols.reshape(-1), wt, inside
+    return cols.reshape(-1), wt
 
 
 def _blocks(pd: np.ndarray, m: int, shape: tuple, dtype):
     """The flat (N*M, 2) points ``pd`` of a (N, C, H, W) feature ``shape`` in
     blocks of ``POINT_BLOCK`` consecutive points, which may straddle images:
-    yields (lo, hi, indptr, cols, wt, inside) for points lo..hi, the CSR row
+    yields (lo, hi, indptr, cols, wt) for points lo..hi, the CSR row
     pointers and ``_corners`` of the block, built when the block is taken."""
     n, _, h, w = shape
     total = pd.shape[0]
@@ -207,10 +202,8 @@ def grid_sample_points(feature: Tensor, points: Tensor) -> Tensor:
     values and the points.
 
     The reads run in blocks of ``POINT_BLOCK`` consecutive points
-    (``_blocks``): a block's corner indices, weights and sparse sampling
-    matrix are built, applied to the channel-last feature rows and dropped
-    before the next, so a call's scratch is bounded by the block, not the
-    map. Forward writes each block's rows into the (N, M, C) result.
+    (``_blocks``), each built, applied and dropped before the next, so a
+    call's scratch is bounded by the block, not the map.
 
     The tape keeps only the points, and the feature when the points need a
     gradient. Backward rebuilds each block from the points and, one at a
@@ -224,6 +217,8 @@ def grid_sample_points(feature: Tensor, points: Tensor) -> Tensor:
     on the block size.
     """
     fd, pd = feature.data, points.data
+    if fd.ndim != 4:
+        raise ContractViolation(f"feature must be (N, C, H, W), got shape {fd.shape}")
     n, c, h, w = fd.shape
     if pd.ndim != 3 or pd.shape[0] != n or pd.shape[2] != 2:
         raise ContractViolation(f"points {pd.shape} do not match feature {fd.shape}: "
@@ -235,7 +230,7 @@ def grid_sample_points(feature: Tensor, points: Tensor) -> Tensor:
     pflat = pd.reshape(n * m, 2)
     rows = _feature_rows(fd)
     out = np.zeros((n * m, c), dtype=fd.dtype)
-    for lo, hi, indptr, cols, wt, _ in _blocks(pflat, m, fd.shape, fd.dtype):
+    for lo, hi, indptr, cols, wt in _blocks(pflat, m, fd.shape, fd.dtype):
         _spmm(indptr, cols, _corner_values(wt[1], wt[0]), rows, out[lo:hi])
     ef, ep = _tape(feature), _tape(points)
     dtype = fd.dtype
@@ -248,8 +243,9 @@ def grid_sample_points(feature: Tensor, points: Tensor) -> Tensor:
             rows = _feature_rows(fkept)
             step = np.array([-1.0, 1.0], dtype=dtype)
             gp = np.empty((n * m, 2), dtype=dtype)
+            top = np.array([w - 1, h - 1], dtype=pd.dtype)
             deriv = np.empty(min(POINT_BLOCK, n * m) * c, dtype=dtype)
-        for lo, hi, indptr, cols, wt, inside in _blocks(pflat, m, (n, c, h, w), dtype):
+        for lo, hi, indptr, cols, wt in _blocks(pflat, m, (n, c, h, w), dtype):
             gb = gl[lo:hi]
             if ef is not None:
                 _spmm(indptr, cols, _corner_values(wt[1], wt[0]), gb, gf, transposed=True)
@@ -261,7 +257,8 @@ def grid_sample_points(feature: Tensor, points: Tensor) -> Tensor:
                 _spmm(indptr, cols, _corner_values(ay, ax), rows, d)
                 d *= gb
                 gp[lo:hi, a] = d.sum(axis=1)
-            gp[lo:hi] *= inside.T
+            # a coordinate clamped to the border has no gradient
+            gp[lo:hi] *= (pflat[lo:hi] >= 0.0) & (pflat[lo:hi] <= top)
         if ef is not None:
             ef._accum(np.ascontiguousarray(gf.reshape(n, h, w, c).transpose(0, 3, 1, 2)))
         if ep is not None:

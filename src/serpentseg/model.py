@@ -132,12 +132,7 @@ class FusionStage(Module):
         self.proj = Conv2d(cin, cout, 1, rng=rng) if cin != cout else None
 
     def forward(self, parts: list[Tensor]) -> Tensor:
-        shapes = {p.data.shape[2:] for p in parts}
-        if len(shapes) != 1:
-            raise ContractViolation(
-                f"fusion inputs disagree spatially: {[p.data.shape for p in parts]}"
-            )
-        cat = concat(parts, axis=1) if len(parts) > 1 else parts[0]
+        cat = parts[0] if len(parts) == 1 else concat(parts, axis=1)
         h = relu(self.conv1(attend(cat, self.ca, self.sa)))
         h = self.conv2(h)
         res = cat if self.proj is None else self.proj(cat)
@@ -290,11 +285,14 @@ class TrainResult:
 
 
 def _as_batch(pairs, indices) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked images and masks of ``pairs[i]``, ``i`` in ``indices``; one shape each."""
+    """Stacked images and masks of ``pairs[i]``, ``i`` in ``indices``; one (H, W) shape each."""
     samples = [pairs[i] for i in indices]
     for k, role in enumerate(("image", "mask")):
         first = np.shape(samples[0][k])
         for i, s in zip(indices, samples):
+            if np.ndim(s[k]) != 2:
+                raise ContractViolation(
+                    f"{role} of pair {i} has shape {np.shape(s[k])}; need (H, W)")
             if np.shape(s[k]) != first:
                 raise ContractViolation(
                     f"{role} of pair {i} has shape {np.shape(s[k])} but {role} of pair "

@@ -90,12 +90,6 @@ class Module:
         for name, value in loaded.items():
             own[name].data = value
 
-    def set_dtype(self, dtype):
-        """Switch parameter precision in place (float64 for gradient checks)."""
-        for p in self.parameters():
-            p.data = p.data.astype(dtype)
-        return self
-
     def forward(self, *args, **kwargs):
         raise NotImplementedError
 

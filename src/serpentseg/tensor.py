@@ -5,13 +5,13 @@ Every operation records a backward closure in its output's tape entry;
 float32 on production paths, but all ops preserve the incoming dtype so the
 gradient checker can re-run a graph in float64.
 
-The tape is a graph of entries, kept apart from the values. An op output's
-entry (``_Entry``) holds its gradient, its parents' entries and its backward
-closure, but no array, so an output's value is freed once the caller drops
-it, unless a closure reads it. A leaf (a ``Parameter`` or a ``requires_grad``
-input) is its own entry. The rule for every backward closure: capture the
-parents' entries (``_tape``) and only the arrays its own formula reads, never
-a parent tensor.
+The tape is a graph of entries (``_Entry``), kept apart from the values.
+Every tensor has one: an op output's holds its gradient, its parents'
+entries and its backward closure, but no array, so an output's value is
+freed once the caller drops it, unless a closure reads it; a leaf's (a
+``Parameter`` or a ``requires_grad`` input) holds only its gradient. The
+rule for every backward closure: capture the parents' entries (``_tape``)
+and only the arrays its own formula reads, never a parent tensor.
 
 Broadcasting is deliberately narrow: elementwise ops accept equal shapes or
 equal-rank shapes where one operand has size-1 axes (bias-add and per-channel
@@ -46,10 +46,9 @@ def no_grad():
 
 
 class _Entry:
-    """A tensor's tape state: its gradient, its parents' entries (op entries
-    or leaf tensors) and its backward closure; no array. The tape records an
-    op output's entry, which outlives the output, and a leaf tensor itself,
-    whose entry only stores its gradient."""
+    """A tensor's tape node: its gradient, its parents' entries and its
+    backward closure; no array. An op output's entry outlives the output; a
+    leaf's has no parents or closure and accumulates its gradient across ``backward()``."""
 
     __slots__ = ("grad", "_parents", "_backward")
 
@@ -72,8 +71,7 @@ class Tensor:
     Feature maps are (N, C, H, W), or channel-last (N, H, W, C) inside the
     transformer branch; losses are 0-d. ``grad`` is filled by ``backward()``
     and has the same shape as ``data``. ``grad``, ``_parents`` and
-    ``_backward`` live in the tensor's entry: an op output's shared tape
-    entry, or a leaf's own.
+    ``_backward`` live in the tensor's ``_Entry``, the node the tape records.
     """
 
     def __init__(self, data, requires_grad: bool = False):
@@ -95,13 +93,6 @@ class Tensor:
     @property
     def dtype(self):
         return self.data.dtype
-
-    @property
-    def needs_grad(self) -> bool:
-        return self.requires_grad or bool(self._parents)
-
-    def _accum(self, g: np.ndarray) -> None:
-        self._entry._accum(g)
 
     def backward(self) -> None:
         """Backpropagate from this scalar through the recorded tape."""
@@ -199,24 +190,22 @@ def _lift(x, like: Tensor) -> Tensor:
     return Tensor(np.asarray(x, dtype=like.data.dtype))
 
 
-def _tape(t: Tensor | None):
-    """What the tape records for ``t``: an op output's entry, a leaf itself,
-    or None when no gradient flows to ``t``."""
-    if t is None:
+def _tape(t: Tensor | None) -> _Entry | None:
+    """The entry the tape records for ``t``: its own, an op output's or a
+    ``requires_grad`` leaf's, or None when no gradient flows to ``t``. Under
+    ``no_grad`` it is always None, so nothing is taped."""
+    if t is None or not _GRAD_ENABLED.get():
         return None
-    if t._parents:
-        return t._entry
-    return t if t.requires_grad else None
+    return t._entry if t._parents or t.requires_grad else None
 
 
 def _make(data: np.ndarray, parents: tuple, backward) -> Tensor:
     """Create an op output; ``parents`` are the operands' ``_tape`` entries,
-    recorded, with ``backward``, only when grads can flow."""
+    recorded, with ``backward``, when any is not None."""
     out = Tensor(data)
-    if _GRAD_ENABLED.get():
-        parents = tuple(p for p in parents if p is not None)
-        if parents:
-            out._entry = _Entry(parents, backward)
+    parents = tuple(p for p in parents if p is not None)
+    if parents:
+        out._entry = _Entry(parents, backward)
     return out
 
 
@@ -336,7 +325,7 @@ def max_along(a: Tensor, axis: int, keepdims: bool = True) -> Tensor:
     ea = _tape(a)
     shape, dtype = ad.shape, ad.dtype
     idx = None
-    if ea is not None and _GRAD_ENABLED.get():
+    if ea is not None:
         # first occurrence on ties
         idx = np.expand_dims(np.argmax(ad, axis=axis), axis).astype(
             np.min_scalar_type(shape[axis] - 1))
@@ -375,7 +364,11 @@ def transpose(a: Tensor, axes) -> Tensor:
 
 
 def concat(tensors, axis: int) -> Tensor:
+    """Join one or more tensors along ``axis``; ranks and the other axes must agree."""
     tensors = list(tensors)
+    shapes = [t.data.shape for t in tensors]
+    if len({(len(s), s[:axis] + s[axis:][1:]) for s in shapes}) != 1:
+        raise ContractViolation(f"concat: shapes {shapes} do not agree off axis {axis}")
     data = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = [t.data.shape[axis] for t in tensors]
     splits = np.cumsum(sizes)[:-1]
@@ -391,6 +384,10 @@ def concat(tensors, axis: int) -> Tensor:
 
 
 def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
+    """Positions start..start + length of ``axis``, which must lie inside it."""
+    if start < 0 or length < 0 or start + length > a.data.shape[axis]:
+        raise ContractViolation(f"narrow: start {start}, length {length} leave axis {axis} "
+                                f"of shape {a.data.shape}")
     sl = [slice(None)] * a.data.ndim
     sl[axis] = slice(start, start + length)
     sl = tuple(sl)
@@ -546,7 +543,7 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
 CONV_TILE_BYTES = 2 << 20
 
 
-def _kernel_tiles(xd: np.ndarray, k: int, stride: int, padding: int, cout: int | None):
+def _kernel_tiles(xd: np.ndarray, k: int, stride: int, padding: int, cout: int):
     """The window layout of ``xd`` and its k kernel-row views, one column tile
     at a time.
 
@@ -563,8 +560,8 @@ def _kernel_tiles(xd: np.ndarray, k: int, stride: int, padding: int, cout: int |
     row reaches below them; a 1x1 kernel has one shift, the layout itself,
     and its tiles are views of it with no copy. Tiles are sized so that this
     buffer and two (``cout``, cols) buffers of the tile's outputs fit in
-    ``CONV_TILE_BYTES``, but hold at least one grid row; ``cout=None`` makes
-    the whole grid one tile.
+    ``CONV_TILE_BYTES``, but hold at least one grid row, for ``_correlate``
+    and ``_correlate_weight_grad`` alike.
     Returns the (N, Hp, Wq) grid and an iterator of (lo, hi, views): grid
     columns lo..hi and the k (C, k, hi - lo) views of their kernel rows,
     valid until the next tile is taken.
@@ -578,9 +575,7 @@ def _kernel_tiles(xd: np.ndarray, k: int, stride: int, padding: int, cout: int |
                                                 padding:padding + w] = xd.transpose(1, 0, 2, 3)
     span = n * hp * wq
     halo = (k - 1) * wq
-    rows = n * hp
-    if cout is not None:
-        rows = (CONV_TILE_BYTES // (xd.itemsize * wq) - c * k * (k - 1)) // (c * k + 2 * cout)
+    rows = (CONV_TILE_BYTES // (xd.itemsize * wq) - c * k * (k - 1)) // (c * k + 2 * cout)
     step = max(min(max(rows, 1) * wq, span), 1)
 
     def tiles():
@@ -637,6 +632,25 @@ def _correlate(xd: np.ndarray, wd: np.ndarray, stride: int, padding: int) -> np.
     return out
 
 
+def _correlate_weight_grad(xd: np.ndarray, g: np.ndarray, k: int, stride: int,
+                           padding: int) -> np.ndarray:
+    """(Cout, C, k, k) weight gradient of ``_correlate`` of ``xd`` for the
+    output gradient ``g``: ``g`` goes back onto the grid columns it was
+    picked from, and each tile adds one GEMM per kernel row against them."""
+    c, cout = xd.shape[1], g.shape[1]
+    (n, hp, wq), tiles = _kernel_tiles(xd, k, stride, padding, cout)
+    gq = np.zeros((cout, n, hp, wq), dtype=g.dtype)
+    gq[:, :, :g.shape[2] * stride:stride, :g.shape[3]] = g.transpose(1, 0, 2, 3)
+    gq = gq.reshape(cout, -1)
+    gw = np.zeros((k, c * k, cout), dtype=np.result_type(xd, g))
+    for lo, hi, views in tiles:
+        for i, view in enumerate(views):
+            # (C*k, cols) @ (cols, Cout): BLAS splits the C*k rows over the
+            # cores, where the long cols as the output's inner axis would not
+            gw[i] += view.reshape(c * k, -1) @ gq[:, lo:hi].T
+    return gw.reshape(k, c, k, cout).transpose(3, 1, 0, 2)
+
+
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
            stride: int = 1, padding: int = 0) -> Tensor:
     """2-d convolution (a correlation) with zero padding and square odd kernels.
@@ -647,18 +661,15 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     them, are computed and dropped.
 
     Bounded working set: the input, the layout and the output are whole,
-    but the k column shifts are copied one tile of grid rows at a time, and
-    a tile's kernel-row GEMMs sum into one buffer of its outputs. A tile's
-    shifts and output buffers fit in ``CONV_TILE_BYTES`` (or hold one padded
-    row, if that is more), so besides the whole maps a forward holds one
-    tile, whatever the map's area.
+    but the k column shifts are copied one tile at a time (``_kernel_tiles``),
+    so besides the whole maps a forward holds one tile, whatever their area.
 
-    Backward keeps no window data. The weight gradient rebuilds the views
-    from the input as one tile of the whole span and runs k GEMMs against
-    them. The input gradient is a correlation by the same code, so it runs
-    in tiles: the output gradient, spread back to stride 1 with zeros,
-    against the flipped kernel with in- and out-channels swapped, at padding
-    k - 1 - padding (at padding 0 and cropped when that is negative).
+    Backward keeps no window data. The weight gradient rebuilds the layout
+    and runs in its tiles (``_correlate_weight_grad``), whose buffers are
+    freed before the input gradient: a correlation, by ``_correlate``, of the
+    output gradient, spread back to stride 1 with zeros, with the flipped
+    kernel, in- and out-channels swapped, at padding k - 1 - padding (at
+    padding 0 and cropped when that is negative).
     """
     xd, wd = x.data, weight.data
     if xd.ndim != 4 or wd.ndim != 4:
@@ -689,17 +700,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
 
     def bwd(g):
         if ew is not None:
-            (_, hp, wq), tiles = _kernel_tiles(xkept, k, stride, padding, None)
-            ((_, _, views),) = tiles
-            # g back onto the zeroed grid columns ``_correlate`` picked it from
-            gq = np.zeros((cout, n, hp, wq), dtype=g.dtype)
-            gq[:, :, :g.shape[2] * stride:stride, :g.shape[3]] = g.transpose(1, 0, 2, 3)
-            gq = gq.reshape(cout, -1)
-            # (C*k, span) @ (span, Cout): BLAS splits the C*k rows over the
-            # cores, where the long span as the output's inner axis would not
-            gw = np.stack([view.reshape(cin * k, -1) @ gq.T for view in views])
-            del views, tiles  # freed before the input gradient allocates its buffers
-            ew._accum(gw.reshape(k, cin, k, cout).transpose(3, 1, 0, 2))
+            ew._accum(_correlate_weight_grad(xkept, g, k, stride, padding))
         if ex is not None:
             g1 = g
             if stride > 1:

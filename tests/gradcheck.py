@@ -1,4 +1,5 @@
-"""Finite-difference verification of analytic gradients.
+"""Finite-difference verification of the package's analytic gradients: a
+test harness that imports ``serpentseg`` (``oracles`` imports nothing of it).
 
 Checks run in float64 with central differences (h = 1e-4) so truncation noise
 stays far below the 1e-3 gate; float32 production dtype is restored afterward.
@@ -12,8 +13,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .module import Module
-from .tensor import Tensor, no_grad
+from serpentseg.module import Module
+from serpentseg.tensor import Tensor, no_grad
+
+
+def set_dtype(module: Module, dtype) -> Module:
+    """Switch ``module``'s parameter precision in place (float64 for checks)."""
+    for p in module.parameters():
+        p.data = p.data.astype(dtype)
+    return module
 
 
 @dataclass
@@ -43,7 +51,7 @@ def grad_check(module: Module, inputs, tolerance: float = 1e-3, h: float = 1e-4,
     """
     if isinstance(inputs, np.ndarray):
         inputs = [inputs]
-    module.set_dtype(np.float64)
+    set_dtype(module, np.float64)
     try:
         # C-ordered copies: each input is perturbed in place through a flat view
         in_tensors = [Tensor(np.array(a, dtype=np.float64, order="C"), requires_grad=True)
@@ -95,7 +103,7 @@ def grad_check(module: Module, inputs, tolerance: float = 1e-3, h: float = 1e-4,
         passed = worst_err <= tolerance and not failures
         return GradCheckReport(worst_err, worst_name, passed, failures)
     finally:
-        module.set_dtype(np.float32)
+        set_dtype(module, np.float32)
 
 
 class FunctionModule(Module):

@@ -4,14 +4,14 @@ attention against a loop oracle, and gating semantics."""
 import numpy as np
 import pytest
 
+from gradcheck import FunctionModule, grad_check
+
 from serpentseg.attention import (
     ChannelAttention,
     SpatialAttention,
     WeightedChannelAttention,
-    apply_attention,
     attend,
 )
-from serpentseg.gradcheck import FunctionModule, grad_check
 from serpentseg.module import Module
 from serpentseg.tensor import ContractViolation, Tensor
 
@@ -163,26 +163,43 @@ class TestSpatialAttention:
         assert np.all((out > 0.0) & (out < 1.0))
 
 
+class _Gate(Module):
+    """A stub attention module whose gate is a fixed tensor."""
+
+    def __init__(self, gate):
+        self.gate = gate
+
+    def forward(self, x):
+        return self.gate
+
+
+def _attend_fixed(x, ca, sa):
+    """``attend`` with the fixed channel gate ``ca`` and spatial map ``sa``."""
+    return attend(x, _Gate(ca), _Gate(sa))
+
+
 class TestApplyAttention:
+    """``attend``'s channel-then-spatial gating, with fixed gates."""
+
     def test_all_ones_is_identity(self):
         rng = np.random.default_rng(12)
         x = rng.standard_normal((2, 3, 4, 4)).astype(np.float32)
         ca = Tensor(np.ones((2, 3, 1, 1), dtype=np.float32))
         sa = Tensor(np.ones((2, 1, 4, 4), dtype=np.float32))
-        np.testing.assert_array_equal(apply_attention(Tensor(x), ca, sa).data, x)
+        np.testing.assert_array_equal(_attend_fixed(Tensor(x), ca, sa).data, x)
 
     def test_zero_channel_attention_zeroes_output(self):
         x = Tensor(np.ones((1, 2, 3, 3), dtype=np.float32))
         ca = Tensor(np.zeros((1, 2, 1, 1), dtype=np.float32))
         sa = Tensor(np.ones((1, 1, 3, 3), dtype=np.float32))
-        np.testing.assert_array_equal(apply_attention(x, ca, sa).data, 0.0)
+        np.testing.assert_array_equal(_attend_fixed(x, ca, sa).data, 0.0)
 
     def test_matches_elementwise_oracle(self):
         rng = np.random.default_rng(13)
         x = rng.standard_normal((2, 3, 4, 5))
         ca = rng.random((2, 3, 1, 1))
         sa = rng.random((2, 1, 4, 5))
-        out = apply_attention(Tensor(x), Tensor(ca), Tensor(sa)).data
+        out = _attend_fixed(Tensor(x), Tensor(ca), Tensor(sa)).data
         want = np.empty_like(x)
         for n in range(2):
             for c in range(3):
@@ -193,10 +210,12 @@ class TestApplyAttention:
 
     def test_shape_mismatch_raises(self):
         x = Tensor(np.zeros((1, 2, 3, 3), dtype=np.float32))
-        bad_ca = Tensor(np.zeros((1, 3, 1, 1), dtype=np.float32))
-        sa = Tensor(np.zeros((1, 1, 3, 3), dtype=np.float32))
-        with pytest.raises(ContractViolation):
-            apply_attention(x, bad_ca, sa)
+        ca, bad_ca = (Tensor(np.zeros((1, c, 1, 1), dtype=np.float32)) for c in (2, 3))
+        sa, bad_sa = (Tensor(np.zeros((1, 1, s, 3), dtype=np.float32)) for s in (3, 2))
+        with pytest.raises(ContractViolation, match=r"channel attention \(1, 3, 1, 1\)"):
+            _attend_fixed(x, bad_ca, sa)
+        with pytest.raises(ContractViolation, match=r"spatial attention \(1, 1, 2, 3\)"):
+            _attend_fixed(x, ca, bad_sa)
 
 
 class TestAttend:
@@ -205,8 +224,7 @@ class TestAttend:
         x = Tensor(rng.standard_normal((2, 4, 5, 5)).astype(np.float32))
         ca = WeightedChannelAttention(4, ratio=2, rng=rng)
         sa = SpatialAttention(rng=rng)
-        np.testing.assert_array_equal(attend(x, ca, sa).data,
-                                      apply_attention(x, ca(x), sa(x)).data)
+        np.testing.assert_array_equal(attend(x, ca, sa).data, (x * ca(x) * sa(x)).data)
         np.testing.assert_array_equal(attend(x, None, sa).data, (x * sa(x)).data)
 
 
@@ -217,7 +235,7 @@ class _Composed(Module):
         self.sa = SpatialAttention(rng=rng)
 
     def forward(self, x):
-        return apply_attention(x, self.ca(x), self.sa(x))
+        return attend(x, self.ca, self.sa)
 
 
 class TestAttentionGradients:
@@ -247,7 +265,7 @@ class TestAttentionGradients:
 
     def test_apply_attention_grad_check(self):
         rng = np.random.default_rng(18)
-        mod = FunctionModule(apply_attention)
+        mod = FunctionModule(_attend_fixed)
         report = grad_check(
             mod,
             [rng.standard_normal((1, 2, 3, 3)), rng.random((1, 2, 1, 1)),

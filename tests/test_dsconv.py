@@ -11,6 +11,7 @@ from scipy.sparse import csr_array
 
 import serpentseg
 
+from gradcheck import FunctionModule, grad_check, set_dtype
 from oracles import (
     chain_points_oracle,
     clamped_row_conv_oracle,
@@ -24,7 +25,6 @@ from serpentseg.dsconv import (
     chain_coordinates,
     grid_sample_points,
 )
-from serpentseg.gradcheck import FunctionModule, grad_check
 from serpentseg.tensor import ContractViolation, Tensor, conv2d, reshape
 
 
@@ -96,7 +96,7 @@ class TestPyramidOffsets:
     def test_level_gradients_match_separate_convs(self):
         # the fused 9x9 conv must hand each level exactly the gradient its own
         # 'same' convolution would get; float64 keeps rounding out of the way
-        conv = make_snake(cin=2, seed=30, pyramid_scale=0.3).set_dtype(np.float64)
+        conv = set_dtype(make_snake(cin=2, seed=30, pyramid_scale=0.3), np.float64)
         rng = np.random.default_rng(31)
         x = rng.standard_normal((2, 2, 7, 6))
         upstream = rng.standard_normal((2, 16, 7, 6))
@@ -381,6 +381,12 @@ class TestBilinearSample:
         f = Tensor(np.zeros((2, 1, 4, 4), dtype=np.float32))
         with pytest.raises(ContractViolation, match=re.escape(f"points {shape}")):
             grid_sample_points(f, Tensor(np.zeros(shape, dtype=np.float32)))
+
+    @pytest.mark.parametrize("shape", [(1, 4, 4), (1, 1, 1, 4, 4)])
+    def test_feature_that_is_not_4d_rejected(self, shape):
+        pts = Tensor(np.zeros((1, 3, 2), dtype=np.float32))
+        with pytest.raises(ContractViolation, match=re.escape(f"got shape {shape}")):
+            grid_sample_points(Tensor(np.zeros(shape, dtype=np.float32)), pts)
 
     def test_clamped_coordinate_has_zero_gradient(self):
         f = Tensor(np.random.default_rng(11).standard_normal((1, 1, 4, 4)).astype(np.float64))

@@ -6,6 +6,8 @@ import re
 import numpy as np
 import pytest
 
+from gradcheck import grad_check
+
 from serpentseg.encoders import (
     EfficientSelfAttention,
     MixFFN,
@@ -14,9 +16,8 @@ from serpentseg.encoders import (
     SnakeEncoder,
     TransformerBlock,
 )
-from serpentseg.gradcheck import grad_check
 from serpentseg.tensor import ContractViolation, Tensor, concat, mul, no_grad, relu
-from serpentseg.attention import apply_attention
+from serpentseg.attention import attend
 
 
 def _zero_params(module):
@@ -47,7 +48,7 @@ class TestSnakeBlock:
         with no_grad():
             cat = concat([relu(block.branch_h(x)), relu(block.branch_v(x)),
                           relu(block.local(x))], axis=1)
-            att = apply_attention(cat, block.ca(cat), block.sa(cat))
+            att = attend(cat, block.ca, block.sa)
             want = (block.fuse(att) + block.proj(x)).data
         np.testing.assert_allclose(out, want, atol=1e-5)
 

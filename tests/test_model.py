@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from serpentseg.gradcheck import FunctionModule, grad_check
+from gradcheck import FunctionModule, grad_check
+
 from serpentseg.metrics import confusion_counts, pixel_metrics
 from serpentseg.model import (
     Adam,
@@ -72,9 +73,12 @@ class TestFusionStage:
     def test_spatial_mismatch_rejected(self):
         rng = np.random.default_rng(2)
         stage = FusionStage(8, 4, rng, ratio=2)
-        with pytest.raises(ContractViolation):
+        with pytest.raises(ContractViolation,
+                           match=r"concat: shapes \[\(1, 4, 4, 4\), \(1, 4, 2, 2\)\]"):
             stage([Tensor(np.zeros((1, 4, 4, 4), dtype=np.float32)),
                    Tensor(np.zeros((1, 4, 2, 2), dtype=np.float32))])
+        with pytest.raises(ContractViolation, match=r"concat: shapes \[\]"):
+            stage([])
 
     def test_matches_composition_oracle(self):
         rng = np.random.default_rng(3)
@@ -82,11 +86,11 @@ class TestFusionStage:
         parts = [Tensor(rng.standard_normal((1, 2, 6, 6)).astype(np.float32)),
                  Tensor(rng.standard_normal((1, 4, 6, 6)).astype(np.float32))]
         out = stage(parts).data
-        from serpentseg.attention import apply_attention
+        from serpentseg.attention import attend
         from serpentseg.tensor import concat, no_grad, relu
         with no_grad():
             cat = concat(parts, axis=1)
-            att = apply_attention(cat, stage.ca(cat), stage.sa(cat))
+            att = attend(cat, stage.ca, stage.sa)
             want = (stage.conv2(relu(stage.conv1(att))) + stage.proj(cat)).data
         np.testing.assert_allclose(out, want, atol=1e-5)
 
@@ -595,6 +599,20 @@ class TestTrainLoop:
         with pytest.raises(ContractViolation,
                            match=r"mask of pair 1 has shape \(32, 30\) .* pair 0 has \(32, 32\)"):
             evaluate_model(model, pairs, batch_size=2)
+
+    @pytest.mark.parametrize("entry", ["evaluate_model", "train_loop"])
+    @pytest.mark.parametrize("role", ["image", "mask"])
+    def test_pair_that_is_not_2d_is_named(self, entry, role):
+        model = SnakeFormer(micro_config(seed=32))
+        pairs = _toy_pairs(2, 36)
+        k = ("image", "mask").index(role)
+        pairs[1] = tuple(a[None] if i == k else a for i, a in enumerate(pairs[1]))
+        with pytest.raises(ContractViolation,
+                           match=rf"{role} of pair 1 has shape \(1, 32, 32\); need \(H, W\)"):
+            if entry == "evaluate_model":
+                evaluate_model(model, pairs, batch_size=2)
+            else:
+                train_loop(model, pairs, pairs, epochs=1, batch_size=2)
 
     def test_sizes_may_differ_between_batches(self):
         model = SnakeFormer(micro_config(seed=32))
