@@ -38,11 +38,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.sparse import get_index_dtype
 
 from .module import Conv2d, Module, Parameter, _uniform
-from .tensor import (ContractViolation, Tensor, _make, _tape, concat, conv2d, linear, reshape,
-                     tanh, transpose)
+from .tensor import (ContractViolation, Tensor, _make, concat, conv2d, linear, reshape, tanh,
+                     transpose)
 
 PYRAMID_KERNELS = (3, 5, 7, 9)
 CHAIN_LEN = 9
@@ -88,13 +87,8 @@ def chain_coordinates(steps: Tensor) -> Tensor:
     pts = (sd.reshape(n, c, h * w).transpose(0, 2, 1) @ p.T).reshape(n, h, w, CHAIN_LEN, 2)
     pts[..., 0] += np.arange(w, dtype=sd.dtype)[:, None]
     pts[..., 1] += np.arange(h, dtype=sd.dtype)[:, None, None]
-    es = _tape(steps)
-
-    def bwd(g):
-        gs = g.reshape(n, h * w, 2 * CHAIN_LEN) @ p
-        es._accum(gs.transpose(0, 2, 1).reshape(n, c, h, w))
-
-    return _make(pts.reshape(n, h * w * CHAIN_LEN, 2), (es,), bwd)
+    return _make(pts.reshape(n, h * w * CHAIN_LEN, 2), (steps, lambda g: (
+        g.reshape(n, h * w, 2 * CHAIN_LEN) @ p).transpose(0, 2, 1).reshape(n, c, h, w)))
 
 
 def _corners(pb: np.ndarray, lo: int, m: int, h: int, w: int, idx_t, dtype):
@@ -135,11 +129,13 @@ def _blocks(pd: np.ndarray, m: int, shape: tuple, dtype):
     """The flat (N*M, 2) points ``pd`` of a (N, C, H, W) feature ``shape`` in
     blocks of ``POINT_BLOCK`` consecutive points, which may straddle images:
     yields (lo, hi, indptr, cols, wt) for points lo..hi, the CSR row
-    pointers and ``_corners`` of the block, built when the block is taken."""
+    pointers and ``_corners`` of the block, built when the block is taken.
+    Indices are int32 when the block's corners and the feature rows fit in
+    it, else int64: the rule scipy's sparse matrices apply."""
     n, _, h, w = shape
     total = pd.shape[0]
     size = max(min(POINT_BLOCK, total), 1)
-    idx_t = get_index_dtype(maxval=max(4 * size, n * h * w))
+    idx_t = np.int32 if max(4 * size, n * h * w) <= np.iinfo(np.int32).max else np.int64
     indptr = np.arange(0, 4 * size + 1, 4, dtype=idx_t)
     for lo in range(0, total, size):
         hi = min(lo + size, total)
@@ -205,13 +201,14 @@ def grid_sample_points(feature: Tensor, points: Tensor) -> Tensor:
     (``_blocks``), each built, applied and dropped before the next, so a
     call's scratch is bounded by the block, not the map.
 
-    The tape keeps only the points, and the feature when the points need a
-    gradient. Backward rebuilds each block from the points and, one at a
-    time, the matrices of the feature gradient (the sampling matrix,
-    transposed), which it adds into the feature gradient, and of the x and
-    y derivatives, whose corner weights are the sampling weights with the
-    derivative's axis replaced by (-1, 1); each derivative is reduced
-    against that block of the upstream gradient. The sparse products
+    There are two gradient functions, each rebuilding the blocks from the
+    points, which the tape keeps. The feature's adds each block's sampling
+    matrix, transposed, times that block of the upstream gradient into the
+    feature gradient. The points' keeps the feature too: per block, the x
+    and y derivative matrices, whose corner weights are the sampling
+    weights with the derivative's axis replaced by (-1, 1), times the
+    feature rows, each reduced against the upstream gradient. When both
+    need a gradient each block is built twice. The sparse products
     accumulate in place (``_spmm``), so every sum runs in point order, as
     one product of the whole map would: outputs and gradients do not depend
     on the block size.
@@ -232,25 +229,24 @@ def grid_sample_points(feature: Tensor, points: Tensor) -> Tensor:
     out = np.zeros((n * m, c), dtype=fd.dtype)
     for lo, hi, indptr, cols, wt in _blocks(pflat, m, fd.shape, fd.dtype):
         _spmm(indptr, cols, _corner_values(wt[1], wt[0]), rows, out[lo:hi])
-    ef, ep = _tape(feature), _tape(points)
-    dtype = fd.dtype
-    fkept = fd if ep is not None else None  # only the point gradient reads the feature
+    dtype, shape = fd.dtype, fd.shape  # not ``fd``: only the points' function keeps it
 
-    def bwd(g):
+    def grad_feature(g):
         gl = np.ascontiguousarray(g.reshape(n * m, c), dtype=dtype)
-        gf = np.zeros((n * h * w, c), dtype=dtype) if ef is not None else None
-        if ep is not None:
-            rows = _feature_rows(fkept)
-            step = np.array([-1.0, 1.0], dtype=dtype)
-            gp = np.empty((n * m, 2), dtype=dtype)
-            top = np.array([w - 1, h - 1], dtype=pd.dtype)
-            deriv = np.empty(min(POINT_BLOCK, n * m) * c, dtype=dtype)
-        for lo, hi, indptr, cols, wt in _blocks(pflat, m, (n, c, h, w), dtype):
+        gf = np.zeros((n * h * w, c), dtype=dtype)
+        for lo, hi, indptr, cols, wt in _blocks(pflat, m, shape, dtype):
+            _spmm(indptr, cols, _corner_values(wt[1], wt[0]), gl[lo:hi], gf, transposed=True)
+        return np.ascontiguousarray(gf.reshape(n, h, w, c).transpose(0, 3, 1, 2))
+
+    def grad_points(g):
+        gl = np.ascontiguousarray(g.reshape(n * m, c), dtype=dtype)
+        rows = _feature_rows(fd)
+        step = np.array([-1.0, 1.0], dtype=dtype)
+        gp = np.empty((n * m, 2), dtype=dtype)
+        top = np.array([w - 1, h - 1], dtype=pflat.dtype)
+        deriv = np.empty(min(POINT_BLOCK, n * m) * c, dtype=dtype)
+        for lo, hi, indptr, cols, wt in _blocks(pflat, m, shape, dtype):
             gb = gl[lo:hi]
-            if ef is not None:
-                _spmm(indptr, cols, _corner_values(wt[1], wt[0]), gb, gf, transposed=True)
-            if ep is None:
-                continue
             d = deriv[:gb.size].reshape(gb.shape)
             for a, (ay, ax) in enumerate(((wt[1], step), (step, wt[0]))):
                 d.fill(0)
@@ -259,12 +255,9 @@ def grid_sample_points(feature: Tensor, points: Tensor) -> Tensor:
                 gp[lo:hi, a] = d.sum(axis=1)
             # a coordinate clamped to the border has no gradient
             gp[lo:hi] *= (pflat[lo:hi] >= 0.0) & (pflat[lo:hi] <= top)
-        if ef is not None:
-            ef._accum(np.ascontiguousarray(gf.reshape(n, h, w, c).transpose(0, 3, 1, 2)))
-        if ep is not None:
-            ep._accum(gp.reshape(n, m, 2))
+        return gp.reshape(n, m, 2)
 
-    return _make(out.reshape(n, m, c), (ef, ep), bwd)
+    return _make(out.reshape(n, m, c), (feature, grad_feature), (points, grad_points))
 
 
 def chain_contract(rows: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
@@ -285,22 +278,15 @@ def _embed_kernels(weights: list[Tensor]) -> Tensor:
     rows = sum(wt.data.shape[0] for wt in weights)
     ref = weights[0].data
     data = np.zeros((rows, ref.shape[1], size, size), dtype=ref.dtype)
-    slices, row = [], 0
+    pairs, row = [], 0
     for wt in weights:
         co, _, k, _ = wt.data.shape
         o = (size - k) // 2
         sl = (slice(row, row + co), slice(None), slice(o, o + k), slice(o, o + k))
         data[sl] = wt.data
-        slices.append(sl)
+        pairs.append((wt, lambda g, sl=sl: g[sl]))
         row += co
-    entries = tuple(_tape(wt) for wt in weights)
-
-    def bwd(g):
-        for e, sl in zip(entries, slices):
-            if e is not None:
-                e._accum(g[sl])
-
-    return _make(data, entries, bwd)
+    return _make(data, *pairs)
 
 
 class WeightBias(Module):

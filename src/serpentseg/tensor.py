@@ -1,17 +1,21 @@
 """Dense tensors with tape-based reverse-mode differentiation.
 
-Every operation records a backward closure in its output's tape entry;
-``backward()`` replays the tape in reverse topological order. Values are
-float32 on production paths, but all ops preserve the incoming dtype so the
-gradient checker can re-run a graph in float64.
+Every op hands ``_make`` its output and one (operand, fn) pair per operand,
+``fn`` mapping the output's gradient to that operand's. ``_make`` keeps the
+pairs of the operands a gradient reaches and records them in one backward
+closure in the output's tape entry; ``backward()`` replays the tape in
+reverse topological order. Values are float32 on production paths, but all
+ops preserve the incoming dtype so the gradient checker can re-run a graph
+in float64.
 
 The tape is a graph of entries (``_Entry``), kept apart from the values.
-Every tensor has one: an op output's holds its gradient, its parents'
-entries and its backward closure, but no array, so an output's value is
-freed once the caller drops it, unless a closure reads it; a leaf's (a
-``Parameter`` or a ``requires_grad`` input) holds only its gradient. The
-rule for every backward closure: capture the parents' entries (``_tape``)
-and only the arrays its own formula reads, never a parent tensor.
+Only tensors that gradients reach have one: a ``requires_grad`` leaf (a
+``Parameter``, say), whose entry holds its gradient, and an op output with a
+taped operand, whose entry also holds its parents' entries and its backward
+closure, but no array. An output's value is freed once the caller drops it,
+unless a gradient function reads it; a dropped pair frees whatever its
+function captured. The rule for every gradient function: capture only the
+arrays its own formula reads, never a tensor.
 
 Broadcasting is deliberately narrow: elementwise ops accept equal shapes or
 equal-rank shapes where one operand has size-1 axes (bias-add and per-channel
@@ -46,9 +50,10 @@ def no_grad():
 
 
 class _Entry:
-    """A tensor's tape node: its gradient, its parents' entries and its
-    backward closure; no array. An op output's entry outlives the output; a
-    leaf's has no parents or closure and accumulates its gradient across ``backward()``."""
+    """The tape node of a tensor that gradients reach: its gradient, its
+    parents' entries and its backward closure; no array. A taped op output's
+    entry, made by ``_make``, outlives the output; a leaf's has no parents or
+    closure and accumulates its gradient across ``backward()``."""
 
     __slots__ = ("grad", "_parents", "_backward")
 
@@ -71,20 +76,29 @@ class Tensor:
     Feature maps are (N, C, H, W), or channel-last (N, H, W, C) inside the
     transformer branch; losses are 0-d. ``grad`` is filled by ``backward()``
     and has the same shape as ``data``. ``grad``, ``_parents`` and
-    ``_backward`` live in the tensor's ``_Entry``, the node the tape records.
+    ``_backward`` live in the tensor's ``_Entry``, the node the tape records,
+    which only a ``requires_grad`` leaf or a taped op output has; without
+    one they read None, () and None, and setting ``grad`` or ``_backward``
+    gives the tensor a leaf entry.
     """
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data)
         self.requires_grad = requires_grad
-        self._entry = _Entry()  # ``_make`` swaps in a taped output's entry
+        self._entry = _Entry() if requires_grad else None  # ``_make`` gives taped outputs theirs
 
     # -- tape plumbing ------------------------------------------------------
 
-    grad = property(lambda t: t._entry.grad, lambda t, g: setattr(t._entry, "grad", g))
-    _parents = property(lambda t: t._entry._parents)
-    _backward = property(lambda t: t._entry._backward,
-                         lambda t, f: setattr(t._entry, "_backward", f))
+    def _node(self) -> _Entry:
+        if self._entry is None:
+            self._entry = _Entry()
+        return self._entry
+
+    grad = property(lambda t: getattr(t._entry, "grad", None),
+                    lambda t, g: setattr(t._node(), "grad", g))
+    _parents = property(lambda t: getattr(t._entry, "_parents", ()))
+    _backward = property(lambda t: getattr(t._entry, "_backward", None),
+                         lambda t, f: setattr(t._node(), "_backward", f))
 
     @property
     def shape(self):
@@ -100,6 +114,7 @@ class Tensor:
             raise ContractViolation(
                 f"backward() requires a scalar, got shape {self.data.shape}"
             )
+        self.grad = np.ones_like(self.data)  # first: an untaped scalar gets its entry
         topo: list = []
         seen: set[int] = set()
         stack: list[tuple] = [(self._entry, False)]
@@ -115,7 +130,6 @@ class Tensor:
             for p in node._parents:
                 if id(p) not in seen:
                     stack.append((p, False))
-        self.grad = np.ones_like(self.data)
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
@@ -178,132 +192,128 @@ def check_int(name: str, value, lowest: int) -> None:
         raise ContractViolation(f"{name} must be an int >= {lowest}, got {value!r}")
 
 
+def _check_axis(op: str, axis, shape: tuple) -> None:
+    """Raise ``ContractViolation`` naming ``op`` unless ``axis``, an int, a
+    tuple of them or None (all axes), indexes ``shape``; negative axes count
+    from the end."""
+    axes = () if axis is None else axis if isinstance(axis, tuple) else (axis,)
+    if any(not -len(shape) <= ax < len(shape) for ax in axes):
+        raise ContractViolation(f"{op}: axis {axis} out of range for shape {shape}")
+
+
 def _check_bias(op: str, bias: Tensor | None, cout: int) -> None:
     """Raise ``ContractViolation`` unless ``bias`` is None or of shape (cout,)."""
     if bias is not None and bias.data.shape != (cout,):
         raise ContractViolation(f"{op}: bias {bias.data.shape} does not match {(cout,)}")
 
 
-def _lift(x, like: Tensor) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=like.data.dtype))
+def _tape(t: Tensor) -> _Entry | None:
+    """The entry the tape records for ``t``: its own, which only tensors that
+    gradients reach have, or None. Under ``no_grad`` it is always None, so
+    nothing is taped."""
+    return t._entry if _GRAD_ENABLED.get() else None
 
 
-def _tape(t: Tensor | None) -> _Entry | None:
-    """The entry the tape records for ``t``: its own, an op output's or a
-    ``requires_grad`` leaf's, or None when no gradient flows to ``t``. Under
-    ``no_grad`` it is always None, so nothing is taped."""
-    if t is None or not _GRAD_ENABLED.get():
-        return None
-    return t._entry if t._parents or t.requires_grad else None
+def _make(data: np.ndarray, *grads) -> Tensor:
+    """An op output of value ``data``, given one (operand, fn) pair per
+    operand: ``fn`` maps the output's gradient to the operand's, and an
+    absent operand (a None bias) is None.
 
-
-def _make(data: np.ndarray, parents: tuple, backward) -> Tensor:
-    """Create an op output; ``parents`` are the operands' ``_tape`` entries,
-    recorded, with ``backward``, when any is not None."""
+    This is the one place the tape is recorded. The pairs of operands that
+    ``_tape`` finds an entry for go into one backward closure, which adds
+    each ``fn(g)`` into its operand's entry, in the order given; the others
+    are dropped, and with them whatever their ``fn`` captured. The output
+    gets an entry only when a pair is kept.
+    """
     out = Tensor(data)
-    parents = tuple(p for p in parents if p is not None)
-    if parents:
-        out._entry = _Entry(parents, backward)
+    kept = [(e, fn) for t, fn in grads if t is not None and (e := _tape(t)) is not None]
+    if kept:
+        def backward(g):
+            for e, fn in kept:
+                e._accum(fn(g))
+
+        out._entry = _Entry(tuple(e for e, _ in kept), backward)
     return out
-
-
-def _check_broadcast(a: np.ndarray, b: np.ndarray, op: str) -> None:
-    if a.shape == b.shape:
-        return
-    # scalars mix freely; otherwise ranks must match and differing axes be 1
-    if a.ndim == 0 or b.ndim == 0:
-        return
-    if a.ndim != b.ndim or any(
-        sa != sb and sa != 1 and sb != 1 for sa, sb in zip(a.shape, b.shape)
-    ):
-        raise ContractViolation(f"{op}: incompatible shapes {a.shape} and {b.shape}")
-
-
-def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
-    """Reduce a gradient back to ``shape`` by summing broadcast axes."""
-    if g.shape == shape:
-        return g
-    if shape == ():
-        return g.sum()
-    axes = tuple(i for i, (gs, s) in enumerate(zip(g.shape, shape)) if s == 1 and gs != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g.reshape(shape)
 
 
 # -- elementwise arithmetic --------------------------------------------------
 
-def _binary(a, b, op: str, data_fn, grad_a, grad_b, reads_a: str = "",
-            reads_b: str = "") -> Tensor:
-    """Elementwise ``data_fn(a, b)`` under the narrow broadcasting rule.
-
-    A non-tensor operand is lifted to the other's dtype. ``grad_a`` and
-    ``grad_b`` map ``(g, a.data, b.data)`` to each operand's gradient at the
-    output shape, which is then summed back over that operand's size-1 axes.
-    ``reads_a`` and ``reads_b`` name the operands ("a", "b") each formula
-    reads; the tape keeps those of the gradients it computes, and passes
-    None for the others.
-    """
-    if isinstance(a, Tensor):
-        b = _lift(b, a)
-    else:
-        a = _lift(a, b)
-    _check_broadcast(a.data, b.data, op)
-    ea, eb = _tape(a), _tape(b)
-    reads = (reads_a if ea is not None else "") + (reads_b if eb is not None else "")
-    ad = a.data if "a" in reads else None
-    bd = b.data if "b" in reads else None
+def _operands(a, b, op: str) -> tuple[Tensor, Tensor]:
+    """``a`` and ``b`` as tensors, a non-tensor lifted to the other's dtype,
+    after checking the narrow broadcasting rule: equal shapes, a 0-d
+    operand, or equal ranks whose differing axes are 1 on one side."""
+    if not isinstance(a, Tensor):
+        a = Tensor(np.asarray(a, dtype=b.data.dtype))
+    elif not isinstance(b, Tensor):
+        b = Tensor(np.asarray(b, dtype=a.data.dtype))
     sa, sb = a.data.shape, b.data.shape
+    if sa != sb and sa != () and sb != () and (len(sa) != len(sb) or any(
+            x != y and x != 1 and y != 1 for x, y in zip(sa, sb))):
+        raise ContractViolation(f"{op}: incompatible shapes {sa} and {sb}")
+    return a, b
 
-    def bwd(g):
-        if ea is not None:
-            ea._accum(_unbroadcast(grad_a(g, ad, bd), sa))
-        if eb is not None:
-            eb._accum(_unbroadcast(grad_b(g, ad, bd), sb))
 
-    return _make(data_fn(a.data, b.data), (ea, eb), bwd)
+def _summed(t: Tensor, fn, out: tuple):
+    """The pair of an elementwise operand ``t`` of an output of shape
+    ``out``: ``fn``'s gradient, at that shape, summed back over the axes
+    ``t`` was broadcast along."""
+    shape = t.data.shape
+    if shape == out:
+        return t, fn
+    if shape == ():
+        return t, lambda g: fn(g).sum()
+    axes = tuple(i for i, (o, s) in enumerate(zip(out, shape)) if s == 1 and o != 1)
+    return t, lambda g: fn(g).sum(axis=axes, keepdims=True)
 
 
 def add(a, b) -> Tensor:
-    return _binary(a, b, "add", np.add, lambda g, ad, bd: g, lambda g, ad, bd: g)
+    a, b = _operands(a, b, "add")
+    data = a.data + b.data
+    return _make(data, _summed(a, lambda g: g, data.shape), _summed(b, lambda g: g, data.shape))
 
 
 def sub(a, b) -> Tensor:
-    return _binary(a, b, "sub", np.subtract, lambda g, ad, bd: g, lambda g, ad, bd: -g)
+    a, b = _operands(a, b, "sub")
+    data = a.data - b.data
+    return _make(data, _summed(a, lambda g: g, data.shape), _summed(b, lambda g: -g, data.shape))
 
 
 def mul(a, b) -> Tensor:
-    return _binary(a, b, "mul", np.multiply,
-                   lambda g, ad, bd: g * bd, lambda g, ad, bd: g * ad, "b", "a")
+    a, b = _operands(a, b, "mul")
+    ad, bd = a.data, b.data
+    data = ad * bd
+    return _make(data, _summed(a, lambda g: g * bd, data.shape),
+                 _summed(b, lambda g: g * ad, data.shape))
 
 
 def div(a, b) -> Tensor:
-    return _binary(a, b, "div", np.divide,
-                   lambda g, ad, bd: g / bd, lambda g, ad, bd: -g * ad / (bd * bd), "b", "ab")
+    a, b = _operands(a, b, "div")
+    ad, bd = a.data, b.data
+    data = ad / bd
+    return _make(data, _summed(a, lambda g: g / bd, data.shape),
+                 _summed(b, lambda g: -g * ad / (bd * bd), data.shape))
 
 
 def neg(a: Tensor) -> Tensor:
-    return _unary(a, -a.data, lambda g: -g)
+    return _make(-a.data, (a, lambda g: -g))
 
 
 # -- reductions ---------------------------------------------------------------
 
 def tsum(a: Tensor, axis=None, keepdims=False) -> Tensor:
-    data = a.data.sum(axis=axis, keepdims=keepdims)
+    _check_axis("tsum", axis, a.data.shape)
     shape = a.data.shape
-    ea = _tape(a)
 
-    def bwd(g):
+    def grad(g):
         if not (keepdims or axis is None):
             g = np.expand_dims(g, axis)
-        ea._accum(np.broadcast_to(g, shape).astype(g.dtype, copy=True))
+        return np.broadcast_to(g, shape).astype(g.dtype, copy=True)
 
-    return _make(data, (ea,), bwd)
+    return _make(a.data.sum(axis=axis, keepdims=keepdims), (a, grad))
 
 
 def tmean(a: Tensor, axis=None, keepdims=False) -> Tensor:
+    _check_axis("tmean", axis, a.data.shape)
     count = a.data.size if axis is None else np.prod(
         [a.data.shape[ax] for ax in (axis if isinstance(axis, tuple) else (axis,))]
     )
@@ -320,47 +330,45 @@ def max_along(a: Tensor, axis: int, keepdims: bool = True) -> Tensor:
     holds the axis length, instead of its input; a forward without the tape
     runs no argmax."""
     ad = a.data
+    _check_axis("max_along", axis, ad.shape)
     if ad.shape[axis] == 0:
         raise ContractViolation(f"max_along: empty axis {axis} in shape {ad.shape}")
-    ea = _tape(a)
+    data = ad.max(axis=axis, keepdims=keepdims)
+    if _tape(a) is None:
+        return Tensor(data)
     shape, dtype = ad.shape, ad.dtype
-    idx = None
-    if ea is not None:
-        # first occurrence on ties
-        idx = np.expand_dims(np.argmax(ad, axis=axis), axis).astype(
-            np.min_scalar_type(shape[axis] - 1))
+    # first occurrence on ties
+    idx = np.expand_dims(np.argmax(ad, axis=axis), axis).astype(
+        np.min_scalar_type(shape[axis] - 1))
 
-    def bwd(g):
+    def grad(g):
         buf = np.zeros(shape, dtype=dtype)
         np.put_along_axis(buf, idx, g if keepdims else np.expand_dims(g, axis), axis=axis)
-        ea._accum(buf)
+        return buf
 
-    return _make(ad.max(axis=axis, keepdims=keepdims), (ea,), bwd)
+    return _make(data, (a, grad))
 
 
 # -- shape surgery ------------------------------------------------------------
 
 def reshape(a: Tensor, shape) -> Tensor:
     old = a.data.shape
-    data = a.data.reshape(shape)
-    ea = _tape(a)
-
-    def bwd(g):
-        ea._accum(g.reshape(old))
-
-    return _make(data, (ea,), bwd)
+    try:
+        data = a.data.reshape(shape)
+    except ValueError:
+        raise ContractViolation(f"reshape: cannot reshape {old} to {shape}") from None
+    return _make(data, (a, lambda g: g.reshape(old)))
 
 
 def transpose(a: Tensor, axes) -> Tensor:
     axes = tuple(axes)
-    inv = tuple(np.argsort(axes))
-    data = a.data.transpose(axes)
-    ea = _tape(a)
-
-    def bwd(g):
-        ea._accum(g.transpose(inv))
-
-    return _make(data, (ea,), bwd)
+    try:
+        data = a.data.transpose(axes)
+    except ValueError:
+        raise ContractViolation(
+            f"transpose: axes {axes} do not permute the axes of shape {a.data.shape}") from None
+    inv = tuple(np.argsort([ax % data.ndim for ax in axes]))
+    return _make(data, (a, lambda g: g.transpose(inv)))
 
 
 def concat(tensors, axis: int) -> Tensor:
@@ -369,67 +377,51 @@ def concat(tensors, axis: int) -> Tensor:
     shapes = [t.data.shape for t in tensors]
     if len({(len(s), s[:axis] + s[axis:][1:]) for s in shapes}) != 1:
         raise ContractViolation(f"concat: shapes {shapes} do not agree off axis {axis}")
+    _check_axis("concat", axis, shapes[0])
     data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
-    entries = tuple(_tape(t) for t in tensors)
-
-    def bwd(g):
-        parts = np.split(g, splits, axis=axis)
-        for e, p in zip(entries, parts):
-            if e is not None:
-                e._accum(p)
-
-    return _make(data, entries, bwd)
+    pairs, lo = [], 0
+    for t in tensors:
+        sl = (slice(None),) * (axis % data.ndim) + (slice(lo, lo + t.data.shape[axis]),)
+        pairs.append((t, lambda g, sl=sl: g[sl]))
+        lo = sl[-1].stop
+    return _make(data, *pairs)
 
 
 def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
     """Positions start..start + length of ``axis``, which must lie inside it."""
+    _check_axis("narrow", axis, a.data.shape)
     if start < 0 or length < 0 or start + length > a.data.shape[axis]:
         raise ContractViolation(f"narrow: start {start}, length {length} leave axis {axis} "
                                 f"of shape {a.data.shape}")
     sl = [slice(None)] * a.data.ndim
     sl[axis] = slice(start, start + length)
     sl = tuple(sl)
-    data = a.data[sl].copy()
     shape, dtype = a.data.shape, a.data.dtype
-    ea = _tape(a)
 
-    def bwd(g):
+    def grad(g):
         buf = np.zeros(shape, dtype=dtype)
         buf[sl] = g
-        ea._accum(buf)
+        return buf
 
-    return _make(data, (ea,), bwd)
+    return _make(a.data[sl].copy(), (a, grad))
 
 
 # -- pointwise nonlinearities -------------------------------------------------
 
-def _unary(a: Tensor, data: np.ndarray, grad) -> Tensor:
-    """Pointwise op with output ``data``; ``grad`` maps the upstream gradient
-    to the input's."""
-    ea = _tape(a)
-
-    def bwd(g):
-        ea._accum(grad(g))
-
-    return _make(data, (ea,), bwd)
-
-
 def relu(a: Tensor) -> Tensor:
     # the output is positive where the input is, so the mask reads the output
     data = np.maximum(a.data, 0)
-    return _unary(a, data, lambda g: g * (data > 0))
+    return _make(data, (a, lambda g: g * (data > 0)))
 
 
 def sigmoid(a: Tensor) -> Tensor:
     data = 1.0 / (1.0 + np.exp(-a.data))
-    return _unary(a, data, lambda g: g * data * (1.0 - data))
+    return _make(data, (a, lambda g: g * data * (1.0 - data)))
 
 
 def tanh(a: Tensor) -> Tensor:
     data = np.tanh(a.data)
-    return _unary(a, data, lambda g: g * (1.0 - data * data))
+    return _make(data, (a, lambda g: g * (1.0 - data * data)))
 
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -439,44 +431,35 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 def gelu(a: Tensor) -> Tensor:
     x = a.data
     cdf = 0.5 * (1.0 + _erf(x * _INV_SQRT2))
-    return _unary(a, (x * cdf).astype(x.dtype),
-                  lambda g: g * (cdf + x * (np.exp(-0.5 * x * x) * _INV_SQRT_2PI)).astype(x.dtype))
+    return _make((x * cdf).astype(x.dtype), (a, lambda g: g * (
+        cdf + x * (np.exp(-0.5 * x * x) * _INV_SQRT_2PI)).astype(x.dtype)))
 
 
 def exp(a: Tensor) -> Tensor:
     data = np.exp(a.data)
-    return _unary(a, data, lambda g: g * data)
+    return _make(data, (a, lambda g: g * data))
 
 
 def log(a: Tensor) -> Tensor:
     ad = a.data
-    return _unary(a, np.log(ad), lambda g: g / ad)
+    return _make(np.log(ad), (a, lambda g: g / ad))
 
 
 def softmax(a: Tensor, axis: int) -> Tensor:
+    _check_axis("softmax", axis, a.data.shape)
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     data = e / e.sum(axis=axis, keepdims=True)
-    ea = _tape(a)
-
-    def bwd(g):
-        dot = (g * data).sum(axis=axis, keepdims=True)
-        ea._accum(data * (g - dot))
-
-    return _make(data, (ea,), bwd)
+    return _make(data, (a, lambda g: data * (g - (g * data).sum(axis=axis, keepdims=True))))
 
 
 def log_softmax(a: Tensor, axis: int) -> Tensor:
+    _check_axis("log_softmax", axis, a.data.shape)
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
     data = shifted - lse
     p = np.exp(data)
-    ea = _tape(a)
-
-    def bwd(g):
-        ea._accum(g - p * g.sum(axis=axis, keepdims=True))
-
-    return _make(data, (ea,), bwd)
+    return _make(data, (a, lambda g: g - p * g.sum(axis=axis, keepdims=True)))
 
 
 # -- linear algebra -----------------------------------------------------------
@@ -487,19 +470,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ContractViolation(f"matmul needs rank >= 2, got {ad.shape} @ {bd.shape}")
     if ad.ndim != bd.ndim or ad.shape[:-2] != bd.shape[:-2] or ad.shape[-1] != bd.shape[-2]:
         raise ContractViolation(f"matmul: incompatible shapes {ad.shape} @ {bd.shape}")
-    data = ad @ bd
-    ea, eb = _tape(a), _tape(b)
     # each operand's gradient reads the other operand
-    bt = bd.swapaxes(-1, -2) if ea is not None else None
-    at = ad.swapaxes(-1, -2) if eb is not None else None
-
-    def bwd(g):
-        if ea is not None:
-            ea._accum(g @ bt)
-        if eb is not None:
-            eb._accum(at @ g)
-
-    return _make(data, (ea, eb), bwd)
+    return _make(ad @ bd, (a, lambda g: g @ bd.swapaxes(-1, -2)),
+                 (b, lambda g: ad.swapaxes(-1, -2) @ g))
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -517,21 +490,11 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     data = rows @ wd.T
     if bias is not None:
         data = data + bias.data
-    data = data.reshape(xd.shape[:-1] + (wd.shape[0],))
-    ex, ew, eb = _tape(x), _tape(weight), _tape(bias)
     xshape, cout = xd.shape, wd.shape[0]
-    xrows = rows if ew is not None else None  # read only by the weight gradient
-
-    def bwd(g):
-        g2 = g.reshape(-1, cout)
-        if ex is not None:
-            ex._accum((g2 @ wd).reshape(xshape))
-        if ew is not None:
-            ew._accum(g2.T @ xrows)
-        if eb is not None:
-            eb._accum(g2.sum(axis=0))
-
-    return _make(data, (ex, ew, eb), bwd)
+    return _make(data.reshape(xshape[:-1] + (cout,)),
+                 (x, lambda g: (g.reshape(-1, cout) @ wd).reshape(xshape)),
+                 (weight, lambda g: g.reshape(-1, cout).T @ rows),
+                 (bias, lambda g: g.reshape(-1, cout).sum(axis=0)))
 
 
 # -- convolution and pooling ---------------------------------------------------
@@ -695,25 +658,20 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     data = _correlate(xd, wd, stride, padding)
     if bias is not None:
         data += bias.data.reshape(1, cout, 1, 1)
-    ex, ew, eb = _tape(x), _tape(weight), _tape(bias)
-    xkept = xd if ew is not None else None  # read only by the weight gradient
 
-    def bwd(g):
-        if ew is not None:
-            ew._accum(_correlate_weight_grad(xkept, g, k, stride, padding))
-        if ex is not None:
-            g1 = g
-            if stride > 1:
-                g1 = np.zeros((n, cout, h + 2 * padding - k + 1, w + 2 * padding - k + 1),
-                              dtype=g.dtype)
-                g1[:, :, ::stride, ::stride] = g
-            pad = k - 1 - padding
-            gx = _correlate(g1, wd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), 1, max(pad, 0))
-            ex._accum(gx if pad >= 0 else gx[:, :, -pad:h - pad, -pad:w - pad])
-        if eb is not None:
-            eb._accum(g.sum(axis=(0, 2, 3)))
+    def grad_x(g):
+        if stride > 1:
+            g1 = np.zeros((n, cout, h + 2 * padding - k + 1, w + 2 * padding - k + 1),
+                          dtype=g.dtype)
+            g1[:, :, ::stride, ::stride] = g
+            g = g1
+        pad = k - 1 - padding
+        gx = _correlate(g, wd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), 1, max(pad, 0))
+        return gx if pad >= 0 else gx[:, :, -pad:h - pad, -pad:w - pad]
 
-    return _make(data, (ex, ew, eb), bwd)
+    # the weight gradient first: its buffers are freed before the input gradient's
+    return _make(data, (weight, lambda g: _correlate_weight_grad(xd, g, k, stride, padding)),
+                 (x, grad_x), (bias, lambda g: g.sum(axis=(0, 2, 3))))
 
 
 def _padded_shifts(xd: np.ndarray) -> list:
@@ -757,21 +715,14 @@ def depthwise_conv3x3(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> 
     data = _correlate_depthwise(xd, wd)
     if bias is not None:
         data += bias.data
-    ex, ew, eb = _tape(x), _tape(weight), _tape(bias)
-    xkept = xd if ew is not None else None  # read only by the weight gradient
 
-    def bwd(g):
-        if ex is not None:
-            ex._accum(_correlate_depthwise(g, wd[:, ::-1, ::-1]))
-        if ew is not None:
-            g_rows = g.reshape(g.shape[0], g.shape[1], -1)
-            gw = np.stack([np.einsum("nyk,nyk->k", g_rows, view)
-                           for view in _padded_shifts(xkept)])
-            ew._accum(gw.reshape(9, -1, wd.shape[0]).sum(axis=1).T.reshape(wd.shape))
-        if eb is not None:
-            eb._accum(g.sum(axis=(0, 1, 2)))
+    def grad_w(g):
+        g_rows = g.reshape(g.shape[0], g.shape[1], -1)
+        gw = np.stack([np.einsum("nyk,nyk->k", g_rows, view) for view in _padded_shifts(xd)])
+        return gw.reshape(9, -1, wd.shape[0]).sum(axis=1).T.reshape(wd.shape)
 
-    return _make(data, (ex, ew, eb), bwd)
+    return _make(data, (x, lambda g: _correlate_depthwise(g, wd[:, ::-1, ::-1])),
+                 (weight, grad_w), (bias, lambda g: g.sum(axis=(0, 1, 2))))
 
 
 def max_pool2(x: Tensor) -> Tensor:
@@ -808,13 +759,7 @@ def upsample_bilinear(x: Tensor, factor: int) -> Tensor:
     n, c, h, w = x.data.shape
     ry = _interp_matrix(h, factor, x.data.dtype)
     rx = _interp_matrix(w, factor, x.data.dtype)
-    data = ry @ x.data @ rx.T
-    ex = _tape(x)
-
-    def bwd(g):
-        ex._accum(ry.T @ g @ rx)
-
-    return _make(data, (ex,), bwd)
+    return _make(ry @ x.data @ rx.T, (x, lambda g: ry.T @ g @ rx))
 
 
 def layer_norm(x: Tensor, gain: Tensor, shift: Tensor, eps: float = 1e-5) -> Tensor:
@@ -832,17 +777,12 @@ def layer_norm(x: Tensor, gain: Tensor, shift: Tensor, eps: float = 1e-5) -> Ten
     gd = gain.data
     data = xhat * gd + shift.data
     lead = tuple(range(xd.ndim - 1))
-    ex, eg, es = _tape(x), _tape(gain), _tape(shift)
 
-    def bwd(g):
-        if eg is not None:
-            eg._accum((g * xhat).sum(axis=lead))
-        if es is not None:
-            es._accum(g.sum(axis=lead))
-        if ex is not None:
-            gx = g * gd
-            m1 = gx.mean(axis=-1, keepdims=True)
-            m2 = (gx * xhat).mean(axis=-1, keepdims=True)
-            ex._accum(inv * (gx - m1 - xhat * m2))
+    def grad_x(g):
+        gx = g * gd
+        m1 = gx.mean(axis=-1, keepdims=True)
+        m2 = (gx * xhat).mean(axis=-1, keepdims=True)
+        return inv * (gx - m1 - xhat * m2)
 
-    return _make(data, (ex, eg, es), bwd)
+    return _make(data, (gain, lambda g: (g * xhat).sum(axis=lead)),
+                 (shift, lambda g: g.sum(axis=lead)), (x, grad_x))

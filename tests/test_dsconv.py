@@ -21,6 +21,7 @@ from oracles import (
 from serpentseg.dsconv import (
     INIT_STEP_BIAS,
     SnakeConv2d,
+    _blocks,
     _spmm,
     chain_coordinates,
     grid_sample_points,
@@ -319,6 +320,17 @@ class TestBilinearSample:
         np.testing.assert_array_equal(y, a @ x)
         _spmm(indptr, cols, vals, x, y, transposed=transposed)
         np.testing.assert_allclose(y, 2 * (a @ x), rtol=1e-6)
+
+    @pytest.mark.parametrize("shape,idx_t", [
+        ((2, 3, 64, 64), np.int32),
+        ((1, 1, 1, 2**31 - 1), np.int32),  # the last row index int32 holds
+        ((1, 1, 2**16, 2**15), np.int64),
+    ])
+    def test_index_type_holds_every_feature_row(self, shape, idx_t):
+        # a shape alone: no feature is allocated, only one block of 3 points
+        (lo, hi, indptr, cols, wt), = _blocks(np.zeros((3, 2), dtype=np.float32), 3, shape,
+                                              np.float32)
+        assert (lo, hi) == (0, 3) and indptr.dtype == cols.dtype == idx_t
 
     @pytest.mark.parametrize("y", [np.zeros((3, 4), dtype=np.float32)[:, ::2],
                                    np.zeros((3, 2), dtype=np.float64)])

@@ -13,7 +13,7 @@ import oracles
 from gradcheck import FunctionModule, grad_check
 from serpentseg import tensor as T
 from serpentseg.attention import _pooled_rows
-from serpentseg.dsconv import _embed_kernels, chain_coordinates
+from serpentseg.dsconv import _embed_kernels, chain_coordinates, grid_sample_points
 from serpentseg.module import Conv2d, LayerNorm, Linear, Module, Parameter
 from serpentseg.tensor import ContractViolation, Tensor
 
@@ -508,6 +508,50 @@ class TestShapeSurgery:
                            match=re.escape(f"concat: shapes {shapes} do not agree off axis 1")):
             T.concat(parts, axis=1)
 
+    @pytest.mark.parametrize("op,call,named", [
+        ("softmax", lambda a: T.softmax(a, axis=5), "axis 5"),
+        ("log_softmax", lambda a: T.log_softmax(a, axis=5), "axis 5"),
+        ("tsum", lambda a: T.tsum(a, axis=5), "axis 5"),
+        ("tsum", lambda a: T.tsum(a, axis=(0, -3)), "axis (0, -3)"),
+        ("tmean", lambda a: T.tmean(a, axis=5), "axis 5"),
+        ("max_along", lambda a: T.max_along(a, axis=5), "axis 5"),
+        ("concat", lambda a: T.concat([a, a], axis=5), "axis 5"),
+        ("narrow", lambda a: T.narrow(a, 5, 0, 1), "axis 5"),
+        ("reshape", lambda a: T.reshape(a, (4,)), "(4,)"),
+        ("transpose", lambda a: T.transpose(a, (0, 0)), "(0, 0)"),
+        ("transpose", lambda a: T.transpose(a, (0,)), "(0,)"),
+    ], ids=["softmax", "log_softmax", "tsum", "tsum-tuple", "tmean", "max_along", "concat",
+            "narrow", "reshape", "transpose-repeated", "transpose-short"])
+    def test_bad_axis_or_shape_raises_naming_op_and_shapes(self, op, call, named):
+        # numpy raises AxisError, IndexError or ValueError here, none of them
+        # a ContractViolation
+        with pytest.raises(ContractViolation) as err:
+            call(Tensor(np.zeros((2, 3), dtype=np.float32)))
+        msg = str(err.value)
+        assert msg.startswith(f"{op}: ") and named in msg and "(2, 3)" in msg, msg
+
+    @pytest.mark.parametrize("call", [
+        lambda a, last: T.softmax(a, axis=last),
+        lambda a, last: T.tsum(a, axis=(0, last)),
+        lambda a, last: T.tmean(a, axis=last, keepdims=True),
+        lambda a, last: T.max_along(a, axis=last, keepdims=False),
+        lambda a, last: T.narrow(a, last, 1, 2),
+        lambda a, last: T.concat([a, a], axis=last),
+        lambda a, last: T.transpose(a, (0, last, 1)),
+    ], ids=["softmax", "tsum", "tmean", "max_along", "narrow", "concat", "transpose"])
+    def test_negative_axes_count_from_the_end(self, call):
+        # axis -1 of a (2, 3, 4) tensor is axis 2, in the value and the gradient
+        rng = np.random.default_rng(45)
+        x = rng.standard_normal((2, 3, 4))
+        runs = []
+        for last in (2, -1):
+            t = Tensor(x, requires_grad=True)
+            out = call(t, last)
+            T.tsum(out * Tensor(np.arange(out.data.size).reshape(out.data.shape))).backward()
+            runs.append((out.data, t.grad))
+        for got, want in zip(*runs):
+            np.testing.assert_array_equal(got, want)
+
 
 class TestUpsampleBilinear:
     def test_constant(self):
@@ -903,40 +947,61 @@ class TestTapeInvariants:
             T.add(a, b)
 
 
-# op -> (input shapes, op, whether the tape lets the op's output go): every
-# keep-shapes op, max_along (which keeps an index), and relu (whose closure
-# reads its output) and layer_norm
+# op -> (input shapes, which inputs are taped, op, whether the tape lets the
+# op's output go): every keep-shapes op, max_along (which keeps an index),
+# relu (whose closure reads its output) and layer_norm with every input
+# taped; and ops whose taped input's gradient reads only the other input
+BOTH = (True, True)
 TAPE_OPS = {
-    "add": ([(2, 3), (2, 3)], T.add, True),
-    "sub": ([(2, 3), (2, 3)], T.sub, True),
-    "concat": ([(2, 3), (2, 2)], lambda a, b: T.concat([a, b], axis=1), True),
-    "reshape": ([(2, 6)], lambda a: T.reshape(a, (3, 4)), True),
-    "transpose": ([(2, 3, 4)], lambda a: T.transpose(a, (2, 0, 1)), True),
-    "narrow": ([(2, 5)], lambda a: T.narrow(a, 1, 1, 3), True),
-    "tsum": ([(2, 3, 4)], lambda a: T.tsum(a, axis=1), True),
-    "upsample_bilinear": ([(1, 2, 3, 3)], lambda a: T.upsample_bilinear(a, 2), True),
-    "chain_coordinates": ([(1, 16, 2, 3)], chain_coordinates, True),
-    "_embed_kernels": ([(4, 2, 3, 3), (4, 2, 5, 5)], lambda *ws: _embed_kernels(list(ws)),
-                       True),
-    "max_along": ([(3, 4)], lambda a: T.max_along(a, axis=1), True),
-    "relu": ([(2, 5)], T.relu, False),
-    "layer_norm": ([(2, 3, 4)], lambda a: T.layer_norm(
+    "add": ([(2, 3), (2, 3)], BOTH, T.add, True),
+    "sub": ([(2, 3), (2, 3)], BOTH, T.sub, True),
+    "concat": ([(2, 3), (2, 2)], BOTH, lambda a, b: T.concat([a, b], axis=1), True),
+    "reshape": ([(2, 6)], (True,), lambda a: T.reshape(a, (3, 4)), True),
+    "transpose": ([(2, 3, 4)], (True,), lambda a: T.transpose(a, (2, 0, 1)), True),
+    "narrow": ([(2, 5)], (True,), lambda a: T.narrow(a, 1, 1, 3), True),
+    "tsum": ([(2, 3, 4)], (True,), lambda a: T.tsum(a, axis=1), True),
+    "upsample_bilinear": ([(1, 2, 3, 3)], (True,), lambda a: T.upsample_bilinear(a, 2), True),
+    "chain_coordinates": ([(1, 16, 2, 3)], (True,), chain_coordinates, True),
+    "_embed_kernels": ([(4, 2, 3, 3), (4, 2, 5, 5)], BOTH,
+                       lambda *ws: _embed_kernels(list(ws)), True),
+    "max_along": ([(3, 4)], (True,), lambda a: T.max_along(a, axis=1), True),
+    "relu": ([(2, 5)], (True,), T.relu, False),
+    "layer_norm": ([(2, 3, 4)], (True,), lambda a: T.layer_norm(
         a, Parameter(np.linspace(0.5, 1.5, 4)), Parameter(np.zeros(4))), True),
+    "mul-a": ([(2, 3), (2, 3)], (True, False), T.mul, True),
+    "mul-b": ([(2, 3), (1, 3)], (False, True), T.mul, True),
+    "div-a": ([(2, 3), (2, 3)], (True, False), T.div, True),
+    "matmul-a": ([(2, 3, 4), (2, 4, 5)], (True, False), T.matmul, True),
+    "linear-x": ([(2, 3, 4), (5, 4)], (True, False), T.linear, True),
+    "conv2d-x": ([(1, 2, 5, 5), (3, 2, 3, 3)], (True, False),
+                 lambda x, w: T.conv2d(x, w, stride=2, padding=1), True),
+    "depthwise_conv3x3-x": ([(1, 4, 5, 2), (2, 3, 3)], (True, False), T.depthwise_conv3x3,
+                            True),
+    "grid_sample_points-feature": ([(1, 2, 4, 5), (1, 6, 2)], (True, False),
+                                   grid_sample_points, True),
 }
 
 
 @pytest.mark.parametrize("name", list(TAPE_OPS))
 def test_tape_frees_arrays_that_backward_does_not_read(name):
-    shapes, op, frees_output = TAPE_OPS[name]
+    shapes, taped, op, frees_output = TAPE_OPS[name]
 
     def leaf_grads(drop: bool):
         rng = np.random.default_rng(30)
-        leaves = [Tensor(rng.standard_normal(s), requires_grad=True) for s in shapes]
-        inputs = [leaf * 2.0 for leaf in leaves]  # op outputs only the caller holds
+        leaves, inputs = [], []
+        for shape, tp in zip(shapes, taped):
+            a = rng.standard_normal(shape)
+            if tp:  # an op output only the caller holds
+                leaves.append(Tensor(a, requires_grad=True))
+                inputs.append(leaves[-1] * 2.0)
+            else:
+                inputs.append(Tensor(a))
         out = op(*inputs)
         # the weighting keeps its constant weight, not ``out``
         loss = T.tsum(out * Tensor(rng.standard_normal(out.data.shape)))
-        refs = [weakref.ref(t.data) for t in inputs + [out] * frees_output]
+        # the taped inputs must be freed, and the output if the tape lets it go
+        refs = [weakref.ref(t.data) for t, freed in zip(inputs + [out], taped + (frees_output,))
+                if freed]
         if drop:
             del inputs, out
             assert all(r() is None for r in refs), [r() is None for r in refs]
