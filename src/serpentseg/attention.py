@@ -5,8 +5,8 @@ bottleneck MLPs over the average- and max-pooled channel descriptors and
 mixes them with learnable per-channel weights before the sigmoid.
 ``ChannelAttention`` is the plain shared-MLP variant kept for ablations.
 ``SpatialAttention`` is the stacked mean/max map followed by a 7x7
-convolution and sigmoid. ``attend`` is the gate the snake blocks and fusion
-stages share: the channel gate when there is one, then the spatial map.
+convolution and sigmoid. ``attend``, the gate the snake blocks and fusion
+stages share, applies the channel gate, if any, and the spatial map in one op.
 """
 from __future__ import annotations
 
@@ -16,6 +16,7 @@ from .module import Module, Parameter, _uniform
 from .tensor import (
     ContractViolation,
     Tensor,
+    _make,
     concat,
     conv2d,
     linear,
@@ -99,7 +100,7 @@ class SpatialAttention(Module):
 def attend(x: Tensor, ca: Module | None, sa: SpatialAttention) -> Tensor:
     """Gate (N, C, H, W) ``x`` channel-wise with the (N, C, 1, 1) gate of
     ``ca``, unless it is None, then spatially with the (N, 1, H, W) map of
-    ``sa``."""
+    ``sa``, in one op whose gradients recompute the channel-gated map."""
     n, c, h, w = x.data.shape
     sa_map = sa(x)
     if sa_map.data.shape != (n, 1, h, w):
@@ -111,4 +112,10 @@ def attend(x: Tensor, ca: Module | None, sa: SpatialAttention) -> Tensor:
     if ca_gate.data.shape != (n, c, 1, 1):
         raise ContractViolation(f"channel attention {ca_gate.data.shape} does not match "
                                 f"input {x.data.shape}")
-    return mul(mul(x, ca_gate), sa_map)
+    xd, cd, sd = x.data, ca_gate.data, sa_map.data
+    data = xd * cd
+    data *= sd
+    gx = lambda g: (g * xd).reshape(n, c, h * w)  # a gate's gradient: gx(g) @ the other gate
+    return _make(data, (x, lambda g: g * sd * cd),
+                 (ca_gate, lambda g: (gx(g) @ sd.reshape(n, h * w, 1)).reshape(n, c, 1, 1)),
+                 (sa_map, lambda g: (cd.reshape(n, 1, c) @ gx(g)).reshape(n, 1, h, w)))

@@ -262,13 +262,14 @@ def grid_sample_points(feature: Tensor, points: Tensor) -> Tensor:
 
 def chain_contract(rows: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """Contract per-pixel sample rows (N, H, W, 9*Cin), ordered (t, Cin), with
-    a (Cout, Cin, 9) weight into (N, Cout, H, W): one ``linear``."""
+    a (Cout, Cin, 9) weight into (N, Cout, H, W): one ``linear``, fed a contiguous gradient."""
     cout, cin, t = weight.data.shape
     if rows.data.ndim != 4 or rows.data.shape[3] != t * cin:
         raise ContractViolation(
             f"samples {rows.data.shape} do not match weight {weight.data.shape}")
-    return transpose(linear(rows, reshape(transpose(weight, (0, 2, 1)), (cout, t * cin)), bias),
-                     (0, 3, 1, 2))
+    out = linear(rows, reshape(transpose(weight, (0, 2, 1)), (cout, t * cin)), bias)
+    return _make(out.data.transpose(0, 3, 1, 2),
+                 (out, lambda g: np.ascontiguousarray(g.transpose(0, 2, 3, 1))))
 
 
 def _embed_kernels(weights: list[Tensor]) -> Tensor:

@@ -506,25 +506,35 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
 CONV_TILE_BYTES = 2 << 20
 
 
+def _image_rows(r0: int, r1: int, hp: int, first: int, count: int, stride: int = 1):
+    """Per image nn met by grid rows r0..r1, where its row y < ``count`` is grid
+    row nn * hp + first + stride * y: (nn, its rows, the rows from r0 on holding them)."""
+    for nn in range(r0 // hp, (r1 - 1) // hp + 1):
+        base = nn * hp + first
+        y0, y1 = max(0, -(-(r0 - base) // stride)), min(count, -(-(r1 - base) // stride))
+        at = base + y0 * stride - r0
+        if y1 > y0:
+            yield nn, slice(y0, y1), slice(at, at + (y1 - y0 - 1) * stride + 1, stride)
+
+
 def _kernel_tiles(xd: np.ndarray, k: int, stride: int, padding: int, cout: int):
-    """The window layout of ``xd`` and its k kernel-row views, one column tile
+    """The window grid of ``xd`` and its k kernel-row views, one column tile
     at a time.
 
-    The layout is the zero-padded (N, C, H + 2p, Wp) map stored channel-major
-    as C flat rows, with Wp = W + 2p rounded up to Wq * stride and zeros after
-    it, so every read stays inside; the input is written straight into it,
-    and it is whole. Column m = (n * Hp + y) * Wq + x of the (N, Hp, Wq) grid
-    reads padded row y, column stride * x: shift j holds ``flat[c, j + stride
-    * m]`` at column m, and kernel row i is the (C, k, cols) shift matrix
-    offset by i * Wq columns, i padded rows further down.
-
-    The shifts are copied one tile of whole grid rows at a time into one
-    buffer, which spans the tile's rows and the k - 1 rows its last kernel
-    row reaches below them; a 1x1 kernel has one shift, the layout itself,
-    and its tiles are views of it with no copy. Tiles are sized so that this
+    The grid is the zero-padded (N, C, H + 2p, Wp) map, Wp = W + 2p rounded
+    up to Wq * stride: column m = (n * Hp + y) * Wq + x of the (N, Hp, Wq)
+    grid reads padded row y, column stride * x of image n. No layout of the
+    whole map is built: a tile, a run of whole grid rows, zero-fills one
+    reused (C, rows + k, Wp) slab with its own padded rows and the k below
+    (``_image_rows``). Shift j, ``slab[c, j + stride * m]`` at tile column m,
+    is copied into one more buffer, and kernel row i is the (C, k, cols)
+    shift matrix offset by i * Wq columns. Tiles are sized so that this
     buffer and two (``cout``, cols) buffers of the tile's outputs fit in
-    ``CONV_TILE_BYTES``, but hold at least one grid row, for ``_correlate``
-    and ``_correlate_weight_grad`` alike.
+    ``CONV_TILE_BYTES`` (the slab, about 1/k of the shifts, comes on top),
+    but hold at least one grid row, for both callers. A 1x1 kernel at
+    padding 0 and stride 1 pads nothing: its tiles build nothing and have no
+    views, and the callers read the images' own rows of ``xd``.
+
     Returns the (N, Hp, Wq) grid and an iterator of (lo, hi, views): grid
     columns lo..hi and the k (C, k, hi - lo) views of their kernel rows,
     valid until the next tile is taken.
@@ -533,26 +543,28 @@ def _kernel_tiles(xd: np.ndarray, k: int, stride: int, padding: int, cout: int):
     hp = h + 2 * padding
     wq = -(-(w + 2 * padding) // stride)
     wp = wq * stride
-    flat = np.zeros((c, n * hp * wp + (k - 1) * (wp + 1)), dtype=xd.dtype)
-    flat[:, :n * hp * wp].reshape(c, n, hp, wp)[:, :, padding:padding + h,
-                                                padding:padding + w] = xd.transpose(1, 0, 2, 3)
     span = n * hp * wq
     halo = (k - 1) * wq
     rows = (CONV_TILE_BYTES // (xd.itemsize * wq) - c * k * (k - 1)) // (c * k + 2 * cout)
     step = max(min(max(rows, 1) * wq, span), 1)
+    starts = range(0, max(span, 1), step)  # an empty batch is one empty tile
+    if k == 1 and padding == 0 and stride == 1:
+        return (n, hp, wq), ((lo, min(lo + step, span), []) for lo in starts)
 
     def tiles():
-        buf = np.empty(c * k * (step + halo) if k > 1 else 0, dtype=xd.dtype)
-        for lo in range(0, max(span, 1), step):  # an empty batch is one empty tile
+        slab = np.empty(c * (step // wq + k) * wp, dtype=xd.dtype)
+        buf = np.empty(c * k * (step + halo), dtype=xd.dtype)
+        for lo in starts:
             hi = min(lo + step, span)
+            r0, r1 = lo // wq, hi // wq
+            padded = slab[:c * (r1 - r0 + k) * wp].reshape(c, -1)
+            padded.fill(0)
+            for nn, ys, at in _image_rows(r0, min(r1 + k, n * hp), hp, padding, h):
+                padded.reshape(c, -1, wp)[:, at, padding:padding + w] = xd[nn, :, ys]
             cols = hi - lo + halo
-            if k == 1:
-                shifts = flat[:, None, stride * lo:stride * (hi - 1) + 1:stride]
-            else:
-                shifts = buf[:c * k * cols].reshape(c, k, cols)
-                for j in range(k):
-                    start = j + stride * lo
-                    shifts[:, j] = flat[:, start:start + stride * (cols - 1) + 1:stride]
+            shifts = buf[:c * k * cols].reshape(c, k, cols)
+            for j in range(k):
+                shifts[:, j] = padded[:, j:j + stride * cols:stride]
             yield lo, hi, [shifts[..., i * wq:i * wq + hi - lo] for i in range(k)]
 
     return (n, hp, wq), tiles()
@@ -563,7 +575,8 @@ def _correlate(xd: np.ndarray, wd: np.ndarray, stride: int, padding: int) -> np.
 
     Per tile of ``_kernel_tiles``: one GEMM of ``wd[:, :, i, :]`` (Cout, C*k)
     per kernel row i, summed in one tile-sized buffer, whose grid positions
-    inside Ho x Wo are written straight into the result.
+    inside Ho x Wo are written straight into the result; a tile without
+    views, one GEMM per image, from its rows of ``xd`` into the result's.
     """
     c, h, w = xd.shape[1:]
     cout, _, k, _ = wd.shape
@@ -573,6 +586,12 @@ def _correlate(xd: np.ndarray, wd: np.ndarray, stride: int, padding: int) -> np.
     out = np.empty((n, cout, ho, wo), dtype=np.result_type(xd, wd))
     acc = part = None
     for lo, hi, views in tiles:
+        rows = _image_rows(lo // wq, hi // wq, hp, 0, ho, stride)
+        if not views:
+            for nn, ys, _ in rows:
+                np.matmul(wrows[0], xd[nn, :, ys].reshape(c, -1),
+                          out=out[nn, :, ys].reshape(cout, -1))
+            continue
         if acc is None:  # sized by the first tile, the largest
             acc = np.empty(cout * (hi - lo), dtype=out.dtype)
             part = np.empty_like(acc) if k > 1 else None
@@ -582,35 +601,33 @@ def _correlate(xd: np.ndarray, wd: np.ndarray, stride: int, padding: int) -> np.
             p = part[:t.size].reshape(t.shape)
             np.matmul(wrows[i], views[i].reshape(c * k, -1), out=p)
             t += p
-        # grid row q = nn * hp + yo * stride holds output row yo of image nn
-        r0, r1 = lo // wq, hi // wq
-        t = t.reshape(cout, r1 - r0, wq)
-        for nn in range(r0 // hp, (r1 - 1) // hp + 1):
-            base = nn * hp
-            y0 = max(0, -(-(r0 - base) // stride))
-            y1 = min(ho, -(-(r1 - base) // stride))
-            if y1 > y0:
-                first = base + y0 * stride - r0
-                out[nn, :, y0:y1] = t[:, first:first + (y1 - y0 - 1) * stride + 1:stride, :wo]
+        t = t.reshape(cout, -1, wq)
+        for nn, ys, at in rows:
+            out[nn, :, ys] = t[:, at, :wo]
     return out
 
 
 def _correlate_weight_grad(xd: np.ndarray, g: np.ndarray, k: int, stride: int,
                            padding: int) -> np.ndarray:
     """(Cout, C, k, k) weight gradient of ``_correlate`` of ``xd`` for the
-    output gradient ``g``: ``g`` goes back onto the grid columns it was
-    picked from, and each tile adds one GEMM per kernel row against them."""
-    c, cout = xd.shape[1], g.shape[1]
+    output gradient ``g``: each tile gathers its columns of ``g`` (or, without
+    views, reads its rows) and adds one GEMM per kernel row against them."""
+    c, cout, ho, wo = xd.shape[1], *g.shape[1:]
     (n, hp, wq), tiles = _kernel_tiles(xd, k, stride, padding, cout)
-    gq = np.zeros((cout, n, hp, wq), dtype=g.dtype)
-    gq[:, :, :g.shape[2] * stride:stride, :g.shape[3]] = g.transpose(1, 0, 2, 3)
-    gq = gq.reshape(cout, -1)
     gw = np.zeros((k, c * k, cout), dtype=np.result_type(xd, g))
     for lo, hi, views in tiles:
+        rows = _image_rows(lo // wq, hi // wq, hp, 0, ho, stride)
+        if not views:
+            for nn, ys, _ in rows:
+                gw[0] += xd[nn, :, ys].reshape(c, -1) @ g[nn, :, ys].reshape(cout, -1).T
+            continue
+        gt = np.zeros((cout, (hi - lo) // wq, wq), dtype=g.dtype)
+        for nn, ys, at in rows:
+            gt[:, at, :wo] = g[nn, :, ys]
         for i, view in enumerate(views):
             # (C*k, cols) @ (cols, Cout): BLAS splits the C*k rows over the
             # cores, where the long cols as the output's inner axis would not
-            gw[i] += view.reshape(c * k, -1) @ gq[:, lo:hi].T
+            gw[i] += view.reshape(c * k, -1) @ gt.reshape(cout, -1).T
     return gw.reshape(k, c, k, cout).transpose(3, 1, 0, 2)
 
 
@@ -618,21 +635,21 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
            stride: int = 1, padding: int = 0) -> Tensor:
     """2-d convolution (a correlation) with zero padding and square odd kernels.
 
-    The input goes into the window layout of ``_kernel_tiles``, and kernel
-    row i is one GEMM against its view (``_correlate``). Grid positions
+    The input is read through the window grid of ``_kernel_tiles``, and
+    kernel row i is one GEMM against its view (``_correlate``). Grid positions
     outside Ho x Wo, the rows between images and those a stride skips among
     them, are computed and dropped.
 
-    Bounded working set: the input, the layout and the output are whole,
-    but the k column shifts are copied one tile at a time (``_kernel_tiles``),
-    so besides the whole maps a forward holds one tile, whatever their area.
+    Bounded working set: only the input and the output are whole. Each tile
+    pads its own input rows and copies its k column shifts (``_kernel_tiles``),
+    so besides the two maps a forward holds one tile, whatever their area.
 
-    Backward keeps no window data. The weight gradient rebuilds the layout
-    and runs in its tiles (``_correlate_weight_grad``), whose buffers are
-    freed before the input gradient: a correlation, by ``_correlate``, of the
-    output gradient, spread back to stride 1 with zeros, with the flipped
-    kernel, in- and out-channels swapped, at padding k - 1 - padding (at
-    padding 0 and cropped when that is negative).
+    Backward keeps no window data. The weight gradient runs in the same tiles
+    (``_correlate_weight_grad``), whose buffers are freed before the input
+    gradient: a correlation, by ``_correlate``, of the output gradient (at
+    stride > 1 first spread onto a zeroed map, the one whole-map scratch
+    left) with the flipped kernel, in- and out-channels swapped, at padding
+    k - 1 - padding (at padding 0 and cropped when that is negative).
     """
     xd, wd = x.data, weight.data
     if xd.ndim != 4 or wd.ndim != 4:

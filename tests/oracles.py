@@ -1,14 +1,29 @@
 """Independent brute-force references shared across test modules.
 
 Everything here is loop-level numpy/python with no imports from the package
-under test, so oracle results cannot inherit production bugs.
+under test, so oracle results cannot inherit production bugs. ``traced`` is
+the tracemalloc harness the memory tests share.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 
 PYRAMID_KERNELS = (3, 5, 7, 9)
+
+
+def traced(fn, *args):
+    """``fn(*args)`` under tracemalloc: (its result, the peak bytes traced
+    while it ran, the bytes it left traced on return)."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        now, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak, now - before
 
 
 def conv2d_oracle(x, w, b, stride=1, padding=0):

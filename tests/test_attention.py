@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from gradcheck import FunctionModule, grad_check
+from oracles import traced
 
 from serpentseg.attention import (
     ChannelAttention,
@@ -229,13 +230,42 @@ class TestAttend:
 
 
 class _Composed(Module):
-    def __init__(self, rng):
+    """``attend`` with a learned spatial map and a channel gate of ``kind``
+    (None for none)."""
+
+    def __init__(self, rng, kind=WeightedChannelAttention, channels=4):
         super().__init__()
-        self.ca = WeightedChannelAttention(4, ratio=2, rng=rng)
+        self.ca = None if kind is None else kind(channels, ratio=2, rng=rng)
         self.sa = SpatialAttention(rng=rng)
 
     def forward(self, x):
         return attend(x, self.ca, self.sa)
+
+
+class TestAttendTape:
+    @pytest.mark.parametrize("kind", [WeightedChannelAttention, ChannelAttention, None])
+    def test_grad_check_with_every_operand_taped(self, kind):
+        # x, the channel gate and the spatial map all carry gradients, and x
+        # reaches the loss through both gates too
+        rng = np.random.default_rng(20)
+        report = grad_check(_Composed(rng, kind), rng.standard_normal((2, 4, 5, 6)),
+                            tolerance=1e-3)
+        assert report.passed, str(report)
+
+    @pytest.mark.parametrize("kind", [WeightedChannelAttention, ChannelAttention, None])
+    def test_taped_gate_keeps_no_map_of_the_input_size_but_its_output(self, kind):
+        # besides the output, the tape keeps the gates' small maps (the
+        # spatial map, its stacked mean/max input, a uint8 max index and the
+        # channel gate's pooled rows): 4.0-6.2 channels' worth of the 16
+        # here; keeping the channel-gated map for the spatial map's gradient
+        # added all 16
+        rng = np.random.default_rng(21)
+        mod = _Composed(rng, kind, channels=16)
+        x = Tensor(rng.standard_normal((2, 16, 32, 32)).astype(np.float32), requires_grad=True)
+        out, _, kept = traced(mod, x)
+        assert kept - out.data.nbytes < 0.5 * x.data.nbytes, kept
+        out.sum().backward()
+        assert x.grad.shape == x.data.shape
 
 
 class TestAttentionGradients:

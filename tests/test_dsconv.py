@@ -3,7 +3,6 @@ against brute-force references."""
 
 import math
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +16,7 @@ from oracles import (
     clamped_row_conv_oracle,
     conv2d_oracle,
     naive_snake_forward,
+    traced,
 )
 from serpentseg.dsconv import (
     INIT_STEP_BIAS,
@@ -253,13 +253,7 @@ class TestBilinearSample:
         # here) is rebuilt in backward from x and y, which the tape holds
         # anyway, so the taped forward keeps its output and little else
         f, pts = self._chain_sized_inputs()
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            out = grid_sample_points(f, pts)
-            kept = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
+        out, _, kept = traced(grid_sample_points, f, pts)
         assert out.data.shape == (2, 14400, 8)
         assert kept <= 1.05 * out.data.nbytes, kept
 
@@ -270,12 +264,7 @@ class TestBilinearSample:
         f, pts = self._chain_sized_inputs()
         out = grid_sample_points(f, pts)
         loss = out.sum()
-        tracemalloc.start()
-        try:
-            loss.backward()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak, _ = traced(loss.backward)
         assert all(t.grad.shape == t.data.shape for t in (f, pts))
         assert peak <= 4.5 * out.data.nbytes, peak
 
@@ -352,12 +341,7 @@ class TestBilinearSample:
         m = 256 * 256 * 9
         pts = Tensor(np.stack([rng.uniform(-2, 257, (1, m)), rng.uniform(-2, 257, (1, m))],
                               axis=-1).astype(np.float32))
-        tracemalloc.start()
-        try:
-            out = grid_sample_points(f, pts)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        out, peak, _ = traced(grid_sample_points, f, pts)
         assert peak <= 4 * out.data.nbytes, peak
 
     def test_backward_in_blocks_peaks_under_two_and_a_half_outputs(self, monkeypatch):
@@ -369,12 +353,7 @@ class TestBilinearSample:
         f, pts = self._chain_sized_inputs()
         out = grid_sample_points(f, pts)
         loss = out.sum()
-        tracemalloc.start()
-        try:
-            loss.backward()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak, _ = traced(loss.backward)
         assert all(t.grad.shape == t.data.shape for t in (f, pts))
         assert peak <= 2.5 * out.data.nbytes, peak
 

@@ -1,7 +1,6 @@
 """Decoder fusion, full-model contracts, loss oracle, Adam, and the
 training loop."""
 
-import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -9,6 +8,7 @@ import numpy as np
 import pytest
 
 from gradcheck import FunctionModule, grad_check
+from oracles import traced
 
 from serpentseg.metrics import confusion_counts, pixel_metrics
 from serpentseg.model import (
@@ -628,12 +628,6 @@ def test_taped_forward_keeps_a_bounded_tape():
     image = rng.standard_normal((2, 1, 64, 64)).astype(np.float32)
     mask = (rng.random((2, 64, 64)) < 0.1).astype(np.uint8)
     combined_loss(net(Tensor(image)), mask)  # first-call caches stay out of the count
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        loss = combined_loss(net(Tensor(image)), mask)
-        kept = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
+    loss, _, kept = traced(lambda: combined_loss(net(Tensor(image)), mask))
     assert np.isfinite(loss.item())
     assert kept <= 1.05 * 21.3 * 2 ** 20, kept / 2 ** 20
