@@ -17,9 +17,9 @@ back as (N, H*W*9, Cin) rows; and the contraction is one ``linear`` over
 rows of 9*Cin samples.
 
 The bilinear reads are a sparse matrix of corner weights over the feature
-rows, built and applied in blocks of ``POINT_BLOCK`` points, forward and
-backward, so the sampler's scratch memory does not grow with the map
-(``grid_sample_points``).
+rows, built and applied image by image in blocks of at most ``POINT_BLOCK``
+points, forward and backward, so the sampler's scratch memory does not grow
+with the map (``grid_sample_points``).
 
 Offset channel layout, for chain distance c in 1..4 with base = 4*(c-1):
     base+0: dx of the forward point t+c      base+1: dy of t+c
@@ -91,17 +91,17 @@ def chain_coordinates(steps: Tensor) -> Tensor:
         g.reshape(n, h * w, 2 * CHAIN_LEN) @ p).transpose(0, 2, 1).reshape(n, c, h, w)))
 
 
-def _corners(pb: np.ndarray, lo: int, m: int, h: int, w: int, idx_t, dtype):
+def _corners(pb: np.ndarray, first: int, h: int, w: int, idx_t, dtype):
     """CSR column indices (P*4,) and weights (2, 2, P) of bilinear reads at
-    the (P, 2) points ``pb``, points lo..lo+P of the flat (N*M, 2) points.
+    the (P, 2) points ``pb`` of one image, whose feature rows start at row
+    ``first`` of the channel-last feature (N*H*W, C).
 
-    Point p = n*M + m reads its corners over the rows of the channel-last
-    feature (N*H*W, C), in the order (00, 01, 10, 11): corner 2a+b is y-step
-    a and x-step b. The points are worked on axis-major (row 0 x, row 1 y),
-    so each axis is one contiguous row: they are clamped to the border, and
-    weight [a] holds (1 - t, t) along axis a. Corners stay in the point's
-    own image, so the matrix is block diagonal over the batch; along a side
-    of length 1 the two corners coincide.
+    Each point reads its corners over those rows, in the order (00, 01, 10,
+    11): corner 2a+b is y-step a and x-step b. The points are worked on
+    axis-major (row 0 x, row 1 y), so each axis is one contiguous row: they
+    are clamped to the border, and weight [a] holds (1 - t, t) along axis a.
+    Corners stay in the image, so the matrix is block diagonal over the
+    batch; along a side of length 1 the two corners coincide.
     """
     pa = pb.T.copy()  # clamped in place below
     top = np.array([[w - 1], [h - 1]], dtype=pb.dtype)
@@ -111,12 +111,10 @@ def _corners(pb: np.ndarray, lo: int, m: int, h: int, w: int, idx_t, dtype):
     wt = np.empty((2, 2, pa.shape[1]), dtype=dtype)
     np.subtract(pa, low, out=wt[:, 1])
     np.subtract(1.0, wt[:, 1], out=wt[:, 0])
-    x0, i00 = low.astype(idx_t)  # corner 00's row y * w + x, worked on contiguously
+    x0, i00 = low.astype(idx_t)  # corner 00's row first + y * w + x, worked on contiguously
     i00 *= w
     i00 += x0
-    hi = lo + pa.shape[1]
-    for img in range(lo // m, (hi - 1) // m + 1):
-        i00[max(img * m, lo) - lo:min(img * m + m, hi) - lo] += img * h * w
+    i00 += first
     cols = np.empty((pa.shape[1], 4), dtype=idx_t)
     cols[:, 0] = i00
     sx, sy = min(w - 1, 1), min(h - 1, 1) * w
@@ -126,20 +124,21 @@ def _corners(pb: np.ndarray, lo: int, m: int, h: int, w: int, idx_t, dtype):
 
 
 def _blocks(pd: np.ndarray, m: int, shape: tuple, dtype):
-    """The flat (N*M, 2) points ``pd`` of a (N, C, H, W) feature ``shape`` in
-    blocks of ``POINT_BLOCK`` consecutive points, which may straddle images:
-    yields (lo, hi, indptr, cols, wt) for points lo..hi, the CSR row
-    pointers and ``_corners`` of the block, built when the block is taken.
-    Indices are int32 when the block's corners and the feature rows fit in
-    it, else int64: the rule scipy's sparse matrices apply."""
+    """The flat (N*M, 2) points ``pd`` of a (N, C, H, W) feature ``shape``,
+    image by image, in blocks of at most ``POINT_BLOCK`` consecutive points
+    of one image: yields (lo, hi, indptr, cols, wt) for points lo..hi, the
+    CSR row pointers and ``_corners`` of the block, built when the block is
+    taken. Indices are int32 when a block's corners and the feature rows fit
+    in it, else int64: the rule scipy's sparse matrices apply."""
     n, _, h, w = shape
-    total = pd.shape[0]
-    size = max(min(POINT_BLOCK, total), 1)
+    size = max(min(POINT_BLOCK, m), 1)
     idx_t = np.int32 if max(4 * size, n * h * w) <= np.iinfo(np.int32).max else np.int64
     indptr = np.arange(0, 4 * size + 1, 4, dtype=idx_t)
-    for lo in range(0, total, size):
-        hi = min(lo + size, total)
-        yield (lo, hi, indptr[:hi - lo + 1]) + _corners(pd[lo:hi], lo, m, h, w, idx_t, dtype)
+    for img in range(n):
+        for lo in range(img * m, (img + 1) * m, size):
+            hi = min(lo + size, (img + 1) * m)
+            yield (lo, hi, indptr[:hi - lo + 1]) + _corners(pd[lo:hi], img * h * w, h, w, idx_t,
+                                                            dtype)
 
 
 def _corner_values(ay: np.ndarray, ax: np.ndarray) -> np.ndarray:
@@ -197,9 +196,9 @@ def grid_sample_points(feature: Tensor, points: Tensor) -> Tensor:
     respect to a clamped coordinate is zero. Differentiable in the feature
     values and the points.
 
-    The reads run in blocks of ``POINT_BLOCK`` consecutive points
-    (``_blocks``), each built, applied and dropped before the next, so a
-    call's scratch is bounded by the block, not the map.
+    The reads run image by image in blocks of at most ``POINT_BLOCK``
+    consecutive points (``_blocks``), each built, applied and dropped before
+    the next, so a call's scratch is bounded by the block, not the map.
 
     There are two gradient functions, each rebuilding the blocks from the
     points, which the tape keeps. The feature's adds each block's sampling
@@ -244,7 +243,7 @@ def grid_sample_points(feature: Tensor, points: Tensor) -> Tensor:
         step = np.array([-1.0, 1.0], dtype=dtype)
         gp = np.empty((n * m, 2), dtype=dtype)
         top = np.array([w - 1, h - 1], dtype=pflat.dtype)
-        deriv = np.empty(min(POINT_BLOCK, n * m) * c, dtype=dtype)
+        deriv = np.empty(min(POINT_BLOCK, m) * c, dtype=dtype)
         for lo, hi, indptr, cols, wt in _blocks(pflat, m, shape, dtype):
             gb = gl[lo:hi]
             d = deriv[:gb.size].reshape(gb.shape)

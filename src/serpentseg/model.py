@@ -343,6 +343,9 @@ def train_loop(model: SnakeFormer, train_pairs, val_pairs, epochs: int,
                 raise TrainingError(f"non-finite loss at epoch {epoch} batch {bi}")
             model.zero_grad()
             loss.backward()
+            # the step's tape is reachable from both: dropped here, it is freed
+            # before the update, not kept through the next batch
+            del logits, loss
             opt.step()
             losses.append(value)
         val = evaluate_model(model, val_pairs, batch_size).mean

@@ -185,20 +185,30 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, grad={self.requires_grad})"
 
 
+def _is_int(value) -> bool:
+    """Whether ``value`` is an int, numpy integers included, bools not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def check_int(name: str, value, lowest: int) -> None:
     """Raise ``ContractViolation`` naming ``name`` unless ``value`` is an int
-    (numpy integers included, bools not) of at least ``lowest``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < lowest:
+    (``_is_int``) of at least ``lowest``."""
+    if not _is_int(value) or value < lowest:
         raise ContractViolation(f"{name} must be an int >= {lowest}, got {value!r}")
 
 
-def _check_axis(op: str, axis, shape: tuple) -> None:
-    """Raise ``ContractViolation`` naming ``op`` unless ``axis``, an int, a
-    tuple of them or None (all axes), indexes ``shape``; negative axes count
-    from the end."""
-    axes = () if axis is None else axis if isinstance(axis, tuple) else (axis,)
+def _check_axis(op: str, axis, shape: tuple, single: bool = False) -> tuple:
+    """The axes ``axis`` names in ``shape``: an int (``_is_int``), or, unless
+    ``single``, a tuple of them or None (every axis). Negative axes count
+    from the end. Anything else raises ``ContractViolation`` naming ``op``."""
+    many = not single and (axis is None or isinstance(axis, tuple))
+    axes = (axis,) if not many else tuple(range(len(shape))) if axis is None else axis
+    if not all(_is_int(ax) for ax in axes):
+        kind = "an int, a tuple of ints or None" if many else "an int"
+        raise ContractViolation(f"{op}: axis {axis!r} of shape {shape} must be {kind}")
     if any(not -len(shape) <= ax < len(shape) for ax in axes):
         raise ContractViolation(f"{op}: axis {axis} out of range for shape {shape}")
+    return axes
 
 
 def _check_bias(op: str, bias: Tensor | None, cout: int) -> None:
@@ -313,10 +323,7 @@ def tsum(a: Tensor, axis=None, keepdims=False) -> Tensor:
 
 
 def tmean(a: Tensor, axis=None, keepdims=False) -> Tensor:
-    _check_axis("tmean", axis, a.data.shape)
-    count = a.data.size if axis is None else np.prod(
-        [a.data.shape[ax] for ax in (axis if isinstance(axis, tuple) else (axis,))]
-    )
+    count = math.prod(a.data.shape[ax] for ax in _check_axis("tmean", axis, a.data.shape))
     if count == 0:
         raise ContractViolation(f"tmean: empty axis {axis} in shape {a.data.shape}")
     s = tsum(a, axis=axis, keepdims=keepdims)
@@ -330,7 +337,7 @@ def max_along(a: Tensor, axis: int, keepdims: bool = True) -> Tensor:
     holds the axis length, instead of its input; a forward without the tape
     runs no argmax."""
     ad = a.data
-    _check_axis("max_along", axis, ad.shape)
+    _check_axis("max_along", axis, ad.shape, single=True)
     if ad.shape[axis] == 0:
         raise ContractViolation(f"max_along: empty axis {axis} in shape {ad.shape}")
     data = ad.max(axis=axis, keepdims=keepdims)
@@ -375,9 +382,10 @@ def concat(tensors, axis: int) -> Tensor:
     """Join one or more tensors along ``axis``; ranks and the other axes must agree."""
     tensors = list(tensors)
     shapes = [t.data.shape for t in tensors]
+    if shapes:
+        _check_axis("concat", axis, shapes[0], single=True)
     if len({(len(s), s[:axis] + s[axis:][1:]) for s in shapes}) != 1:
         raise ContractViolation(f"concat: shapes {shapes} do not agree off axis {axis}")
-    _check_axis("concat", axis, shapes[0])
     data = np.concatenate([t.data for t in tensors], axis=axis)
     pairs, lo = [], 0
     for t in tensors:
@@ -389,7 +397,10 @@ def concat(tensors, axis: int) -> Tensor:
 
 def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
     """Positions start..start + length of ``axis``, which must lie inside it."""
-    _check_axis("narrow", axis, a.data.shape)
+    _check_axis("narrow", axis, a.data.shape, single=True)
+    if not (_is_int(start) and _is_int(length)):
+        raise ContractViolation(f"narrow: start {start!r} and length {length!r} of axis {axis} "
+                                f"of shape {a.data.shape} must be ints")
     if start < 0 or length < 0 or start + length > a.data.shape[axis]:
         raise ContractViolation(f"narrow: start {start}, length {length} leave axis {axis} "
                                 f"of shape {a.data.shape}")
@@ -499,131 +510,98 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
 
 # -- convolution and pooling ---------------------------------------------------
 
-# Bytes a correlation tile may hold: its column shifts and the two buffers of
+# Bytes a correlation band may hold: its column shifts and the two buffers of
 # its outputs, sized to stay in cache instead of copying all k shifts of a
 # whole map (cache blocking: Goto & van de Geijn, "Anatomy of High-Performance
 # Matrix Multiplication", ACM TOMS 2008)
 CONV_TILE_BYTES = 2 << 20
 
 
-def _image_rows(r0: int, r1: int, hp: int, first: int, count: int, stride: int = 1):
-    """Per image nn met by grid rows r0..r1, where its row y < ``count`` is grid
-    row nn * hp + first + stride * y: (nn, its rows, the rows from r0 on holding them)."""
-    for nn in range(r0 // hp, (r1 - 1) // hp + 1):
-        base = nn * hp + first
-        y0, y1 = max(0, -(-(r0 - base) // stride)), min(count, -(-(r1 - base) // stride))
-        at = base + y0 * stride - r0
-        if y1 > y0:
-            yield nn, slice(y0, y1), slice(at, at + (y1 - y0 - 1) * stride + 1, stride)
-
-
 def _kernel_tiles(xd: np.ndarray, k: int, stride: int, padding: int, cout: int):
-    """The window grid of ``xd`` and its k kernel-row views, one column tile
-    at a time.
+    """Bands of one image's output rows, each with its k kernel-row views.
 
-    The grid is the zero-padded (N, C, H + 2p, Wp) map, Wp = W + 2p rounded
-    up to Wq * stride: column m = (n * Hp + y) * Wq + x of the (N, Hp, Wq)
-    grid reads padded row y, column stride * x of image n. No layout of the
-    whole map is built: a tile, a run of whole grid rows, zero-fills one
-    reused (C, rows + k, Wp) slab with its own padded rows and the k below
-    (``_image_rows``). Shift j, ``slab[c, j + stride * m]`` at tile column m,
-    is copied into one more buffer, and kernel row i is the (C, k, cols)
-    shift matrix offset by i * Wq columns. Tiles are sized so that this
-    buffer and two (``cout``, cols) buffers of the tile's outputs fit in
-    ``CONV_TILE_BYTES`` (the slab, about 1/k of the shifts, comes on top),
-    but hold at least one grid row, for both callers. A 1x1 kernel at
-    padding 0 and stride 1 pads nothing: its tiles build nothing and have no
-    views, and the callers read the images' own rows of ``xd``.
+    Image n is read through its zero-padded (C, H + 2p, Wp) map, Wp = W + 2p
+    rounded up to Wq * stride. A band of output rows o0..o1 computes grid
+    rows stride * o0 .. stride * (o1 - 1): grid column y * Wq + x of the band
+    reads padded row stride * o0 + y, column stride * x. No layout of the
+    whole map is built: a band zero-fills one reused (C, rows + k, Wp) slab
+    with the padded rows it reads, its own and the k below, copying the
+    image's rows into it by two clipped slices. Shift j, ``slab[c, j + stride
+    * m]`` at band column m, is copied into one more buffer, and kernel row i
+    is the (C, k, cols) shift matrix offset by i * Wq columns. Bands are sized
+    so that this buffer and two (``cout``, cols) buffers of the band's
+    outputs fit in ``CONV_TILE_BYTES`` (the slab, about 1/k of the shifts,
+    comes on top), but hold at least one output row.
 
-    Returns the (N, Hp, Wq) grid and an iterator of (lo, hi, views): grid
-    columns lo..hi and the k (C, k, hi - lo) views of their kernel rows,
-    valid until the next tile is taken.
+    Yields (n, ys, views): the image, the slice of its output rows and the k
+    (C, k, grid rows, Wq) views of the band's kernel rows, valid until the
+    next band is taken. Output row o0 + r is the band's grid row stride * r.
     """
     n, c, h, w = xd.shape
-    hp = h + 2 * padding
+    ho = (h + 2 * padding - k) // stride + 1
     wq = -(-(w + 2 * padding) // stride)
     wp = wq * stride
-    span = n * hp * wq
-    halo = (k - 1) * wq
     rows = (CONV_TILE_BYTES // (xd.itemsize * wq) - c * k * (k - 1)) // (c * k + 2 * cout)
-    step = max(min(max(rows, 1) * wq, span), 1)
-    starts = range(0, max(span, 1), step)  # an empty batch is one empty tile
-    if k == 1 and padding == 0 and stride == 1:
-        return (n, hp, wq), ((lo, min(lo + step, span), []) for lo in starts)
-
-    def tiles():
-        slab = np.empty(c * (step // wq + k) * wp, dtype=xd.dtype)
-        buf = np.empty(c * k * (step + halo), dtype=xd.dtype)
-        for lo in starts:
-            hi = min(lo + step, span)
-            r0, r1 = lo // wq, hi // wq
-            padded = slab[:c * (r1 - r0 + k) * wp].reshape(c, -1)
+    band = min((max(rows, 1) - 1) // stride + 1, ho)
+    grid = (band - 1) * stride + 1
+    slab = np.empty(c * (grid + k) * wp, dtype=xd.dtype)
+    buf = np.empty(c * k * (grid + k - 1) * wq, dtype=xd.dtype)
+    for nn in range(n):
+        for o0 in range(0, ho, band):
+            ys = slice(o0, min(o0 + band, ho))
+            r = (ys.stop - o0 - 1) * stride + 1
+            top = o0 * stride - padding  # the input row of the slab's first row
+            padded = slab[:c * (r + k) * wp].reshape(c, r + k, wp)
             padded.fill(0)
-            for nn, ys, at in _image_rows(r0, min(r1 + k, n * hp), hp, padding, h):
-                padded.reshape(c, -1, wp)[:, at, padding:padding + w] = xd[nn, :, ys]
-            cols = hi - lo + halo
+            # the image rows it reads; y0 == y1 for a band wholly in the padding
+            y0, y1 = (min(max(y, 0), h) for y in (top, top + r + k))
+            padded[:, y0 - top:y1 - top, padding:padding + w] = xd[nn, :, y0:y1]
+            cols = (r + k - 1) * wq
             shifts = buf[:c * k * cols].reshape(c, k, cols)
             for j in range(k):
-                shifts[:, j] = padded[:, j:j + stride * cols:stride]
-            yield lo, hi, [shifts[..., i * wq:i * wq + hi - lo] for i in range(k)]
-
-    return (n, hp, wq), tiles()
+                shifts[:, j] = padded.reshape(c, -1)[:, j:j + stride * cols:stride]
+            yield nn, ys, [shifts[..., i * wq:(i + r) * wq].reshape(c, k, r, wq)
+                           for i in range(k)]
 
 
 def _correlate(xd: np.ndarray, wd: np.ndarray, stride: int, padding: int) -> np.ndarray:
     """(N, Cout, Ho, Wo) correlation of (N, C, H, W) with (Cout, C, k, k).
 
-    Per tile of ``_kernel_tiles``: one GEMM of ``wd[:, :, i, :]`` (Cout, C*k)
-    per kernel row i, summed in one tile-sized buffer, whose grid positions
-    inside Ho x Wo are written straight into the result; a tile without
-    views, one GEMM per image, from its rows of ``xd`` into the result's.
+    Per band of ``_kernel_tiles``: one GEMM of ``wd[:, :, i, :]`` (Cout, C*k)
+    per kernel row i, summed in one band-sized buffer, whose every stride-th
+    grid row, cropped to Wo, is the band's output rows.
     """
     c, h, w = xd.shape[1:]
     cout, _, k, _ = wd.shape
     ho, wo = (h + 2 * padding - k) // stride + 1, (w + 2 * padding - k) // stride + 1
-    (n, hp, wq), tiles = _kernel_tiles(xd, k, stride, padding, cout)
     wrows = np.ascontiguousarray(wd.transpose(2, 0, 1, 3)).reshape(k, cout, c * k)
-    out = np.empty((n, cout, ho, wo), dtype=np.result_type(xd, wd))
+    out = np.empty((xd.shape[0], cout, ho, wo), dtype=np.result_type(xd, wd))
     acc = part = None
-    for lo, hi, views in tiles:
-        rows = _image_rows(lo // wq, hi // wq, hp, 0, ho, stride)
-        if not views:
-            for nn, ys, _ in rows:
-                np.matmul(wrows[0], xd[nn, :, ys].reshape(c, -1),
-                          out=out[nn, :, ys].reshape(cout, -1))
-            continue
-        if acc is None:  # sized by the first tile, the largest
-            acc = np.empty(cout * (hi - lo), dtype=out.dtype)
-            part = np.empty_like(acc) if k > 1 else None
-        t = acc[:cout * (hi - lo)].reshape(cout, hi - lo)
+    for nn, ys, views in _kernel_tiles(xd, k, stride, padding, cout):
+        rows, wq = views[0].shape[2:]
+        if acc is None:  # sized by the first band, the largest
+            acc, part = np.empty((2, cout * rows * wq), dtype=out.dtype)
+        t = acc[:cout * rows * wq].reshape(cout, -1)
         np.matmul(wrows[0], views[0].reshape(c * k, -1), out=t)
         for i in range(1, k):
             p = part[:t.size].reshape(t.shape)
             np.matmul(wrows[i], views[i].reshape(c * k, -1), out=p)
             t += p
-        t = t.reshape(cout, -1, wq)
-        for nn, ys, at in rows:
-            out[nn, :, ys] = t[:, at, :wo]
+        out[nn, :, ys] = t.reshape(cout, rows, wq)[:, ::stride, :wo]
     return out
 
 
 def _correlate_weight_grad(xd: np.ndarray, g: np.ndarray, k: int, stride: int,
                            padding: int) -> np.ndarray:
     """(Cout, C, k, k) weight gradient of ``_correlate`` of ``xd`` for the
-    output gradient ``g``: each tile gathers its columns of ``g`` (or, without
-    views, reads its rows) and adds one GEMM per kernel row against them."""
-    c, cout, ho, wo = xd.shape[1], *g.shape[1:]
-    (n, hp, wq), tiles = _kernel_tiles(xd, k, stride, padding, cout)
+    output gradient ``g``: each band spreads its rows of ``g`` onto its grid
+    rows, the inverse of ``_correlate``'s crop, and adds one GEMM per kernel
+    row against them."""
+    c, cout, wo = xd.shape[1], g.shape[1], g.shape[3]
     gw = np.zeros((k, c * k, cout), dtype=np.result_type(xd, g))
-    for lo, hi, views in tiles:
-        rows = _image_rows(lo // wq, hi // wq, hp, 0, ho, stride)
-        if not views:
-            for nn, ys, _ in rows:
-                gw[0] += xd[nn, :, ys].reshape(c, -1) @ g[nn, :, ys].reshape(cout, -1).T
-            continue
-        gt = np.zeros((cout, (hi - lo) // wq, wq), dtype=g.dtype)
-        for nn, ys, at in rows:
-            gt[:, at, :wo] = g[nn, :, ys]
+    for nn, ys, views in _kernel_tiles(xd, k, stride, padding, cout):
+        gt = np.zeros((cout,) + views[0].shape[2:], dtype=g.dtype)
+        gt[:, ::stride, :wo] = g[nn, :, ys]
         for i, view in enumerate(views):
             # (C*k, cols) @ (cols, Cout): BLAS splits the C*k rows over the
             # cores, where the long cols as the output's inner axis would not
@@ -635,16 +613,18 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
            stride: int = 1, padding: int = 0) -> Tensor:
     """2-d convolution (a correlation) with zero padding and square odd kernels.
 
-    The input is read through the window grid of ``_kernel_tiles``, and
-    kernel row i is one GEMM against its view (``_correlate``). Grid positions
-    outside Ho x Wo, the rows between images and those a stride skips among
-    them, are computed and dropped.
+    A pointwise conv (k = 1, padding 0, stride 1) is one batched GEMM of the
+    images' pixels in every direction. Any other conv reads each image
+    through the bands of ``_kernel_tiles``, and kernel row i is one GEMM
+    against its view (``_correlate``). Grid positions outside Ho x Wo, the
+    k - 1 columns on the right and the rows a stride skips, are computed and
+    dropped.
 
-    Bounded working set: only the input and the output are whole. Each tile
+    Bounded working set: only the input and the output are whole. Each band
     pads its own input rows and copies its k column shifts (``_kernel_tiles``),
-    so besides the two maps a forward holds one tile, whatever their area.
+    so besides the two maps a forward holds one band, whatever their area.
 
-    Backward keeps no window data. The weight gradient runs in the same tiles
+    Backward keeps no window data. The weight gradient runs in the same bands
     (``_correlate_weight_grad``), whose buffers are freed before the input
     gradient: a correlation, by ``_correlate``, of the output gradient (at
     stride > 1 first spread onto a zeroed map, the one whole-map scratch
@@ -672,23 +652,28 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
             f"conv2d: kernel {wd.shape} does not fit input {xd.shape} with padding {padding}"
         )
     _check_bias("conv2d", bias, cout)
-    data = _correlate(xd, wd, stride, padding)
+    if k == 1 and padding == 0 and stride == 1:
+        wm, xm = wd.reshape(cout, cin), xd.reshape(n, cin, h * w)
+        data = (wm @ xm).reshape(n, cout, h, w)
+        grad_w = lambda g: (g.reshape(n, cout, -1) @ xm.swapaxes(1, 2)).sum(0).reshape(wd.shape)
+        grad_x = lambda g: (wm.T @ g.reshape(n, cout, -1)).reshape(xd.shape)
+    else:
+        data = _correlate(xd, wd, stride, padding)
+        grad_w = lambda g: _correlate_weight_grad(xd, g, k, stride, padding)
+
+        def grad_x(g):
+            if stride > 1:
+                g1 = np.zeros((n, cout, h + 2 * padding - k + 1, w + 2 * padding - k + 1),
+                              dtype=g.dtype)
+                g1[:, :, ::stride, ::stride] = g
+                g = g1
+            pad = k - 1 - padding
+            gx = _correlate(g, wd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), 1, max(pad, 0))
+            return gx if pad >= 0 else gx[:, :, -pad:h - pad, -pad:w - pad]
     if bias is not None:
         data += bias.data.reshape(1, cout, 1, 1)
-
-    def grad_x(g):
-        if stride > 1:
-            g1 = np.zeros((n, cout, h + 2 * padding - k + 1, w + 2 * padding - k + 1),
-                          dtype=g.dtype)
-            g1[:, :, ::stride, ::stride] = g
-            g = g1
-        pad = k - 1 - padding
-        gx = _correlate(g, wd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), 1, max(pad, 0))
-        return gx if pad >= 0 else gx[:, :, -pad:h - pad, -pad:w - pad]
-
     # the weight gradient first: its buffers are freed before the input gradient's
-    return _make(data, (weight, lambda g: _correlate_weight_grad(xd, g, k, stride, padding)),
-                 (x, grad_x), (bias, lambda g: g.sum(axis=(0, 2, 3))))
+    return _make(data, (weight, grad_w), (x, grad_x), (bias, lambda g: g.sum(axis=(0, 2, 3))))
 
 
 def _padded_shifts(xd: np.ndarray) -> list:

@@ -270,8 +270,9 @@ class TestBilinearSample:
 
     @pytest.mark.parametrize("block", [1, 7, 50, 113])
     def test_blocks_are_bit_identical_to_one_block(self, monkeypatch, block):
-        # 2 x 113 points on a 5x8 map, a fifth outside the border: blocks of
-        # 50 straddle the images, and the last block of 7 or 50 ends short
+        # 2 x 113 points on a 5x8 map, a fifth outside the border: no block
+        # holds points of two images, so from 113 on each image is one block,
+        # and an image's last block of 7 or 50 ends short
         rng = np.random.default_rng(36)
         f = rng.standard_normal((2, 3, 5, 8)).astype(np.float32)
         pts = np.stack([rng.uniform(-1.5, 8.5, (2, 113)), rng.uniform(-1.5, 5.5, (2, 113))],
@@ -317,9 +318,12 @@ class TestBilinearSample:
     ])
     def test_index_type_holds_every_feature_row(self, shape, idx_t):
         # a shape alone: no feature is allocated, only one block of 3 points
-        (lo, hi, indptr, cols, wt), = _blocks(np.zeros((3, 2), dtype=np.float32), 3, shape,
-                                              np.float32)
-        assert (lo, hi) == (0, 3) and indptr.dtype == cols.dtype == idx_t
+        # per image
+        n = shape[0]
+        blocks = list(_blocks(np.zeros((3 * n, 2), dtype=np.float32), 3, shape, np.float32))
+        assert [(lo, hi) for lo, hi, *_ in blocks] == [(3 * i, 3 * i + 3) for i in range(n)]
+        for _, _, indptr, cols, _ in blocks:
+            assert indptr.dtype == cols.dtype == idx_t
 
     @pytest.mark.parametrize("y", [np.zeros((3, 4), dtype=np.float32)[:, ::2],
                                    np.zeros((3, 2), dtype=np.float64)])

@@ -506,6 +506,20 @@ class TestTrainLoop:
                 wins += 1
         assert wins >= 2
 
+    def test_epoch_peak_holds_one_step_tape(self):
+        # a step's logits and loss reach its whole tape: kept into the next
+        # step, two tapes were live at once and a 4-batch epoch peaked at
+        # 1.25x a 1-batch epoch (17.9 against 14.3 MiB); now 12.5 against 12.8
+        pairs = _toy_pairs(4, 30, size=64)
+
+        def epoch_peak(train):
+            model = SnakeFormer(tiny_config(seed=31))
+            _, peak, _ = traced(train_loop, model, train, pairs[:1], 1, 1)
+            return peak
+
+        one, four = epoch_peak(pairs[:1]), epoch_peak(pairs)
+        assert four <= 1.15 * one, (four, one)
+
     def test_empty_training_set_rejected(self):
         model = SnakeFormer(micro_config(seed=26))
         with pytest.raises(ContractViolation):

@@ -125,11 +125,10 @@ class TestConv2d:
         assert kept <= 2 * padded_bytes, kept
 
     def test_pointwise_forward_makes_no_shift_copy(self):
-        # a 1x1 conv at padding 0 and stride 1 multiplies each image's rows
-        # of the input straight into its rows of the output, so the forward
-        # holds its output and at most one tile of output columns, here the
-        # whole map's; copying the input into a padded layout peaked at twice
-        # this bound
+        # a 1x1 conv at padding 0 and stride 1 is one batched GEMM of the
+        # input's pixels straight into the output, so the forward holds its
+        # output; copying the input into a padded layout peaked at twice this
+        # bound
         rng = np.random.default_rng(9)
         x = Tensor(rng.standard_normal((2, 16, 40, 40)).astype(np.float32), requires_grad=True)
         w = Tensor(rng.standard_normal((8, 16, 1, 1)).astype(np.float32), requires_grad=True)
@@ -179,60 +178,76 @@ class TestConv2d:
 
 
 class TestConvTiles:
-    """conv2d with ``CONV_TILE_BYTES`` shrunk, so that the maps run in
-    several column tiles, against the float64 oracles."""
+    """conv2d with ``CONV_TILE_BYTES`` shrunk, so that each image runs in
+    several bands of output rows, against the float64 oracles."""
 
     @staticmethod
     def _record_tiles(monkeypatch) -> list:
-        """Make ``_kernel_tiles`` record each tile's grid and column range."""
-        tiles, kernel_tiles = [], T._kernel_tiles
+        """Make ``_kernel_tiles`` record each band's image and output rows."""
+        bands, kernel_tiles = [], T._kernel_tiles
 
         def recording(*args):
-            grid, it = kernel_tiles(*args)
-
-            def each():
-                for lo, hi, views in it:
-                    tiles.append((grid, lo, hi))
-                    yield lo, hi, views
-            return grid, each()
+            for nn, ys, views in kernel_tiles(*args):
+                bands.append((nn, ys.start, ys.stop))
+                yield nn, ys, views
 
         monkeypatch.setattr(T, "_kernel_tiles", recording)
-        return tiles
+        return bands
 
     @pytest.mark.parametrize("rows", [1, 4])
-    @pytest.mark.parametrize("k", [1, 3, 9])
-    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("k,pad", [
+        # padding k // 2, k - 1 and k + 1: above k - 1 the first and last
+        # bands can lie wholly in the padding
+        pytest.param(k, pad, id=f"{k}" if pad == k // 2 else f"{k}-pad{pad}")
+        for k in (1, 3, 7, 9) for pad in sorted({k // 2, k - 1, k + 1})])
+    @pytest.mark.parametrize("stride", [1, 2, 4])
     @pytest.mark.parametrize("n", [1, 3])
-    def test_tiled_forward_and_gradients_match_oracles(self, monkeypatch, n, stride, k, rows):
+    def test_tiled_forward_and_gradients_match_oracles(self, monkeypatch, n, stride, k, pad,
+                                                        rows):
         rng = np.random.default_rng(40 + k + n)
-        cin, cout, h, w, pad = 2, 3, 11, 9, k // 2
+        cin, cout, h, w = 2, 3, 11, 9
         x = rng.standard_normal((n, cin, h, w))
         wd = rng.standard_normal((cout, cin, k, k))
-        # the budget of forward tiles of ``rows`` grid rows: their shifts, with
-        # the k - 1 rows below, and two buffers of their outputs
+        # the budget of forward bands of ``rows`` output rows, which span
+        # (rows - 1) * stride + 1 grid rows: their shifts, with the k - 1
+        # rows below, and two buffers of their outputs
         wq = -(-(w + 2 * pad) // stride)
+        grid = (rows - 1) * stride + 1
         monkeypatch.setattr(T, "CONV_TILE_BYTES",
-                            4 * wq * ((cin * k + 2 * cout) * rows + cin * k * (k - 1)))
-        tiles = self._record_tiles(monkeypatch)
+                            4 * wq * ((cin * k + 2 * cout) * grid + cin * k * (k - 1)))
+        bands = self._record_tiles(monkeypatch)
         xt = Tensor(x.astype(np.float32), requires_grad=True)
         wt = Tensor(wd.astype(np.float32), requires_grad=True)
         out = T.conv2d(xt, wt, None, stride=stride, padding=pad)
-        forward = list(tiles)
+        forward = list(bands)
         g = rng.standard_normal(out.data.shape)
         T.tsum(out * Tensor(g.astype(np.float32))).backward()
 
-        np.testing.assert_allclose(out.data, oracles.conv2d_oracle(x, wd, np.zeros(cout),
-                                                                  stride, pad), atol=1e-4)
+        np.testing.assert_allclose(out.data, self._oracle(x, wd, stride, pad), atol=1e-4)
         gx, gw = oracles.conv2d_grads_oracle(x, wd, g, stride, pad)
         np.testing.assert_allclose(xt.grad, gx, atol=1e-4)
         np.testing.assert_allclose(wt.grad, gw, atol=1e-4)
-        (_, hp, wq), _, _ = forward[0]
-        sizes = [hi - lo for _, lo, hi in forward]
-        assert sizes[:-1] == [rows * wq] * (len(sizes) - 1) and sum(sizes) == n * hp * wq
-        if rows > 1:  # hp is odd: the last tile is short and, at n = 3, one straddles images
-            assert sizes[-1] < rows * wq
-            assert n == 1 or any(lo // (hp * wq) != (hi - 1) // (hp * wq)
-                                 for _, lo, hi in forward)
+        if k == 1 and pad == 0 and stride == 1:  # pointwise: one GEMM, no bands
+            assert forward == []
+            return
+        ho = out.data.shape[2]
+        # every output row of every image exactly once, in bands of ``rows``
+        # rows but a shorter last one in each image
+        assert [nn for nn, _, _ in forward] == sorted(nn for nn, _, _ in forward)
+        for nn in range(n):
+            spans = [(lo, hi) for i, lo, hi in forward if i == nn]
+            assert [lo for lo, _ in spans] == list(range(0, ho, rows))
+            assert [hi for _, hi in spans] == [min(lo + rows, ho) for lo, _ in spans]
+
+    _oracles: dict = {}
+
+    @classmethod
+    def _oracle(cls, x, wd, stride, pad):
+        # the loop-level forward oracle, once per input and not per band size
+        key = (x.tobytes(), x.shape, wd.tobytes(), wd.shape, stride, pad)
+        if key not in cls._oracles:
+            cls._oracles[key] = oracles.conv2d_oracle(x, wd, np.zeros(wd.shape[0]), stride, pad)
+        return cls._oracles[key]
 
     def test_forward_holds_its_output_and_one_tile(self):
         # a 3x3 conv of a (1, 32, 256, 256) map to 16 channels: copying the k
@@ -488,11 +503,18 @@ class TestShapeSurgery:
         ("reshape", lambda a: T.reshape(a, (4,)), "(4,)"),
         ("transpose", lambda a: T.transpose(a, (0, 0)), "(0, 0)"),
         ("transpose", lambda a: T.transpose(a, (0,)), "(0,)"),
+        ("max_along", lambda a: T.max_along(a, axis=(1, 2)), "axis (1, 2)"),
+        ("narrow", lambda a: T.narrow(a, (1,), 0, 1), "axis (1,)"),
+        ("concat", lambda a: T.concat([a, a], axis=(1,)), "axis (1,)"),
+        ("max_along", lambda a: T.max_along(a, axis=1.0), "axis 1.0"),
+        ("tsum", lambda a: T.tsum(a, axis=1.0), "axis 1.0"),
+        ("narrow", lambda a: T.narrow(a, 1, 0.5, 1), "start 0.5"),
     ], ids=["softmax", "log_softmax", "tsum", "tsum-tuple", "tmean", "max_along", "concat",
-            "narrow", "reshape", "transpose-repeated", "transpose-short"])
+            "narrow", "reshape", "transpose-repeated", "transpose-short", "max_along-tuple",
+            "narrow-tuple", "concat-tuple", "max_along-float", "tsum-float", "narrow-float"])
     def test_bad_axis_or_shape_raises_naming_op_and_shapes(self, op, call, named):
-        # numpy raises AxisError, IndexError or ValueError here, none of them
-        # a ContractViolation
+        # numpy raises AxisError, IndexError, TypeError or ValueError here,
+        # none of them a ContractViolation
         with pytest.raises(ContractViolation) as err:
             call(Tensor(np.zeros((2, 3), dtype=np.float32)))
         msg = str(err.value)
