@@ -148,12 +148,12 @@ class EfficientSelfAttention(Module):
         kv_src = self._reduce(x) if r > 1 else x
         d = c // self.heads
 
-        def split_heads(t):
-            return transpose(reshape(t, (n, -1, self.heads, d)), (0, 2, 1, 3))
+        def split_heads(t, tokens):
+            return transpose(reshape(t, (n, tokens, self.heads, d)), (0, 2, 1, 3))
 
-        q = split_heads(self.q(x))
-        k = split_heads(self.k(kv_src))
-        v = split_heads(self.v(kv_src))
+        q = split_heads(self.q(x), h * w)
+        k = split_heads(self.k(kv_src), (h // r) * (w // r))
+        v = split_heads(self.v(kv_src), (h // r) * (w // r))
         scores = matmul(q, transpose(k, (0, 1, 3, 2))) * (1.0 / math.sqrt(d))
         probs = softmax(scores, axis=-1)
         ctx = matmul(probs, v)

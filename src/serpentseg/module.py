@@ -230,7 +230,7 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
         if bad.size:
             raise CheckpointError(
                 f"non-finite value in {name!r} at byte {at + 4 * int(bad[0])}")
-        state[name] = vals.astype(np.float32).copy()
+        state[name] = vals.astype(np.float32)
     if pos != len(blob):
         raise CheckpointError(f"trailing bytes at byte {pos}")
     return state

@@ -20,6 +20,9 @@ arrays its own formula reads, never a tensor.
 Broadcasting is deliberately narrow: elementwise ops accept equal shapes or
 equal-rank shapes where one operand has size-1 axes (bias-add and per-channel
 or per-position scaling). Anything else raises ``ContractViolation``.
+
+The one bilinear sampler, ``grid_sample_points``, reads the snake chains and
+the points of ``upsample_bilinear``.
 """
 from __future__ import annotations
 
@@ -197,10 +200,10 @@ def check_int(name: str, value, lowest: int) -> None:
         raise ContractViolation(f"{name} must be an int >= {lowest}, got {value!r}")
 
 
-def _check_axis(op: str, axis, shape: tuple, single: bool = False) -> tuple:
-    """The axes ``axis`` names in ``shape``: an int (``_is_int``), or, unless
-    ``single``, a tuple of them or None (every axis). Negative axes count
-    from the end. Anything else raises ``ContractViolation`` naming ``op``."""
+def _check_axis(op: str, axis, shape: tuple, single=False, nonempty=False) -> tuple:
+    """The axes, from 0, that ``axis`` names in ``shape``: an int (``_is_int``; negative counts
+    from the end) or, unless ``single``, a tuple of distinct ones or None (every axis). Anything
+    else, or with ``nonempty`` an axis of length 0, raises ``ContractViolation`` naming ``op``."""
     many = not single and (axis is None or isinstance(axis, tuple))
     axes = (axis,) if not many else tuple(range(len(shape))) if axis is None else axis
     if not all(_is_int(ax) for ax in axes):
@@ -208,6 +211,11 @@ def _check_axis(op: str, axis, shape: tuple, single: bool = False) -> tuple:
         raise ContractViolation(f"{op}: axis {axis!r} of shape {shape} must be {kind}")
     if any(not -len(shape) <= ax < len(shape) for ax in axes):
         raise ContractViolation(f"{op}: axis {axis} out of range for shape {shape}")
+    axes = tuple(ax % len(shape) for ax in axes)
+    if len(set(axes)) != len(axes):
+        raise ContractViolation(f"{op}: axis {axis} repeats an axis of shape {shape}")
+    if nonempty and any(shape[ax] == 0 for ax in axes):
+        raise ContractViolation(f"{op}: empty axis {axis} in shape {shape}")
     return axes
 
 
@@ -323,9 +331,8 @@ def tsum(a: Tensor, axis=None, keepdims=False) -> Tensor:
 
 
 def tmean(a: Tensor, axis=None, keepdims=False) -> Tensor:
-    count = math.prod(a.data.shape[ax] for ax in _check_axis("tmean", axis, a.data.shape))
-    if count == 0:
-        raise ContractViolation(f"tmean: empty axis {axis} in shape {a.data.shape}")
+    axes = _check_axis("tmean", axis, a.data.shape, nonempty=True)
+    count = math.prod(a.data.shape[ax] for ax in axes)
     s = tsum(a, axis=axis, keepdims=keepdims)
     return mul(s, 1.0 / float(count))
 
@@ -337,9 +344,7 @@ def max_along(a: Tensor, axis: int, keepdims: bool = True) -> Tensor:
     holds the axis length, instead of its input; a forward without the tape
     runs no argmax."""
     ad = a.data
-    _check_axis("max_along", axis, ad.shape, single=True)
-    if ad.shape[axis] == 0:
-        raise ContractViolation(f"max_along: empty axis {axis} in shape {ad.shape}")
+    _check_axis("max_along", axis, ad.shape, single=True, nonempty=True)
     data = ad.max(axis=axis, keepdims=keepdims)
     if _tape(a) is None:
         return Tensor(data)
@@ -442,8 +447,8 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 def gelu(a: Tensor) -> Tensor:
     x = a.data
     cdf = 0.5 * (1.0 + _erf(x * _INV_SQRT2))
-    return _make((x * cdf).astype(x.dtype), (a, lambda g: g * (
-        cdf + x * (np.exp(-0.5 * x * x) * _INV_SQRT_2PI)).astype(x.dtype)))
+    return _make((x * cdf).astype(x.dtype, copy=False), (a, lambda g: g * (
+        cdf + x * (np.exp(-0.5 * x * x) * _INV_SQRT_2PI)).astype(x.dtype, copy=False)))
 
 
 def exp(a: Tensor) -> Tensor:
@@ -457,7 +462,7 @@ def log(a: Tensor) -> Tensor:
 
 
 def softmax(a: Tensor, axis: int) -> Tensor:
-    _check_axis("softmax", axis, a.data.shape)
+    _check_axis("softmax", axis, a.data.shape, nonempty=True)
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     data = e / e.sum(axis=axis, keepdims=True)
@@ -465,7 +470,7 @@ def softmax(a: Tensor, axis: int) -> Tensor:
 
 
 def log_softmax(a: Tensor, axis: int) -> Tensor:
-    _check_axis("log_softmax", axis, a.data.shape)
+    _check_axis("log_softmax", axis, a.data.shape, nonempty=True)
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
     data = shifted - lse
@@ -739,29 +744,196 @@ def max_pool2(x: Tensor) -> Tensor:
     return max_along(reshape(win, (4, n, c, h // 2, w // 2)), axis=0, keepdims=False)
 
 
-def _interp_matrix(n_in: int, factor: int, dtype) -> np.ndarray:
-    """Half-pixel-center linear interpolation matrix (n_in*factor, n_in)."""
-    n_out = n_in * factor
-    src = np.clip((np.arange(n_out) + 0.5) / factor - 0.5, 0.0, n_in - 1.0)
-    lo = src.astype(np.intp)  # src >= 0, so truncation is floor
-    t = src - lo
-    rows = np.arange(n_out)
-    m = np.zeros((n_out, n_in), dtype=dtype)
-    m[rows, lo] = 1.0 - t
-    # rows clamped to the last input have t == 0 and add nothing here
-    m[rows, np.minimum(lo + 1, n_in - 1)] += t
-    return m
+# -- bilinear sampling ----------------------------------------------------------
+
+# Points ``grid_sample_points`` reads per block: a block's corner indices,
+# weights and matrix values take about 3 MiB at float32, whatever the map size
+POINT_BLOCK = 65536
+
+
+def _corners(pb: np.ndarray, first: int, h: int, w: int, idx_t, dtype):
+    """CSR column indices (P*4,) and weights (2, 2, P) of bilinear reads at
+    the (P, 2) points ``pb`` of one image, whose feature rows start at row
+    ``first`` of the channel-last feature (N*H*W, C).
+
+    Each point reads its corners over those rows, in the order (00, 01, 10,
+    11): corner 2a+b is y-step a and x-step b. The points are worked on
+    axis-major (row 0 x, row 1 y), so each axis is one contiguous row: they
+    are clamped to the border, and weight [a] holds (1 - t, t) along axis a.
+    Corners stay in the image, so the matrix is block diagonal over the
+    batch; along a side of length 1 the two corners coincide.
+    """
+    pa = pb.T.copy()  # clamped in place below
+    top = np.array([[w - 1], [h - 1]], dtype=pb.dtype)
+    np.clip(pa, 0.0, top, out=pa)
+    low = np.floor(pa)
+    np.minimum(low, np.maximum(top - 1, 0), out=low)
+    wt = np.empty((2, 2, pa.shape[1]), dtype=dtype)
+    np.subtract(pa, low, out=wt[:, 1])
+    np.subtract(1.0, wt[:, 1], out=wt[:, 0])
+    x0, i00 = low.astype(idx_t)  # corner 00's row first + y * w + x, worked on contiguously
+    i00 *= w
+    i00 += x0
+    i00 += first
+    cols = np.empty((pa.shape[1], 4), dtype=idx_t)
+    cols[:, 0] = i00
+    sx, sy = min(w - 1, 1), min(h - 1, 1) * w
+    for corner, step in ((1, sx), (2, sy), (3, sx + sy)):
+        np.add(i00, step, out=cols[:, corner])
+    return cols.reshape(-1), wt
+
+
+def _blocks(pd: np.ndarray, m: int, shape: tuple, dtype):
+    """The flat (N*M, 2) points ``pd`` of a (N, C, H, W) feature ``shape``,
+    image by image, in blocks of at most ``POINT_BLOCK`` consecutive points
+    of one image: yields (lo, hi, indptr, cols, wt) for points lo..hi, the
+    CSR row pointers and ``_corners`` of the block, built when the block is
+    taken. Indices are int32 when a block's corners and the feature rows fit
+    in it, else int64: the rule scipy's sparse matrices apply."""
+    n, _, h, w = shape
+    size = max(min(POINT_BLOCK, m), 1)
+    idx_t = np.int32 if max(4 * size, n * h * w) <= np.iinfo(np.int32).max else np.int64
+    indptr = np.arange(0, 4 * size + 1, 4, dtype=idx_t)
+    for img in range(n):
+        for lo in range(img * m, (img + 1) * m, size):
+            hi = min(lo + size, (img + 1) * m)
+            yield (lo, hi, indptr[:hi - lo + 1]) + _corners(pd[lo:hi], img * h * w, h, w, idx_t,
+                                                            dtype)
+
+
+def _corner_values(ay: np.ndarray, ax: np.ndarray) -> np.ndarray:
+    """CSR values whose corner 2a+b of each row holds ``ay[a] * ax[b]``; each
+    factor is a (2, P) weight pair or a constant (2,) pair."""
+    rows = np.broadcast_shapes(ay.shape[1:], ax.shape[1:])
+    vals = np.empty(rows + (4,), dtype=np.result_type(ay, ax))
+    for a in range(2):
+        for b in range(2):
+            np.multiply(ay[a], ax[b], out=vals[:, 2 * a + b])
+    return vals.reshape(-1)
+
+
+def _spmm(indptr: np.ndarray, cols: np.ndarray, vals: np.ndarray, x: np.ndarray,
+          y: np.ndarray, transposed: bool = False) -> None:
+    """``y += A @ x``, or ``y += A.T @ x``, in place, for the CSR matrix A =
+    (vals, cols, indptr) and C-contiguous (rows, C) ``x`` and ``y``.
+
+    These are the kernels scipy's own products run (a single column by the
+    one-vector kernel), called on the caller's output: the sums of a block
+    go into the same buffer as those of the blocks before it, in the same
+    order as one product of the whole matrix. The kernels write through
+    ``y.ravel()``, which is ``y`` itself only when ``y`` is C-contiguous, so
+    anything else is refused rather than summed into a discarded copy.
+    ``scipy.sparse._sparsetools`` is private: it is imported here, not with
+    the package, and ``test_spmm_matches_scipy_products`` pins what it does.
+    """
+    from scipy.sparse import _sparsetools
+
+    for name, a in (("x", x), ("y", y)):
+        if a.ndim != 2 or not a.flags.c_contiguous or a.dtype != vals.dtype:
+            raise ContractViolation(f"_spmm: {name} must be C-contiguous 2-d {vals.dtype}, "
+                                    f"got {a.shape} {a.dtype}")
+    points = indptr.size - 1
+    shape = (y.shape[0], points) if transposed else (points, x.shape[0])
+    kind = "csc" if transposed else "csr"
+    if x.shape[1] == 1:
+        kernel = getattr(_sparsetools, kind + "_matvec")
+        kernel(*shape, indptr, cols, vals, x.ravel(), y.ravel())
+    else:
+        kernel = getattr(_sparsetools, kind + "_matvecs")
+        kernel(*shape, x.shape[1], indptr, cols, vals, x.ravel(), y.ravel())
+
+
+def _feature_rows(fd: np.ndarray) -> np.ndarray:
+    n, c, h, w = fd.shape
+    return np.ascontiguousarray(fd.transpose(0, 2, 3, 1)).reshape(n * h * w, c)
+
+
+def grid_sample_points(feature: Tensor, points: Tensor) -> Tensor:
+    """Bilinear reads of ``feature`` (N, C, H, W) at (x, y) points (N, M, 2),
+    returned as channel-last rows (N, M, C).
+
+    Points are clamped to the border before weighting; the gradient with
+    respect to a clamped coordinate is zero. Differentiable in the feature
+    values and the points.
+
+    The reads run image by image in blocks of at most ``POINT_BLOCK``
+    consecutive points (``_blocks``), each built, applied and dropped before
+    the next, so a call's scratch is bounded by the block, not the map.
+
+    There are two gradient functions, each rebuilding the blocks from the
+    points, which the tape keeps. The feature's adds each block's sampling
+    matrix, transposed, times that block of the upstream gradient into the
+    feature gradient. The points' keeps the feature too: per block, the x
+    and y derivative matrices, whose corner weights are the sampling
+    weights with the derivative's axis replaced by (-1, 1), times the
+    feature rows, each reduced against the upstream gradient. When both
+    need a gradient each block is built twice. The sparse products
+    accumulate in place (``_spmm``), so every sum runs in point order, as
+    one product of the whole map would: outputs and gradients do not depend
+    on the block size.
+    """
+    fd, pd = feature.data, points.data
+    if fd.ndim != 4:
+        raise ContractViolation(f"grid_sample_points: feature must be 4-d, got shape {fd.shape}")
+    n, c, h, w = fd.shape
+    if pd.ndim != 3 or pd.shape[0] != n or pd.shape[2] != 2:
+        raise ContractViolation(f"grid_sample_points: points {pd.shape} do not match "
+                                f"feature {fd.shape}: need (N, M, 2)")
+    if not all(np.issubdtype(a.dtype, np.floating) for a in (fd, pd)):
+        raise ContractViolation(f"grid_sample_points: dtypes {fd.dtype}, {pd.dtype} are not float")
+    if not np.isfinite(pd).all():
+        raise ContractViolation("grid_sample_points: non-finite sampling coordinate")
+
+    m = pd.shape[1]
+    pflat = pd.reshape(n * m, 2)
+    rows = _feature_rows(fd)
+    out = np.zeros((n * m, c), dtype=fd.dtype)
+    for lo, hi, indptr, cols, wt in _blocks(pflat, m, fd.shape, fd.dtype):
+        _spmm(indptr, cols, _corner_values(wt[1], wt[0]), rows, out[lo:hi])
+    dtype, shape = fd.dtype, fd.shape  # not ``fd``: only the points' function keeps it
+
+    def grad_feature(g):
+        gl = np.ascontiguousarray(g.reshape(n * m, c), dtype=dtype)
+        gf = np.zeros((n * h * w, c), dtype=dtype)
+        for lo, hi, indptr, cols, wt in _blocks(pflat, m, shape, dtype):
+            _spmm(indptr, cols, _corner_values(wt[1], wt[0]), gl[lo:hi], gf, transposed=True)
+        return np.ascontiguousarray(gf.reshape(n, h, w, c).transpose(0, 3, 1, 2))
+
+    def grad_points(g):
+        gl = np.ascontiguousarray(g.reshape(n * m, c), dtype=dtype)
+        rows = _feature_rows(fd)
+        step = np.array([-1.0, 1.0], dtype=dtype)
+        gp = np.empty((n * m, 2), dtype=dtype)
+        top = np.array([w - 1, h - 1], dtype=pflat.dtype)
+        deriv = np.empty(min(POINT_BLOCK, m) * c, dtype=dtype)
+        for lo, hi, indptr, cols, wt in _blocks(pflat, m, shape, dtype):
+            gb = gl[lo:hi]
+            d = deriv[:gb.size].reshape(gb.shape)
+            for a, (ay, ax) in enumerate(((wt[1], step), (step, wt[0]))):
+                d.fill(0)
+                _spmm(indptr, cols, _corner_values(ay, ax), rows, d)
+                d *= gb
+                gp[lo:hi, a] = d.sum(axis=1)
+            # a coordinate clamped to the border has no gradient
+            gp[lo:hi] *= (pflat[lo:hi] >= 0.0) & (pflat[lo:hi] <= top)
+        return gp.reshape(n, m, 2)
+
+    return _make(out.reshape(n, m, c), (feature, grad_feature), (points, grad_points))
 
 
 def upsample_bilinear(x: Tensor, factor: int) -> Tensor:
-    """Bilinear upsampling with half-pixel sample centers."""
+    """Bilinear upsampling with half-pixel sample centers: ``grid_sample_points``
+    reads each output pixel's center, mapped onto the input, as an (N, C, H', W') view."""
     check_int("upsample_bilinear: factor", factor, 2)
     if x.data.ndim != 4:
         raise ContractViolation(f"upsample_bilinear: need a 4-d input, got {x.data.shape}")
     n, c, h, w = x.data.shape
-    ry = _interp_matrix(h, factor, x.data.dtype)
-    rx = _interp_matrix(w, factor, x.data.dtype)
-    return _make(ry @ x.data @ rx.T, (x, lambda g: ry.T @ g @ rx))
+    ho, wo = h * factor, w * factor
+    pts = np.empty((n, ho, wo, 2), dtype=x.data.dtype)
+    pts[..., 0] = (np.arange(wo) + 0.5) / factor - 0.5
+    pts[..., 1] = ((np.arange(ho) + 0.5) / factor - 0.5)[:, None]
+    rows = grid_sample_points(x, Tensor(pts.reshape(n, ho * wo, 2)))
+    return transpose(reshape(rows, (n, ho, wo, c)), (0, 3, 1, 2))
 
 
 def layer_norm(x: Tensor, gain: Tensor, shift: Tensor, eps: float = 1e-5) -> Tensor:
@@ -772,6 +944,7 @@ def layer_norm(x: Tensor, gain: Tensor, shift: Tensor, eps: float = 1e-5) -> Ten
         raise ContractViolation(
             f"layer_norm: input {xd.shape} with gain {gain.data.shape}, shift {shift.data.shape}"
         )
+    _check_axis("layer_norm", -1, xd.shape, nonempty=True)
     mu = xd.mean(axis=-1, keepdims=True)
     var = xd.var(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)

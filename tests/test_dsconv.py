@@ -18,15 +18,16 @@ from oracles import (
     naive_snake_forward,
     traced,
 )
-from serpentseg.dsconv import (
-    INIT_STEP_BIAS,
-    SnakeConv2d,
+from serpentseg.dsconv import INIT_STEP_BIAS, SnakeConv2d, chain_coordinates
+from serpentseg.tensor import (
+    ContractViolation,
+    Tensor,
     _blocks,
     _spmm,
-    chain_coordinates,
+    conv2d,
     grid_sample_points,
+    reshape,
 )
-from serpentseg.tensor import ContractViolation, Tensor, conv2d, reshape
 
 
 def make_snake(cin=2, cout=3, axis="horizontal", seed=0, pyramid_scale=0.0,
@@ -174,6 +175,13 @@ class TestIterateChain:
                     assert got[hh, ww, t, 0] == pytest.approx(pts[t][0], abs=1e-5)
                     assert got[hh, ww, t, 1] == pytest.approx(pts[t][1], abs=1e-5)
 
+    @pytest.mark.parametrize("shape", [(16, 2, 3), (1, 16, 2, 3, 1), (1, 15, 2, 3)])
+    def test_steps_that_are_not_n_16_h_w_rejected(self, shape):
+        with pytest.raises(ContractViolation,
+                           match=re.escape(f"chain_coordinates: steps must be (N, 16, H, W), "
+                                           f"got {shape}")):
+            chain_coordinates(Tensor(np.zeros(shape, dtype=np.float32)))
+
 
 class TestBilinearSample:
     def test_integer_point_is_exact(self):
@@ -285,9 +293,9 @@ class TestBilinearSample:
             (out * upstream).sum().backward()
             return [out.data] + [t.grad for t in ts]
 
-        monkeypatch.setattr(serpentseg.dsconv, "POINT_BLOCK", 2 * 113)
+        monkeypatch.setattr(serpentseg.tensor, "POINT_BLOCK", 2 * 113)
         whole = run()
-        monkeypatch.setattr(serpentseg.dsconv, "POINT_BLOCK", block)
+        monkeypatch.setattr(serpentseg.tensor, "POINT_BLOCK", block)
         for got, want in zip(run(), whole):
             np.testing.assert_array_equal(got, want)
 
@@ -353,7 +361,7 @@ class TestBilinearSample:
         # the point gradient (0.25x) and the feature gradient with its
         # channel-first copy (0.2x) and one block's matrices; the derivative
         # products of all points at once peaked at 4.3x
-        monkeypatch.setattr(serpentseg.dsconv, "POINT_BLOCK", 4096)
+        monkeypatch.setattr(serpentseg.tensor, "POINT_BLOCK", 4096)
         f, pts = self._chain_sized_inputs()
         out = grid_sample_points(f, pts)
         loss = out.sum()
@@ -376,6 +384,16 @@ class TestBilinearSample:
         f = Tensor(np.zeros((2, 1, 4, 4), dtype=np.float32))
         with pytest.raises(ContractViolation, match=re.escape(f"points {shape}")):
             grid_sample_points(f, Tensor(np.zeros(shape, dtype=np.float32)))
+
+    @pytest.mark.parametrize("f_dtype,p_dtype", [(np.float32, np.int64), (np.float64, np.int32),
+                                                 (np.int32, np.float32)])
+    def test_integer_feature_or_points_rejected(self, f_dtype, p_dtype):
+        f = Tensor(np.zeros((1, 1, 4, 4), dtype=f_dtype))
+        pts = Tensor(np.ones((1, 3, 2), dtype=p_dtype))
+        with pytest.raises(ContractViolation, match=re.escape(
+                f"grid_sample_points: dtypes {np.dtype(f_dtype)}, {np.dtype(p_dtype)} "
+                f"are not float")):
+            grid_sample_points(f, pts)
 
     @pytest.mark.parametrize("shape", [(1, 4, 4), (1, 1, 1, 4, 4)])
     def test_feature_that_is_not_4d_rejected(self, shape):

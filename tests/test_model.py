@@ -562,6 +562,13 @@ class TestTrainLoop:
         want = predict_probabilities(model, imgs)
         np.testing.assert_array_equal(predict_probabilities(model, imgs.tolist()), want)
 
+    def test_predict_probabilities_of_an_empty_batch(self):
+        # the attention's head split names its token count: a -1 cannot be
+        # solved for with no images
+        model = SnakeFormer(tiny_config())
+        probs = predict_probabilities(model, np.zeros((0, 1, 32, 32), dtype=np.float32))
+        assert probs.shape == (0, 32, 32)
+
     @pytest.mark.parametrize("images,kind", [([[[[0.0, 1.0], [2.0]]]], "list"),
                                              ("crack.png", "str"), ({"image": 1}, "dict")])
     def test_predict_probabilities_rejects_non_numeric_input(self, images, kind):

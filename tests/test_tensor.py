@@ -1,9 +1,14 @@
 """Primitive-layer tests: every op against a naive loop oracle plus the
 gradient checker."""
 
+import ast
+import os
 import re
+import subprocess
+import sys
 import threading
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,9 +17,9 @@ import oracles
 from gradcheck import FunctionModule, grad_check
 from serpentseg import tensor as T
 from serpentseg.attention import _pooled_rows
-from serpentseg.dsconv import _embed_kernels, chain_coordinates, grid_sample_points
+from serpentseg.dsconv import _embed_kernels, chain_coordinates
 from serpentseg.module import Conv2d, LayerNorm, Linear, Module, Parameter
-from serpentseg.tensor import ContractViolation, Tensor
+from serpentseg.tensor import ContractViolation, Tensor, grid_sample_points
 
 
 # -- oracles -------------------------------------------------------------------
@@ -471,6 +476,18 @@ class TestEmptyAxis:
                            match=r"max_along: empty axis 1 in shape \(2, 0\)"):
             T.max_along(Tensor(np.zeros((2, 0), dtype=np.float32)), axis=1)
 
+    @pytest.mark.parametrize("op,call,axis", [
+        ("softmax", lambda a: T.softmax(a, axis=1), 1),
+        ("log_softmax", lambda a: T.log_softmax(a, axis=-1), -1),
+        ("layer_norm", lambda a: T.layer_norm(a, Parameter(np.ones(0)), Parameter(np.zeros(0))),
+         -1),
+    ], ids=["softmax", "log_softmax", "layer_norm"])
+    def test_normalizing_an_empty_axis_raises(self, op, call, axis):
+        # numpy raises ValueError for the softmaxes; layer_norm warned and gave NaN
+        with pytest.raises(ContractViolation,
+                           match=re.escape(f"{op}: empty axis {axis} in shape (2, 0)")):
+            call(Tensor(np.zeros((2, 0), dtype=np.float32)))
+
 
 class TestShapeSurgery:
     @pytest.mark.parametrize("start,length", [(2, 5), (-1, 1), (1, -1)])
@@ -509,9 +526,12 @@ class TestShapeSurgery:
         ("max_along", lambda a: T.max_along(a, axis=1.0), "axis 1.0"),
         ("tsum", lambda a: T.tsum(a, axis=1.0), "axis 1.0"),
         ("narrow", lambda a: T.narrow(a, 1, 0.5, 1), "start 0.5"),
+        ("tsum", lambda a: T.tsum(a, axis=(1, -1)), "axis (1, -1) repeats"),
+        ("tmean", lambda a: T.tmean(a, axis=(0, 0)), "axis (0, 0) repeats"),
     ], ids=["softmax", "log_softmax", "tsum", "tsum-tuple", "tmean", "max_along", "concat",
             "narrow", "reshape", "transpose-repeated", "transpose-short", "max_along-tuple",
-            "narrow-tuple", "concat-tuple", "max_along-float", "tsum-float", "narrow-float"])
+            "narrow-tuple", "concat-tuple", "max_along-float", "tsum-float", "narrow-float",
+            "tsum-repeated", "tmean-repeated"])
     def test_bad_axis_or_shape_raises_naming_op_and_shapes(self, op, call, named):
         # numpy raises AxisError, IndexError, TypeError or ValueError here,
         # none of them a ContractViolation
@@ -577,18 +597,22 @@ class TestUpsampleBilinear:
 
     @pytest.mark.parametrize("n_in", [1, 2, 3, 7])
     @pytest.mark.parametrize("factor", [2, 3, 4])
-    def test_interp_matrix_equals_row_rule_exactly(self, n_in, factor):
-        want = np.zeros((n_in * factor, n_in))
-        for i in range(n_in * factor):
-            src = min(max((i + 0.5) / factor - 0.5, 0.0), n_in - 1.0)
-            lo = int(np.floor(src))
-            t = src - lo
-            want[i, lo] += 1.0 - t
-            want[i, min(lo + 1, n_in - 1)] += t
-        for dtype in (np.float32, np.float64):
-            got = T._interp_matrix(n_in, factor, dtype)
-            assert got.dtype == dtype
-            np.testing.assert_array_equal(got, want.astype(dtype))
+    def test_float64_matches_oracle(self, n_in, factor):
+        # square and non-square maps with a side of n_in, in float64, against
+        # the loop-level row rule
+        rng = np.random.default_rng(46)
+        for hw in ((n_in, n_in), (n_in, 5), (3, n_in)):
+            x = rng.standard_normal((2, 3) + hw)
+            out = T.upsample_bilinear(Tensor(x), factor)
+            assert out.data.dtype == np.float64
+            np.testing.assert_allclose(out.data, upsample_oracle(x, factor), rtol=0, atol=1e-12)
+
+    def test_empty_batch(self):
+        x = Tensor(np.zeros((0, 2, 3, 4), dtype=np.float32), requires_grad=True)
+        out = T.upsample_bilinear(x, 2)
+        assert out.data.shape == (0, 2, 6, 8)
+        out.sum().backward()
+        assert x.grad.shape == (0, 2, 3, 4)
 
 
 class TestActivations:
@@ -1000,3 +1024,35 @@ def test_tape_frees_arrays_that_backward_does_not_read(name):
 
     for kept, dropped in zip(leaf_grads(False), leaf_grads(True)):
         np.testing.assert_array_equal(kept, dropped)
+
+
+# -- layering ------------------------------------------------------------------
+
+def _import_time_imports(node):
+    """Modules the statements under ``node`` import when it is executed: not
+    those inside function bodies, which import when called."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(child, ast.Import):
+            yield from (alias.name for alias in child.names)
+        elif isinstance(child, ast.ImportFrom):
+            yield from (f"{child.module}.{alias.name}" for alias in child.names)
+        yield from _import_time_imports(child)
+
+
+def test_tensor_loads_no_other_package_module():
+    code = "import sys, serpentseg.tensor; print([m for m in sys.modules if 'serpentseg' in m])"
+    src = str(Path(T.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src}).stdout
+    assert sorted(ast.literal_eval(out)) == ["serpentseg", "serpentseg.tensor"], out
+
+
+def test_no_package_module_imports_scipy_sparse_at_import_time():
+    # the sampler reaches scipy's sparse kernels only when it runs
+    modules = sorted(Path(T.__file__).parent.glob("*.py"))
+    assert len(modules) > 5
+    for path in modules:
+        names = list(_import_time_imports(ast.parse(path.read_text())))
+        assert not [m for m in names if m.startswith("scipy.sparse")], (path.name, names)
