@@ -13,8 +13,9 @@ are ordered (n, h, w, t), a point is one (x, y) pair, and samples are
 channel-last, so each step is a linear map. A pixel's nine chain points are
 its center plus one fixed (18, 16) prefix-sum matrix (``_prefix_matrix``)
 times its 16 steps, giving one (N, H*W*9, 2) point tensor; the samples come
-back as (N, H*W*9, Cin) rows; and the contraction is one ``linear`` over
-rows of 9*Cin samples.
+back as (N, H*W*9, Cin) rows; and the contraction (``chain_contract``) is
+one ``linear`` over rows of 9*Cin samples, built from plain ops with no tape
+entry of its own.
 
 The chain points are read by ``tensor.grid_sample_points``, the bilinear
 sampler that the decoder's upsampling shares.
@@ -82,19 +83,19 @@ def chain_coordinates(steps: Tensor) -> Tensor:
     pts[..., 0] += np.arange(w, dtype=sd.dtype)[:, None]
     pts[..., 1] += np.arange(h, dtype=sd.dtype)[:, None, None]
     return _make(pts.reshape(n, h * w * CHAIN_LEN, 2), (steps, lambda g: (
-        g.reshape(n, h * w, 2 * CHAIN_LEN) @ p).transpose(0, 2, 1).reshape(n, c, h, w)))
+        g.reshape(n, h * w, 2 * CHAIN_LEN) @ p).reshape(n, h, w, c).transpose(0, 3, 1, 2)))
 
 
 def chain_contract(rows: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """Contract per-pixel sample rows (N, H, W, 9*Cin), ordered (t, Cin), with
-    a (Cout, Cin, 9) weight into (N, Cout, H, W): one ``linear``, fed a contiguous gradient."""
+    a (Cout, Cin, 9) weight into (N, Cout, H, W): one ``linear``, whose
+    channel-last output is handed on as a channel-first view."""
     cout, cin, t = weight.data.shape
     if rows.data.ndim != 4 or rows.data.shape[3] != t * cin:
         raise ContractViolation(
             f"samples {rows.data.shape} do not match weight {weight.data.shape}")
-    out = linear(rows, reshape(transpose(weight, (0, 2, 1)), (cout, t * cin)), bias)
-    return _make(out.data.transpose(0, 3, 1, 2),
-                 (out, lambda g: np.ascontiguousarray(g.transpose(0, 2, 3, 1))))
+    return transpose(linear(rows, reshape(transpose(weight, (0, 2, 1)), (cout, t * cin)), bias),
+                     (0, 3, 1, 2))
 
 
 def _embed_kernels(weights: list[Tensor]) -> Tensor:

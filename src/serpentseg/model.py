@@ -248,6 +248,11 @@ class Adam:
         self.v = [np.zeros_like(p.data) for _, p in self.named]
 
     def step(self):
+        """Update every parameter that has a gradient; a non-finite gradient
+        raises ``TrainingError`` before anything, ``t`` included, changes."""
+        for name, p in self.named:
+            if p.grad is not None and not np.all(np.isfinite(p.grad)):
+                raise TrainingError(f"non-finite gradient in {name}")
         self.t += 1
         bc1 = 1.0 - self.b1 ** self.t
         bc2 = 1.0 - self.b2 ** self.t
@@ -255,8 +260,6 @@ class Adam:
             g = p.grad
             if g is None:
                 continue
-            if not np.all(np.isfinite(g)):
-                raise TrainingError(f"non-finite gradient in {name}")
             if self.weight_decay:
                 p.data = p.data - self.lr * self.weight_decay * p.data
             self.m[i] = self.b1 * self.m[i] + (1.0 - self.b1) * g

@@ -17,6 +17,12 @@ unless a gradient function reads it; a dropped pair frees whatever its
 function captured. The rule for every gradient function: capture only the
 arrays its own formula reads, never a tensor.
 
+One layout rule: a gradient function always receives a C-contiguous
+gradient. ``_make``'s closure copies a strided one once, before any of the
+node's functions runs, so no op copies a gradient for its layout and any op
+may return a strided view (a ``transpose``, a slice) as its operand's
+gradient.
+
 Broadcasting is deliberately narrow: elementwise ops accept equal shapes or
 equal-rank shapes where one operand has size-1 axes (bias-add and per-channel
 or per-position scaling). Anything else raises ``ContractViolation``.
@@ -242,11 +248,17 @@ def _make(data: np.ndarray, *grads) -> Tensor:
     each ``fn(g)`` into its operand's entry, in the order given; the others
     are dropped, and with them whatever their ``fn`` captured. The output
     gets an entry only when a pair is kept.
+
+    The closure hands every ``fn`` a C-contiguous ``g``, copying a strided
+    one first: the only layout copy of a gradient. ``g.copy()``, not
+    ``np.ascontiguousarray``, which would turn a 0-d gradient into shape (1,).
     """
     out = Tensor(data)
     kept = [(e, fn) for t, fn in grads if t is not None and (e := _tape(t)) is not None]
     if kept:
         def backward(g):
+            if not g.flags.c_contiguous:
+                g = g.copy()
             for e, fn in kept:
                 e._accum(fn(g))
 
@@ -462,11 +474,9 @@ def log(a: Tensor) -> Tensor:
 
 
 def softmax(a: Tensor, axis: int) -> Tensor:
+    """``exp(log_softmax(a, axis))``: the one normalizer, and its gradient, is ``log_softmax``."""
     _check_axis("softmax", axis, a.data.shape, nonempty=True)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    data = e / e.sum(axis=axis, keepdims=True)
-    return _make(data, (a, lambda g: data * (g - (g * data).sum(axis=axis, keepdims=True))))
+    return exp(log_softmax(a, axis))
 
 
 def log_softmax(a: Tensor, axis: int) -> Tensor:
@@ -474,8 +484,8 @@ def log_softmax(a: Tensor, axis: int) -> Tensor:
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
     data = shifted - lse
-    p = np.exp(data)
-    return _make(data, (a, lambda g: g - p * g.sum(axis=axis, keepdims=True)))
+    # the probabilities are computed only if a backward asks for them
+    return _make(data, (a, lambda g: g - np.exp(data) * g.sum(axis=axis, keepdims=True)))
 
 
 # -- linear algebra -----------------------------------------------------------
@@ -783,22 +793,24 @@ def _corners(pb: np.ndarray, first: int, h: int, w: int, idx_t, dtype):
     return cols.reshape(-1), wt
 
 
-def _blocks(pd: np.ndarray, m: int, shape: tuple, dtype):
-    """The flat (N*M, 2) points ``pd`` of a (N, C, H, W) feature ``shape``,
-    image by image, in blocks of at most ``POINT_BLOCK`` consecutive points
-    of one image: yields (lo, hi, indptr, cols, wt) for points lo..hi, the
-    CSR row pointers and ``_corners`` of the block, built when the block is
-    taken. Indices are int32 when a block's corners and the feature rows fit
-    in it, else int64: the rule scipy's sparse matrices apply."""
+def _blocks(pd: np.ndarray, shape: tuple, dtype):
+    """The (N, M, 2) points ``pd`` of a (N, C, H, W) feature ``shape``, in
+    any layout (a grid broadcast over the batch, say), image by image, in
+    blocks of at most ``POINT_BLOCK`` consecutive points of one image:
+    yields (img, lo, hi, indptr, cols, wt) for points lo..hi of image img,
+    the CSR row pointers and ``_corners`` of the block, built when the block
+    is taken. Indices are int32 when a block's corners and the feature rows
+    fit in it, else int64: the rule scipy's sparse matrices apply."""
     n, _, h, w = shape
+    m = pd.shape[1]
     size = max(min(POINT_BLOCK, m), 1)
     idx_t = np.int32 if max(4 * size, n * h * w) <= np.iinfo(np.int32).max else np.int64
     indptr = np.arange(0, 4 * size + 1, 4, dtype=idx_t)
     for img in range(n):
-        for lo in range(img * m, (img + 1) * m, size):
-            hi = min(lo + size, (img + 1) * m)
-            yield (lo, hi, indptr[:hi - lo + 1]) + _corners(pd[lo:hi], img * h * w, h, w, idx_t,
-                                                            dtype)
+        for lo in range(0, m, size):
+            hi = min(lo + size, m)
+            yield (img, lo, hi, indptr[:hi - lo + 1]) + _corners(pd[img, lo:hi], img * h * w, h,
+                                                                 w, idx_t, dtype)
 
 
 def _corner_values(ay: np.ndarray, ax: np.ndarray) -> np.ndarray:
@@ -885,40 +897,40 @@ def grid_sample_points(feature: Tensor, points: Tensor) -> Tensor:
         raise ContractViolation("grid_sample_points: non-finite sampling coordinate")
 
     m = pd.shape[1]
-    pflat = pd.reshape(n * m, 2)
     rows = _feature_rows(fd)
-    out = np.zeros((n * m, c), dtype=fd.dtype)
-    for lo, hi, indptr, cols, wt in _blocks(pflat, m, fd.shape, fd.dtype):
-        _spmm(indptr, cols, _corner_values(wt[1], wt[0]), rows, out[lo:hi])
+    out = np.zeros((n, m, c), dtype=fd.dtype)
+    for img, lo, hi, indptr, cols, wt in _blocks(pd, fd.shape, fd.dtype):
+        _spmm(indptr, cols, _corner_values(wt[1], wt[0]), rows, out[img, lo:hi])
     dtype, shape = fd.dtype, fd.shape  # not ``fd``: only the points' function keeps it
 
     def grad_feature(g):
-        gl = np.ascontiguousarray(g.reshape(n * m, c), dtype=dtype)
+        g = g.astype(dtype, copy=False)
         gf = np.zeros((n * h * w, c), dtype=dtype)
-        for lo, hi, indptr, cols, wt in _blocks(pflat, m, shape, dtype):
-            _spmm(indptr, cols, _corner_values(wt[1], wt[0]), gl[lo:hi], gf, transposed=True)
-        return np.ascontiguousarray(gf.reshape(n, h, w, c).transpose(0, 3, 1, 2))
+        for img, lo, hi, indptr, cols, wt in _blocks(pd, shape, dtype):
+            _spmm(indptr, cols, _corner_values(wt[1], wt[0]), g[img, lo:hi], gf, transposed=True)
+        return gf.reshape(n, h, w, c).transpose(0, 3, 1, 2)
 
     def grad_points(g):
-        gl = np.ascontiguousarray(g.reshape(n * m, c), dtype=dtype)
+        g = g.astype(dtype, copy=False)
         rows = _feature_rows(fd)
         step = np.array([-1.0, 1.0], dtype=dtype)
-        gp = np.empty((n * m, 2), dtype=dtype)
-        top = np.array([w - 1, h - 1], dtype=pflat.dtype)
+        gp = np.empty((n, m, 2), dtype=dtype)
+        top = np.array([w - 1, h - 1], dtype=pd.dtype)
         deriv = np.empty(min(POINT_BLOCK, m) * c, dtype=dtype)
-        for lo, hi, indptr, cols, wt in _blocks(pflat, m, shape, dtype):
-            gb = gl[lo:hi]
+        for img, lo, hi, indptr, cols, wt in _blocks(pd, shape, dtype):
+            gb = g[img, lo:hi]
             d = deriv[:gb.size].reshape(gb.shape)
             for a, (ay, ax) in enumerate(((wt[1], step), (step, wt[0]))):
                 d.fill(0)
                 _spmm(indptr, cols, _corner_values(ay, ax), rows, d)
                 d *= gb
-                gp[lo:hi, a] = d.sum(axis=1)
+                gp[img, lo:hi, a] = d.sum(axis=1)
             # a coordinate clamped to the border has no gradient
-            gp[lo:hi] *= (pflat[lo:hi] >= 0.0) & (pflat[lo:hi] <= top)
-        return gp.reshape(n, m, 2)
+            pb = pd[img, lo:hi]
+            gp[img, lo:hi] *= (pb >= 0.0) & (pb <= top)
+        return gp
 
-    return _make(out.reshape(n, m, c), (feature, grad_feature), (points, grad_points))
+    return _make(out, (feature, grad_feature), (points, grad_points))
 
 
 def upsample_bilinear(x: Tensor, factor: int) -> Tensor:
@@ -929,10 +941,12 @@ def upsample_bilinear(x: Tensor, factor: int) -> Tensor:
         raise ContractViolation(f"upsample_bilinear: need a 4-d input, got {x.data.shape}")
     n, c, h, w = x.data.shape
     ho, wo = h * factor, w * factor
-    pts = np.empty((n, ho, wo, 2), dtype=x.data.dtype)
+    pts = np.empty((ho, wo, 2), dtype=x.data.dtype)
     pts[..., 0] = (np.arange(wo) + 0.5) / factor - 0.5
     pts[..., 1] = ((np.arange(ho) + 0.5) / factor - 0.5)[:, None]
-    rows = grid_sample_points(x, Tensor(pts.reshape(n, ho * wo, 2)))
+    # one grid, broadcast over the batch: the tape keeps it once
+    rows = grid_sample_points(x, Tensor(np.broadcast_to(pts.reshape(1, ho * wo, 2),
+                                                        (n, ho * wo, 2))))
     return transpose(reshape(rows, (n, ho, wo, c)), (0, 3, 1, 2))
 
 

@@ -328,9 +328,9 @@ class TestBilinearSample:
         # a shape alone: no feature is allocated, only one block of 3 points
         # per image
         n = shape[0]
-        blocks = list(_blocks(np.zeros((3 * n, 2), dtype=np.float32), 3, shape, np.float32))
-        assert [(lo, hi) for lo, hi, *_ in blocks] == [(3 * i, 3 * i + 3) for i in range(n)]
-        for _, _, indptr, cols, _ in blocks:
+        blocks = list(_blocks(np.zeros((n, 3, 2), dtype=np.float32), shape, np.float32))
+        assert [(img, lo, hi) for img, lo, hi, *_ in blocks] == [(i, 0, 3) for i in range(n)]
+        for _, _, _, indptr, cols, _ in blocks:
             assert indptr.dtype == cols.dtype == idx_t
 
     @pytest.mark.parametrize("y", [np.zeros((3, 4), dtype=np.float32)[:, ::2],

@@ -448,6 +448,21 @@ class TestAdam:
         with pytest.raises(TrainingError, match="blocks.3.weight"):
             opt.step()
 
+    def test_non_finite_gradient_updates_no_parameter(self):
+        # a caller that catches the error must not hold a half-stepped model
+        a = Parameter(np.array([1.0, -2.0], dtype=np.float32))
+        b = Parameter(np.ones(2, dtype=np.float32))
+        opt = Adam([("a", a), ("b", b)], lr=0.1)
+        a.grad = np.ones(2, dtype=np.float32)
+        opt.step()
+        state = [a.data.copy()] + [m.copy() for m in opt.m + opt.v]
+        b.grad = np.array([1.0, np.nan], dtype=np.float32)
+        with pytest.raises(TrainingError, match="non-finite gradient in b"):
+            opt.step()
+        assert opt.t == 1
+        for got, want in zip([a.data] + opt.m + opt.v, state):
+            np.testing.assert_array_equal(got, want)
+
 
 def _toy_pairs(n, seed, size=32):
     rng = np.random.default_rng(seed)

@@ -607,6 +607,17 @@ class TestUpsampleBilinear:
             assert out.data.dtype == np.float64
             np.testing.assert_allclose(out.data, upsample_oracle(x, factor), rtol=0, atol=1e-12)
 
+    def test_taped_upsample_keeps_one_grid_for_the_batch(self):
+        # the tape keeps the output and the sampler's (H'*W', 2) point grid,
+        # broadcast over the 4 images; a grid per image kept 4 of them, as
+        # much again as this 2-channel output
+        x = Tensor(np.ones((4, 2, 32, 32), dtype=np.float32), requires_grad=True)
+        T.upsample_bilinear(x, 2)  # the sampler's first call imports its kernels
+        out, _, kept = oracles.traced(T.upsample_bilinear, x, 2)
+        grid = 64 * 64 * 2 * 4
+        assert out.data.nbytes == 4 * grid
+        assert kept <= out.data.nbytes + 1.5 * grid, kept
+
     def test_empty_batch(self):
         x = Tensor(np.zeros((0, 2, 3, 4), dtype=np.float32), requires_grad=True)
         out = T.upsample_bilinear(x, 2)
@@ -912,6 +923,24 @@ class TestTapeInvariants:
             (a + b).sum().backward()
         np.testing.assert_array_equal(a.grad, [2.0, 2.0, 2.0])
         np.testing.assert_array_equal(b.grad, [2.0, 2.0, 2.0])
+
+    def test_gradient_functions_receive_c_contiguous_gradients(self):
+        # the tape's one layout rule: a transpose hands its operand a strided
+        # view, which the operand's node copies before its function reads it;
+        # a 0-d loss keeps its 0-d gradient
+        x = Tensor(np.arange(6, dtype=np.float32).reshape(2, 3), requires_grad=True)
+        seen = []
+
+        def record(g):
+            seen.append((g.shape, g.flags.c_contiguous))
+            return g
+
+        y = T._make(x.data * 2.0, (x, record))
+        loss = T._make(np.asarray(y.data.sum()), (T.transpose(y, (1, 0)),
+                                                 lambda g: np.full((3, 2), record(g))))
+        loss.backward()
+        assert seen == [((), True), ((2, 3), True)]
+        np.testing.assert_array_equal(x.grad, np.ones((2, 3)))
 
     def test_item_rejects_non_scalar_naming_shape(self):
         assert Tensor(np.array([[3.0]], dtype=np.float32)).item() == 3.0
