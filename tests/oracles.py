@@ -2,7 +2,10 @@
 
 Everything here is loop-level numpy/python with no imports from the package
 under test, so oracle results cannot inherit production bugs. ``traced`` is
-the tracemalloc harness the memory tests share.
+the tracemalloc harness the memory tests share. ``transpose_parameters`` and
+``flip_parameters`` map a state dict to the parameters under which the model
+commutes with a transpose or a W-flip of its input; they read parameter
+names, shapes and the config's fields, not the package.
 """
 
 import math
@@ -147,4 +150,69 @@ def clamped_row_conv_oracle(x, weights, bias, vertical=False):
                                 xx = min(max(ww + d, 0), w - 1)
                             acc += weights[co, ci, t] * x[nn, ci, yy, xx]
                     out[nn, co, hh, ww] = acc
+    return out
+
+
+def _swap_branches(state, name):
+    """The array that ``name`` takes from the other snake branch."""
+    for a, b in ((".branch_h.", ".branch_v."), (".branch_v.", ".branch_h.")):
+        if a in name:
+            return np.asarray(state[name.replace(a, b)])
+    return np.asarray(state[name])
+
+
+def transpose_parameters(state, cfg):
+    """The map T with ``model(xT; T theta) == model(x; theta)T``, xT the
+    input with H and W swapped.
+
+    Every spatial kernel is transposed: the (.., k, k) convs, pyramid levels
+    and spatial-attention kernels, and the depthwise (C, 3, 3) ones. The two
+    snake branches swap, and each pyramid level's (dx, dy, dx', dy') output
+    channels become (dy, dx, dy', dx'). That swaps the first two thirds of a
+    snake block's concat, so its channel attention (``w0`` columns, ``w1``
+    rows, ``wavg``, ``wmax``) and its ``fuse`` input channels are permuted
+    alike. Each ``attn.sr`` reads patches flattened (r_h, r_w, c), so its
+    weight columns reorder to (r_w, r_h, c).
+    """
+    out = {}
+    for name, a in state.items():
+        a = _swap_branches(state, name)
+        if ".pyramid." in name:
+            a = a[[1, 0, 3, 2]]
+        if name.startswith("enc.dsc.") and (".ca." in name or ".fuse.weight" in name):
+            cb = cfg.snake_widths[int(name.split(".")[2])]
+            perm = np.r_[cb:2 * cb, 0:cb, 2 * cb:3 * cb]
+            a = a[:, perm] if name.endswith((".w0", ".fuse.weight")) else a[perm]
+        if a.ndim == 4 or name.endswith(".dw_weight"):
+            a = a.swapaxes(-1, -2)
+        if name.endswith(".attn.sr.weight"):
+            c, cols = a.shape
+            r = math.isqrt(cols // c)
+            a = a.reshape(c, r, r, c).swapaxes(1, 2).reshape(c, cols)
+        out[name] = np.ascontiguousarray(a)
+    return out
+
+
+def flip_parameters(state):
+    """The map T' of a snake encoder's state with ``enc(x[..., ::-1]; T'
+    theta) == enc(x; theta)[..., ::-1]``, every output map flipped along W.
+
+    Every kernel flips along W. A snake conv with pyramid offsets reads its
+    chain backwards: each level's forward and backward steps swap and their
+    dy channels change sign (tanh is odd), and the chain weights reverse
+    along t. A frozen chain has no offsets to map: a horizontal one is read
+    backwards, and a vertical one is its own mirror image.
+    """
+    out = {}
+    for name, a in state.items():
+        a = np.asarray(a)
+        if ".pyramid." in name:
+            sign = np.array([1.0, -1.0, 1.0, -1.0]).reshape((4,) + (1,) * (a.ndim - 1))
+            a = a[[2, 3, 0, 1]] * sign
+        if name.endswith(".chain.weight") and (
+                ".branch_h." in name or name.replace(".chain.weight", ".pyramid.3.weight") in state):
+            a = a[..., ::-1]
+        if a.ndim == 4:
+            a = a[..., ::-1]
+        out[name] = np.ascontiguousarray(a)
     return out

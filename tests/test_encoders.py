@@ -6,7 +6,8 @@ import re
 import numpy as np
 import pytest
 
-from gradcheck import grad_check
+from gradcheck import grad_check, set_dtype
+from oracles import flip_parameters
 
 from serpentseg.encoders import (
     EfficientSelfAttention,
@@ -18,11 +19,33 @@ from serpentseg.encoders import (
 )
 from serpentseg.tensor import ContractViolation, Tensor, concat, mul, no_grad, relu
 from serpentseg.attention import attend
+from serpentseg.model import tiny_config
 
 
 def _zero_params(module):
     for _, p in module.named_parameters():
         p.data[:] = 0.0
+
+
+@pytest.mark.parametrize("conv_mode", ["vanilla", "dsconv", "enhanced"])
+def test_snake_encoder_commutes_with_a_w_flip(conv_mode):
+    # under the parameter map T', the encoder of an input flipped along W
+    # gives every stage's map flipped along W
+    cfg = tiny_config(seed=3, conv_mode=conv_mode)
+    enc = set_dtype(SnakeEncoder(cfg.image_channels, cfg.snake_widths,
+                                 np.random.default_rng(cfg.seed), conv_mode=conv_mode,
+                                 channel_attention=cfg.channel_attention, ratio=cfg.wcam_ratio),
+                    np.float64)
+    rng = np.random.default_rng(63)
+    state = {k: v + 0.05 * rng.standard_normal(v.shape) for k, v in enc.state_dict().items()}
+    x = rng.standard_normal((2, 1, 32, 64))
+    with no_grad():
+        enc.load_state_dict(state)
+        want = [f.data[..., ::-1] for f in enc(Tensor(x))]
+        enc.load_state_dict(flip_parameters(state))
+        got = [f.data for f in enc(Tensor(x[..., ::-1].copy()))]
+    for g, w in zip(got, want):
+        np.testing.assert_allclose(g, w, rtol=0, atol=1e-9)
 
 
 class TestSnakeBlock:

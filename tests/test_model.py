@@ -7,8 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gradcheck import FunctionModule, grad_check
-from oracles import traced
+from gradcheck import FunctionModule, grad_check, set_dtype
+from oracles import traced, transpose_parameters
 
 from serpentseg.metrics import confusion_counts, pixel_metrics
 from serpentseg.model import (
@@ -25,7 +25,7 @@ from serpentseg.model import (
     train_loop,
 )
 from serpentseg.module import Parameter, load_checkpoint, save_checkpoint
-from serpentseg.tensor import ContractViolation, Tensor
+from serpentseg.tensor import ContractViolation, Tensor, no_grad
 
 
 def micro_config(seed=0, **kw):
@@ -217,6 +217,24 @@ def test_frozen_chain_cam_checkpoint_keys_and_shapes_are_pinned():
                                  "model_keys_dsconv_cam.txt")
     assert len(got) == 238
     assert got == want
+
+
+@pytest.mark.parametrize("channel_attention", ["none", "cam", "wcam"])
+@pytest.mark.parametrize("conv_mode", ["vanilla", "dsconv", "enhanced"])
+def test_model_commutes_with_a_transpose_of_its_input(conv_mode, channel_attention):
+    # the two image axes are treated alike: under the parameter map T, the
+    # model of a transposed (here non-square) input is the transposed model
+    model = set_dtype(SnakeFormer(tiny_config(seed=3, conv_mode=conv_mode,
+                                              channel_attention=channel_attention)), np.float64)
+    rng = np.random.default_rng(62)
+    state = {k: v + 0.05 * rng.standard_normal(v.shape) for k, v in model.state_dict().items()}
+    x = rng.standard_normal((2, 1, 32, 64))
+    with no_grad():
+        model.load_state_dict(state)
+        want = model(Tensor(x)).data.transpose(0, 1, 3, 2)
+        model.load_state_dict(transpose_parameters(state, model.cfg))
+        got = model(Tensor(x.transpose(0, 1, 3, 2).copy())).data
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
 
 
 def test_tiny_config_rejects_unknown_override():
