@@ -251,12 +251,12 @@ class Adam:
         """Update every parameter that has a gradient; a non-finite gradient
         raises ``TrainingError`` before anything, ``t`` included, changes."""
         for name, p in self.named:
-            if p.grad is not None and not np.all(np.isfinite(p.grad)):
+            if p.grad is not None and not np.isfinite(p.grad).all():
                 raise TrainingError(f"non-finite gradient in {name}")
         self.t += 1
         bc1 = 1.0 - self.b1 ** self.t
         bc2 = 1.0 - self.b2 ** self.t
-        for i, (name, p) in enumerate(self.named):
+        for i, (_, p) in enumerate(self.named):
             g = p.grad
             if g is None:
                 continue

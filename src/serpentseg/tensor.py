@@ -926,8 +926,7 @@ def grid_sample_points(feature: Tensor, points: Tensor) -> Tensor:
                 d *= gb
                 gp[img, lo:hi, a] = d.sum(axis=1)
             # a coordinate clamped to the border has no gradient
-            pb = pd[img, lo:hi]
-            gp[img, lo:hi] *= (pb >= 0.0) & (pb <= top)
+            gp[img, lo:hi] *= (pd[img, lo:hi] >= 0.0) & (pd[img, lo:hi] <= top)
         return gp
 
     return _make(out, (feature, grad_feature), (points, grad_points))
@@ -945,8 +944,7 @@ def upsample_bilinear(x: Tensor, factor: int) -> Tensor:
     pts[..., 0] = (np.arange(wo) + 0.5) / factor - 0.5
     pts[..., 1] = ((np.arange(ho) + 0.5) / factor - 0.5)[:, None]
     # one grid, broadcast over the batch: the tape keeps it once
-    rows = grid_sample_points(x, Tensor(np.broadcast_to(pts.reshape(1, ho * wo, 2),
-                                                        (n, ho * wo, 2))))
+    rows = grid_sample_points(x, Tensor(np.broadcast_to(pts.reshape(1, -1, 2), (n, ho * wo, 2))))
     return transpose(reshape(rows, (n, ho, wo, c)), (0, 3, 1, 2))
 
 

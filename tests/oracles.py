@@ -175,7 +175,7 @@ def transpose_parameters(state, cfg):
     weight columns reorder to (r_w, r_h, c).
     """
     out = {}
-    for name, a in state.items():
+    for name in state:
         a = _swap_branches(state, name)
         if ".pyramid." in name:
             a = a[[1, 0, 3, 2]]
@@ -209,8 +209,8 @@ def flip_parameters(state):
         if ".pyramid." in name:
             sign = np.array([1.0, -1.0, 1.0, -1.0]).reshape((4,) + (1,) * (a.ndim - 1))
             a = a[[2, 3, 0, 1]] * sign
-        if name.endswith(".chain.weight") and (
-                ".branch_h." in name or name.replace(".chain.weight", ".pyramid.3.weight") in state):
+        learned = name.replace(".chain.weight", ".pyramid.3.weight") in state
+        if name.endswith(".chain.weight") and (learned or ".branch_h." in name):
             a = a[..., ::-1]
         if a.ndim == 4:
             a = a[..., ::-1]
