@@ -794,13 +794,13 @@ def _corners(pb: np.ndarray, first: int, h: int, w: int, idx_t, dtype):
 
 
 def _blocks(pd: np.ndarray, shape: tuple, dtype):
-    """The (N, M, 2) points ``pd`` of a (N, C, H, W) feature ``shape``, in
-    any layout (a grid broadcast over the batch, say), image by image, in
-    blocks of at most ``POINT_BLOCK`` consecutive points of one image:
-    yields (img, lo, hi, indptr, cols, wt) for points lo..hi of image img,
-    the CSR row pointers and ``_corners`` of the block, built when the block
-    is taken. Indices are int32 when a block's corners and the feature rows
-    fit in it, else int64: the rule scipy's sparse matrices apply."""
+    """The (N, M, 2) points ``pd`` of a (N, C, H, W) feature ``shape``,
+    image by image as given, in blocks of at most ``POINT_BLOCK``
+    consecutive points of one image: yields (img, lo, hi, indptr, cols, wt)
+    for points lo..hi of image img, the CSR row pointers and ``_corners`` of
+    the block, built when the block is taken. Indices are int32 when a
+    block's corners and the feature rows fit in it, else int64: the rule
+    scipy's sparse matrices apply."""
     n, _, h, w = shape
     m = pd.shape[1]
     size = max(min(POINT_BLOCK, m), 1)
@@ -862,7 +862,8 @@ def _feature_rows(fd: np.ndarray) -> np.ndarray:
 
 def grid_sample_points(feature: Tensor, points: Tensor) -> Tensor:
     """Bilinear reads of ``feature`` (N, C, H, W) at (x, y) points (N, M, 2),
-    returned as channel-last rows (N, M, C).
+    in any layout (one grid broadcast over the batch, say), returned as
+    channel-last rows (N, M, C).
 
     Points are clamped to the border before weighting; the gradient with
     respect to a clamped coordinate is zero. Differentiable in the feature
@@ -878,8 +879,9 @@ def grid_sample_points(feature: Tensor, points: Tensor) -> Tensor:
     feature gradient. The points' keeps the feature too: per block, the x
     and y derivative matrices, whose corner weights are the sampling
     weights with the derivative's axis replaced by (-1, 1), times the
-    feature rows, each reduced against the upstream gradient. When both
-    need a gradient each block is built twice. The sparse products
+    feature rows, each reduced against the upstream gradient; the feature
+    gradient is returned as a channel-first view of its channel-last rows.
+    When both need a gradient each block is built twice. The sparse products
     accumulate in place (``_spmm``), so every sum runs in point order, as
     one product of the whole map would: outputs and gradients do not depend
     on the block size.
