@@ -17,6 +17,7 @@ from .tensor import (
     ContractViolation,
     Tensor,
     _make,
+    check_map,
     concat,
     conv2d,
     linear,
@@ -50,11 +51,7 @@ class WeightedChannelAttention(Module):
         self.wmax = Parameter(np.ones(channels, dtype=np.float32))
 
     def forward(self, x: Tensor) -> Tensor:
-        n, c = x.data.shape[:2]
-        if c != self.channels:
-            raise ContractViolation(
-                f"input {x.data.shape} does not match {self.channels} channels"
-            )
+        n, c = check_map("WeightedChannelAttention", x, self.channels)[:2]
         favg, fmax = _pooled_rows(x)
         mixed = (mul(self.avg.mlp(favg), reshape(self.wavg, (1, c)))
                  + mul(self.max.mlp(fmax), reshape(self.wmax, (1, c))))
@@ -70,6 +67,7 @@ class ChannelAttention(Module):
                 f"reduction ratio {ratio} does not divide {channels} channels"
             )
         hidden = channels // ratio
+        self.channels = channels
         self.w0 = Parameter(_uniform(rng, (hidden, channels), 1.0 / np.sqrt(channels)))
         self.w1 = Parameter(_uniform(rng, (channels, hidden), 1.0 / np.sqrt(hidden)))
 
@@ -78,7 +76,7 @@ class ChannelAttention(Module):
         return linear(relu(linear(v, self.w0)), self.w1)
 
     def forward(self, x: Tensor) -> Tensor:
-        n, c = x.data.shape[:2]
+        n, c = check_map("ChannelAttention", x, self.channels)[:2]
         favg, fmax = _pooled_rows(x)
         return reshape(sigmoid(self.mlp(favg) + self.mlp(fmax)), (n, c, 1, 1))
 
@@ -91,6 +89,7 @@ class SpatialAttention(Module):
         self.bias = Parameter(np.zeros(1, dtype=np.float32))
 
     def forward(self, x: Tensor) -> Tensor:
+        check_map("SpatialAttention", x)
         mean_map = tmean(x, axis=1, keepdims=True)
         max_map = max_along(x, axis=1, keepdims=True)
         stacked = concat([mean_map, max_map], axis=1)
@@ -101,7 +100,7 @@ def attend(x: Tensor, ca: Module | None, sa: SpatialAttention) -> Tensor:
     """Gate (N, C, H, W) ``x`` channel-wise with the (N, C, 1, 1) gate of
     ``ca``, unless it is None, then spatially with the (N, 1, H, W) map of
     ``sa``, in one op whose gradients recompute the channel-gated map."""
-    n, c, h, w = x.data.shape
+    n, c, h, w = check_map("attend", x)
     sa_map = sa(x)
     if sa_map.data.shape != (n, 1, h, w):
         raise ContractViolation(f"spatial attention {sa_map.data.shape} does not match "

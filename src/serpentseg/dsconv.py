@@ -39,8 +39,8 @@ import math
 import numpy as np
 
 from .module import Conv2d, Module, Parameter, _uniform
-from .tensor import (ContractViolation, Tensor, _make, concat, conv2d, grid_sample_points, linear,
-                     reshape, tanh, transpose)
+from .tensor import (ContractViolation, Tensor, _make, check_map, concat, conv2d,
+                     grid_sample_points, linear, reshape, tanh, transpose)
 
 PYRAMID_KERNELS = (3, 5, 7, 9)
 CHAIN_LEN = 9
@@ -75,9 +75,7 @@ def chain_coordinates(steps: Tensor) -> Tensor:
     transposed matmul.
     """
     sd = steps.data
-    if sd.ndim != 4 or sd.shape[1] != OFFSET_CHANNELS:
-        raise ContractViolation(f"chain_coordinates: steps must be (N, 16, H, W), got {sd.shape}")
-    n, c, h, w = sd.shape
+    n, c, h, w = check_map("chain_coordinates", steps, OFFSET_CHANNELS)
     p = _prefix_matrix(sd.dtype)
     pts = (sd.reshape(n, c, h * w).transpose(0, 2, 1) @ p.T).reshape(n, h, w, CHAIN_LEN, 2)
     pts[..., 0] += np.arange(w, dtype=sd.dtype)[:, None]
@@ -91,9 +89,7 @@ def chain_contract(rows: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     a (Cout, Cin, 9) weight into (N, Cout, H, W): one ``linear``, whose
     channel-last output is handed on as a channel-first view."""
     cout, cin, t = weight.data.shape
-    if rows.data.ndim != 4 or rows.data.shape[3] != t * cin:
-        raise ContractViolation(
-            f"samples {rows.data.shape} do not match weight {weight.data.shape}")
+    check_map("chain_contract", rows, t * cin, "NHWC")
     return transpose(linear(rows, reshape(transpose(weight, (0, 2, 1)), (cout, t * cin)), bias),
                      (0, 3, 1, 2))
 
@@ -182,7 +178,7 @@ class SnakeConv2d(Module):
         Frozen instances carry no pyramid parameters: their steps are exact
         unit steps along the axis (a straight 9-point line).
         """
-        n, _, h, w = x.data.shape
+        n, _, h, w = check_map("SnakeConv2d.compute_pyramid_offsets", x, self.cin)
         if self.frozen_offsets:
             steps = np.zeros((n, OFFSET_CHANNELS, h, w), dtype=x.data.dtype)
             steps[:, (0 if self.axis == "horizontal" else 1)::2] = 1.0
@@ -190,11 +186,7 @@ class SnakeConv2d(Module):
         return tanh(self.pyramid(x))
 
     def forward(self, x: Tensor) -> Tensor:
-        n, c, h, w = x.data.shape
-        if c != self.cin:
-            raise ContractViolation(
-                f"input {x.data.shape} does not match configured {self.cin} channels"
-            )
+        n, c, h, w = check_map("SnakeConv2d", x, self.cin)
         points = chain_coordinates(self.compute_pyramid_offsets(x))
         sampled = reshape(grid_sample_points(x, points), (n, h, w, CHAIN_LEN * c))
         return chain_contract(sampled, self.chain.weight, self.chain.bias)

@@ -21,6 +21,7 @@ from .module import Conv2d, LayerNorm, Linear, Module, ModuleList, Parameter, _u
 from .tensor import (
     ContractViolation,
     Tensor,
+    check_map,
     concat,
     depthwise_conv3x3,
     gelu,
@@ -94,7 +95,7 @@ class SnakeEncoder(ModuleList):
                                    channel_attention=channel_attention, ratio=ratio))
 
     def forward(self, x: Tensor) -> list[Tensor]:
-        h, w = x.data.shape[2:]
+        h, w = check_map("SnakeEncoder", x)[2:]
         if h % 16 or w % 16:
             raise ContractViolation(f"snake encoder needs H, W divisible by 16, got {x.data.shape}")
         feats = []
@@ -140,11 +141,10 @@ class EfficientSelfAttention(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         r = self.reduction
-        shape = x.data.shape
-        if len(shape) != 4 or shape[3] != self.c or shape[1] % r or shape[2] % r:
-            raise ContractViolation(f"attention needs an (N, H, W, {self.c}) map with H, W "
-                                    f"divisible by reduction {r}, got {shape}")
-        n, h, w, c = shape
+        n, h, w, c = check_map("EfficientSelfAttention", x, self.c, "NHWC")
+        if h % r or w % r:
+            raise ContractViolation(f"EfficientSelfAttention: H, W must be divisible by "
+                                    f"reduction {r}, got shape {x.data.shape}")
         kv_src = self._reduce(x) if r > 1 else x
         d = c // self.heads
 
@@ -232,7 +232,7 @@ class MixTransformerEncoder(ModuleList):
                                          reductions[i], first=(i == 0), rng=rng))
 
     def forward(self, x: Tensor) -> list[Tensor]:
-        h, w = x.data.shape[2:]
+        h, w = check_map("MixTransformerEncoder", x)[2:]
         if h % 32 or w % 32:
             raise ContractViolation(
                 f"transformer encoder needs H, W divisible by 32, got {x.data.shape}"

@@ -28,6 +28,7 @@ from .tensor import (
     ContractViolation,
     Tensor,
     check_int,
+    check_map,
     concat,
     exp,
     log_softmax,
@@ -162,11 +163,9 @@ class SnakeFormer(Module):
         self.head = Conv2d(cfg.decoder_widths[4], 2, 1, rng=rng)  # background and crack logits
 
     def forward(self, image: Tensor) -> Tensor:
-        if image.data.ndim != 4:
-            raise ContractViolation(f"image must be (N, C, H, W), got shape {image.data.shape}")
+        h, w = check_map("SnakeFormer", image, self.cfg.image_channels)[2:]
         if not np.isfinite(image.data).all():
             raise ContractViolation(f"image of shape {image.data.shape} has NaN or Inf values")
-        h, w = image.data.shape[2:]
         # 32 for the 1/32 scale, and stage i's reduction must divide its 1/2^(i+2) grid
         side, why = 32, ""
         for i, (r, depth) in enumerate(zip(self.cfg.transformer_reductions,
@@ -192,9 +191,7 @@ class SnakeFormer(Module):
 def combined_loss(logits: Tensor, target) -> Tensor:
     """Mean pixel cross-entropy plus soft Dice on the crack-class probability."""
     t = np.asarray(target)
-    n, c, h, w = logits.data.shape
-    if c != 2:
-        raise ContractViolation(f"expected 2 logit channels, got {logits.data.shape}")
+    n, _, h, w = check_map("combined_loss", logits, 2)
     if t.shape != (n, h, w):
         raise ContractViolation(
             f"target shape {t.shape} does not match logits {logits.data.shape}"

@@ -61,7 +61,7 @@ class Module:
         return state
 
     def load_state_dict(self, state: dict[str, np.ndarray]):
-        """Load values: array-likes of the parameters' shapes, bool, int or float.
+        """Load values: finite array-likes of the parameters' shapes, bool, int or float.
 
         Every value is converted and checked before any is assigned, so a
         failed load leaves the model unchanged.
@@ -86,7 +86,10 @@ class Module:
                     f"shape mismatch for {name!r}: checkpoint {src.shape} vs model "
                     f"{own[name].data.shape}"
                 )
-            loaded[name] = src.astype(own[name].data.dtype)
+            with np.errstate(over="ignore"):  # a value out of the dtype's range is refused below
+                loaded[name] = src.astype(own[name].data.dtype)
+            if not np.isfinite(loaded[name]).all():
+                raise ContractViolation(f"{name!r} has NaN or Inf values as {loaded[name].dtype}")
         for name, value in loaded.items():
             own[name].data = value
 

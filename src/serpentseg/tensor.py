@@ -12,16 +12,23 @@ The tape is a graph of entries (``_Entry``), kept apart from the values.
 Only tensors that gradients reach have one: a ``requires_grad`` leaf (a
 ``Parameter``, say), whose entry holds its gradient, and an op output with a
 taped operand, whose entry also holds its parents' entries and its backward
-closure, but no array. An output's value is freed once the caller drops it,
-unless a gradient function reads it; a dropped pair frees whatever its
-function captured. The rule for every gradient function: capture only the
-arrays its own formula reads, never a tensor.
+closure, but no array. Nothing else has one, and no setter adds one:
+``requires_grad`` reads whether a tensor has an entry. An output's value is
+freed once the caller drops it, unless a gradient function reads it; a
+dropped pair frees whatever its function captured. The rule for every
+gradient function: capture only the arrays its own formula reads, never a
+tensor.
 
 One layout rule: a gradient function always receives a C-contiguous
 gradient. ``_make``'s closure copies a strided one once, before any of the
 node's functions runs, so no op copies a gradient for its layout and any op
 may return a strided view (a ``transpose``, a slice) as its operand's
 gradient.
+
+One map rule: a feature map is 4-d, (N, C, H, W), or channel-last
+(N, H, W, C) inside the transformer branch. Every op and module that takes
+one checks it, and its channel count where it knows one, with ``check_map``,
+which raises ``ContractViolation`` naming the op and the shape.
 
 Broadcasting is deliberately narrow: elementwise ops accept equal shapes or
 equal-rank shapes where one operand has size-1 axes (bias-add and per-channel
@@ -86,28 +93,33 @@ class Tensor:
     transformer branch; losses are 0-d. ``grad`` is filled by ``backward()``
     and has the same shape as ``data``. ``grad``, ``_parents`` and
     ``_backward`` live in the tensor's ``_Entry``, the node the tape records,
-    which only a ``requires_grad`` leaf or a taped op output has; without
-    one they read None, () and None, and setting ``grad`` or ``_backward``
-    gives the tensor a leaf entry.
+    which only a ``requires_grad`` leaf or a taped op output has, and
+    ``requires_grad`` reads whether it has one. Without one they read None,
+    () and None; setting ``grad`` to None or ``_backward`` to anything does
+    nothing, and setting ``grad`` to an array raises ``ContractViolation``.
     """
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data)
-        self.requires_grad = requires_grad
         self._entry = _Entry() if requires_grad else None  # ``_make`` gives taped outputs theirs
 
     # -- tape plumbing ------------------------------------------------------
 
-    def _node(self) -> _Entry:
-        if self._entry is None:
-            self._entry = _Entry()
-        return self._entry
+    def _set_grad(self, g) -> None:
+        if self._entry is not None:
+            self._entry.grad = g
+        elif g is not None:
+            raise ContractViolation(
+                f"cannot set the gradient of an untaped tensor of shape {self.data.shape}")
 
-    grad = property(lambda t: getattr(t._entry, "grad", None),
-                    lambda t, g: setattr(t._node(), "grad", g))
+    def _set_backward(self, fn) -> None:
+        if self._entry is not None:
+            self._entry._backward = fn
+
+    requires_grad = property(lambda t: t._entry is not None)
+    grad = property(lambda t: getattr(t._entry, "grad", None), _set_grad)
     _parents = property(lambda t: getattr(t._entry, "_parents", ()))
-    _backward = property(lambda t: getattr(t._entry, "_backward", None),
-                         lambda t, f: setattr(t._node(), "_backward", f))
+    _backward = property(lambda t: getattr(t._entry, "_backward", None), _set_backward)
 
     @property
     def shape(self):
@@ -123,7 +135,10 @@ class Tensor:
             raise ContractViolation(
                 f"backward() requires a scalar, got shape {self.data.shape}"
             )
-        self.grad = np.ones_like(self.data)  # first: an untaped scalar gets its entry
+        if self._entry is None:
+            raise ContractViolation(f"backward() of an untaped tensor of shape {self.data.shape}: "
+                                    f"made under no_grad, or from no taped input")
+        self.grad = np.ones_like(self.data)
         topo: list = []
         seen: set[int] = set()
         stack: list[tuple] = [(self._entry, False)]
@@ -223,6 +238,17 @@ def _check_axis(op: str, axis, shape: tuple, single=False, nonempty=False) -> tu
     if nonempty and any(shape[ax] == 0 for ax in axes):
         raise ContractViolation(f"{op}: empty axis {axis} in shape {shape}")
     return axes
+
+
+def check_map(op: str, t: Tensor, channels: int | None = None, layout: str = "NCHW") -> tuple:
+    """The shape of ``t``, a 4-d feature map in ``layout``: ``"NCHW"``, or
+    ``"NHWC"`` for a channel-last map, with ``channels`` on its C axis unless
+    that is None. Anything else raises ``ContractViolation`` naming ``op``."""
+    shape, c = t.data.shape, layout.index("C")
+    if len(shape) == 4 and channels in (None, shape[c]):
+        return shape
+    dims = ", ".join(str(channels) if a == "C" and channels is not None else a for a in layout)
+    raise ContractViolation(f"{op}: need an ({dims}) map, got shape {shape}")
 
 
 def _check_bias(op: str, bias: Tensor | None, cout: int) -> None:
@@ -647,11 +673,11 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     k - 1 - padding (at padding 0 and cropped when that is negative).
     """
     xd, wd = x.data, weight.data
-    if xd.ndim != 4 or wd.ndim != 4:
-        raise ContractViolation(f"conv2d: need 4-d input/weight, got {xd.shape}, {wd.shape}")
+    n, cin, h, w = check_map("conv2d", x)
+    if wd.ndim != 4:
+        raise ContractViolation(f"conv2d: need a 4-d weight, got shape {wd.shape}")
     check_int("conv2d: stride", stride, 1)
     check_int("conv2d: padding", padding, 0)
-    n, cin, h, w = xd.shape
     cout, cin_w, kh, kw = wd.shape
     if cin != cin_w:
         raise ContractViolation(
@@ -722,8 +748,7 @@ def depthwise_conv3x3(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> 
     gradient with the nine shifts of the padded input.
     """
     xd, wd = x.data, weight.data
-    if xd.ndim != 4:
-        raise ContractViolation(f"depthwise_conv3x3: need a 4-d input, got {xd.shape}")
+    check_map("depthwise_conv3x3", x, layout="NHWC")
     if wd.shape != (xd.shape[3], 3, 3):
         raise ContractViolation(
             f"depthwise_conv3x3: weight {wd.shape} does not match input {xd.shape}"
@@ -744,9 +769,7 @@ def depthwise_conv3x3(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> 
 
 def max_pool2(x: Tensor) -> Tensor:
     """2x2 max pooling, stride 2; ties go to the first position in row-major scan."""
-    if x.data.ndim != 4:
-        raise ContractViolation(f"max_pool2: need a 4-d input, got {x.data.shape}")
-    n, c, h, w = x.data.shape
+    n, c, h, w = check_map("max_pool2", x)
     if h % 2 or w % 2:
         raise ContractViolation(f"max_pool2: H and W must be even, got {x.data.shape}")
     # window axis first: the max is then three elementwise maxima of whole maps
@@ -887,14 +910,14 @@ def grid_sample_points(feature: Tensor, points: Tensor) -> Tensor:
     on the block size.
     """
     fd, pd = feature.data, points.data
-    if fd.ndim != 4:
-        raise ContractViolation(f"grid_sample_points: feature must be 4-d, got shape {fd.shape}")
-    n, c, h, w = fd.shape
+    n, c, h, w = check_map("grid_sample_points", feature)
     if pd.ndim != 3 or pd.shape[0] != n or pd.shape[2] != 2:
         raise ContractViolation(f"grid_sample_points: points {pd.shape} do not match "
                                 f"feature {fd.shape}: need (N, M, 2)")
-    if not all(np.issubdtype(a.dtype, np.floating) for a in (fd, pd)):
-        raise ContractViolation(f"grid_sample_points: dtypes {fd.dtype}, {pd.dtype} are not float")
+    # the sparse kernels run float32 and float64 only
+    if not all(a.dtype in (np.float32, np.float64) for a in (fd, pd)):
+        raise ContractViolation(f"grid_sample_points: dtypes {fd.dtype}, {pd.dtype} "
+                                f"are not float32 or float64")
     if not np.isfinite(pd).all():
         raise ContractViolation("grid_sample_points: non-finite sampling coordinate")
 
@@ -938,9 +961,7 @@ def upsample_bilinear(x: Tensor, factor: int) -> Tensor:
     """Bilinear upsampling with half-pixel sample centers: ``grid_sample_points``
     reads each output pixel's center, mapped onto the input, as an (N, C, H', W') view."""
     check_int("upsample_bilinear: factor", factor, 2)
-    if x.data.ndim != 4:
-        raise ContractViolation(f"upsample_bilinear: need a 4-d input, got {x.data.shape}")
-    n, c, h, w = x.data.shape
+    n, c, h, w = check_map("upsample_bilinear", x)
     ho, wo = h * factor, w * factor
     pts = np.empty((ho, wo, 2), dtype=x.data.dtype)
     pts[..., 0] = (np.arange(wo) + 0.5) / factor - 0.5

@@ -178,8 +178,8 @@ class TestIterateChain:
     @pytest.mark.parametrize("shape", [(16, 2, 3), (1, 16, 2, 3, 1), (1, 15, 2, 3)])
     def test_steps_that_are_not_n_16_h_w_rejected(self, shape):
         with pytest.raises(ContractViolation,
-                           match=re.escape(f"chain_coordinates: steps must be (N, 16, H, W), "
-                                           f"got {shape}")):
+                           match=re.escape(f"chain_coordinates: need an (N, 16, H, W) map, "
+                                           f"got shape {shape}")):
             chain_coordinates(Tensor(np.zeros(shape, dtype=np.float32)))
 
 

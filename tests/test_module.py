@@ -118,6 +118,21 @@ def test_failed_load_leaves_the_model_unchanged():
         np.testing.assert_array_equal(value, before[name], err_msg=name)
 
 
+@pytest.mark.parametrize("bad", [np.nan, -np.inf, 1e39])
+def test_load_rejects_nan_or_inf_naming_key_and_changes_nothing(bad):
+    # the next forward would otherwise fail in the sampler, naming neither;
+    # 1e39 is finite in float64 but not in the parameters' float32
+    net = _Net(np.random.default_rng(3))
+    before = net.state_dict()
+    state = {k: v.astype(np.float64)
+             for k, v in _Net(np.random.default_rng(5)).state_dict().items()}
+    state["stem.weight"][0, 0, 1, 2] = bad  # the last key in name order
+    with pytest.raises(ContractViolation, match="'stem.weight' has NaN or Inf"):
+        net.load_state_dict(state)
+    for name, value in net.state_dict().items():
+        np.testing.assert_array_equal(value, before[name], err_msg=name)
+
+
 def test_load_rejects_missing_keys():
     net = _Net(np.random.default_rng(4))
     state = net.state_dict()

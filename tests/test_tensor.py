@@ -591,6 +591,11 @@ class TestUpsampleBilinear:
         with pytest.raises(ContractViolation, match=r"upsample_bilinear: .*\(1, 2, 2\)"):
             T.upsample_bilinear(Tensor(np.zeros((1, 2, 2), dtype=np.float32)), 2)
 
+    def test_float16_map_raises_naming_the_dtypes(self):
+        # conv2d runs float16, but the sampler's sparse kernels do not
+        with pytest.raises(ContractViolation, match="grid_sample_points: dtypes float16, float16"):
+            T.upsample_bilinear(Tensor(np.zeros((1, 1, 2, 2), dtype=np.float16)), 2)
+
     def test_non_int_factor_raises(self):
         with pytest.raises(ContractViolation, match="upsample_bilinear: factor must be an int"):
             T.upsample_bilinear(Tensor(np.zeros((1, 1, 2, 2), dtype=np.float32)), 2.5)
@@ -941,6 +946,31 @@ class TestTapeInvariants:
         loss.backward()
         assert seen == [((), True), ((2, 3), True)]
         np.testing.assert_array_equal(x.grad, np.ones((2, 3)))
+
+    def test_requires_grad_reads_whether_the_tape_records_the_tensor(self):
+        x = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
+        assert x.requires_grad and not Tensor(np.ones(3)).requires_grad
+        assert (x * 2.0).requires_grad
+        with T.no_grad():
+            assert not (x * 2.0).requires_grad
+
+    def test_clearing_the_grad_of_an_untaped_input_keeps_it_untaped(self):
+        x = Tensor(np.ones((1, 1, 4, 4), dtype=np.float32))
+        w = Tensor(np.ones((1, 1, 3, 3), dtype=np.float32), requires_grad=True)
+        x.grad = None
+        T.conv2d(x, w, padding=1).sum().backward()
+        assert x.grad is None and not x.requires_grad
+        assert w.grad is not None
+        with pytest.raises(ContractViolation, match=r"untaped tensor of shape \(1, 1, 4, 4\)"):
+            x.grad = np.zeros((1, 1, 4, 4), dtype=np.float32)
+
+    def test_backward_of_a_loss_made_under_no_grad_raises(self):
+        w = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
+        with T.no_grad():
+            loss = (w * w).sum()
+        with pytest.raises(ContractViolation, match=r"untaped tensor of shape \(\)"):
+            loss.backward()
+        assert w.grad is None
 
     def test_item_rejects_non_scalar_naming_shape(self):
         assert Tensor(np.array([[3.0]], dtype=np.float32)).item() == 3.0
