@@ -17,6 +17,7 @@ from .tensor import (
     ContractViolation,
     Tensor,
     _make,
+    check_int,
     check_map,
     concat,
     conv2d,
@@ -62,6 +63,8 @@ class ChannelAttention(Module):
     """Shared-MLP channel attention: sigmoid(MLP(avg) + MLP(max))."""
 
     def __init__(self, channels: int, ratio: int = 8, *, rng: np.random.Generator):
+        check_int("ChannelAttention: channels", channels, 1)
+        check_int("ChannelAttention: ratio", ratio, 1)
         if channels % ratio:
             raise ContractViolation(
                 f"reduction ratio {ratio} does not divide {channels} channels"

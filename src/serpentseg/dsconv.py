@@ -39,7 +39,7 @@ import math
 import numpy as np
 
 from .module import Conv2d, Module, Parameter, _uniform
-from .tensor import (ContractViolation, Tensor, _make, check_map, concat, conv2d,
+from .tensor import (ContractViolation, Tensor, _make, check_int, check_map, concat, conv2d,
                      grid_sample_points, linear, reshape, tanh, transpose)
 
 PYRAMID_KERNELS = (3, 5, 7, 9)
@@ -157,6 +157,8 @@ class SnakeConv2d(Module):
 
     def __init__(self, cin: int, cout: int, axis: str, rng: np.random.Generator,
                  frozen_offsets: bool = False):
+        check_int("SnakeConv2d: cin", cin, 1)
+        check_int("SnakeConv2d: cout", cout, 1)
         if axis not in ("horizontal", "vertical"):
             raise ContractViolation(f"axis must be horizontal|vertical, got {axis!r}")
         self.axis = axis

@@ -21,6 +21,7 @@ from .module import Conv2d, LayerNorm, Linear, Module, ModuleList, Parameter, _u
 from .tensor import (
     ContractViolation,
     Tensor,
+    check_int,
     check_map,
     concat,
     depthwise_conv3x3,
@@ -118,6 +119,8 @@ class EfficientSelfAttention(Module):
 
     def __init__(self, c: int, heads: int, reduction: int,
                  rng: np.random.Generator):
+        for name, value in (("c", c), ("heads", heads), ("reduction", reduction)):
+            check_int(f"EfficientSelfAttention: {name}", value, 1)
         if c % heads:
             raise ContractViolation(f"channels {c} not divisible by heads {heads}")
         self.c = c

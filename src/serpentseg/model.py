@@ -336,16 +336,15 @@ def train_loop(model: SnakeFormer, train_pairs, val_pairs, epochs: int,
         losses = []
         for bi, lo in enumerate(range(0, len(order), batch_size)):
             imgs, masks = _as_batch(train_pairs, order[lo:lo + batch_size])
+            # before the forward, the step's peak: it then holds no gradients of the last step
+            model.zero_grad()
             logits = model(Tensor(imgs))
             loss = combined_loss(logits, masks)
             value = loss.item()
             if not np.isfinite(value):
                 raise TrainingError(f"non-finite loss at epoch {epoch} batch {bi}")
-            model.zero_grad()
-            loss.backward()
-            # the step's tape is reachable from both: dropped here, it is freed
-            # before the update, not kept through the next batch
-            del logits, loss
+            loss.backward()  # consumes the step's tape, which then holds no arrays
+            del logits, loss  # the logits' own array goes before the update too
             opt.step()
             losses.append(value)
         val = evaluate_model(model, val_pairs, batch_size).mean

@@ -12,10 +12,11 @@ import math
 import os
 import struct
 import threading
+from collections.abc import Mapping
 
 import numpy as np
 
-from .tensor import ContractViolation, Tensor, conv2d, layer_norm, linear
+from .tensor import ContractViolation, Tensor, check_int, conv2d, layer_norm, linear
 
 
 class Parameter(Tensor):
@@ -66,6 +67,9 @@ class Module:
         Every value is converted and checked before any is assigned, so a
         failed load leaves the model unchanged.
         """
+        if not isinstance(state, Mapping):
+            raise ContractViolation(f"state must be a mapping of names to arrays, "
+                                    f"got {type(state).__name__}")
         own = dict(self.named_parameters())
         missing = sorted(set(own) - set(state))
         extra = sorted(set(state) - set(own))
@@ -129,6 +133,8 @@ class Conv2d(Module):
 
     def __init__(self, cin: int, cout: int, k: int, stride: int = 1, padding: int = 0, *,
                  rng: np.random.Generator):
+        for name, value in (("cin", cin), ("cout", cout), ("k", k)):
+            check_int(f"Conv2d: {name}", value, 1)
         self.stride = stride
         self.padding = padding
         bound = 1.0 / np.sqrt(cin * k * k)
@@ -141,6 +147,8 @@ class Conv2d(Module):
 
 class Linear(Module):
     def __init__(self, cin: int, cout: int, *, rng: np.random.Generator):
+        check_int("Linear: cin", cin, 1)
+        check_int("Linear: cout", cout, 1)
         bound = 1.0 / np.sqrt(cin)
         self.weight = Parameter(_uniform(rng, (cout, cin), bound))
         self.bias = Parameter(_uniform(rng, (cout,), bound))
@@ -172,9 +180,26 @@ class CheckpointError(ValueError):
 
 
 def save_checkpoint(path, state: dict[str, np.ndarray]) -> None:
+    """Write ``state``, str names to numeric arrays, to ``path``; a name or
+    value it cannot write raises ``CheckpointError`` before anything is written."""
+    if not isinstance(state, Mapping):
+        raise CheckpointError(f"state must be a mapping of names to arrays, got "
+                              f"{type(state).__name__}; nothing written")
+    for name in state:
+        if not isinstance(name, str):
+            raise CheckpointError(f"name {name!r} is not a str; nothing written")
     chunks = [MAGIC, struct.pack("<I", len(state))]
     for name in sorted(state):
-        arr = np.ascontiguousarray(state[name], dtype="<f4")
+        try:
+            arr = np.asarray(state[name])
+        except (TypeError, ValueError) as e:
+            raise CheckpointError(f"{name!r} is not a numeric array ({e}); nothing written") \
+                from None
+        # as ``load_state_dict`` reads values: a complex one would lose its imaginary part
+        if arr.dtype.kind not in "biuf":
+            raise CheckpointError(f"{name!r} is not a numeric array: dtype {arr.dtype}; "
+                                  f"nothing written")
+        arr = np.ascontiguousarray(arr, dtype="<f4")
         # ``load_checkpoint`` refuses non-finite values, so never write one
         if not np.isfinite(arr).all():
             raise CheckpointError(f"non-finite value in {name!r}; nothing written")

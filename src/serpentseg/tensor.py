@@ -19,6 +19,12 @@ dropped pair frees whatever its function captured. The rule for every
 gradient function: capture only the arrays its own formula reads, never a
 tensor.
 
+``backward()`` consumes the tape: once a node's closure has run, it is
+swapped for ``_consumed``, so each node's arrays go as the backward passes
+it and a train step's memory peaks in its forward. The entries stay, with
+their parents but no arrays, and a second ``backward()`` that reaches one
+raises ``ContractViolation`` before it changes any gradient.
+
 One layout rule: a gradient function always receives a C-contiguous
 gradient. ``_make``'s closure copies a strided one once, before any of the
 node's functions runs, so no op copies a gradient for its layout and any op
@@ -63,6 +69,12 @@ def no_grad():
         yield
     finally:
         _GRAD_ENABLED.reset(token)
+
+
+def _consumed(g):
+    """The backward closure of a node whose closure an earlier ``backward()``
+    ran and dropped; ``backward()`` refuses to reach such a node."""
+    raise ContractViolation("backward(): an earlier backward() consumed this tape")
 
 
 class _Entry:
@@ -130,7 +142,16 @@ class Tensor:
         return self.data.dtype
 
     def backward(self) -> None:
-        """Backpropagate from this scalar through the recorded tape."""
+        """Backpropagate from this scalar through the recorded tape, consuming it.
+
+        Each node's closure is swapped for ``_consumed`` as soon as it has
+        run, so the arrays it captured are freed as the backward passes the
+        node, not when the loss is dropped; the node keeps its parents. A
+        later ``backward()`` that would reach a consumed node, from this loss
+        or from a new one built on it, raises ``ContractViolation`` before it
+        changes any gradient. Leaf gradients accumulate across calls on
+        different tapes.
+        """
         if self.data.size != 1:
             raise ContractViolation(
                 f"backward() requires a scalar, got shape {self.data.shape}"
@@ -138,7 +159,6 @@ class Tensor:
         if self._entry is None:
             raise ContractViolation(f"backward() of an untaped tensor of shape {self.data.shape}: "
                                     f"made under no_grad, or from no taped input")
-        self.grad = np.ones_like(self.data)
         topo: list = []
         seen: set[int] = set()
         stack: list[tuple] = [(self._entry, False)]
@@ -149,17 +169,23 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
+            if node._backward is _consumed:  # checked before any gradient changes
+                raise ContractViolation(
+                    f"backward() of a loss of shape {self.data.shape}: an earlier backward() "
+                    f"consumed this tape; run the forward again to backpropagate again")
             seen.add(id(node))
             stack.append((node, True))
             for p in node._parents:
                 if id(p) not in seen:
                     stack.append((p, False))
+        self.grad = np.ones_like(self.data)
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
-                # leaf grads accumulate across calls; a kept intermediate grad
-                # would be added in again by the next backward()
-                node.grad = None
+                # leaf grads accumulate across calls; an intermediate's grad
+                # and closure go now, and with the closure every array its
+                # gradient functions captured
+                node.grad, node._backward = None, _consumed
 
     # -- operator sugar ------------------------------------------------------
 
@@ -883,6 +909,48 @@ def _feature_rows(fd: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(fd.transpose(0, 2, 3, 1)).reshape(n * h * w, c)
 
 
+def _sampler_grads(g: np.ndarray, pd: np.ndarray, shape: tuple, dtype, feature: bool,
+                   fd: np.ndarray | None) -> tuple:
+    """The gradients of ``grid_sample_points``' output for the upstream ``g``,
+    in one walk of the blocks of the points ``pd``, each block's corners
+    built once: the feature's, of ``shape``, if ``feature``, and the points',
+    which reads the feature ``fd``, unless that is None; an absent one is None.
+
+    The feature's adds each block's sampling matrix, transposed, times that
+    block of ``g`` into channel-last rows, returned as a channel-first view.
+    The points' takes, per block, the x and y derivative matrices, whose
+    corner weights are the sampling weights with the derivative's axis
+    replaced by (-1, 1), times the feature rows, each reduced against ``g``.
+    """
+    n, c, h, w = shape
+    m = pd.shape[1]
+    g = g.astype(dtype, copy=False)
+    gf = np.zeros((n * h * w, c), dtype=dtype) if feature else None
+    gp = None
+    if fd is not None:
+        rows = _feature_rows(fd)
+        step = np.array([-1.0, 1.0], dtype=dtype)
+        gp = np.empty((n, m, 2), dtype=dtype)
+        top = np.array([w - 1, h - 1], dtype=pd.dtype)
+        deriv = np.empty(min(POINT_BLOCK, m) * c, dtype=dtype)
+    for img, lo, hi, indptr, cols, wt in _blocks(pd, shape, dtype):
+        gb = g[img, lo:hi]
+        if gf is not None:
+            _spmm(indptr, cols, _corner_values(wt[1], wt[0]), gb, gf, transposed=True)
+        if gp is None:
+            continue
+        d = deriv[:gb.size].reshape(gb.shape)
+        for a, (ay, ax) in enumerate(((wt[1], step), (step, wt[0]))):
+            d.fill(0)
+            _spmm(indptr, cols, _corner_values(ay, ax), rows, d)
+            np.einsum("pc,pc->p", d, gb, out=gp[img, lo:hi, a])
+        # a coordinate clamped to the border has no gradient
+        gp[img, lo:hi] *= (pd[img, lo:hi] >= 0.0) & (pd[img, lo:hi] <= top)
+    if gf is not None:
+        gf = gf.reshape(n, h, w, c).transpose(0, 3, 1, 2)
+    return gf, gp
+
+
 def grid_sample_points(feature: Tensor, points: Tensor) -> Tensor:
     """Bilinear reads of ``feature`` (N, C, H, W) at (x, y) points (N, M, 2),
     in any layout (one grid broadcast over the batch, say), returned as
@@ -896,18 +964,14 @@ def grid_sample_points(feature: Tensor, points: Tensor) -> Tensor:
     consecutive points (``_blocks``), each built, applied and dropped before
     the next, so a call's scratch is bounded by the block, not the map.
 
-    There are two gradient functions, each rebuilding the blocks from the
-    points, which the tape keeps. The feature's adds each block's sampling
-    matrix, transposed, times that block of the upstream gradient into the
-    feature gradient. The points' keeps the feature too: per block, the x
-    and y derivative matrices, whose corner weights are the sampling
-    weights with the derivative's axis replaced by (-1, 1), times the
-    feature rows, each reduced against the upstream gradient; the feature
-    gradient is returned as a channel-first view of its channel-last rows.
-    When both need a gradient each block is built twice. The sparse products
-    accumulate in place (``_spmm``), so every sum runs in point order, as
-    one product of the whole map would: outputs and gradients do not depend
-    on the block size.
+    Backward rebuilds the blocks from the points, which the tape keeps, and
+    takes both gradients in one walk of them (``_sampler_grads``): when both
+    operands are taped, the feature's function computes both and holds the
+    points' for the points' function, which ``_make`` calls next with the
+    same gradient. Only a taped points operand keeps the feature. The sparse
+    products accumulate in place (``_spmm``), so every sum runs in point
+    order, as one product of the whole map would: outputs and gradients do
+    not depend on the block size.
     """
     fd, pd = feature.data, points.data
     n, c, h, w = check_map("grid_sample_points", feature)
@@ -926,33 +990,18 @@ def grid_sample_points(feature: Tensor, points: Tensor) -> Tensor:
     out = np.zeros((n, m, c), dtype=fd.dtype)
     for img, lo, hi, indptr, cols, wt in _blocks(pd, fd.shape, fd.dtype):
         _spmm(indptr, cols, _corner_values(wt[1], wt[0]), rows, out[img, lo:hi])
-    dtype, shape = fd.dtype, fd.shape  # not ``fd``: only the points' function keeps it
+    dtype, shape = fd.dtype, fd.shape
+    kept = fd if _tape(points) is not None else None  # only the points' gradient reads it
+    held = []
 
     def grad_feature(g):
-        g = g.astype(dtype, copy=False)
-        gf = np.zeros((n * h * w, c), dtype=dtype)
-        for img, lo, hi, indptr, cols, wt in _blocks(pd, shape, dtype):
-            _spmm(indptr, cols, _corner_values(wt[1], wt[0]), g[img, lo:hi], gf, transposed=True)
-        return gf.reshape(n, h, w, c).transpose(0, 3, 1, 2)
+        gf, gp = _sampler_grads(g, pd, shape, dtype, True, kept)
+        if gp is not None:
+            held.append(gp)
+        return gf
 
     def grad_points(g):
-        g = g.astype(dtype, copy=False)
-        rows = _feature_rows(fd)
-        step = np.array([-1.0, 1.0], dtype=dtype)
-        gp = np.empty((n, m, 2), dtype=dtype)
-        top = np.array([w - 1, h - 1], dtype=pd.dtype)
-        deriv = np.empty(min(POINT_BLOCK, m) * c, dtype=dtype)
-        for img, lo, hi, indptr, cols, wt in _blocks(pd, shape, dtype):
-            gb = g[img, lo:hi]
-            d = deriv[:gb.size].reshape(gb.shape)
-            for a, (ay, ax) in enumerate(((wt[1], step), (step, wt[0]))):
-                d.fill(0)
-                _spmm(indptr, cols, _corner_values(ay, ax), rows, d)
-                d *= gb
-                gp[img, lo:hi, a] = d.sum(axis=1)
-            # a coordinate clamped to the border has no gradient
-            gp[img, lo:hi] *= (pd[img, lo:hi] >= 0.0) & (pd[img, lo:hi] <= top)
-        return gp
+        return held.pop() if held else _sampler_grads(g, pd, shape, dtype, False, kept)[1]
 
     return _make(out, (feature, grad_feature), (points, grad_points))
 

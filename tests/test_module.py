@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from serpentseg.attention import ChannelAttention, SpatialAttention, WeightedChannelAttention
+from serpentseg.dsconv import SnakeConv2d
+from serpentseg.encoders import EfficientSelfAttention
 from serpentseg.module import (
     CheckpointError,
     Conv2d,
@@ -133,6 +135,25 @@ def test_load_rejects_nan_or_inf_naming_key_and_changes_nothing(bad):
         np.testing.assert_array_equal(value, before[name], err_msg=name)
 
 
+@pytest.mark.parametrize("state", [None, [("scale", np.ones(2))], "scale"])
+def test_load_rejects_a_state_that_is_not_a_mapping(state):
+    with pytest.raises(ContractViolation, match="state must be a mapping .* got " +
+                       type(state).__name__):
+        _Net(np.random.default_rng(3)).load_state_dict(state)
+
+
+@pytest.mark.parametrize("build,named", [
+    (lambda rng: Conv2d(0, 4, 3, rng=rng), "Conv2d: cin"),
+    (lambda rng: Linear(0, 4, rng=rng), "Linear: cin"),
+    (lambda rng: ChannelAttention(4, ratio=0, rng=rng), "ChannelAttention: ratio"),
+    (lambda rng: EfficientSelfAttention(4, 0, 1, rng), "EfficientSelfAttention: heads"),
+    (lambda rng: SnakeConv2d(0, 4, "horizontal", rng), "SnakeConv2d: cin"),
+])
+def test_zero_size_constructor_argument_raises_naming_it(build, named):
+    with pytest.raises(ContractViolation, match=f"{named} must be an int >= 1, got 0"):
+        build(np.random.default_rng(0))
+
+
 def test_load_rejects_missing_keys():
     net = _Net(np.random.default_rng(4))
     state = net.state_dict()
@@ -232,6 +253,18 @@ class TestCheckpointFile:
                  "w": np.array([1.0, bad, 2.0], dtype=np.float32)}
         with pytest.raises(CheckpointError, match="non-finite value in 'w'"):
             save_checkpoint(path, state)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("state,named", [
+        (None, "state must be a mapping of names to arrays, got NoneType"),
+        ({1: np.ones(2, dtype=np.float32)}, "name 1 is not a str"),
+        ({"a": "s"}, "'a' is not a numeric array"),
+        ({"a": np.ones(2), "w": [[1.0], [2.0, 3.0]]}, "'w' is not a numeric array"),
+        ({"w": np.ones(2) + 1j}, "'w' is not a numeric array: dtype complex128"),
+    ])
+    def test_unwritable_name_or_value_raises_naming_it(self, tmp_path, state, named):
+        with pytest.raises(CheckpointError, match=f"{named}.*nothing written"):
+            save_checkpoint(tmp_path / "bad.spt", state)
         assert list(tmp_path.iterdir()) == []
 
     def test_failed_save_keeps_old_file(self, tmp_path, monkeypatch):

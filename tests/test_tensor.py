@@ -911,13 +911,40 @@ class TestTapeInvariants:
         y.sum().backward()
         assert x.grad[0] == pytest.approx(2 * 2.0 + 3.0)
 
-    def test_second_backward_adds_the_same_leaf_grad(self):
+    def test_second_backward_through_a_consumed_tape_raises(self):
         x = Tensor(np.array([1.0], dtype=np.float32), requires_grad=True)
         y = (x * 3.0) * 2.0
         y.backward()
         assert x.grad[0] == 6.0
-        y.backward()
-        assert x.grad[0] == 12.0
+        with pytest.raises(ContractViolation, match="earlier backward.. consumed this tape"):
+            y.backward()
+        assert x.grad[0] == 6.0
+
+    def test_backward_frees_what_a_closure_captured_while_the_loss_lives(self):
+        rng = np.random.default_rng(24)
+        x = Tensor(rng.standard_normal((1, 2, 5, 5)), requires_grad=True)
+        w = Tensor(rng.standard_normal((3, 2, 3, 3)), requires_grad=True)
+        h = x * 2.0  # an op output whose array only the conv's weight gradient keeps
+        loss = T.conv2d(h, w, padding=1).sum()
+        ref = weakref.ref(h.data)
+        del h
+        assert ref() is not None
+        loss.backward()
+        assert ref() is None
+        # the consumed entries keep their parents, and a closure that is not None
+        assert loss._backward is not None and loss._parents
+
+    def test_a_new_loss_on_a_consumed_tape_raises_before_any_gradient_changes(self):
+        x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        w = Tensor(np.array([3.0, 4.0]), requires_grad=True)
+        y = x * 3.0
+        y.sum().backward()
+        # w reaches the new loss only through new nodes, which would run first
+        loss = (y * w + w * w).sum()
+        with pytest.raises(ContractViolation, match="consumed this tape"):
+            loss.backward()
+        np.testing.assert_array_equal(x.grad, [3.0, 3.0])
+        assert w.grad is None and loss.grad is None
 
     def test_shared_first_grad_is_never_accumulated_in_place(self):
         # add hands one upstream gradient to both parents; a later backward must
