@@ -136,9 +136,6 @@ class PyramidConv2d(Conv2d):
             setattr(self, str(k), WeightBias(
                 Parameter(np.zeros((4, cin, k, k), dtype=np.float32)), Parameter(bias.copy())))
 
-    def __iter__(self):
-        return iter(self._modules.values())
-
     def forward(self, x: Tensor) -> Tensor:
         levels = list(self)
         return conv2d(x, _embed_kernels([lvl.weight for lvl in levels]),

@@ -17,7 +17,7 @@ import numpy as np
 
 from .attention import ChannelAttention, SpatialAttention, WeightedChannelAttention, attend
 from .dsconv import SnakeConv2d
-from .module import Conv2d, LayerNorm, Linear, Module, ModuleList, Parameter, _uniform
+from .module import Conv2d, LayerNorm, Linear, Module, Parameter, _uniform
 from .tensor import (
     ContractViolation,
     Tensor,
@@ -83,7 +83,7 @@ class SnakeBlock(Module):
         return fused + res
 
 
-class SnakeEncoder(ModuleList):
+class SnakeEncoder(Module):
     """Five snake blocks with max pooling in between: 1/1 .. 1/16 features."""
 
     def __init__(self, cin: int, widths, rng: np.random.Generator,
@@ -91,21 +91,18 @@ class SnakeEncoder(ModuleList):
                  ratio: int = 8):
         if len(widths) != 5:
             raise ContractViolation(f"snake encoder takes 5 stage widths, got {widths}")
-        for prev, w in zip((cin, *widths), widths):
-            self.append(SnakeBlock(prev, w, w, rng, conv_mode=conv_mode,
-                                   channel_attention=channel_attention, ratio=ratio))
+        for i, (prev, w) in enumerate(zip((cin, *widths), widths)):
+            setattr(self, str(i), SnakeBlock(prev, w, w, rng, conv_mode=conv_mode,
+                                             channel_attention=channel_attention, ratio=ratio))
 
     def forward(self, x: Tensor) -> list[Tensor]:
         h, w = check_map("SnakeEncoder", x)[2:]
         if h % 16 or w % 16:
             raise ContractViolation(f"snake encoder needs H, W divisible by 16, got {x.data.shape}")
         feats = []
-        cur = x
-        for i, stage in enumerate(self):
-            if i > 0:
-                cur = max_pool2(cur)
-            cur = stage(cur)
-            feats.append(cur)
+        for stage in self:
+            x = stage(max_pool2(x) if feats else x)
+            feats.append(x)
         return feats
 
 
@@ -210,20 +207,18 @@ class TransformerStage(Module):
 
     def __init__(self, cin: int, cout: int, depth: int, heads: int, reduction: int,
                  first: bool, rng: np.random.Generator):
-        self.depth = depth
         self.embed = OverlapPatchEmbed(cin, cout, first, rng)
         for b in range(depth):
             setattr(self, str(b), TransformerBlock(cout, heads, reduction, rng))
         self.norm = LayerNorm(cout)
 
     def forward(self, x: Tensor) -> Tensor:
-        t = self.embed(x)
-        for b in range(self.depth):
-            t = getattr(self, str(b))(t)
-        return transpose(self.norm(t), (0, 3, 1, 2))
+        for child in self:  # embed, the blocks "0", "1", ..., norm
+            x = child(x)
+        return transpose(x, (0, 3, 1, 2))
 
 
-class MixTransformerEncoder(ModuleList):
+class MixTransformerEncoder(Module):
     """Four-stage hierarchical encoder: 1/4, 1/8, 1/16, 1/32 feature maps."""
 
     def __init__(self, cin: int, widths, depths, heads, reductions,
@@ -231,8 +226,8 @@ class MixTransformerEncoder(ModuleList):
         if not (len(widths) == len(depths) == len(heads) == len(reductions) == 4):
             raise ContractViolation("transformer encoder takes 4-entry config lists")
         for i, prev in enumerate((cin, *widths[:3])):
-            self.append(TransformerStage(prev, widths[i], depths[i], heads[i],
-                                         reductions[i], first=(i == 0), rng=rng))
+            setattr(self, str(i), TransformerStage(prev, widths[i], depths[i], heads[i],
+                                                   reductions[i], first=(i == 0), rng=rng))
 
     def forward(self, x: Tensor) -> list[Tensor]:
         h, w = check_map("MixTransformerEncoder", x)[2:]
@@ -241,8 +236,7 @@ class MixTransformerEncoder(ModuleList):
                 f"transformer encoder needs H, W divisible by 32, got {x.data.shape}"
             )
         feats = []
-        cur = x
         for stage in self:
-            cur = stage(cur)
-            feats.append(cur)
+            x = stage(x)
+            feats.append(x)
         return feats

@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 from scipy.ndimage import distance_transform_edt
 
-from .tensor import ContractViolation
+from .tensor import ContractViolation, _is_int
 
 
 @dataclass
@@ -69,9 +69,12 @@ def confusion_counts(pred, gt) -> tuple[int, int, int, int]:
 
 
 def pixel_metrics(counts) -> tuple[float, float, float, float]:
+    """IoU, precision, recall and F1 of the counts (tp, fp, fn, tn), four ints >= 0."""
+    if not (isinstance(counts, (tuple, list)) and len(counts) == 4
+            and all(_is_int(c) and c >= 0 for c in counts)):
+        raise ContractViolation(f"pixel_metrics: need 4 int confusion counts >= 0 "
+                                f"(tp, fp, fn, tn), got {counts!r}")
     tp, fp, fn, _ = counts
-    if min(tp, fp, fn) < 0:
-        raise ContractViolation(f"negative confusion counts {counts}")
     if tp + fp + fn == 0:
         return 1.0, 1.0, 1.0, 1.0
     iou = tp / (tp + fp + fn)
@@ -104,6 +107,9 @@ def aggregate(per_image: list[ImageMetrics]) -> MetricsReport:
     """Arithmetic mean and population standard deviation per metric."""
     if not per_image:
         raise ContractViolation("aggregate needs at least one per-image report")
+    for i, m in enumerate(per_image):
+        if not isinstance(m, ImageMetrics):
+            raise ContractViolation(f"aggregate: entry {i} is {type(m).__name__}, not ImageMetrics")
     mean, std = {}, {}
     for f in fields(ImageMetrics):
         vals = np.array([getattr(m, f.name) for m in per_image], dtype=np.float64)

@@ -62,15 +62,16 @@ class ModelConfig:
     channel_attention: str = "wcam"
 
     def validate(self):
-        for name in ("image_channels", "wcam_ratio"):
-            check_int(name, getattr(self, name), 1)
+        for name, lowest in (("image_channels", 1), ("wcam_ratio", 1), ("seed", 0)):
+            check_int(name, getattr(self, name), lowest)
         for name, length, lowest in (("snake_widths", 5, 1), ("decoder_widths", 5, 1),
                                      ("transformer_widths", 4, 1), ("transformer_heads", 4, 1),
                                      ("transformer_reductions", 4, 1),
                                      ("transformer_depths", 4, 0)):
             values = getattr(self, name)
-            if len(values) != length:
-                raise ContractViolation(f"{name} needs {length} entries")
+            if not isinstance(values, (tuple, list)) or len(values) != length:
+                raise ContractViolation(f"{name} needs a tuple or list of {length} entries, "
+                                        f"got {values!r}")
             for value in values:
                 check_int(name, value, lowest)
         if self.conv_mode not in CONV_MODES:
@@ -287,6 +288,11 @@ class TrainResult:
 def _as_batch(pairs, indices) -> tuple[np.ndarray, np.ndarray]:
     """Stacked images and masks of ``pairs[i]``, ``i`` in ``indices``; one (H, W) shape each."""
     samples = [pairs[i] for i in indices]
+    for i, s in zip(indices, samples):
+        if not isinstance(s, (tuple, list)) or len(s) != 2:
+            size = f" of length {len(s)}" if isinstance(s, (tuple, list)) else ""
+            raise ContractViolation(f"pair {i} is {type(s).__name__}{size}, not an (image, mask) "
+                                    f"pair")
     for k, role in enumerate(("image", "mask")):
         first = np.shape(samples[0][k])
         for i, s in zip(indices, samples):

@@ -4,7 +4,9 @@ A module's parameters and submodules are its public attributes; there is no
 other registration. Parameter names are the attribute paths through the
 module tree ("enc.dsc.0.fuse.weight"), listed in the order the attributes
 were first assigned, depth first. They must be unique and are the keys of
-the checkpoint file.
+the checkpoint file. Iterating a module yields its child modules in that
+same order; a sequence of modules is numbered attributes ``"0"``, ``"1"``,
+... set with ``setattr``.
 """
 from __future__ import annotations
 
@@ -34,6 +36,9 @@ class Module:
         """The child modules, in assignment order."""
         return {name: v for name, v in vars(self).items()
                 if not name.startswith("_") and isinstance(v, Module)}
+
+    def __iter__(self):
+        return iter(self._modules.values())
 
     def named_parameters(self, prefix: str = ""):
         for name, v in vars(self).items():
@@ -104,27 +109,9 @@ class Module:
         return self.forward(*args, **kwargs)
 
 
-class ModuleList(Module):
-    """Children are the attributes "0", "1", ... in order."""
-
-    def __init__(self, mods=()):
-        for m in mods:
-            self.append(m)
-
-    def append(self, m: Module):
-        setattr(self, str(len(self)), m)
-
-    def __iter__(self):
-        return iter(self._modules.values())
-
-    def __getitem__(self, i):
-        return list(self)[i]
-
-    def __len__(self):
-        return len(self._modules)
-
-
 def _uniform(rng: np.random.Generator, shape, bound: float) -> np.ndarray:
+    if not isinstance(rng, np.random.Generator):
+        raise ContractViolation(f"rng must be a np.random.Generator, got {type(rng).__name__}")
     return rng.uniform(-bound, bound, size=shape).astype(np.float32)
 
 

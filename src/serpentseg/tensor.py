@@ -133,14 +133,6 @@ class Tensor:
     _parents = property(lambda t: getattr(t._entry, "_parents", ()))
     _backward = property(lambda t: getattr(t._entry, "_backward", None), _set_backward)
 
-    @property
-    def shape(self):
-        return self.data.shape
-
-    @property
-    def dtype(self):
-        return self.data.dtype
-
     def backward(self) -> None:
         """Backpropagate from this scalar through the recorded tape, consuming it.
 
@@ -150,7 +142,8 @@ class Tensor:
         later ``backward()`` that would reach a consumed node, from this loss
         or from a new one built on it, raises ``ContractViolation`` before it
         changes any gradient. Leaf gradients accumulate across calls on
-        different tapes.
+        different tapes. A gradient function that raises leaves every gradient
+        as it was; the nodes that had run stay consumed.
         """
         if self.data.size != 1:
             raise ContractViolation(
@@ -178,14 +171,21 @@ class Tensor:
             for p in node._parents:
                 if id(p) not in seen:
                     stack.append((p, False))
-        self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
-                # leaf grads accumulate across calls; an intermediate's grad
-                # and closure go now, and with the closure every array its
-                # gradient functions captured
-                node.grad, node._backward = None, _consumed
+        # ``_accum`` never writes a gradient in place, so these references are the old values
+        before = [(node, node.grad) for node in topo]
+        try:
+            self.grad = np.ones_like(self.data)
+            for node in reversed(topo):
+                if node._backward is not None and node.grad is not None:
+                    node._backward(node.grad)
+                    # leaf grads accumulate across calls; an intermediate's grad
+                    # and closure go now, and with the closure every array its
+                    # gradient functions captured
+                    node.grad, node._backward = None, _consumed
+        except BaseException:
+            for node, grad in before:
+                node.grad = grad
+            raise
 
     # -- operator sugar ------------------------------------------------------
 
@@ -216,15 +216,6 @@ class Tensor:
 
     def sum(self, axis=None, keepdims=False):
         return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, *shape):
-        return reshape(self, shape if len(shape) > 1 else shape[0])
-
-    def transpose(self, *axes):
-        return transpose(self, axes)
 
     def item(self) -> float:
         if self.data.size != 1:
@@ -320,14 +311,27 @@ def _make(data: np.ndarray, *grads) -> Tensor:
 
 # -- elementwise arithmetic --------------------------------------------------
 
+def _lift(value, other, op: str) -> Tensor:
+    """``op``'s non-tensor operand ``value`` as a tensor of the tensor ``other``'s dtype."""
+    try:
+        arr = np.asarray(value) if isinstance(other, Tensor) else None
+    except ValueError:  # a ragged sequence
+        arr = None
+    if arr is None or arr.dtype.kind not in "biuf":
+        raise ContractViolation(f"{op}: needs a tensor and a bool, int or float array, got "
+                                f"{type(value).__name__} and {type(other).__name__}")
+    return Tensor(arr.astype(other.data.dtype, copy=False))
+
+
 def _operands(a, b, op: str) -> tuple[Tensor, Tensor]:
-    """``a`` and ``b`` as tensors, a non-tensor lifted to the other's dtype,
-    after checking the narrow broadcasting rule: equal shapes, a 0-d
-    operand, or equal ranks whose differing axes are 1 on one side."""
+    """``a`` and ``b`` as tensors, after checking the narrow broadcasting
+    rule: equal shapes, a 0-d operand, or equal ranks whose differing axes
+    are 1 on one side. One operand must be a tensor; the other is lifted to
+    its dtype only if it converts to a bool, int or float array (``_lift``)."""
     if not isinstance(a, Tensor):
-        a = Tensor(np.asarray(a, dtype=b.data.dtype))
+        a = _lift(a, b, op)
     elif not isinstance(b, Tensor):
-        b = Tensor(np.asarray(b, dtype=a.data.dtype))
+        b = _lift(b, a, op)
     sa, sb = a.data.shape, b.data.shape
     if sa != sb and sa != () and sb != () and (len(sa) != len(sb) or any(
             x != y and x != 1 and y != 1 for x, y in zip(sa, sb))):

@@ -140,7 +140,7 @@ class TestSnakeEncoder:
                 for lvl in mod.pyramid:
                     lvl.weight.data[:] = 0.0
         x = Tensor(np.full((1, 1, 32, 32), 0.6, dtype=np.float32))
-        stage1 = enc[0]
+        stage1 = getattr(enc, "0")
         for branch in (stage1.branch_h, stage1.branch_v):
             out = branch(x).data
             flat = out.reshape(out.shape[1], -1)
@@ -154,7 +154,7 @@ class TestSnakeEncoder:
         x = Tensor(rng.standard_normal((1, 1, 16, 16)).astype(np.float32))
         feats = enc(x)
         feats[-1].sum().backward()
-        g = enc[0].local.weight.grad
+        g = getattr(enc, "0").local.weight.grad
         assert g is not None and np.abs(g).max() > 0
 
 
@@ -331,6 +331,7 @@ class TestEncoderGradients:
     def test_single_stage_transformer_grad_check(self):
         rng = np.random.default_rng(28)
         enc = MixTransformerEncoder(1, (4, 4, 4, 4), (1, 0, 0, 0), (1, 1, 1, 1), (2, 1, 1, 1), rng)
-        report = grad_check(enc[0], np.random.default_rng(29).standard_normal((1, 1, 8, 8)),
+        report = grad_check(getattr(enc, "0"),
+                            np.random.default_rng(29).standard_normal((1, 1, 8, 8)),
                             tolerance=1e-3)
         assert report.passed, str(report)

@@ -98,6 +98,17 @@ class TestPixelMetrics:
             _, p, r, f1 = pixel_metrics((tp, fp, fn, 0))
             assert f1 == pytest.approx(2 * p * r / (p + r))
 
+    @pytest.mark.parametrize("counts", [
+        (1, 0),
+        (1.0, 0, 0, 0),
+        "abcd",
+        None,
+        (1, 0, 0, -1),
+    ], ids=["two", "float", "str", "none", "negative"])
+    def test_counts_that_are_not_4_ints_are_named(self, counts):
+        with pytest.raises(ContractViolation, match=r"pixel_metrics: need 4 int confusion counts"):
+            pixel_metrics(counts)
+
 
 class TestHausdorff:
     def test_identical_masks_zero(self):
@@ -177,6 +188,10 @@ class TestAggregate:
     def test_empty_rejected(self):
         with pytest.raises(ContractViolation):
             aggregate([])
+
+    def test_entry_that_is_not_image_metrics_is_named(self):
+        with pytest.raises(ContractViolation, match="entry 0 is int, not ImageMetrics"):
+            aggregate([1, 2])
 
 
 def test_evaluate_pair_combines_everything():

@@ -255,6 +255,10 @@ def test_tiny_config_rejects_unknown_override():
     ("wcam_ratio", 4.0),
     ("image_channels", 0),
     ("image_channels", "1"),
+    ("snake_widths", 5),
+    ("transformer_depths", "1111"),
+    ("seed", "a"),
+    ("seed", -1),
 ])
 def test_bad_config_value_names_its_field(field, value):
     with pytest.raises(ContractViolation, match=field):
@@ -663,6 +667,18 @@ class TestTrainLoop:
         pairs[1] = tuple(a[None] if i == k else a for i, a in enumerate(pairs[1]))
         with pytest.raises(ContractViolation,
                            match=rf"{role} of pair 1 has shape \(1, 32, 32\); need \(H, W\)"):
+            if entry == "evaluate_model":
+                evaluate_model(model, pairs, batch_size=2)
+            else:
+                train_loop(model, pairs, pairs, epochs=1, batch_size=2)
+
+    @pytest.mark.parametrize("entry", ["evaluate_model", "train_loop"])
+    def test_pair_that_is_not_an_image_and_a_mask_is_named(self, entry):
+        model = SnakeFormer(micro_config(seed=32))
+        pairs = _toy_pairs(2, 36)
+        pairs[1] = pairs[1][:1]
+        with pytest.raises(ContractViolation,
+                           match=r"pair 1 is tuple of length 1, not an \(image, mask\) pair"):
             if entry == "evaluate_model":
                 evaluate_model(model, pairs, batch_size=2)
             else:

@@ -1,7 +1,10 @@
 """Module tree naming, state round-trips, and the SPT1 checkpoint format."""
 
+import ast
+import inspect
 import os
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +17,6 @@ from serpentseg.module import (
     Conv2d,
     Linear,
     Module,
-    ModuleList,
     Parameter,
     load_checkpoint,
     save_checkpoint,
@@ -26,7 +28,9 @@ class _Net(Module):
     def __init__(self, rng):
         super().__init__()
         self.stem = Conv2d(1, 2, 3, padding=1, rng=rng)
-        self.blocks = ModuleList([Linear(4, 4, rng=rng) for _ in range(2)])
+        self.blocks = Module()
+        for i in range(2):
+            setattr(self.blocks, str(i), Linear(4, 4, rng=rng))
         self.scale = Parameter(np.ones(2, dtype=np.float32))
 
 
@@ -43,7 +47,7 @@ def test_parameter_names_are_path_like_and_unique():
                      "blocks.1.weight", "blocks.1.bias", "scale"]
 
 
-@pytest.mark.parametrize("build", [
+_RNG_LAYERS = pytest.mark.parametrize("build", [
     lambda **kw: Conv2d(1, 1, 3, **kw),
     lambda **kw: Linear(2, 2, **kw),
     lambda **kw: ChannelAttention(4, ratio=2, **kw),
@@ -51,10 +55,21 @@ def test_parameter_names_are_path_like_and_unique():
     lambda **kw: SpatialAttention(**kw),
 ], ids=["Conv2d", "Linear", "ChannelAttention", "WeightedChannelAttention",
         "SpatialAttention"])
+
+
+@_RNG_LAYERS
 def test_layers_require_an_rng_keyword(build):
     with pytest.raises(TypeError, match="rng"):
         build()
     build(rng=np.random.default_rng(0))
+
+
+@_RNG_LAYERS
+@pytest.mark.parametrize("rng", [None, 0, np.random.RandomState(0)],
+                         ids=["None", "int", "RandomState"])
+def test_layers_name_an_rng_that_is_not_a_generator(build, rng):
+    with pytest.raises(ContractViolation, match="rng must be a np.random.Generator"):
+        build(rng=rng)
 
 
 def test_rng_is_keyword_only():
@@ -66,10 +81,23 @@ def test_children_are_public_attributes_in_order():
     net = _Net(np.random.default_rng(8))
     net._hidden = Linear(2, 2, rng=np.random.default_rng(9))
     assert list(net._modules) == ["stem", "blocks"]
-    assert len(net.blocks) == 2
-    assert net.blocks[1] is getattr(net.blocks, "1")
-    assert list(net.blocks) == [net.blocks[0], net.blocks[-1]]
+    assert list(net.blocks) == [getattr(net.blocks, "0"), getattr(net.blocks, "1")]
     assert not any(n.startswith("_hidden") for n, _ in net.named_parameters())
+
+
+def test_module_is_the_one_child_walk():
+    # a sequence of modules is numbered attributes, walked by ``Module.__iter__``
+    sources = sorted(Path(inspect.getfile(Module)).parent.glob("*.py"))
+    assert len(sources) > 5
+    walks = []
+    for path in sources:
+        text = path.read_text()
+        assert "ModuleList" not in text, path.name
+        walks += [f"{path.stem}.{node.name}" for node in ast.walk(ast.parse(text))
+                  if isinstance(node, ast.ClassDef)
+                  and any(isinstance(f, ast.FunctionDef) and f.name == "__iter__"
+                          for f in node.body)]
+    assert walks == ["module.Module"], walks
 
 
 def test_state_dict_round_trip_preserves_values_and_names():

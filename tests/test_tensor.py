@@ -540,6 +540,22 @@ class TestShapeSurgery:
         msg = str(err.value)
         assert msg.startswith(f"{op}: ") and named in msg and "(2, 3)" in msg, msg
 
+    @pytest.mark.parametrize("op,call,named", [
+        ("add", lambda t: T.add(t, None), "NoneType"),
+        ("add", lambda t: T.add(t, "a"), "str"),
+        ("mul", lambda t: T.mul(t, {"a": 1}), "dict"),
+        ("sub", lambda t: T.sub([[1.0], [2.0, 3.0]], t), "list"),
+        ("div", lambda t: T.div(t, 1j), "complex"),
+        ("add", lambda t: T.add(1.0, 2.0), "float and float"),
+    ], ids=["none", "str", "dict", "ragged", "complex", "no-tensor"])
+    def test_binary_ops_lift_only_numeric_operands(self, op, call, named):
+        # numpy returned NaN for None and raised ValueError, TypeError or
+        # AttributeError for the others
+        with pytest.raises(ContractViolation) as err:
+            call(Tensor(np.zeros((2, 3), dtype=np.float32)))
+        msg = str(err.value)
+        assert msg.startswith(f"{op}: ") and named in msg, msg
+
     @pytest.mark.parametrize("call", [
         lambda a, last: T.softmax(a, axis=last),
         lambda a, last: T.tsum(a, axis=(0, last)),
@@ -945,6 +961,24 @@ class TestTapeInvariants:
             loss.backward()
         np.testing.assert_array_equal(x.grad, [3.0, 3.0])
         assert w.grad is None and loss.grad is None
+
+    def test_a_raising_gradient_function_leaves_every_gradient_as_it_was(self):
+        def boom(g):
+            raise RuntimeError("boom")
+
+        x = Tensor(np.ones(2, dtype=np.float32), requires_grad=True)
+        w = Tensor(np.ones(2, dtype=np.float32), requires_grad=True)
+        w.grad = np.array([5.0, 5.0], dtype=np.float32)
+        held = w.grad
+        # both products run first and add into x and w before the failing node
+        y = T._make(x.data.copy(), (x, boom))
+        z = (x * 2.0 + w * 3.0 + y).sum()
+        with pytest.raises(RuntimeError, match="boom"):
+            z.backward()
+        assert x.grad is None
+        assert w.grad is held
+        np.testing.assert_array_equal(w.grad, [5.0, 5.0])
+        assert z.grad is None
 
     def test_shared_first_grad_is_never_accumulated_in_place(self):
         # add hands one upstream gradient to both parents; a later backward must
