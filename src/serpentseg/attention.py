@@ -96,7 +96,7 @@ class SpatialAttention(Module):
         mean_map = tmean(x, axis=1, keepdims=True)
         max_map = max_along(x, axis=1, keepdims=True)
         stacked = concat([mean_map, max_map], axis=1)
-        return sigmoid(conv2d(stacked, self.kernel, self.bias, padding=3))
+        return sigmoid(conv2d(stacked, self.kernel, self.bias))
 
 
 def attend(x: Tensor, ca: Module | None, sa: SpatialAttention) -> Tensor:

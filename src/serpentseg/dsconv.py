@@ -25,12 +25,14 @@ Offset channel layout, for chain distance c in 1..4 with base = 4*(c-1):
     base+2: dx of the backward point t-c     base+3: dy of t-c
 Chain order everywhere is t-4 .. t+4, so the center sits at index 4.
 
+Every convolution here, as everywhere in the package, is 'same': ``conv2d``
+pads k // 2, so the output side is ceil(side / stride), here the input's.
 The four pyramid levels run as one 9x9 convolution (``PyramidConv2d``):
 each level's (4, Cin, k, k) kernel is embedded centred in the 9x9 support
-with zeros around it, which with padding 4 computes exactly that level's
-'same' convolution, so one ``conv2d`` call serves all 16 offset channels. The
-level kernels stay separate parameters ("pyramid.{k}.weight"), and each
-receives the centre slice of the fused kernel's gradient.
+with zeros around it, which at the 9x9 kernel's padding 4 computes exactly
+that level's 'same' convolution, so one ``conv2d`` call serves all 16 offset
+channels. The level kernels stay separate parameters ("pyramid.{k}.weight"),
+and each receives the centre slice of the fused kernel's gradient.
 """
 from __future__ import annotations
 
@@ -39,8 +41,8 @@ import math
 import numpy as np
 
 from .module import Conv2d, Module, Parameter, _uniform
-from .tensor import (ContractViolation, Tensor, _make, check_int, check_map, concat, conv2d,
-                     grid_sample_points, linear, reshape, tanh, transpose)
+from .tensor import (ContractViolation, Tensor, _data, _make, check_int, check_map, concat,
+                     conv2d, grid_sample_points, linear, reshape, tanh, transpose)
 
 PYRAMID_KERNELS = (3, 5, 7, 9)
 CHAIN_LEN = 9
@@ -74,8 +76,8 @@ def chain_coordinates(steps: Tensor) -> Tensor:
     center plus its 16 steps times the prefix matrix. The backward is the
     transposed matmul.
     """
-    sd = steps.data
     n, c, h, w = check_map("chain_coordinates", steps, OFFSET_CHANNELS)
+    sd = steps.data
     p = _prefix_matrix(sd.dtype)
     pts = (sd.reshape(n, c, h * w).transpose(0, 2, 1) @ p.T).reshape(n, h, w, CHAIN_LEN, 2)
     pts[..., 0] += np.arange(w, dtype=sd.dtype)[:, None]
@@ -88,7 +90,7 @@ def chain_contract(rows: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """Contract per-pixel sample rows (N, H, W, 9*Cin), ordered (t, Cin), with
     a (Cout, Cin, 9) weight into (N, Cout, H, W): one ``linear``, whose
     channel-last output is handed on as a channel-first view."""
-    cout, cin, t = weight.data.shape
+    cout, cin, t = _data("chain_contract", weight).shape
     check_map("chain_contract", rows, t * cin, "NHWC")
     return transpose(linear(rows, reshape(transpose(weight, (0, 2, 1)), (cout, t * cin)), bias),
                      (0, 3, 1, 2))
@@ -122,7 +124,7 @@ class WeightBias(Module):
 
 class PyramidConv2d(Conv2d):
     """The pyramid levels (kernels 3/5/7/9, four channels each) as one 9x9
-    convolution with padding 4; output channels 4i..4i+3 come from level i.
+    'same' convolution; output channels 4i..4i+3 come from level i.
 
     Each level is a zero (4, Cin, k, k) kernel and a (4,) bias, held as the
     attribute "k"; iterating the module yields the levels in order. The fused
@@ -131,7 +133,6 @@ class PyramidConv2d(Conv2d):
     """
 
     def __init__(self, cin: int, bias: np.ndarray):
-        self.padding = PYRAMID_KERNELS[-1] // 2
         for k in PYRAMID_KERNELS:
             setattr(self, str(k), WeightBias(
                 Parameter(np.zeros((4, cin, k, k), dtype=np.float32)), Parameter(bias.copy())))
@@ -139,8 +140,7 @@ class PyramidConv2d(Conv2d):
     def forward(self, x: Tensor) -> Tensor:
         levels = list(self)
         return conv2d(x, _embed_kernels([lvl.weight for lvl in levels]),
-                      concat([lvl.bias for lvl in levels], axis=0),
-                      padding=self.padding)
+                      concat([lvl.bias for lvl in levels], axis=0))
 
 
 class SnakeConv2d(Module):

@@ -21,6 +21,7 @@ from .module import Conv2d, LayerNorm, Linear, Module, Parameter, _uniform
 from .tensor import (
     ContractViolation,
     Tensor,
+    check_entries,
     check_int,
     check_map,
     concat,
@@ -64,16 +65,16 @@ class SnakeBlock(Module):
         if conv_mode not in CONV_MODES:
             raise ContractViolation(f"conv mode must be one of {CONV_MODES}, got {conv_mode!r}")
         if conv_mode == "vanilla":
-            self.branch_h = Conv2d(cin, cb, 3, padding=1, rng=rng)
-            self.branch_v = Conv2d(cin, cb, 3, padding=1, rng=rng)
+            self.branch_h = Conv2d(cin, cb, 3, rng=rng)
+            self.branch_v = Conv2d(cin, cb, 3, rng=rng)
         else:
             frozen = conv_mode == "dsconv"
             self.branch_h = SnakeConv2d(cin, cb, "horizontal", rng, frozen_offsets=frozen)
             self.branch_v = SnakeConv2d(cin, cb, "vertical", rng, frozen_offsets=frozen)
-        self.local = Conv2d(cin, cb, 3, padding=1, rng=rng)
+        self.local = Conv2d(cin, cb, 3, rng=rng)
         self.ca = make_channel_attention(channel_attention, 3 * cb, ratio, rng)
         self.sa = SpatialAttention(rng=rng)
-        self.fuse = Conv2d(3 * cb, cout, 3, padding=1, rng=rng)
+        self.fuse = Conv2d(3 * cb, cout, 3, rng=rng)
         self.proj = Conv2d(cin, cout, 1, rng=rng) if cin != cout else None
 
     def forward(self, x: Tensor) -> Tensor:
@@ -89,8 +90,7 @@ class SnakeEncoder(Module):
     def __init__(self, cin: int, widths, rng: np.random.Generator,
                  conv_mode: str = "enhanced", channel_attention: str = "wcam",
                  ratio: int = 8):
-        if len(widths) != 5:
-            raise ContractViolation(f"snake encoder takes 5 stage widths, got {widths}")
+        check_entries("SnakeEncoder: widths", widths, 5)
         for i, (prev, w) in enumerate(zip((cin, *widths), widths)):
             setattr(self, str(i), SnakeBlock(prev, w, w, rng, conv_mode=conv_mode,
                                              channel_attention=channel_attention, ratio=ratio))
@@ -190,12 +190,12 @@ class TransformerBlock(Module):
 
 
 class OverlapPatchEmbed(Module):
-    """Strided overlapping convolution to a normed channel-last map: k7/s4
-    first, k3/s2 after."""
+    """Strided overlapping 'same' convolution to a normed channel-last map:
+    k7/s4 first, k3/s2 after."""
 
     def __init__(self, cin: int, cout: int, first: bool, rng: np.random.Generator):
-        k, s, p = (7, 4, 3) if first else (3, 2, 1)
-        self.conv = Conv2d(cin, cout, k, stride=s, padding=p, rng=rng)
+        k, s = (7, 4) if first else (3, 2)
+        self.conv = Conv2d(cin, cout, k, stride=s, rng=rng)
         self.norm = LayerNorm(cout)
 
     def forward(self, x: Tensor) -> Tensor:
@@ -223,8 +223,9 @@ class MixTransformerEncoder(Module):
 
     def __init__(self, cin: int, widths, depths, heads, reductions,
                  rng: np.random.Generator):
-        if not (len(widths) == len(depths) == len(heads) == len(reductions) == 4):
-            raise ContractViolation("transformer encoder takes 4-entry config lists")
+        for name, values in (("widths", widths), ("depths", depths), ("heads", heads),
+                             ("reductions", reductions)):
+            check_entries(f"MixTransformerEncoder: {name}", values, 4)
         for i, prev in enumerate((cin, *widths[:3])):
             setattr(self, str(i), TransformerStage(prev, widths[i], depths[i], heads[i],
                                                    reductions[i], first=(i == 0), rng=rng))

@@ -27,6 +27,7 @@ from .module import Conv2d, Module
 from .tensor import (
     ContractViolation,
     Tensor,
+    check_entries,
     check_int,
     check_map,
     concat,
@@ -69,9 +70,7 @@ class ModelConfig:
                                      ("transformer_reductions", 4, 1),
                                      ("transformer_depths", 4, 0)):
             values = getattr(self, name)
-            if not isinstance(values, (tuple, list)) or len(values) != length:
-                raise ContractViolation(f"{name} needs a tuple or list of {length} entries, "
-                                        f"got {values!r}")
+            check_entries(name, values, length)
             for value in values:
                 check_int(name, value, lowest)
         if self.conv_mode not in CONV_MODES:
@@ -129,8 +128,8 @@ class FusionStage(Module):
                  channel_attention: str = "wcam", ratio: int = 8):
         self.ca = make_channel_attention(channel_attention, cin, ratio, rng)
         self.sa = SpatialAttention(rng=rng)
-        self.conv1 = Conv2d(cin, cout, 3, padding=1, rng=rng)
-        self.conv2 = Conv2d(cout, cout, 3, padding=1, rng=rng)
+        self.conv1 = Conv2d(cin, cout, 3, rng=rng)
+        self.conv2 = Conv2d(cout, cout, 3, rng=rng)
         self.proj = Conv2d(cin, cout, 1, rng=rng) if cin != cout else None
 
     def forward(self, parts: list[Tensor]) -> Tensor:
@@ -231,16 +230,16 @@ def predict_masks(model: SnakeFormer, images: np.ndarray,
     return (predict_probabilities(model, images) > threshold).astype(np.uint8)
 
 
+ADAM_B1, ADAM_B2, ADAM_EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator floor
+
+
 class Adam:
     """Adam with decoupled weight decay applied before the moment update."""
 
-    def __init__(self, named_params, lr: float = 1e-4, weight_decay: float = 1e-4,
-                 betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8):
+    def __init__(self, named_params, lr: float = 1e-4, weight_decay: float = 1e-4):
         self.named = list(named_params)
         self.lr = lr
         self.weight_decay = weight_decay
-        self.b1, self.b2 = betas
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(p.data) for _, p in self.named]
         self.v = [np.zeros_like(p.data) for _, p in self.named]
@@ -252,19 +251,19 @@ class Adam:
             if p.grad is not None and not np.isfinite(p.grad).all():
                 raise TrainingError(f"non-finite gradient in {name}")
         self.t += 1
-        bc1 = 1.0 - self.b1 ** self.t
-        bc2 = 1.0 - self.b2 ** self.t
+        bc1 = 1.0 - ADAM_B1 ** self.t
+        bc2 = 1.0 - ADAM_B2 ** self.t
         for i, (_, p) in enumerate(self.named):
             g = p.grad
             if g is None:
                 continue
             if self.weight_decay:
                 p.data = p.data - self.lr * self.weight_decay * p.data
-            self.m[i] = self.b1 * self.m[i] + (1.0 - self.b1) * g
-            self.v[i] = self.b2 * self.v[i] + (1.0 - self.b2) * g * g
+            self.m[i] = ADAM_B1 * self.m[i] + (1.0 - ADAM_B1) * g
+            self.v[i] = ADAM_B2 * self.v[i] + (1.0 - ADAM_B2) * g * g
             mhat = self.m[i] / bc1
             vhat = self.v[i] / bc2
-            p.data = p.data - self.lr * mhat / (np.sqrt(vhat) + self.eps)
+            p.data = p.data - self.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
 
 
 @dataclass
@@ -308,10 +307,21 @@ def _as_batch(pairs, indices) -> tuple[np.ndarray, np.ndarray]:
     return imgs, masks
 
 
+def _pair_list(name: str, pairs) -> list:
+    """``pairs``, any iterable of (image, mask) pairs, as a list, taken once."""
+    try:
+        return list(pairs)
+    except TypeError:
+        raise ContractViolation(f"{name}: need an iterable of (image, mask) pairs, got "
+                                f"{type(pairs).__name__}") from None
+
+
 def evaluate_model(model: SnakeFormer, pairs, batch_size: int = 8) -> MetricsReport:
     """``aggregate`` of ``evaluate_pair`` on each pair's thresholded prediction
-    and mask; ``per_image`` follows ``pairs``, ``mean``/``std`` are keyed by metric name."""
+    and mask, for any iterable of pairs; ``per_image`` follows ``pairs``,
+    ``mean``/``std`` are keyed by metric name."""
     check_int("batch_size", batch_size, 1)
+    pairs = _pair_list("evaluate_model", pairs)
     if not pairs:
         raise ContractViolation("evaluate_model: no (image, mask) pairs to score")
     per_image = []
@@ -324,10 +334,13 @@ def evaluate_model(model: SnakeFormer, pairs, batch_size: int = 8) -> MetricsRep
 def train_loop(model: SnakeFormer, train_pairs, val_pairs, epochs: int,
                batch_size: int, lr: float = 1e-4, weight_decay: float = 1e-4,
                seed: int = 0, log=None) -> TrainResult:
-    """Deterministic training: shuffling, batching, and updates all derive
-    from ``seed``. Keeps the state dict of the best-validation-IoU epoch."""
+    """Deterministic training on any iterables of (image, mask) pairs:
+    shuffling, batching, and updates all derive from ``seed``. Keeps the
+    state dict of the best-validation-IoU epoch."""
     check_int("epochs", epochs, 1)
     check_int("batch_size", batch_size, 1)
+    train_pairs = _pair_list("train_loop: train_pairs", train_pairs)
+    val_pairs = _pair_list("train_loop: val_pairs", val_pairs)
     if not train_pairs:
         raise ContractViolation("training set is empty")
     if not val_pairs:

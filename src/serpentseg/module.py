@@ -116,20 +116,20 @@ def _uniform(rng: np.random.Generator, shape, bound: float) -> np.ndarray:
 
 
 class Conv2d(Module):
-    """Square-kernel convolution layer; fan-in uniform init."""
+    """Square-kernel 'same' convolution layer (``conv2d``: padding k // 2,
+    output side ceil(side / stride)); fan-in uniform init."""
 
-    def __init__(self, cin: int, cout: int, k: int, stride: int = 1, padding: int = 0, *,
+    def __init__(self, cin: int, cout: int, k: int, stride: int = 1, *,
                  rng: np.random.Generator):
         for name, value in (("cin", cin), ("cout", cout), ("k", k)):
             check_int(f"Conv2d: {name}", value, 1)
         self.stride = stride
-        self.padding = padding
         bound = 1.0 / np.sqrt(cin * k * k)
         self.weight = Parameter(_uniform(rng, (cout, cin, k, k), bound))
         self.bias = Parameter(_uniform(rng, (cout,), bound))
 
     def forward(self, x: Tensor) -> Tensor:
-        return conv2d(x, self.weight, self.bias, stride=self.stride, padding=self.padding)
+        return conv2d(x, self.weight, self.bias, stride=self.stride)
 
 
 class Linear(Module):
@@ -145,13 +145,13 @@ class Linear(Module):
 
 
 class LayerNorm(Module):
-    def __init__(self, c: int, eps: float = 1e-5):
-        self.eps = eps
+    def __init__(self, c: int):
+        check_int("LayerNorm: c", c, 1)
         self.gain = Parameter(np.ones(c, dtype=np.float32))
         self.shift = Parameter(np.zeros(c, dtype=np.float32))
 
     def forward(self, x: Tensor) -> Tensor:
-        return layer_norm(x, self.gain, self.shift, eps=self.eps)
+        return layer_norm(x, self.gain, self.shift)
 
 
 # -- checkpoint file format ----------------------------------------------------

@@ -238,6 +238,14 @@ def check_int(name: str, value, lowest: int) -> None:
         raise ContractViolation(f"{name} must be an int >= {lowest}, got {value!r}")
 
 
+def check_entries(name: str, values, length: int) -> None:
+    """Raise ``ContractViolation`` naming ``name`` unless ``values`` is a tuple
+    or list of ``length`` entries."""
+    if not isinstance(values, (tuple, list)) or len(values) != length:
+        raise ContractViolation(f"{name} needs a tuple or list of {length} entries, "
+                                f"got {values!r}")
+
+
 def _check_axis(op: str, axis, shape: tuple, single=False, nonempty=False) -> tuple:
     """The axes, from 0, that ``axis`` names in ``shape``: an int (``_is_int``; negative counts
     from the end) or, unless ``single``, a tuple of distinct ones or None (every axis). Anything
@@ -257,11 +265,19 @@ def _check_axis(op: str, axis, shape: tuple, single=False, nonempty=False) -> tu
     return axes
 
 
+def _data(op: str, t) -> np.ndarray:
+    """The array of ``op``'s operand ``t``, which must be a ``Tensor``: anything
+    else raises ``ContractViolation`` naming ``op`` and its type."""
+    if not isinstance(t, Tensor):
+        raise ContractViolation(f"{op}: needs a Tensor, got {type(t).__name__}")
+    return t.data
+
+
 def check_map(op: str, t: Tensor, channels: int | None = None, layout: str = "NCHW") -> tuple:
     """The shape of ``t``, a 4-d feature map in ``layout``: ``"NCHW"``, or
     ``"NHWC"`` for a channel-last map, with ``channels`` on its C axis unless
     that is None. Anything else raises ``ContractViolation`` naming ``op``."""
-    shape, c = t.data.shape, layout.index("C")
+    shape, c = _data(op, t).shape, layout.index("C")
     if len(shape) == 4 and channels in (None, shape[c]):
         return shape
     dims = ", ".join(str(channels) if a == "C" and channels is not None else a for a in layout)
@@ -270,7 +286,7 @@ def check_map(op: str, t: Tensor, channels: int | None = None, layout: str = "NC
 
 def _check_bias(op: str, bias: Tensor | None, cout: int) -> None:
     """Raise ``ContractViolation`` unless ``bias`` is None or of shape (cout,)."""
-    if bias is not None and bias.data.shape != (cout,):
+    if bias is not None and _data(op, bias).shape != (cout,):
         raise ContractViolation(f"{op}: bias {bias.data.shape} does not match {(cout,)}")
 
 
@@ -381,14 +397,14 @@ def div(a, b) -> Tensor:
 
 
 def neg(a: Tensor) -> Tensor:
-    return _make(-a.data, (a, lambda g: -g))
+    return _make(-_data("neg", a), (a, lambda g: -g))
 
 
 # -- reductions ---------------------------------------------------------------
 
 def tsum(a: Tensor, axis=None, keepdims=False) -> Tensor:
-    _check_axis("tsum", axis, a.data.shape)
-    shape = a.data.shape
+    shape = _data("tsum", a).shape
+    _check_axis("tsum", axis, shape)
 
     def grad(g):
         if not (keepdims or axis is None):
@@ -399,7 +415,7 @@ def tsum(a: Tensor, axis=None, keepdims=False) -> Tensor:
 
 
 def tmean(a: Tensor, axis=None, keepdims=False) -> Tensor:
-    axes = _check_axis("tmean", axis, a.data.shape, nonempty=True)
+    axes = _check_axis("tmean", axis, _data("tmean", a).shape, nonempty=True)
     count = math.prod(a.data.shape[ax] for ax in axes)
     s = tsum(a, axis=axis, keepdims=keepdims)
     return mul(s, 1.0 / float(count))
@@ -411,7 +427,7 @@ def max_along(a: Tensor, axis: int, keepdims: bool = True) -> Tensor:
     A taped forward keeps that position, in the smallest unsigned type that
     holds the axis length, instead of its input; a forward without the tape
     runs no argmax."""
-    ad = a.data
+    ad = _data("max_along", a)
     _check_axis("max_along", axis, ad.shape, single=True, nonempty=True)
     data = ad.max(axis=axis, keepdims=keepdims)
     if _tape(a) is None:
@@ -432,7 +448,7 @@ def max_along(a: Tensor, axis: int, keepdims: bool = True) -> Tensor:
 # -- shape surgery ------------------------------------------------------------
 
 def reshape(a: Tensor, shape) -> Tensor:
-    old = a.data.shape
+    old = _data("reshape", a).shape
     try:
         data = a.data.reshape(shape)
     except ValueError:
@@ -441,9 +457,10 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 
 def transpose(a: Tensor, axes) -> Tensor:
+    ad = _data("transpose", a)
     axes = tuple(axes)
     try:
-        data = a.data.transpose(axes)
+        data = ad.transpose(axes)
     except ValueError:
         raise ContractViolation(
             f"transpose: axes {axes} do not permute the axes of shape {a.data.shape}") from None
@@ -454,7 +471,7 @@ def transpose(a: Tensor, axes) -> Tensor:
 def concat(tensors, axis: int) -> Tensor:
     """Join one or more tensors along ``axis``; ranks and the other axes must agree."""
     tensors = list(tensors)
-    shapes = [t.data.shape for t in tensors]
+    shapes = [_data("concat", t).shape for t in tensors]
     if shapes:
         _check_axis("concat", axis, shapes[0], single=True)
     if len({(len(s), s[:axis] + s[axis:][1:]) for s in shapes}) != 1:
@@ -470,7 +487,7 @@ def concat(tensors, axis: int) -> Tensor:
 
 def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
     """Positions start..start + length of ``axis``, which must lie inside it."""
-    _check_axis("narrow", axis, a.data.shape, single=True)
+    _check_axis("narrow", axis, _data("narrow", a).shape, single=True)
     if not (_is_int(start) and _is_int(length)):
         raise ContractViolation(f"narrow: start {start!r} and length {length!r} of axis {axis} "
                                 f"of shape {a.data.shape} must be ints")
@@ -494,17 +511,17 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
 
 def relu(a: Tensor) -> Tensor:
     # the output is positive where the input is, so the mask reads the output
-    data = np.maximum(a.data, 0)
+    data = np.maximum(_data("relu", a), 0)
     return _make(data, (a, lambda g: g * (data > 0)))
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    data = 1.0 / (1.0 + np.exp(-a.data))
+    data = 1.0 / (1.0 + np.exp(-_data("sigmoid", a)))
     return _make(data, (a, lambda g: g * data * (1.0 - data)))
 
 
 def tanh(a: Tensor) -> Tensor:
-    data = np.tanh(a.data)
+    data = np.tanh(_data("tanh", a))
     return _make(data, (a, lambda g: g * (1.0 - data * data)))
 
 
@@ -513,30 +530,30 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 def gelu(a: Tensor) -> Tensor:
-    x = a.data
+    x = _data("gelu", a)
     cdf = 0.5 * (1.0 + _erf(x * _INV_SQRT2))
     return _make((x * cdf).astype(x.dtype, copy=False), (a, lambda g: g * (
         cdf + x * (np.exp(-0.5 * x * x) * _INV_SQRT_2PI)).astype(x.dtype, copy=False)))
 
 
 def exp(a: Tensor) -> Tensor:
-    data = np.exp(a.data)
+    data = np.exp(_data("exp", a))
     return _make(data, (a, lambda g: g * data))
 
 
 def log(a: Tensor) -> Tensor:
-    ad = a.data
+    ad = _data("log", a)
     return _make(np.log(ad), (a, lambda g: g / ad))
 
 
 def softmax(a: Tensor, axis: int) -> Tensor:
     """``exp(log_softmax(a, axis))``: the one normalizer, and its gradient, is ``log_softmax``."""
-    _check_axis("softmax", axis, a.data.shape, nonempty=True)
+    _check_axis("softmax", axis, _data("softmax", a).shape, nonempty=True)
     return exp(log_softmax(a, axis))
 
 
 def log_softmax(a: Tensor, axis: int) -> Tensor:
-    _check_axis("log_softmax", axis, a.data.shape, nonempty=True)
+    _check_axis("log_softmax", axis, _data("log_softmax", a).shape, nonempty=True)
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
     data = shifted - lse
@@ -547,7 +564,7 @@ def log_softmax(a: Tensor, axis: int) -> Tensor:
 # -- linear algebra -----------------------------------------------------------
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    ad, bd = a.data, b.data
+    ad, bd = _data("matmul", a), _data("matmul", b)
     if ad.ndim < 2 or bd.ndim < 2:
         raise ContractViolation(f"matmul needs rank >= 2, got {ad.shape} @ {bd.shape}")
     if ad.ndim != bd.ndim or ad.shape[:-2] != bd.shape[:-2] or ad.shape[-1] != bd.shape[-2]:
@@ -562,7 +579,7 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
 
     Leading axes are flattened into one row axis, so the map is one GEMM.
     """
-    xd, wd = x.data, weight.data
+    xd, wd = _data("linear", x), _data("linear", weight)
     if xd.ndim < 2 or wd.ndim != 2 or xd.shape[-1] != wd.shape[1]:
         raise ContractViolation(
             f"linear: input {xd.shape} incompatible with weight {wd.shape}"
@@ -588,29 +605,31 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
 CONV_TILE_BYTES = 2 << 20
 
 
-def _kernel_tiles(xd: np.ndarray, k: int, stride: int, padding: int, cout: int):
+def _kernel_tiles(xd: np.ndarray, k: int, stride: int, cout: int):
     """Bands of one image's output rows, each with its k kernel-row views.
 
-    Image n is read through its zero-padded (C, H + 2p, Wp) map, Wp = W + 2p
-    rounded up to Wq * stride. A band of output rows o0..o1 computes grid
-    rows stride * o0 .. stride * (o1 - 1): grid column y * Wq + x of the band
-    reads padded row stride * o0 + y, column stride * x. No layout of the
-    whole map is built: a band zero-fills one reused (C, rows + k, Wp) slab
-    with the padded rows it reads, its own and the k below, copying the
-    image's rows into it by two clipped slices. Shift j, ``slab[c, j + stride
-    * m]`` at band column m, is copied into one more buffer, and kernel row i
-    is the (C, k, cols) shift matrix offset by i * Wq columns. Bands are sized
-    so that this buffer and two (``cout``, cols) buffers of the band's
-    outputs fit in ``CONV_TILE_BYTES`` (the slab, about 1/k of the shifts,
-    comes on top), but hold at least one output row.
+    The one geometry of every conv: 'same', padding p = k // 2, so the output
+    side is ceil(side / stride). Image n is read through its zero-padded
+    (C, H + 2p, Wp) map, Wp = W + 2p rounded up to Wq * stride. A band of
+    output rows o0..o1 computes grid rows stride * o0 .. stride * (o1 - 1):
+    grid column y * Wq + x of the band reads padded row stride * o0 + y,
+    column stride * x. No layout of the whole map is built: a band zero-fills
+    one reused (C, rows + k, Wp) slab with the padded rows it reads, its own
+    and the k below, copying the image's rows into it by two clipped slices.
+    Shift j, ``slab[c, j + stride * m]`` at band column m, is copied into one
+    more buffer, and kernel row i is the (C, k, cols) shift matrix offset by
+    i * Wq columns. Bands are sized so that this buffer and two (``cout``,
+    cols) buffers of the band's outputs fit in ``CONV_TILE_BYTES`` (the slab,
+    about 1/k of the shifts, comes on top), but hold at least one output row.
 
     Yields (n, ys, views): the image, the slice of its output rows and the k
     (C, k, grid rows, Wq) views of the band's kernel rows, valid until the
     next band is taken. Output row o0 + r is the band's grid row stride * r.
     """
     n, c, h, w = xd.shape
-    ho = (h + 2 * padding - k) // stride + 1
-    wq = -(-(w + 2 * padding) // stride)
+    p = k // 2
+    ho = (h - 1) // stride + 1
+    wq = -(-(w + 2 * p) // stride)
     wp = wq * stride
     rows = (CONV_TILE_BYTES // (xd.itemsize * wq) - c * k * (k - 1)) // (c * k + 2 * cout)
     band = min((max(rows, 1) - 1) // stride + 1, ho)
@@ -621,12 +640,11 @@ def _kernel_tiles(xd: np.ndarray, k: int, stride: int, padding: int, cout: int):
         for o0 in range(0, ho, band):
             ys = slice(o0, min(o0 + band, ho))
             r = (ys.stop - o0 - 1) * stride + 1
-            top = o0 * stride - padding  # the input row of the slab's first row
+            top = o0 * stride - p  # the input row of the slab's first row
             padded = slab[:c * (r + k) * wp].reshape(c, r + k, wp)
             padded.fill(0)
-            # the image rows it reads; y0 == y1 for a band wholly in the padding
             y0, y1 = (min(max(y, 0), h) for y in (top, top + r + k))
-            padded[:, y0 - top:y1 - top, padding:padding + w] = xd[nn, :, y0:y1]
+            padded[:, y0 - top:y1 - top, p:p + w] = xd[nn, :, y0:y1]
             cols = (r + k - 1) * wq
             shifts = buf[:c * k * cols].reshape(c, k, cols)
             for j in range(k):
@@ -635,8 +653,8 @@ def _kernel_tiles(xd: np.ndarray, k: int, stride: int, padding: int, cout: int):
                            for i in range(k)]
 
 
-def _correlate(xd: np.ndarray, wd: np.ndarray, stride: int, padding: int) -> np.ndarray:
-    """(N, Cout, Ho, Wo) correlation of (N, C, H, W) with (Cout, C, k, k).
+def _correlate(xd: np.ndarray, wd: np.ndarray, stride: int) -> np.ndarray:
+    """(N, Cout, Ho, Wo) 'same' correlation of (N, C, H, W) with (Cout, C, k, k).
 
     Per band of ``_kernel_tiles``: one GEMM of ``wd[:, :, i, :]`` (Cout, C*k)
     per kernel row i, summed in one band-sized buffer, whose every stride-th
@@ -644,11 +662,11 @@ def _correlate(xd: np.ndarray, wd: np.ndarray, stride: int, padding: int) -> np.
     """
     c, h, w = xd.shape[1:]
     cout, _, k, _ = wd.shape
-    ho, wo = (h + 2 * padding - k) // stride + 1, (w + 2 * padding - k) // stride + 1
+    ho, wo = (h - 1) // stride + 1, (w - 1) // stride + 1
     wrows = np.ascontiguousarray(wd.transpose(2, 0, 1, 3)).reshape(k, cout, c * k)
     out = np.empty((xd.shape[0], cout, ho, wo), dtype=np.result_type(xd, wd))
     acc = part = None
-    for nn, ys, views in _kernel_tiles(xd, k, stride, padding, cout):
+    for nn, ys, views in _kernel_tiles(xd, k, stride, cout):
         rows, wq = views[0].shape[2:]
         if acc is None:  # sized by the first band, the largest
             acc, part = np.empty((2, cout * rows * wq), dtype=out.dtype)
@@ -662,15 +680,14 @@ def _correlate(xd: np.ndarray, wd: np.ndarray, stride: int, padding: int) -> np.
     return out
 
 
-def _correlate_weight_grad(xd: np.ndarray, g: np.ndarray, k: int, stride: int,
-                           padding: int) -> np.ndarray:
+def _correlate_weight_grad(xd: np.ndarray, g: np.ndarray, k: int, stride: int) -> np.ndarray:
     """(Cout, C, k, k) weight gradient of ``_correlate`` of ``xd`` for the
     output gradient ``g``: each band spreads its rows of ``g`` onto its grid
     rows, the inverse of ``_correlate``'s crop, and adds one GEMM per kernel
     row against them."""
     c, cout, wo = xd.shape[1], g.shape[1], g.shape[3]
     gw = np.zeros((k, c * k, cout), dtype=np.result_type(xd, g))
-    for nn, ys, views in _kernel_tiles(xd, k, stride, padding, cout):
+    for nn, ys, views in _kernel_tiles(xd, k, stride, cout):
         gt = np.zeros((cout,) + views[0].shape[2:], dtype=g.dtype)
         gt[:, ::stride, :wo] = g[nn, :, ys]
         for i, view in enumerate(views):
@@ -680,16 +697,15 @@ def _correlate_weight_grad(xd: np.ndarray, g: np.ndarray, k: int, stride: int,
     return gw.reshape(k, c, k, cout).transpose(3, 1, 0, 2)
 
 
-def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
-           stride: int = 1, padding: int = 0) -> Tensor:
-    """2-d convolution (a correlation) with zero padding and square odd kernels.
+def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride: int = 1) -> Tensor:
+    """2-d 'same' convolution (a correlation) with square odd kernels: zero
+    padding k // 2, so the output side is ceil(side / stride).
 
-    A pointwise conv (k = 1, padding 0, stride 1) is one batched GEMM of the
-    images' pixels in every direction. Any other conv reads each image
-    through the bands of ``_kernel_tiles``, and kernel row i is one GEMM
-    against its view (``_correlate``). Grid positions outside Ho x Wo, the
-    k - 1 columns on the right and the rows a stride skips, are computed and
-    dropped.
+    A pointwise conv (k = 1, stride 1) is one batched GEMM of the images'
+    pixels in every direction. Any other conv reads each image through the
+    bands of ``_kernel_tiles``, and kernel row i is one GEMM against its view
+    (``_correlate``). Grid positions outside Ho x Wo, the k - 1 columns on the
+    right and the rows a stride skips, are computed and dropped.
 
     Bounded working set: only the input and the output are whole. Each band
     pads its own input rows and copies its k column shifts (``_kernel_tiles``),
@@ -697,17 +713,18 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
 
     Backward keeps no window data. The weight gradient runs in the same bands
     (``_correlate_weight_grad``), whose buffers are freed before the input
-    gradient: a correlation, by ``_correlate``, of the output gradient (at
-    stride > 1 first spread onto a zeroed map, the one whole-map scratch
-    left) with the flipped kernel, in- and out-channels swapped, at padding
-    k - 1 - padding (at padding 0 and cropped when that is negative).
+    gradient: the 'same' correlation, by ``_correlate``, of the output
+    gradient (at stride > 1 first spread onto a zeroed (N, Cout, H, W) map,
+    the one whole-map scratch left) with the flipped kernel, in- and
+    out-channels swapped.
     """
-    xd, wd = x.data, weight.data
     n, cin, h, w = check_map("conv2d", x)
+    xd, wd = x.data, _data("conv2d", weight)
+    if h == 0 or w == 0:
+        raise ContractViolation(f"conv2d: empty map {xd.shape}")
     if wd.ndim != 4:
         raise ContractViolation(f"conv2d: need a 4-d weight, got shape {wd.shape}")
     check_int("conv2d: stride", stride, 1)
-    check_int("conv2d: padding", padding, 0)
     cout, cin_w, kh, kw = wd.shape
     if cin != cin_w:
         raise ContractViolation(
@@ -718,29 +735,23 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     if kh != kw or kh % 2 == 0:
         raise ContractViolation(f"conv2d: kernel must be square and odd, got {wd.shape}")
     k = kh
-    if h + 2 * padding < k or w + 2 * padding < k:
-        raise ContractViolation(
-            f"conv2d: kernel {wd.shape} does not fit input {xd.shape} with padding {padding}"
-        )
     _check_bias("conv2d", bias, cout)
-    if k == 1 and padding == 0 and stride == 1:
+    if k == 1 and stride == 1:
         wm, xm = wd.reshape(cout, cin), xd.reshape(n, cin, h * w)
         data = (wm @ xm).reshape(n, cout, h, w)
-        grad_w = lambda g: (g.reshape(n, cout, -1) @ xm.swapaxes(1, 2)).sum(0).reshape(wd.shape)
-        grad_x = lambda g: (wm.T @ g.reshape(n, cout, -1)).reshape(xd.shape)
+        gm = lambda g: g.reshape(n, cout, h * w)  # not -1, which an empty batch cannot infer
+        grad_w = lambda g: (gm(g) @ xm.swapaxes(1, 2)).sum(0).reshape(wd.shape)
+        grad_x = lambda g: (wm.T @ gm(g)).reshape(xd.shape)
     else:
-        data = _correlate(xd, wd, stride, padding)
-        grad_w = lambda g: _correlate_weight_grad(xd, g, k, stride, padding)
+        data = _correlate(xd, wd, stride)
+        grad_w = lambda g: _correlate_weight_grad(xd, g, k, stride)
 
         def grad_x(g):
             if stride > 1:
-                g1 = np.zeros((n, cout, h + 2 * padding - k + 1, w + 2 * padding - k + 1),
-                              dtype=g.dtype)
+                g1 = np.zeros((n, cout, h, w), dtype=g.dtype)
                 g1[:, :, ::stride, ::stride] = g
                 g = g1
-            pad = k - 1 - padding
-            gx = _correlate(g, wd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), 1, max(pad, 0))
-            return gx if pad >= 0 else gx[:, :, -pad:h - pad, -pad:w - pad]
+            return _correlate(g, wd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), 1)
     if bias is not None:
         data += bias.data.reshape(1, cout, 1, 1)
     # the weight gradient first: its buffers are freed before the input gradient's
@@ -777,8 +788,8 @@ def depthwise_conv3x3(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> 
     gradient with the flipped kernel; the weight gradient contracts the output
     gradient with the nine shifts of the padded input.
     """
-    xd, wd = x.data, weight.data
     check_map("depthwise_conv3x3", x, layout="NHWC")
+    xd, wd = x.data, _data("depthwise_conv3x3", weight)
     if wd.shape != (xd.shape[3], 3, 3):
         raise ContractViolation(
             f"depthwise_conv3x3: weight {wd.shape} does not match input {xd.shape}"
@@ -977,8 +988,8 @@ def grid_sample_points(feature: Tensor, points: Tensor) -> Tensor:
     order, as one product of the whole map would: outputs and gradients do
     not depend on the block size.
     """
-    fd, pd = feature.data, points.data
     n, c, h, w = check_map("grid_sample_points", feature)
+    fd, pd = feature.data, _data("grid_sample_points", points)
     if pd.ndim != 3 or pd.shape[0] != n or pd.shape[2] != 2:
         raise ContractViolation(f"grid_sample_points: points {pd.shape} do not match "
                                 f"feature {fd.shape}: need (N, M, 2)")
@@ -1024,21 +1035,23 @@ def upsample_bilinear(x: Tensor, factor: int) -> Tensor:
     return transpose(reshape(rows, (n, ho, wo, c)), (0, 3, 1, 2))
 
 
-def layer_norm(x: Tensor, gain: Tensor, shift: Tensor, eps: float = 1e-5) -> Tensor:
+LN_EPS = 1e-5  # the variance floor of ``layer_norm``
+
+
+def layer_norm(x: Tensor, gain: Tensor, shift: Tensor) -> Tensor:
     """Normalize the last axis of (..., C), then scale and shift: token rows
     (N, L, C) and channel-last maps (N, H, W, C) alike."""
-    xd = x.data
-    if xd.ndim < 2 or gain.data.shape != (xd.shape[-1],) or shift.data.shape != (xd.shape[-1],):
+    xd, gd, sd = (_data("layer_norm", t) for t in (x, gain, shift))
+    if xd.ndim < 2 or gd.shape != (xd.shape[-1],) or sd.shape != (xd.shape[-1],):
         raise ContractViolation(
-            f"layer_norm: input {xd.shape} with gain {gain.data.shape}, shift {shift.data.shape}"
+            f"layer_norm: input {xd.shape} with gain {gd.shape}, shift {sd.shape}"
         )
     _check_axis("layer_norm", -1, xd.shape, nonempty=True)
     mu = xd.mean(axis=-1, keepdims=True)
     var = xd.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat = (xd - mu) * inv
-    gd = gain.data
-    data = xhat * gd + shift.data
+    data = xhat * gd + sd
     lead = tuple(range(xd.ndim - 1))
 
     def grad_x(g):

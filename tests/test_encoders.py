@@ -128,6 +128,13 @@ class TestSnakeEncoder:
         with pytest.raises(ContractViolation):
             enc(Tensor(np.zeros((1, 1, 24, 64), dtype=np.float32)))
 
+    @pytest.mark.parametrize("widths", [5, (2, 2, 2, 2)])
+    def test_widths_that_are_not_five_entries_are_named(self, widths):
+        # an int raised TypeError from len()
+        with pytest.raises(ContractViolation, match=re.escape(
+                f"SnakeEncoder: widths needs a tuple or list of 5 entries, got {widths!r}")):
+            SnakeEncoder(1, widths, np.random.default_rng(7))
+
     def test_constant_input_stays_constant_away_from_borders(self):
         # the snake branches are exactly constant everywhere (border-clamped
         # sampling of a constant field); the zero-padded standard convolutions
@@ -296,6 +303,16 @@ class TestTransformerEncoder:
                                     (8, 4, 2, 1), rng)
         with pytest.raises(ContractViolation):
             enc(Tensor(np.zeros((1, 1, 48, 64), dtype=np.float32)))
+
+    @pytest.mark.parametrize("bad", ["widths", "depths", "heads", "reductions"])
+    def test_config_lists_that_are_not_four_entries_are_named(self, bad):
+        # MixTransformerEncoder(1, 4, 1, 1, 1, rng) raised TypeError from len()
+        lists = dict(widths=(4, 4, 4, 4), depths=(1, 1, 1, 1), heads=(1, 1, 1, 1),
+                     reductions=(8, 4, 2, 1))
+        lists[bad] = 4
+        with pytest.raises(ContractViolation, match=re.escape(
+                f"MixTransformerEncoder: {bad} needs a tuple or list of 4 entries, got 4")):
+            MixTransformerEncoder(1, *lists.values(), np.random.default_rng(20))
 
     def test_batch_permutation_equivariance(self):
         rng = np.random.default_rng(21)

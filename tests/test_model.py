@@ -1,7 +1,7 @@
 """Decoder fusion, full-model contracts, loss oracle, Adam, and the
 training loop."""
 
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -683,6 +683,28 @@ class TestTrainLoop:
                 evaluate_model(model, pairs, batch_size=2)
             else:
                 train_loop(model, pairs, pairs, epochs=1, batch_size=2)
+
+    def test_generators_of_pairs_give_what_lists_give(self):
+        # both took len() of their pairs, which a generator has not
+        pairs = _toy_pairs(4, 37)
+
+        def run(wrap):
+            model = SnakeFormer(micro_config(seed=38))
+            res = train_loop(model, wrap(pairs), wrap(pairs[:2]), epochs=2, batch_size=2, seed=3)
+            report = evaluate_model(model, wrap(pairs), batch_size=3)
+            records = [(r.epoch, r.train_loss, r.val) for r in res.records]  # not the seconds
+            return records, res.best_state, res.best_iou, res.best_epoch, asdict(report)
+
+        np.testing.assert_equal(run(lambda ps: (p for p in ps)), run(list))
+
+    @pytest.mark.parametrize("entry", ["evaluate_model", "train_loop"])
+    def test_pairs_that_are_not_iterable_are_named(self, entry):
+        model = SnakeFormer(micro_config(seed=32))
+        with pytest.raises(ContractViolation, match="need an iterable of .* got int"):
+            if entry == "evaluate_model":
+                evaluate_model(model, 3)
+            else:
+                train_loop(model, 3, _toy_pairs(1, 36), epochs=1, batch_size=2)
 
     def test_sizes_may_differ_between_batches(self):
         model = SnakeFormer(micro_config(seed=32))

@@ -1,6 +1,7 @@
 """Module tree naming, state round-trips, and the SPT1 checkpoint format."""
 
 import ast
+import importlib
 import inspect
 import os
 import struct
@@ -12,22 +13,24 @@ import pytest
 from serpentseg.attention import ChannelAttention, SpatialAttention, WeightedChannelAttention
 from serpentseg.dsconv import SnakeConv2d
 from serpentseg.encoders import EfficientSelfAttention
+from serpentseg.model import Adam
 from serpentseg.module import (
     CheckpointError,
     Conv2d,
+    LayerNorm,
     Linear,
     Module,
     Parameter,
     load_checkpoint,
     save_checkpoint,
 )
-from serpentseg.tensor import ContractViolation, Tensor
+from serpentseg.tensor import ContractViolation, Tensor, conv2d, layer_norm
 
 
 class _Net(Module):
     def __init__(self, rng):
         super().__init__()
-        self.stem = Conv2d(1, 2, 3, padding=1, rng=rng)
+        self.stem = Conv2d(1, 2, 3, rng=rng)
         self.blocks = Module()
         for i in range(2):
             setattr(self.blocks, str(i), Linear(4, 4, rng=rng))
@@ -98,6 +101,31 @@ def test_module_is_the_one_child_walk():
                   and any(isinstance(f, ast.FunctionDef) and f.name == "__iter__"
                           for f in node.body)]
     assert walks == ["module.Module"], walks
+
+
+def test_no_knob_that_one_value_uses():
+    # every conv is 'same' (padding k // 2), and the layer norm's and Adam's
+    # constants are module constants: none of them is a parameter anywhere
+    sources = sorted(Path(inspect.getfile(Module)).parent.glob("*.py"))
+    assert len(sources) > 5
+    callables = []
+    for path in sources:
+        if path.stem == "__init__":
+            continue
+        mod = importlib.import_module(f"serpentseg.{path.stem}")
+        for obj in vars(mod).values():
+            if getattr(obj, "__module__", None) != mod.__name__:
+                continue  # imported, checked where it is defined
+            if inspect.isclass(obj):
+                callables += [f for f in vars(obj).values() if inspect.isfunction(f)]
+            elif inspect.isfunction(obj):
+                callables.append(obj)
+    assert len(callables) > 50 and conv2d in callables and Conv2d.__init__ in callables
+    with_padding = [f.__qualname__ for f in callables
+                    if "padding" in inspect.signature(f).parameters]
+    assert with_padding == []
+    for f in (layer_norm, LayerNorm, Adam):
+        assert not {"eps", "betas"} & set(inspect.signature(f).parameters), f
 
 
 def test_state_dict_round_trip_preserves_values_and_names():
@@ -176,6 +204,7 @@ def test_load_rejects_a_state_that_is_not_a_mapping(state):
     (lambda rng: ChannelAttention(4, ratio=0, rng=rng), "ChannelAttention: ratio"),
     (lambda rng: EfficientSelfAttention(4, 0, 1, rng), "EfficientSelfAttention: heads"),
     (lambda rng: SnakeConv2d(0, 4, "horizontal", rng), "SnakeConv2d: cin"),
+    (lambda rng: LayerNorm(0), "LayerNorm: c"),
 ])
 def test_zero_size_constructor_argument_raises_naming_it(build, named):
     with pytest.raises(ContractViolation, match=f"{named} must be an int >= 1, got 0"):

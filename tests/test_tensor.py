@@ -17,7 +17,7 @@ import oracles
 from gradcheck import FunctionModule, grad_check
 from serpentseg import tensor as T
 from serpentseg.attention import _pooled_rows
-from serpentseg.dsconv import _embed_kernels, chain_coordinates
+from serpentseg.dsconv import _embed_kernels, chain_contract, chain_coordinates
 from serpentseg.module import Conv2d, LayerNorm, Linear, Module, Parameter
 from serpentseg.tensor import ContractViolation, Tensor, grid_sample_points
 
@@ -53,6 +53,37 @@ def upsample_oracle(x, factor):
     return out
 
 
+def _zeros(*shape) -> Tensor:
+    return Tensor(np.zeros(shape, dtype=np.float32))
+
+
+# every public op given the array-like ``v`` for one operand; binary
+# elementwise ops lift such an operand instead (``_lift``)
+NON_TENSOR_CALLS = {
+    "relu": T.relu, "sigmoid": T.sigmoid, "tanh": T.tanh, "gelu": T.gelu, "exp": T.exp,
+    "log": T.log, "neg": T.neg, "tsum": T.tsum, "tmean": T.tmean,
+    "softmax": lambda v: T.softmax(v, axis=1),
+    "log_softmax": lambda v: T.log_softmax(v, axis=1),
+    "max_along": lambda v: T.max_along(v, axis=1),
+    "reshape": lambda v: T.reshape(v, (-1,)),
+    "transpose": lambda v: T.transpose(v, (0, 1, 3, 2)),
+    "concat": lambda v: T.concat([v], axis=1),
+    "narrow": lambda v: T.narrow(v, 1, 0, 1),
+    "matmul": lambda v: T.matmul(v, _zeros(1, 2, 4, 4)),
+    "linear": lambda v: T.linear(v, _zeros(3, 4)),
+    "linear-weight": lambda v: T.linear(_zeros(1, 2, 4, 4), v),
+    "layer_norm": lambda v: T.layer_norm(v, _zeros(4), _zeros(4)),
+    "conv2d": lambda v: T.conv2d(v, _zeros(3, 2, 3, 3)),
+    "conv2d-weight": lambda v: T.conv2d(_zeros(1, 2, 4, 4), v),
+    "depthwise_conv3x3": lambda v: T.depthwise_conv3x3(v, _zeros(4, 3, 3)),
+    "max_pool2": T.max_pool2,
+    "grid_sample_points": lambda v: T.grid_sample_points(v, _zeros(1, 3, 2)),
+    "upsample_bilinear": lambda v: T.upsample_bilinear(v, 2),
+    "chain_coordinates": chain_coordinates,
+    "chain_contract": lambda v: chain_contract(v, _zeros(3, 2, 9), _zeros(3)),
+}
+
+
 # -- conv2d ---------------------------------------------------------------------
 
 class TestConv2d:
@@ -60,7 +91,7 @@ class TestConv2d:
         x = Tensor(np.ones((1, 1, 3, 3), dtype=np.float32))
         w = Tensor(np.ones((1, 1, 3, 3), dtype=np.float32))
         b = Tensor(np.zeros(1, dtype=np.float32))
-        out = T.conv2d(x, w, b, padding=1)
+        out = T.conv2d(x, w, b)
         assert out.data[0, 0, 1, 1] == pytest.approx(9.0)
 
     def test_delta_kernel_is_identity(self):
@@ -69,7 +100,7 @@ class TestConv2d:
         w = np.zeros((3, 3, 3, 3), dtype=np.float32)
         for c in range(3):
             w[c, c, 1, 1] = 1.0
-        out = T.conv2d(x, Tensor(w), Tensor(np.zeros(3, dtype=np.float32)), padding=1)
+        out = T.conv2d(x, Tensor(w), Tensor(np.zeros(3, dtype=np.float32)))
         np.testing.assert_allclose(out.data, x.data, rtol=0, atol=0)
 
     def test_matches_loop_oracle(self):
@@ -77,43 +108,41 @@ class TestConv2d:
         x = rng.standard_normal((2, 3, 8, 8)).astype(np.float32)
         w = rng.standard_normal((4, 3, 3, 3)).astype(np.float32)
         b = rng.standard_normal(4).astype(np.float32)
-        out = T.conv2d(Tensor(x), Tensor(w), Tensor(b), padding=1)
+        out = T.conv2d(Tensor(x), Tensor(w), Tensor(b))
         ref = oracles.conv2d_oracle(x.astype(np.float64), w.astype(np.float64),
                                     b.astype(np.float64), padding=1)
         np.testing.assert_allclose(out.data, ref, atol=1e-5)
 
     @pytest.mark.parametrize("stride,padding", [(1, 0), (2, 1), (2, 3), (4, 3)])
     def test_strides_and_padding(self, stride, padding):
+        # every conv is 'same': the kernel whose padding k // 2 is ``padding``
         rng = np.random.default_rng(stride * 10 + padding)
-        k = 2 * padding + 1 if padding else 3
+        k = 2 * padding + 1
         x = rng.standard_normal((2, 2, 8, 8)).astype(np.float32)
         w = rng.standard_normal((3, 2, k, k)).astype(np.float32)
         b = rng.standard_normal(3).astype(np.float32)
-        out = T.conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride, padding=padding)
+        out = T.conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride)
         ref = oracles.conv2d_oracle(x.astype(np.float64), w.astype(np.float64),
                                     b.astype(np.float64), stride=stride, padding=padding)
         np.testing.assert_allclose(out.data, ref, atol=1e-4)
 
-    @pytest.mark.parametrize("stride,padding,named", [
-        (0, 1, "stride"), (-1, 1, "stride"), (1.5, 1, "stride"), (True, 1, "stride"),
-        (1, -1, "padding"), (1, 1.0, "padding"), (1, "1", "padding"),
-    ])
-    def test_bad_stride_or_padding_raises(self, stride, padding, named):
+    @pytest.mark.parametrize("stride", [0, -1, 1.5, True])
+    def test_bad_stride_raises(self, stride):
         x = Tensor(np.zeros((1, 2, 5, 5), dtype=np.float32))
         w = Tensor(np.zeros((3, 2, 3, 3), dtype=np.float32))
-        with pytest.raises(ContractViolation, match=f"conv2d: {named} must be an int"):
-            T.conv2d(x, w, None, stride=stride, padding=padding)
+        with pytest.raises(ContractViolation, match="conv2d: stride must be an int"):
+            T.conv2d(x, w, None, stride=stride)
 
     def test_conv2d_layer_with_zero_stride_raises(self):
-        conv = Conv2d(2, 3, 3, stride=0, padding=1, rng=np.random.default_rng(0))
+        conv = Conv2d(2, 3, 3, stride=0, rng=np.random.default_rng(0))
         with pytest.raises(ContractViolation, match="stride must be an int >= 1, got 0"):
             conv(Tensor(np.zeros((1, 2, 5, 5), dtype=np.float32)))
 
-    def test_numpy_integer_stride_and_padding_accepted(self):
+    def test_numpy_integer_stride_accepted(self):
         rng = np.random.default_rng(4)
         x = rng.standard_normal((1, 2, 7, 7)).astype(np.float32)
         w = rng.standard_normal((3, 2, 3, 3)).astype(np.float32)
-        out = T.conv2d(Tensor(x), Tensor(w), None, stride=np.int64(2), padding=np.int32(1))
+        out = T.conv2d(Tensor(x), Tensor(w), None, stride=np.int64(2))
         ref = oracles.conv2d_oracle(x.astype(np.float64), w.astype(np.float64), np.zeros(3),
                                     stride=2, padding=1)
         np.testing.assert_allclose(out.data, ref, atol=1e-4)
@@ -125,12 +154,12 @@ class TestConv2d:
         x = Tensor(rng.standard_normal((2, 8, 40, 40)).astype(np.float32), requires_grad=True)
         w = Tensor(rng.standard_normal((8, 8, 9, 9)).astype(np.float32), requires_grad=True)
         padded_bytes = 2 * 8 * 48 * 48 * 4
-        out, _, kept = oracles.traced(lambda: T.conv2d(x, w, None, padding=4))
+        out, _, kept = oracles.traced(lambda: T.conv2d(x, w, None))
         assert out.data.shape == (2, 8, 40, 40)
         assert kept <= 2 * padded_bytes, kept
 
     def test_pointwise_forward_makes_no_shift_copy(self):
-        # a 1x1 conv at padding 0 and stride 1 is one batched GEMM of the
+        # a 1x1 conv at stride 1 is one batched GEMM of the
         # input's pixels straight into the output, so the forward holds its
         # output; copying the input into a padded layout peaked at twice this
         # bound
@@ -149,7 +178,7 @@ class TestConv2d:
         rng = np.random.default_rng(7)
         x = Tensor(rng.standard_normal((2, 64, 40, 40)).astype(np.float32), requires_grad=True)
         w = Tensor(rng.standard_normal((16, 64, 9, 9)).astype(np.float32))
-        loss = T.conv2d(x, w, None, padding=4).sum()
+        loss = T.conv2d(x, w, None).sum()
         _, peak, _ = oracles.traced(loss.backward)
         assert x.grad.shape == x.data.shape
         assert peak <= 10 * x.data.nbytes, peak
@@ -158,12 +187,20 @@ class TestConv2d:
     def test_empty_batch_gives_empty_output_and_zero_weight_gradient(self, k, stride):
         x = Tensor(np.zeros((0, 2, 5, 5), dtype=np.float32), requires_grad=True)
         w = Tensor(np.ones((3, 2, k, k), dtype=np.float32), requires_grad=True)
-        out = T.conv2d(x, w, None, stride=stride, padding=1)
+        out = T.conv2d(x, w, None, stride=stride)
         T.tsum(out).backward()
-        side = (5 + 2 - k) // stride + 1
+        side = (5 - 1) // stride + 1
         assert out.data.shape == (0, 3, side, side)
         assert x.grad.shape == x.data.shape
         np.testing.assert_array_equal(w.grad, np.zeros_like(w.data))
+
+    @pytest.mark.parametrize("shape", [(1, 2, 0, 5), (1, 2, 5, 0), (0, 2, 0, 0)])
+    def test_empty_map_raises_naming_its_shape(self, shape):
+        # an empty batch of nonempty maps is fine (above); an empty map is not
+        x = Tensor(np.zeros(shape, dtype=np.float32))
+        w = Tensor(np.zeros((3, 2, 3, 3), dtype=np.float32))
+        with pytest.raises(ContractViolation, match=re.escape(f"conv2d: empty map {shape}")):
+            T.conv2d(x, w, None)
 
     @pytest.mark.parametrize("x_shape,w_shape", [
         ((1, 0, 5, 5), (3, 0, 3, 3)),
@@ -173,13 +210,13 @@ class TestConv2d:
         x = Tensor(np.zeros(x_shape, dtype=np.float32))
         w = Tensor(np.zeros(w_shape, dtype=np.float32))
         with pytest.raises(ContractViolation, match="no input or output channels"):
-            T.conv2d(x, w, None, padding=1)
+            T.conv2d(x, w, None)
 
     def test_channel_mismatch_raises(self):
         x = Tensor(np.zeros((1, 3, 4, 4), dtype=np.float32))
         w = Tensor(np.zeros((2, 4, 3, 3), dtype=np.float32))
         with pytest.raises(ContractViolation, match=r"\(1, 3, 4, 4\)"):
-            T.conv2d(x, w, Tensor(np.zeros(2, dtype=np.float32)), padding=1)
+            T.conv2d(x, w, Tensor(np.zeros(2, dtype=np.float32)))
 
 
 class TestConvTiles:
@@ -201,8 +238,9 @@ class TestConvTiles:
 
     @pytest.mark.parametrize("rows", [1, 4])
     @pytest.mark.parametrize("k,pad", [
-        # padding k // 2, k - 1 and k + 1: above k - 1 the first and last
-        # bands can lie wholly in the padding
+        # padding k // 2, and k - 1 and k + 1 as the 'same' conv of the input
+        # zero-extended by pad - k // 2: above k - 1 the first and last bands
+        # can lie wholly in the zero rows
         pytest.param(k, pad, id=f"{k}" if pad == k // 2 else f"{k}-pad{pad}")
         for k in (1, 3, 7, 9) for pad in sorted({k // 2, k - 1, k + 1})])
     @pytest.mark.parametrize("stride", [1, 2, 4])
@@ -221,18 +259,20 @@ class TestConvTiles:
         monkeypatch.setattr(T, "CONV_TILE_BYTES",
                             4 * wq * ((cin * k + 2 * cout) * grid + cin * k * (k - 1)))
         bands = self._record_tiles(monkeypatch)
-        xt = Tensor(x.astype(np.float32), requires_grad=True)
+        e = pad - k // 2
+        xt = Tensor(np.pad(x, ((0, 0), (0, 0), (e, e), (e, e))).astype(np.float32),
+                    requires_grad=True)
         wt = Tensor(wd.astype(np.float32), requires_grad=True)
-        out = T.conv2d(xt, wt, None, stride=stride, padding=pad)
+        out = T.conv2d(xt, wt, None, stride=stride)
         forward = list(bands)
         g = rng.standard_normal(out.data.shape)
         T.tsum(out * Tensor(g.astype(np.float32))).backward()
 
         np.testing.assert_allclose(out.data, self._oracle(x, wd, stride, pad), atol=1e-4)
         gx, gw = oracles.conv2d_grads_oracle(x, wd, g, stride, pad)
-        np.testing.assert_allclose(xt.grad, gx, atol=1e-4)
+        np.testing.assert_allclose(xt.grad[:, :, e:e + h, e:e + w], gx, atol=1e-4)
         np.testing.assert_allclose(wt.grad, gw, atol=1e-4)
-        if k == 1 and pad == 0 and stride == 1:  # pointwise: one GEMM, no bands
+        if k == 1 and stride == 1:  # pointwise: one GEMM, no bands
             assert forward == []
             return
         ho = out.data.shape[2]
@@ -263,7 +303,7 @@ class TestConvTiles:
         rng = np.random.default_rng(41)
         x = Tensor(rng.standard_normal((1, 32, 256, 256)).astype(np.float32))
         w = Tensor(rng.standard_normal((16, 32, 3, 3)).astype(np.float32))
-        out, peak, _ = oracles.traced(lambda: T.conv2d(x, w, None, padding=1))
+        out, peak, _ = oracles.traced(lambda: T.conv2d(x, w, None))
         assert out.data.shape == (1, 16, 256, 256)
         assert peak <= out.data.nbytes + 2 * T.CONV_TILE_BYTES, peak
 
@@ -277,7 +317,7 @@ class TestConvTiles:
         rng = np.random.default_rng(42)
         x = Tensor(rng.standard_normal((1, 32, 256, 256)).astype(np.float32), requires_grad=True)
         w = Tensor(rng.standard_normal((16, 32, 3, 3)).astype(np.float32), requires_grad=True)
-        out = T.conv2d(x, w, None, padding=1)
+        out = T.conv2d(x, w, None)
         loss = out.sum()
         _, peak, _ = oracles.traced(loss.backward)
         assert x.grad.shape == x.data.shape and w.grad.shape == w.data.shape
@@ -556,6 +596,17 @@ class TestShapeSurgery:
         msg = str(err.value)
         assert msg.startswith(f"{op}: ") and named in msg, msg
 
+    @pytest.mark.parametrize("kind", [list, np.asarray])
+    @pytest.mark.parametrize("case", list(NON_TENSOR_CALLS))
+    def test_ops_name_an_operand_that_is_not_a_tensor(self, case, kind):
+        # a list raised AttributeError, and an ndarray, whose ``.data`` is a
+        # memoryview, a TypeError from inside the op
+        value = kind(np.zeros((1, 2, 4, 4)).tolist())
+        op = case.split("-")[0]
+        with pytest.raises(ContractViolation,
+                           match=f"^{op}: needs a Tensor, got {type(value).__name__}$"):
+            NON_TENSOR_CALLS[case](value)
+
     @pytest.mark.parametrize("call", [
         lambda a, last: T.softmax(a, axis=last),
         lambda a, last: T.tsum(a, axis=(0, last)),
@@ -742,34 +793,38 @@ class TestGradients:
 
     def test_conv2d(self):
         rng = np.random.default_rng(11)
-        self._check(Conv2d(2, 3, 3, padding=1, rng=rng), rng.standard_normal((1, 2, 5, 5)))
+        self._check(Conv2d(2, 3, 3, rng=rng), rng.standard_normal((1, 2, 5, 5)))
 
     def test_conv2d_strided(self):
         rng = np.random.default_rng(12)
-        self._check(Conv2d(2, 3, 3, stride=2, padding=1, rng=rng),
+        self._check(Conv2d(2, 3, 3, stride=2, rng=rng),
                     rng.standard_normal((1, 2, 6, 6)))
 
     @pytest.mark.parametrize("n,h,w,k,stride,padding", [
+        # padding k // 2, or beyond it as the 'same' conv of the input
+        # zero-extended by padding - k // 2
         (1, 5, 5, 1, 1, 1),    # padding beyond k - 1: the windows reach past the input
         (1, 5, 5, 3, 1, 3),
-        (2, 7, 6, 3, 2, 0),    # w - k = 3 is odd: the last input column is never read
-        (2, 7, 8, 5, 3, 1),    # neither side divisible by the stride
+        (2, 7, 6, 3, 2, 1),    # h = 7 is not a stride multiple, w = 6 is
+        (2, 7, 8, 5, 3, 2),    # neither side divisible by the stride
         (3, 6, 10, 3, 3, 4),   # padding beyond k - 1 with a stride, batch 3
-        (1, 9, 11, 7, 4, 3),   # the patch embedding's kernel, stride and padding
+        (1, 9, 11, 7, 4, 3),   # the patch embedding's kernel and stride
         (1, 9, 7, 1, 2, 0),    # 1x1 with stride 2: 9 and 7 are not stride multiples
-        (2, 3, 2, 5, 1, 2),    # input smaller than the kernel, fits only when padded
+        (2, 3, 2, 5, 1, 2),    # input smaller than the kernel
         (1, 4, 4, 9, 1, 4),    # the 9x9 pyramid conv on a map smaller than its kernel
     ])
     def test_conv2d_backward_shapes(self, n, h, w, k, stride, padding):
         rng = np.random.default_rng(100 + 10 * k + padding)
-        conv = Conv2d(2, 3, k, stride=stride, padding=padding, rng=rng)
+        conv = Conv2d(2, 3, k, stride=stride, rng=rng)
         x = rng.standard_normal((n, 2, h, w))
-        out = conv(Tensor(x.astype(np.float32)))
+        e = padding - k // 2
+        xe = np.pad(x, ((0, 0), (0, 0), (e, e), (e, e)))
+        out = conv(Tensor(xe.astype(np.float32)))
         ref = oracles.conv2d_oracle(x, conv.weight.data.astype(np.float64),
                                     conv.bias.data.astype(np.float64),
                                     stride=stride, padding=padding)
         np.testing.assert_allclose(out.data, ref, atol=1e-4)
-        self._check(conv, x)
+        self._check(conv, xe)
 
     def test_depthwise_conv(self):
         rng = np.random.default_rng(13)
@@ -906,7 +961,7 @@ class TestTapeInvariants:
         x = Tensor(rng.standard_normal((2, 3, 4, 4)).astype(np.float32), requires_grad=True)
         w = Tensor(rng.standard_normal((5, 3, 3, 3)).astype(np.float32), requires_grad=True)
         b = Tensor(rng.standard_normal(5).astype(np.float32), requires_grad=True)
-        out = T.conv2d(x, w, b, padding=1)
+        out = T.conv2d(x, w, b)
         out.sum().backward()
         assert x.grad.shape == x.data.shape
         assert w.grad.shape == w.data.shape
@@ -917,8 +972,8 @@ class TestTapeInvariants:
         x = rng.standard_normal((2, 3, 8, 8)).astype(np.float32)
         w = rng.standard_normal((4, 3, 3, 3)).astype(np.float32)
         b = rng.standard_normal(4).astype(np.float32)
-        a = T.conv2d(Tensor(x), Tensor(w), Tensor(b), padding=1).data
-        bb = T.conv2d(Tensor(x), Tensor(w), Tensor(b), padding=1).data
+        a = T.conv2d(Tensor(x), Tensor(w), Tensor(b)).data
+        bb = T.conv2d(Tensor(x), Tensor(w), Tensor(b)).data
         assert np.array_equal(a, bb)
 
     def test_grad_accumulates_over_reuse(self):
@@ -941,7 +996,7 @@ class TestTapeInvariants:
         x = Tensor(rng.standard_normal((1, 2, 5, 5)), requires_grad=True)
         w = Tensor(rng.standard_normal((3, 2, 3, 3)), requires_grad=True)
         h = x * 2.0  # an op output whose array only the conv's weight gradient keeps
-        loss = T.conv2d(h, w, padding=1).sum()
+        loss = T.conv2d(h, w).sum()
         ref = weakref.ref(h.data)
         del h
         assert ref() is not None
@@ -1019,7 +1074,7 @@ class TestTapeInvariants:
         x = Tensor(np.ones((1, 1, 4, 4), dtype=np.float32))
         w = Tensor(np.ones((1, 1, 3, 3), dtype=np.float32), requires_grad=True)
         x.grad = None
-        T.conv2d(x, w, padding=1).sum().backward()
+        T.conv2d(x, w).sum().backward()
         assert x.grad is None and not x.requires_grad
         assert w.grad is not None
         with pytest.raises(ContractViolation, match=r"untaped tensor of shape \(1, 1, 4, 4\)"):
@@ -1041,7 +1096,7 @@ class TestTapeInvariants:
     def test_dtype_preserved_through_graph(self):
         x = Tensor(np.ones((1, 1, 4, 4), dtype=np.float64), requires_grad=True)
         w = Tensor(np.ones((1, 1, 3, 3), dtype=np.float64))
-        out = T.relu(T.conv2d(x, w, None, padding=1)) * 0.5
+        out = T.relu(T.conv2d(x, w, None)) * 0.5
         assert out.data.dtype == np.float64
 
     def test_no_grad_blocks_tape(self):
@@ -1108,7 +1163,7 @@ TAPE_OPS = {
     "matmul-a": ([(2, 3, 4), (2, 4, 5)], (True, False), T.matmul, True),
     "linear-x": ([(2, 3, 4), (5, 4)], (True, False), T.linear, True),
     "conv2d-x": ([(1, 2, 5, 5), (3, 2, 3, 3)], (True, False),
-                 lambda x, w: T.conv2d(x, w, stride=2, padding=1), True),
+                 lambda x, w: T.conv2d(x, w, stride=2), True),
     "depthwise_conv3x3-x": ([(1, 4, 5, 2), (2, 3, 3)], (True, False), T.depthwise_conv3x3,
                             True),
     "grid_sample_points-feature": ([(1, 2, 4, 5), (1, 6, 2)], (True, False),
