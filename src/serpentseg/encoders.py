@@ -37,6 +37,9 @@ from .tensor import (
 
 CONV_MODES = ("vanilla", "dsconv", "enhanced")
 CHANNEL_ATTENTION_MODES = ("none", "cam", "wcam")
+# key/value reduction of stage i, on its 1/2^(i+2) grid: SegFormer's Mix-Transformer
+# uses these in every variant, B0 to B5 (Xie et al., arXiv 2105.15203)
+MIT_REDUCTIONS = (8, 4, 2, 1)
 
 
 def make_channel_attention(mode: str, channels: int, ratio: int,
@@ -221,14 +224,12 @@ class TransformerStage(Module):
 class MixTransformerEncoder(Module):
     """Four-stage hierarchical encoder: 1/4, 1/8, 1/16, 1/32 feature maps."""
 
-    def __init__(self, cin: int, widths, depths, heads, reductions,
-                 rng: np.random.Generator):
-        for name, values in (("widths", widths), ("depths", depths), ("heads", heads),
-                             ("reductions", reductions)):
+    def __init__(self, cin: int, widths, depths, heads, rng: np.random.Generator):
+        for name, values in (("widths", widths), ("depths", depths), ("heads", heads)):
             check_entries(f"MixTransformerEncoder: {name}", values, 4)
         for i, prev in enumerate((cin, *widths[:3])):
             setattr(self, str(i), TransformerStage(prev, widths[i], depths[i], heads[i],
-                                                   reductions[i], first=(i == 0), rng=rng))
+                                                   MIT_REDUCTIONS[i], first=(i == 0), rng=rng))
 
     def forward(self, x: Tensor) -> list[Tensor]:
         h, w = check_map("MixTransformerEncoder", x)[2:]

@@ -8,7 +8,6 @@ resolution.
 """
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field, replace
 
@@ -50,12 +49,22 @@ class TrainingError(RuntimeError):
 
 @dataclass
 class ModelConfig:
+    """Widths, depths, modes and seed of ``SnakeFormer``; ``validate`` checks them.
+
+    The input is (N, ``image_channels``, H, W), with H and W multiples of 32.
+    ``snake_widths`` are the snake branch's channels at 1/1 .. 1/16, and
+    ``transformer_widths``, ``_depths`` and ``_heads`` the channels, blocks and
+    heads of the Mix-Transformer stages at 1/4 .. 1/32, whose key/value
+    reduction ratios are ``encoders.MIT_REDUCTIONS``. ``decoder_widths`` are the
+    fusion stages' outputs, ``wcam_ratio`` divides channel attention's hidden
+    width, ``seed`` draws every parameter, and ``conv_mode`` and
+    ``channel_attention`` are one of ``CONV_MODES`` and ``CHANNEL_ATTENTION_MODES``.
+    """
     image_channels: int = 1
     snake_widths: tuple = (8, 16, 32, 64, 128)
     transformer_widths: tuple = (16, 32, 64, 128)
     transformer_depths: tuple = (1, 1, 1, 1)
     transformer_heads: tuple = (1, 2, 4, 8)
-    transformer_reductions: tuple = (8, 4, 2, 1)
     decoder_widths: tuple = (64, 48, 32, 24, 16)  # scales 1/16, 1/8, 1/4, 1/2, 1/1
     wcam_ratio: int = 8
     seed: int = 0
@@ -67,7 +76,6 @@ class ModelConfig:
             check_int(name, getattr(self, name), lowest)
         for name, length, lowest in (("snake_widths", 5, 1), ("decoder_widths", 5, 1),
                                      ("transformer_widths", 4, 1), ("transformer_heads", 4, 1),
-                                     ("transformer_reductions", 4, 1),
                                      ("transformer_depths", 4, 0)):
             values = getattr(self, name)
             check_entries(name, values, length)
@@ -153,8 +161,7 @@ class SnakeFormer(Module):
                                     channel_attention=cfg.channel_attention,
                                     ratio=cfg.wcam_ratio)
         self.enc.mit = MixTransformerEncoder(cfg.image_channels, cfg.transformer_widths,
-                                             cfg.transformer_depths, cfg.transformer_heads,
-                                             cfg.transformer_reductions, rng)
+                                             cfg.transformer_depths, cfg.transformer_heads, rng)
         self.dec = Module()
         for name, (cin, cout) in cfg.fusion_widths().items():
             setattr(self.dec, name, FusionStage(cin, cout, rng,
@@ -166,16 +173,9 @@ class SnakeFormer(Module):
         h, w = check_map("SnakeFormer", image, self.cfg.image_channels)[2:]
         if not np.isfinite(image.data).all():
             raise ContractViolation(f"image of shape {image.data.shape} has NaN or Inf values")
-        # 32 for the 1/32 scale, and stage i's reduction must divide its 1/2^(i+2) grid
-        side, why = 32, ""
-        for i, (r, depth) in enumerate(zip(self.cfg.transformer_reductions,
-                                           self.cfg.transformer_depths)):
-            if depth and 32 % (r << (i + 2)):
-                side = math.lcm(side, r << (i + 2))
-                why += f", transformer_reductions[{i}] = {r} on the 1/{4 << i} grid"
-        if h % side or w % side:
-            raise ContractViolation(f"image sides must be multiples of {side}{why}; "
-                                    f"got {image.data.shape}")
+        # 32 for the 1/32 scale; it fits every stage's reduction: MIT_REDUCTIONS[i] << (i + 2) == 32
+        if h % 32 or w % 32:
+            raise ContractViolation(f"image sides must be multiples of 32; got {image.data.shape}")
         dsc = self.enc.dsc(image)   # 1/1, 1/2, 1/4, 1/8, 1/16
         mit = self.enc.mit(image)   # 1/4, 1/8, 1/16, 1/32
         dec = self.dec
@@ -225,8 +225,17 @@ def predict_probabilities(model: SnakeFormer, images) -> np.ndarray:
     return probs.data[:, 1]
 
 
+def _check_real(name: str, value, ok, rule: str) -> None:
+    """Raise ``ContractViolation`` naming ``name`` unless ``value`` is a finite
+    int or float, numpy's included, bools not, for which ``ok`` holds."""
+    if not (isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, bool) and np.isfinite(value) and ok(value)):
+        raise ContractViolation(f"{name} must be a finite real {rule}, got {value!r}")
+
+
 def predict_masks(model: SnakeFormer, images: np.ndarray,
                   threshold: float = 0.5) -> np.ndarray:
+    _check_real("threshold", threshold, lambda v: 0 <= v <= 1, "in [0, 1]")
     return (predict_probabilities(model, images) > threshold).astype(np.uint8)
 
 
@@ -237,6 +246,8 @@ class Adam:
     """Adam with decoupled weight decay applied before the moment update."""
 
     def __init__(self, named_params, lr: float = 1e-4, weight_decay: float = 1e-4):
+        _check_real("lr", lr, lambda v: v > 0, "> 0")
+        _check_real("weight_decay", weight_decay, lambda v: v >= 0, ">= 0")
         self.named = list(named_params)
         self.lr = lr
         self.weight_decay = weight_decay
@@ -339,6 +350,10 @@ def train_loop(model: SnakeFormer, train_pairs, val_pairs, epochs: int,
     state dict of the best-validation-IoU epoch."""
     check_int("epochs", epochs, 1)
     check_int("batch_size", batch_size, 1)
+    check_int("seed", seed, 0)
+    if log is not None and not callable(log):
+        raise ContractViolation(f"log must be None or callable, got {type(log).__name__}")
+    opt = Adam(model.named_parameters(), lr=lr, weight_decay=weight_decay)
     train_pairs = _pair_list("train_loop: train_pairs", train_pairs)
     val_pairs = _pair_list("train_loop: val_pairs", val_pairs)
     if not train_pairs:
@@ -347,7 +362,6 @@ def train_loop(model: SnakeFormer, train_pairs, val_pairs, epochs: int,
         raise ContractViolation("validation set is empty: the best epoch is chosen by "
                                 "validation IoU")
     rng = np.random.default_rng(seed)
-    opt = Adam(model.named_parameters(), lr=lr, weight_decay=weight_decay)
     result = TrainResult()
     for epoch in range(1, epochs + 1):
         t0 = time.perf_counter()

@@ -451,26 +451,30 @@ def reshape(a: Tensor, shape) -> Tensor:
     old = _data("reshape", a).shape
     try:
         data = a.data.reshape(shape)
-    except ValueError:
-        raise ContractViolation(f"reshape: cannot reshape {old} to {shape}") from None
+    except (TypeError, ValueError):
+        raise ContractViolation(f"reshape: cannot reshape {old} to {shape!r}") from None
     return _make(data, (a, lambda g: g.reshape(old)))
 
 
 def transpose(a: Tensor, axes) -> Tensor:
     ad = _data("transpose", a)
-    axes = tuple(axes)
     try:
+        axes = tuple(axes)
         data = ad.transpose(axes)
-    except ValueError:
+    except (TypeError, ValueError):
         raise ContractViolation(
-            f"transpose: axes {axes} do not permute the axes of shape {a.data.shape}") from None
+            f"transpose: axes {axes!r} do not permute the axes of shape {a.data.shape}") from None
     inv = tuple(np.argsort([ax % data.ndim for ax in axes]))
     return _make(data, (a, lambda g: g.transpose(inv)))
 
 
 def concat(tensors, axis: int) -> Tensor:
     """Join one or more tensors along ``axis``; ranks and the other axes must agree."""
-    tensors = list(tensors)
+    try:
+        tensors = list(tensors)
+    except TypeError:
+        raise ContractViolation(f"concat: needs an iterable of Tensors, got "
+                                f"{type(tensors).__name__}") from None
     shapes = [_data("concat", t).shape for t in tensors]
     if shapes:
         _check_axis("concat", axis, shapes[0], single=True)

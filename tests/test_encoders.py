@@ -16,6 +16,7 @@ from serpentseg.encoders import (
     SnakeBlock,
     SnakeEncoder,
     TransformerBlock,
+    TransformerStage,
 )
 from serpentseg.tensor import ContractViolation, Tensor, concat, mul, no_grad, relu
 from serpentseg.attention import attend
@@ -291,24 +292,21 @@ class TestMixFFN:
 class TestTransformerEncoder:
     def test_stage_shapes_at_64(self):
         rng = np.random.default_rng(19)
-        enc = MixTransformerEncoder(1, (4, 8, 12, 16), (1, 1, 1, 1), (1, 2, 2, 4),
-                                    (8, 4, 2, 1), rng)
+        enc = MixTransformerEncoder(1, (4, 8, 12, 16), (1, 1, 1, 1), (1, 2, 2, 4), rng)
         feats = enc(Tensor(rng.standard_normal((1, 1, 64, 64)).astype(np.float32)))
         assert [f.data.shape for f in feats] == [
             (1, 4, 16, 16), (1, 8, 8, 8), (1, 12, 4, 4), (1, 16, 2, 2)]
 
     def test_indivisible_dims_rejected(self):
         rng = np.random.default_rng(20)
-        enc = MixTransformerEncoder(1, (4, 4, 4, 4), (1, 1, 1, 1), (1, 1, 1, 1),
-                                    (8, 4, 2, 1), rng)
+        enc = MixTransformerEncoder(1, (4, 4, 4, 4), (1, 1, 1, 1), (1, 1, 1, 1), rng)
         with pytest.raises(ContractViolation):
             enc(Tensor(np.zeros((1, 1, 48, 64), dtype=np.float32)))
 
-    @pytest.mark.parametrize("bad", ["widths", "depths", "heads", "reductions"])
+    @pytest.mark.parametrize("bad", ["widths", "depths", "heads"])
     def test_config_lists_that_are_not_four_entries_are_named(self, bad):
-        # MixTransformerEncoder(1, 4, 1, 1, 1, rng) raised TypeError from len()
-        lists = dict(widths=(4, 4, 4, 4), depths=(1, 1, 1, 1), heads=(1, 1, 1, 1),
-                     reductions=(8, 4, 2, 1))
+        # MixTransformerEncoder(1, 4, 1, 1, rng) raised TypeError from len()
+        lists = dict(widths=(4, 4, 4, 4), depths=(1, 1, 1, 1), heads=(1, 1, 1, 1))
         lists[bad] = 4
         with pytest.raises(ContractViolation, match=re.escape(
                 f"MixTransformerEncoder: {bad} needs a tuple or list of 4 entries, got 4")):
@@ -316,8 +314,7 @@ class TestTransformerEncoder:
 
     def test_batch_permutation_equivariance(self):
         rng = np.random.default_rng(21)
-        enc = MixTransformerEncoder(1, (4, 4, 8, 8), (1, 1, 1, 1), (1, 1, 2, 2),
-                                    (8, 4, 2, 1), rng)
+        enc = MixTransformerEncoder(1, (4, 4, 8, 8), (1, 1, 1, 1), (1, 1, 2, 2), rng)
         x = rng.standard_normal((3, 1, 32, 32)).astype(np.float32)
         feats = enc(Tensor(x))
         perm = np.array([2, 0, 1])
@@ -347,8 +344,8 @@ class TestEncoderGradients:
 
     def test_single_stage_transformer_grad_check(self):
         rng = np.random.default_rng(28)
-        enc = MixTransformerEncoder(1, (4, 4, 4, 4), (1, 0, 0, 0), (1, 1, 1, 1), (2, 1, 1, 1), rng)
-        report = grad_check(getattr(enc, "0"),
+        stage = TransformerStage(1, 4, depth=1, heads=1, reduction=2, first=True, rng=rng)
+        report = grad_check(stage,
                             np.random.default_rng(29).standard_normal((1, 1, 8, 8)),
                             tolerance=1e-3)
         assert report.passed, str(report)

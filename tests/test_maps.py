@@ -84,7 +84,7 @@ CASES = {
     "SnakeEncoder": ((1, 1, 16, 16), 1, lambda x: SnakeEncoder(1, (2,) * 5, _rng(), ratio=2)(x),
                      "SnakeEncoder", "SnakeConv2d"),
     "MixTransformerEncoder": ((1, 1, 32, 32), 1, lambda x: MixTransformerEncoder(
-        1, (4, 4, 8, 8), (1,) * 4, (1, 1, 2, 2), (8, 4, 2, 1), _rng())(x),
+        1, (4, 4, 8, 8), (1,) * 4, (1, 1, 2, 2), _rng())(x),
         "MixTransformerEncoder", "conv2d"),
     "EfficientSelfAttention": ((1, 4, 4, 8), 3,
                                lambda x: EfficientSelfAttention(8, 2, 2, _rng())(x),

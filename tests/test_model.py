@@ -10,6 +10,7 @@ import pytest
 from gradcheck import FunctionModule, grad_check, set_dtype
 from oracles import traced, transpose_parameters
 
+from serpentseg.encoders import MIT_REDUCTIONS
 from serpentseg.metrics import confusion_counts, pixel_metrics
 from serpentseg.model import (
     Adam,
@@ -34,7 +35,6 @@ def micro_config(seed=0, **kw):
         transformer_widths=(4, 4, 8, 8),
         transformer_depths=(1, 1, 1, 1),
         transformer_heads=(1, 1, 2, 2),
-        transformer_reductions=(8, 4, 2, 1),
         decoder_widths=(4, 4, 4, 4, 4),
         wcam_ratio=2,
         seed=seed,
@@ -122,26 +122,24 @@ class TestSnakeFormerForward:
             model(Tensor(np.zeros((1, 1, 48, 64), dtype=np.float32)))
 
     def test_side_must_be_a_multiple_of_every_attention_grid(self, monkeypatch):
-        # reduction 16 on the 1/4 grid needs sides that are multiples of 64;
-        # the check fires before either encoder runs
-        model = SnakeFormer(tiny_config(transformer_reductions=(16, 4, 2, 1)))
+        # the 1/32 scale and every stage's reduced grid need sides that are
+        # multiples of 32; the check fires before either encoder runs
+        model = SnakeFormer(tiny_config())
         for enc in (model.enc.dsc, model.enc.mit):
             monkeypatch.setattr(enc, "forward", lambda x: pytest.fail("encoder ran"))
-        with pytest.raises(ContractViolation,
-                           match=r"multiples of 64, transformer_reductions\[0\] = 16"):
-            model(Tensor(np.zeros((1, 1, 32, 32), dtype=np.float32)))
+        with pytest.raises(ContractViolation, match=r"multiples of 32; got \(1, 1, 48, 64\)"):
+            model(Tensor(np.zeros((1, 1, 48, 64), dtype=np.float32)))
         monkeypatch.undo()
         assert model(Tensor(np.zeros((1, 1, 64, 64), dtype=np.float32))).data.shape[2:] == (64, 64)
 
     @pytest.mark.parametrize("reductions,depths,side", [
         ((8, 4, 2, 1), (1, 1, 1, 1), 32),
-        ((3, 4, 2, 1), (1, 1, 1, 1), 96),
-        ((16, 4, 2, 1), (0, 1, 1, 1), 32),   # a stage without blocks reduces nothing
-        ((1, 1, 1, 5), (1, 1, 1, 1), 160),
     ])
     def test_rejection_names_the_side_multiple(self, reductions, depths, side):
-        model = SnakeFormer(tiny_config(transformer_reductions=reductions,
-                                        transformer_depths=depths))
+        # reduction r_i on the 1/2^(i+2) grid: each r_i << (i + 2) is the side
+        assert MIT_REDUCTIONS == reductions
+        assert {r << (i + 2) for i, r in enumerate(reductions)} == {side}
+        model = SnakeFormer(tiny_config(transformer_depths=depths))
         with pytest.raises(ContractViolation, match=f"multiples of {side}[,;]"):
             model(Tensor(np.zeros((1, 1, 16, 16), dtype=np.float32)))
 
@@ -237,6 +235,42 @@ def test_model_commutes_with_a_transpose_of_its_input(conv_mode, channel_attenti
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
 
 
+@pytest.mark.parametrize("channel_attention", ["none", "cam", "wcam"])
+@pytest.mark.parametrize("conv_mode", ["vanilla", "dsconv", "enhanced"])
+def test_backward_and_adam_commute_with_a_transpose_of_the_input(conv_mode, channel_attention):
+    # T permutes parameters, so it maps the gradients of the loss at (x, mask)
+    # to those at (xT, maskT), and Adam, elementwise, commutes with it. The
+    # gradient tolerance is relative to the largest gradient: the attn.k.bias
+    # gradients are zero up to 1e-20 noise, since softmax ignores a shift.
+    # Measured: at most 2.2e-16 of the largest gradient, and 1.6e-15 after the step.
+    model = set_dtype(SnakeFormer(tiny_config(seed=3, conv_mode=conv_mode,
+                                              channel_attention=channel_attention)), np.float64)
+    rng = np.random.default_rng(62)
+    state = {k: v + 0.05 * rng.standard_normal(v.shape) for k, v in model.state_dict().items()}
+    x = rng.standard_normal((2, 1, 32, 64))
+    mask = (rng.random((2, 32, 64)) < 0.2).astype(np.uint8)
+
+    def step(state, x, mask):
+        model.load_state_dict(state)
+        model.zero_grad()
+        combined_loss(model(Tensor(x)), mask).backward()
+        grads = {name: p.grad for name, p in model.named_parameters()}
+        Adam(model.named_parameters()).step()
+        return grads, model.state_dict()
+
+    grads, stepped = step(state, x, mask)
+    want_grads = transpose_parameters(grads, model.cfg)
+    want_stepped = transpose_parameters(stepped, model.cfg)
+    got_grads, got_stepped = step(transpose_parameters(state, model.cfg),
+                                  x.transpose(0, 1, 3, 2).copy(), mask.transpose(0, 2, 1).copy())
+    scale = max(np.abs(g).max() for g in grads.values())
+    for name in state:
+        np.testing.assert_allclose(got_grads[name], want_grads[name], rtol=0,
+                                   atol=1e-12 * scale, err_msg=name)
+        np.testing.assert_allclose(got_stepped[name], want_stepped[name], rtol=0, atol=1e-11,
+                                   err_msg=name)
+
+
 def test_tiny_config_rejects_unknown_override():
     with pytest.raises(ContractViolation, match="conv_mod"):
         tiny_config(conv_mod="vanilla")
@@ -248,7 +282,7 @@ def test_tiny_config_rejects_unknown_override():
     ("decoder_widths", (24, 16, 12, -8, 8)),
     ("transformer_heads", (1, 2, 0, 4)),
     ("transformer_heads", (1, 2, 2, True)),
-    ("transformer_reductions", (8, 0, 2, 1)),
+    ("transformer_heads", (1, 2, 2)),
     ("transformer_depths", (1, -1, 1, 1)),
     ("transformer_depths", (1, 1, 0.5, 1)),
     ("wcam_ratio", 0),
@@ -292,15 +326,12 @@ def test_ratio_is_unconstrained_without_channel_attention():
 
 # valid draws keep every constraint that spans fields: widths are even, so
 # heads of 1 or 2 and a channel-attention ratio of 1 or 2 divide every
-# attention width, and the reduction of stage i divides its 32/4/2**i grid
+# attention width
 FUZZ_VALID = {
     "snake_widths": lambda r: tuple(int(v) for v in r.choice([2, 4, 6], 5)),
     "transformer_widths": lambda r: tuple(int(v) for v in r.choice([2, 4, 8], 4)),
     "decoder_widths": lambda r: tuple(int(v) for v in r.choice([2, 4, 6], 5)),
     "transformer_heads": lambda r: tuple(int(v) for v in r.choice([1, 2], 4)),
-    "transformer_reductions": lambda r: tuple(int(r.choice([d for d in (1, 2, 4, 8)
-                                                            if (8 >> i) % d == 0]))
-                                              for i in range(4)),
     "transformer_depths": lambda r: tuple(int(v) for v in r.choice([0, 1, 2], 4)),
     "wcam_ratio": lambda r: int(r.choice([1, 2])),
     "image_channels": lambda r: int(r.choice([1, 2])),
@@ -312,7 +343,7 @@ FUZZ_BAD = [0, -1, 1.5, True, "2"]
 
 def test_fuzzed_configs_run_forward_and_backward_or_are_rejected():
     rng = np.random.default_rng(2027)
-    base = micro_config(transformer_reductions=(1, 1, 1, 1))
+    base = micro_config()
     ran = rejected = 0
     for _ in range(16):
         fields = rng.choice(sorted(FUZZ_VALID), size=3, replace=False)
@@ -359,7 +390,7 @@ def test_fuzzed_cross_field_configs_are_rejected_only_by_validate():
     # a config that validate() accepts must build and run; before the
     # cross-field checks, these draws failed while the layers were built
     rng = np.random.default_rng(2030)
-    base = micro_config(transformer_reductions=(1, 1, 1, 1))
+    base = micro_config()
     ran = rejected = 0
     for _ in range(16):
         fields = rng.choice(sorted(FUZZ_CROSS), size=2, replace=False)
@@ -587,6 +618,33 @@ class TestTrainLoop:
         pairs = _toy_pairs(2, 26)
         with pytest.raises(ContractViolation, match=field):
             train_loop(model, pairs, pairs, **kw)
+
+    @pytest.mark.parametrize("field,value", [
+        ("lr", np.nan), ("lr", np.inf), ("lr", "a"), ("lr", 0.0), ("lr", True),
+        ("weight_decay", np.nan), ("weight_decay", -1e-4), ("weight_decay", False),
+        ("seed", "a"), ("seed", -1), ("log", 5),
+    ])
+    def test_bad_hyperparameters_are_refused_before_any_forward(self, field, value, monkeypatch):
+        # lr=nan or inf wrote NaN into every parameter, lr="a" failed raw in
+        # Adam.step after a forward and backward, log=5 after a whole epoch
+        model = SnakeFormer(micro_config(seed=26))
+        before = model.state_dict()
+        monkeypatch.setattr(model, "forward", lambda x: pytest.fail("forward ran"))
+        pairs = _toy_pairs(2, 26)
+        with pytest.raises(ContractViolation, match=f"^{field} "):
+            train_loop(model, pairs, pairs, epochs=1, batch_size=2, **{field: value})
+        np.testing.assert_equal(model.state_dict(), before)
+
+    @pytest.mark.parametrize("threshold", ["a", None, np.nan, np.inf, -0.1, 1.5, True])
+    def test_predict_masks_checks_threshold_before_the_forward(self, threshold, monkeypatch):
+        # "a" and None failed raw after the whole forward, and nan gave an all-zero mask
+        model = SnakeFormer(micro_config(seed=27))
+        x = np.random.default_rng(28).random((1, 1, 32, 32)).astype(np.float32)
+        monkeypatch.setattr(model, "forward", lambda x: pytest.fail("forward ran"))
+        with pytest.raises(ContractViolation, match="^threshold "):
+            predict_masks(model, x, threshold=threshold)
+        monkeypatch.undo()
+        assert not predict_masks(model, x, threshold=1).any()
 
     def test_evaluate_model_checks_batch_size(self):
         model = SnakeFormer(micro_config(seed=29))

@@ -5,6 +5,7 @@ import importlib
 import inspect
 import os
 import struct
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 from serpentseg.attention import ChannelAttention, SpatialAttention, WeightedChannelAttention
 from serpentseg.dsconv import SnakeConv2d
 from serpentseg.encoders import EfficientSelfAttention
-from serpentseg.model import Adam
+from serpentseg.model import Adam, ModelConfig, tiny_config
 from serpentseg.module import (
     CheckpointError,
     Conv2d,
@@ -105,7 +106,8 @@ def test_module_is_the_one_child_walk():
 
 def test_no_knob_that_one_value_uses():
     # every conv is 'same' (padding k // 2), and the layer norm's and Adam's
-    # constants are module constants: none of them is a parameter anywhere
+    # constants and the Mix-Transformer's reduction ratios are module
+    # constants: none of them is a parameter or a config field anywhere
     sources = sorted(Path(inspect.getfile(Module)).parent.glob("*.py"))
     assert len(sources) > 5
     callables = []
@@ -121,11 +123,14 @@ def test_no_knob_that_one_value_uses():
             elif inspect.isfunction(obj):
                 callables.append(obj)
     assert len(callables) > 50 and conv2d in callables and Conv2d.__init__ in callables
-    with_padding = [f.__qualname__ for f in callables
-                    if "padding" in inspect.signature(f).parameters]
-    assert with_padding == []
+    for knob in ("padding", "reductions"):
+        assert [f.__qualname__ for f in callables
+                if knob in inspect.signature(f).parameters] == [], knob
     for f in (layer_norm, LayerNorm, Adam):
         assert not {"eps", "betas"} & set(inspect.signature(f).parameters), f
+    assert "transformer_reductions" not in {f.name for f in fields(ModelConfig)}
+    with pytest.raises(ContractViolation, match="transformer_reductions"):
+        tiny_config(transformer_reductions=(8, 4, 2, 1))
 
 
 def test_state_dict_round_trip_preserves_values_and_names():

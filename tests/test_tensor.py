@@ -568,10 +568,12 @@ class TestShapeSurgery:
         ("narrow", lambda a: T.narrow(a, 1, 0.5, 1), "start 0.5"),
         ("tsum", lambda a: T.tsum(a, axis=(1, -1)), "axis (1, -1) repeats"),
         ("tmean", lambda a: T.tmean(a, axis=(0, 0)), "axis (0, 0) repeats"),
+        ("reshape", lambda a: T.reshape(a, "a"), "'a'"),
+        ("transpose", lambda a: T.transpose(a, 5), "axes 5"),
     ], ids=["softmax", "log_softmax", "tsum", "tsum-tuple", "tmean", "max_along", "concat",
             "narrow", "reshape", "transpose-repeated", "transpose-short", "max_along-tuple",
             "narrow-tuple", "concat-tuple", "max_along-float", "tsum-float", "narrow-float",
-            "tsum-repeated", "tmean-repeated"])
+            "tsum-repeated", "tmean-repeated", "reshape-str", "transpose-int"])
     def test_bad_axis_or_shape_raises_naming_op_and_shapes(self, op, call, named):
         # numpy raises AxisError, IndexError, TypeError or ValueError here,
         # none of them a ContractViolation
@@ -587,10 +589,11 @@ class TestShapeSurgery:
         ("sub", lambda t: T.sub([[1.0], [2.0, 3.0]], t), "list"),
         ("div", lambda t: T.div(t, 1j), "complex"),
         ("add", lambda t: T.add(1.0, 2.0), "float and float"),
-    ], ids=["none", "str", "dict", "ragged", "complex", "no-tensor"])
+        ("concat", lambda t: T.concat(5, axis=0), "int"),
+    ], ids=["none", "str", "dict", "ragged", "complex", "no-tensor", "concat-int"])
     def test_binary_ops_lift_only_numeric_operands(self, op, call, named):
         # numpy returned NaN for None and raised ValueError, TypeError or
-        # AttributeError for the others
+        # AttributeError for the others; concat's list() a TypeError
         with pytest.raises(ContractViolation) as err:
             call(Tensor(np.zeros((2, 3), dtype=np.float32)))
         msg = str(err.value)
