@@ -40,6 +40,20 @@ class MetricsReport:
     std: dict[str, float]
 
 
+def check_binary(name: str, mask) -> np.ndarray:
+    """``mask`` as an array, after checking every value is 0 or 1; the
+    message names it as ``name``. bool is binary by type and uint8 has no
+    negatives, so its max decides."""
+    m = np.asarray(mask)
+    if m.dtype == np.uint8:
+        binary = m.size == 0 or m.max() <= 1
+    else:
+        binary = m.dtype == bool or np.isin(m, (0, 1)).all()
+    if not binary:
+        raise ContractViolation(f"{name} must be binary")
+    return m
+
+
 def _check_masks(pred, gt) -> tuple[np.ndarray, np.ndarray]:
     """Both masks as uint8, after checking they are 2-d, binary and of one
     shape; a uint8 mask comes back as given."""
@@ -47,13 +61,7 @@ def _check_masks(pred, gt) -> tuple[np.ndarray, np.ndarray]:
     for m, role in ((pred, "pred"), (gt, "gt")):
         if m.ndim != 2:
             raise ContractViolation(f"{role} mask must be 2-d, got shape {m.shape}")
-        # bool is binary by type and uint8 has no negatives, so its max decides
-        if m.dtype == np.uint8:
-            binary = m.size == 0 or m.max() <= 1
-        else:
-            binary = m.dtype == bool or np.isin(m, (0, 1)).all()
-        if not binary:
-            raise ContractViolation(f"{role} mask must be binary")
+        check_binary(f"{role} mask", m)
     if pred.shape != gt.shape:
         raise ContractViolation(f"mask shapes differ: {pred.shape} vs {gt.shape}")
     return pred.astype(np.uint8, copy=False), gt.astype(np.uint8, copy=False)

@@ -21,8 +21,8 @@ from .encoders import (
     SnakeEncoder,
     make_channel_attention,
 )
-from .metrics import MetricsReport, aggregate, evaluate_pair
-from .module import Conv2d, Module
+from .metrics import MetricsReport, aggregate, check_binary, evaluate_pair
+from .module import Conv2d, Module, Parameter
 from .tensor import (
     ContractViolation,
     Tensor,
@@ -33,7 +33,6 @@ from .tensor import (
     exp,
     log_softmax,
     mul,
-    narrow,
     no_grad,
     relu,
     softmax,
@@ -180,33 +179,33 @@ class SnakeFormer(Module):
         mit = self.enc.mit(image)   # 1/4, 1/8, 1/16, 1/32
         dec = self.dec
         d = dec.s32([mit[3]])
-        d = dec.s16([dsc[4], mit[2], upsample_bilinear(d, 2)])
-        d = dec.s8([dsc[3], mit[1], upsample_bilinear(d, 2)])
-        d = dec.s4([dsc[2], mit[0], upsample_bilinear(d, 2)])
-        d = dec.s2([dsc[1], upsample_bilinear(d, 2)])
-        d = dec.s1([dsc[0], upsample_bilinear(d, 2)])
+        d = dec.s16([dsc[4], mit[2], upsample_bilinear(d)])
+        d = dec.s8([dsc[3], mit[1], upsample_bilinear(d)])
+        d = dec.s4([dsc[2], mit[0], upsample_bilinear(d)])
+        d = dec.s2([dsc[1], upsample_bilinear(d)])
+        d = dec.s1([dsc[0], upsample_bilinear(d)])
         return self.head(d)
 
 
 def combined_loss(logits: Tensor, target) -> Tensor:
-    """Mean pixel cross-entropy plus soft Dice on the crack-class probability."""
-    t = np.asarray(target)
+    """Mean pixel cross-entropy plus soft Dice on the crack-class probability.
+
+    ``target`` is an (N, H, W) binary mask (``metrics.check_binary``). ``onehot``
+    stacks (1 - t, t) on the class axis: the cross-entropy is minus the pixel
+    mean of the class sum of onehot * log_softmax, the crack probability the
+    class sum of softmax * (0, 1); class sums come before pixel sums."""
     n, _, h, w = check_map("combined_loss", logits, 2)
+    t = np.asarray(target)
     if t.shape != (n, h, w):
-        raise ContractViolation(
-            f"target shape {t.shape} does not match logits {logits.data.shape}"
-        )
-    if not np.isin(t, (0, 1)).all():
-        raise ContractViolation("target mask must be binary")
-    t = t.astype(logits.data.dtype).reshape(n, 1, h, w)
-    tt = Tensor(t)
+        raise ContractViolation(f"target shape {t.shape} does not match logits "
+                                f"{logits.data.shape}")
+    t = check_binary("target mask", t).astype(logits.data.dtype)
+    onehot = np.stack((1.0 - t, t), axis=1)
     lsm = log_softmax(logits, axis=1)
-    l0 = narrow(lsm, 1, 0, 1)
-    l1 = narrow(lsm, 1, 1, 1)
-    ce = -tmean(mul(tt, l1) + mul(Tensor(1.0 - t), l0))
-    p1 = exp(l1)
+    ce = -tmean(tsum(mul(onehot, lsm), axis=1))
+    p1 = tsum(mul(exp(lsm), np.array((0, 1)).reshape(1, 2, 1, 1)), axis=1)
     eps = 1.0
-    inter = tsum(mul(p1, tt))
+    inter = tsum(mul(p1, t))
     dice = 1.0 - (2.0 * inter + eps) / (tsum(p1) + float(t.sum()) + eps)
     return ce + dice
 
@@ -248,7 +247,16 @@ class Adam:
     def __init__(self, named_params, lr: float = 1e-4, weight_decay: float = 1e-4):
         _check_real("lr", lr, lambda v: v > 0, "> 0")
         _check_real("weight_decay", weight_decay, lambda v: v >= 0, ">= 0")
+        if not np.iterable(named_params):
+            raise ContractViolation(f"Adam: named_params must be an iterable of (str, "
+                                    f"Parameter) pairs, got {type(named_params).__name__}")
         self.named = list(named_params)
+        for i, entry in enumerate(self.named):
+            pair = tuple(entry) if isinstance(entry, (tuple, list)) else (entry,)
+            if not (len(pair) == 2 and isinstance(pair[0], str) and isinstance(pair[1], Parameter)):
+                kinds = ", ".join(type(e).__name__ for e in pair)
+                raise ContractViolation(f"Adam: entry {i} of named_params is ({kinds}), not a "
+                                        f"(str, Parameter) pair")
         self.lr = lr
         self.weight_decay = weight_decay
         self.t = 0
@@ -296,19 +304,12 @@ class TrainResult:
 
 
 def _as_batch(pairs, indices) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked images and masks of ``pairs[i]``, ``i`` in ``indices``; one (H, W) shape each."""
+    """Stacked images and masks of ``pairs[i]``, ``i`` in ``indices``, pairs
+    that ``_pair_list`` checked; one (H, W) shape each."""
     samples = [pairs[i] for i in indices]
-    for i, s in zip(indices, samples):
-        if not isinstance(s, (tuple, list)) or len(s) != 2:
-            size = f" of length {len(s)}" if isinstance(s, (tuple, list)) else ""
-            raise ContractViolation(f"pair {i} is {type(s).__name__}{size}, not an (image, mask) "
-                                    f"pair")
     for k, role in enumerate(("image", "mask")):
         first = np.shape(samples[0][k])
         for i, s in zip(indices, samples):
-            if np.ndim(s[k]) != 2:
-                raise ContractViolation(
-                    f"{role} of pair {i} has shape {np.shape(s[k])}; need (H, W)")
             if np.shape(s[k]) != first:
                 raise ContractViolation(
                     f"{role} of pair {i} has shape {np.shape(s[k])} but {role} of pair "
@@ -319,12 +320,25 @@ def _as_batch(pairs, indices) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _pair_list(name: str, pairs) -> list:
-    """``pairs``, any iterable of (image, mask) pairs, as a list, taken once."""
+    """``pairs``, any iterable of (image, mask) pairs, as a list, taken once,
+    after checking every pair before any forward: an image and a mask, each
+    (H, W), the mask binary."""
     try:
-        return list(pairs)
+        pairs = list(pairs)
     except TypeError:
         raise ContractViolation(f"{name}: need an iterable of (image, mask) pairs, got "
                                 f"{type(pairs).__name__}") from None
+    for i, s in enumerate(pairs):
+        if not isinstance(s, (tuple, list)) or len(s) != 2:
+            size = f" of length {len(s)}" if isinstance(s, (tuple, list)) else ""
+            raise ContractViolation(f"{name}: pair {i} is {type(s).__name__}{size}, not an "
+                                    f"(image, mask) pair")
+        for k, role in enumerate(("image", "mask")):
+            if np.ndim(s[k]) != 2:
+                raise ContractViolation(
+                    f"{name}: {role} of pair {i} has shape {np.shape(s[k])}; need (H, W)")
+        check_binary(f"{name}: mask of pair {i}", s[1])
+    return pairs
 
 
 def evaluate_model(model: SnakeFormer, pairs, batch_size: int = 8) -> MetricsReport:

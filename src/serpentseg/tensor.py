@@ -36,7 +36,7 @@ One map rule: a feature map is 4-d, (N, C, H, W), or channel-last
 one checks it, and its channel count where it knows one, with ``check_map``,
 which raises ``ContractViolation`` naming the op and the shape.
 
-Broadcasting is deliberately narrow: elementwise ops accept equal shapes or
+Broadcasting is deliberately limited: elementwise ops accept equal shapes or
 equal-rank shapes where one operand has size-1 axes (bias-add and per-channel
 or per-position scaling). Anything else raises ``ContractViolation``.
 
@@ -340,7 +340,7 @@ def _lift(value, other, op: str) -> Tensor:
 
 
 def _operands(a, b, op: str) -> tuple[Tensor, Tensor]:
-    """``a`` and ``b`` as tensors, after checking the narrow broadcasting
+    """``a`` and ``b`` as tensors, after checking the limited broadcasting
     rule: equal shapes, a 0-d operand, or equal ranks whose differing axes
     are 1 on one side. One operand must be a tensor; the other is lifted to
     its dtype only if it converts to a bool, int or float array (``_lift``)."""
@@ -487,28 +487,6 @@ def concat(tensors, axis: int) -> Tensor:
         pairs.append((t, lambda g, sl=sl: g[sl]))
         lo = sl[-1].stop
     return _make(data, *pairs)
-
-
-def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
-    """Positions start..start + length of ``axis``, which must lie inside it."""
-    _check_axis("narrow", axis, _data("narrow", a).shape, single=True)
-    if not (_is_int(start) and _is_int(length)):
-        raise ContractViolation(f"narrow: start {start!r} and length {length!r} of axis {axis} "
-                                f"of shape {a.data.shape} must be ints")
-    if start < 0 or length < 0 or start + length > a.data.shape[axis]:
-        raise ContractViolation(f"narrow: start {start}, length {length} leave axis {axis} "
-                                f"of shape {a.data.shape}")
-    sl = [slice(None)] * a.data.ndim
-    sl[axis] = slice(start, start + length)
-    sl = tuple(sl)
-    shape, dtype = a.data.shape, a.data.dtype
-
-    def grad(g):
-        buf = np.zeros(shape, dtype=dtype)
-        buf[sl] = g
-        return buf
-
-    return _make(a.data[sl].copy(), (a, grad))
 
 
 # -- pointwise nonlinearities -------------------------------------------------
@@ -1025,15 +1003,14 @@ def grid_sample_points(feature: Tensor, points: Tensor) -> Tensor:
     return _make(out, (feature, grad_feature), (points, grad_points))
 
 
-def upsample_bilinear(x: Tensor, factor: int) -> Tensor:
-    """Bilinear upsampling with half-pixel sample centers: ``grid_sample_points``
-    reads each output pixel's center, mapped onto the input, as an (N, C, H', W') view."""
-    check_int("upsample_bilinear: factor", factor, 2)
+def upsample_bilinear(x: Tensor) -> Tensor:
+    """Bilinear 2x upsampling with half-pixel sample centers: ``grid_sample_points``
+    reads each output pixel's center, mapped onto the input, as an (N, C, 2H, 2W) view."""
     n, c, h, w = check_map("upsample_bilinear", x)
-    ho, wo = h * factor, w * factor
+    ho, wo = 2 * h, 2 * w
     pts = np.empty((ho, wo, 2), dtype=x.data.dtype)
-    pts[..., 0] = (np.arange(wo) + 0.5) / factor - 0.5
-    pts[..., 1] = ((np.arange(ho) + 0.5) / factor - 0.5)[:, None]
+    pts[..., 0] = (np.arange(wo) + 0.5) / 2 - 0.5
+    pts[..., 1] = ((np.arange(ho) + 0.5) / 2 - 0.5)[:, None]
     # one grid, broadcast over the batch: the tape keeps it once
     rows = grid_sample_points(x, Tensor(np.broadcast_to(pts.reshape(1, -1, 2), (n, ho * wo, 2))))
     return transpose(reshape(rows, (n, ho, wo, c)), (0, 3, 1, 2))

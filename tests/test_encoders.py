@@ -18,7 +18,7 @@ from serpentseg.encoders import (
     TransformerBlock,
     TransformerStage,
 )
-from serpentseg.tensor import ContractViolation, Tensor, concat, mul, no_grad, relu
+from serpentseg.tensor import ContractViolation, Tensor, concat, mul, no_grad, relu, tsum
 from serpentseg.attention import attend
 from serpentseg.model import tiny_config
 
@@ -47,6 +47,37 @@ def test_snake_encoder_commutes_with_a_w_flip(conv_mode):
         got = [f.data for f in enc(Tensor(x[..., ::-1].copy()))]
     for g, w in zip(got, want):
         np.testing.assert_allclose(g, w, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("conv_mode", ["vanilla", "dsconv", "enhanced"])
+def test_snake_encoder_backward_commutes_with_a_w_flip(conv_mode):
+    # the loss sums each stage's map weighted by a fixed r; with r flipped
+    # along W too, the loss at (flipped x, T' theta) is the loss at (x, theta).
+    # T' is a signed permutation and its own inverse, so it maps the gradients
+    # at (x, theta) to those at (flipped x, T' theta). The tolerance is
+    # relative to the largest gradient; measured: at most 1.5e-15 (enhanced).
+    cfg = tiny_config(seed=3, conv_mode=conv_mode)
+    enc = set_dtype(SnakeEncoder(cfg.image_channels, cfg.snake_widths,
+                                 np.random.default_rng(cfg.seed), conv_mode=conv_mode,
+                                 channel_attention=cfg.channel_attention, ratio=cfg.wcam_ratio),
+                    np.float64)
+    rng = np.random.default_rng(64)
+    state = {k: v + 0.05 * rng.standard_normal(v.shape) for k, v in enc.state_dict().items()}
+    x = rng.standard_normal((2, 1, 32, 64))
+    r = [rng.standard_normal((2, w, 32 >> i, 64 >> i)) for i, w in enumerate(cfg.snake_widths)]
+
+    def grads(state, x, r):
+        enc.load_state_dict(state)
+        enc.zero_grad()
+        sum(tsum(mul(f, ri)) for f, ri in zip(enc(Tensor(x)), r)).backward()
+        return {name: p.grad for name, p in enc.named_parameters()}
+
+    want = flip_parameters(grads(state, x, r))
+    got = grads(flip_parameters(state), x[..., ::-1].copy(), [ri[..., ::-1].copy() for ri in r])
+    scale = max(np.abs(g).max() for g in want.values())
+    for name in state:
+        np.testing.assert_allclose(got[name], want[name], rtol=0, atol=1e-12 * scale,
+                                   err_msg=name)
 
 
 class TestSnakeBlock:

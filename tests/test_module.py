@@ -105,9 +105,10 @@ def test_module_is_the_one_child_walk():
 
 
 def test_no_knob_that_one_value_uses():
-    # every conv is 'same' (padding k // 2), and the layer norm's and Adam's
-    # constants and the Mix-Transformer's reduction ratios are module
-    # constants: none of them is a parameter or a config field anywhere
+    # every conv is 'same' (padding k // 2), every upsampling doubles, and the
+    # layer norm's and Adam's constants and the Mix-Transformer's reduction
+    # ratios are module constants: none of them is a parameter or a config
+    # field anywhere
     sources = sorted(Path(inspect.getfile(Module)).parent.glob("*.py"))
     assert len(sources) > 5
     callables = []
@@ -123,7 +124,7 @@ def test_no_knob_that_one_value_uses():
             elif inspect.isfunction(obj):
                 callables.append(obj)
     assert len(callables) > 50 and conv2d in callables and Conv2d.__init__ in callables
-    for knob in ("padding", "reductions"):
+    for knob in ("padding", "reductions", "factor"):
         assert [f.__qualname__ for f in callables
                 if knob in inspect.signature(f).parameters] == [], knob
     for f in (layer_norm, LayerNorm, Adam):
@@ -131,6 +132,33 @@ def test_no_knob_that_one_value_uses():
     assert "transformer_reductions" not in {f.name for f in fields(ModelConfig)}
     with pytest.raises(ContractViolation, match="transformer_reductions"):
         tiny_config(transformer_reductions=(8, 4, 2, 1))
+
+
+def test_every_public_tensor_op_has_a_caller_in_the_package():
+    # a reference counts where the name is bound to the op: in tensor.py
+    # outside the op's own definition, or where a module imports it from
+    # .tensor. ``log`` alone is exempt: bench/spans.py patches it by name,
+    # so it goes with the next change to the benchmark (ROADMAP item 4)
+    sources = sorted(Path(inspect.getfile(Module)).parent.glob("*.py"))
+    tensor = importlib.import_module("serpentseg.tensor")
+    public = {name for name, obj in vars(tensor).items()
+              if inspect.isfunction(obj) and obj.__module__ == tensor.__name__
+              and not name.startswith("_")}
+    assert len(public) > 25 and "log" in public
+    used = set()
+    for path in sources:
+        tree = ast.parse(path.read_text())
+        if path.stem == "tensor":
+            bound = {name: name for name in public}
+        else:
+            bound = {a.asname or a.name: a.name for node in ast.walk(tree)
+                     if isinstance(node, ast.ImportFrom) and node.level == 1
+                     and node.module == "tensor" for a in node.names}
+        for top in tree.body:
+            owner = top.name if path.stem == "tensor" and isinstance(top, ast.FunctionDef) else None
+            used |= {bound[n.id] for n in ast.walk(top)
+                     if isinstance(n, ast.Name) and n.id in bound and bound[n.id] != owner}
+    assert sorted(public - used) == ["log"]
 
 
 def test_state_dict_round_trip_preserves_values_and_names():

@@ -34,13 +34,13 @@ def linear_oracle(x, w, b):
     return out
 
 
-def upsample_oracle(x, factor):
+def upsample_oracle(x):
     n, c, h, w = x.shape
-    out = np.zeros((n, c, h * factor, w * factor), dtype=np.float64)
-    for oy in range(h * factor):
-        for ox in range(w * factor):
-            sy = min(max((oy + 0.5) / factor - 0.5, 0.0), h - 1.0)
-            sx = min(max((ox + 0.5) / factor - 0.5, 0.0), w - 1.0)
+    out = np.zeros((n, c, 2 * h, 2 * w), dtype=np.float64)
+    for oy in range(2 * h):
+        for ox in range(2 * w):
+            sy = min(max((oy + 0.5) / 2 - 0.5, 0.0), h - 1.0)
+            sx = min(max((ox + 0.5) / 2 - 0.5, 0.0), w - 1.0)
             y0, x0 = int(np.floor(sy)), int(np.floor(sx))
             y1, x1 = min(y0 + 1, h - 1), min(x0 + 1, w - 1)
             ty, tx = sy - y0, sx - x0
@@ -68,7 +68,6 @@ NON_TENSOR_CALLS = {
     "reshape": lambda v: T.reshape(v, (-1,)),
     "transpose": lambda v: T.transpose(v, (0, 1, 3, 2)),
     "concat": lambda v: T.concat([v], axis=1),
-    "narrow": lambda v: T.narrow(v, 1, 0, 1),
     "matmul": lambda v: T.matmul(v, _zeros(1, 2, 4, 4)),
     "linear": lambda v: T.linear(v, _zeros(3, 4)),
     "linear-weight": lambda v: T.linear(_zeros(1, 2, 4, 4), v),
@@ -78,7 +77,7 @@ NON_TENSOR_CALLS = {
     "depthwise_conv3x3": lambda v: T.depthwise_conv3x3(v, _zeros(4, 3, 3)),
     "max_pool2": T.max_pool2,
     "grid_sample_points": lambda v: T.grid_sample_points(v, _zeros(1, 3, 2)),
-    "upsample_bilinear": lambda v: T.upsample_bilinear(v, 2),
+    "upsample_bilinear": T.upsample_bilinear,
     "chain_coordinates": chain_coordinates,
     "chain_contract": lambda v: chain_contract(v, _zeros(3, 2, 9), _zeros(3)),
 }
@@ -530,17 +529,6 @@ class TestEmptyAxis:
 
 
 class TestShapeSurgery:
-    @pytest.mark.parametrize("start,length", [(2, 5), (-1, 1), (1, -1)])
-    def test_narrow_outside_the_axis_raises(self, start, length):
-        # numpy slicing would return (2, 1) for (2, 5) and (2, 0) for (-1, 1)
-        with pytest.raises(ContractViolation, match=re.escape(
-                f"narrow: start {start}, length {length} leave axis 1 of shape (2, 3)")):
-            T.narrow(Tensor(np.zeros((2, 3), dtype=np.float32)), 1, start, length)
-
-    def test_narrow_may_reach_the_end_of_the_axis(self):
-        x = np.arange(6.0).reshape(2, 3)
-        np.testing.assert_array_equal(T.narrow(Tensor(x), 1, 1, 2).data, x[:, 1:])
-
     @pytest.mark.parametrize("shapes", [[], [(2, 3), (3, 3)], [(2, 3), (2, 3, 1)]])
     def test_concat_of_nothing_or_mismatched_shapes_raises(self, shapes):
         parts = [Tensor(np.zeros(s, dtype=np.float32)) for s in shapes]
@@ -556,24 +544,21 @@ class TestShapeSurgery:
         ("tmean", lambda a: T.tmean(a, axis=5), "axis 5"),
         ("max_along", lambda a: T.max_along(a, axis=5), "axis 5"),
         ("concat", lambda a: T.concat([a, a], axis=5), "axis 5"),
-        ("narrow", lambda a: T.narrow(a, 5, 0, 1), "axis 5"),
         ("reshape", lambda a: T.reshape(a, (4,)), "(4,)"),
         ("transpose", lambda a: T.transpose(a, (0, 0)), "(0, 0)"),
         ("transpose", lambda a: T.transpose(a, (0,)), "(0,)"),
         ("max_along", lambda a: T.max_along(a, axis=(1, 2)), "axis (1, 2)"),
-        ("narrow", lambda a: T.narrow(a, (1,), 0, 1), "axis (1,)"),
         ("concat", lambda a: T.concat([a, a], axis=(1,)), "axis (1,)"),
         ("max_along", lambda a: T.max_along(a, axis=1.0), "axis 1.0"),
         ("tsum", lambda a: T.tsum(a, axis=1.0), "axis 1.0"),
-        ("narrow", lambda a: T.narrow(a, 1, 0.5, 1), "start 0.5"),
         ("tsum", lambda a: T.tsum(a, axis=(1, -1)), "axis (1, -1) repeats"),
         ("tmean", lambda a: T.tmean(a, axis=(0, 0)), "axis (0, 0) repeats"),
         ("reshape", lambda a: T.reshape(a, "a"), "'a'"),
         ("transpose", lambda a: T.transpose(a, 5), "axes 5"),
     ], ids=["softmax", "log_softmax", "tsum", "tsum-tuple", "tmean", "max_along", "concat",
-            "narrow", "reshape", "transpose-repeated", "transpose-short", "max_along-tuple",
-            "narrow-tuple", "concat-tuple", "max_along-float", "tsum-float", "narrow-float",
-            "tsum-repeated", "tmean-repeated", "reshape-str", "transpose-int"])
+            "reshape", "transpose-repeated", "transpose-short", "max_along-tuple",
+            "concat-tuple", "max_along-float", "tsum-float", "tsum-repeated", "tmean-repeated",
+            "reshape-str", "transpose-int"])
     def test_bad_axis_or_shape_raises_naming_op_and_shapes(self, op, call, named):
         # numpy raises AxisError, IndexError, TypeError or ValueError here,
         # none of them a ContractViolation
@@ -615,10 +600,9 @@ class TestShapeSurgery:
         lambda a, last: T.tsum(a, axis=(0, last)),
         lambda a, last: T.tmean(a, axis=last, keepdims=True),
         lambda a, last: T.max_along(a, axis=last, keepdims=False),
-        lambda a, last: T.narrow(a, last, 1, 2),
         lambda a, last: T.concat([a, a], axis=last),
         lambda a, last: T.transpose(a, (0, last, 1)),
-    ], ids=["softmax", "tsum", "tmean", "max_along", "narrow", "concat", "transpose"])
+    ], ids=["softmax", "tsum", "tmean", "max_along", "concat", "transpose"])
     def test_negative_axes_count_from_the_end(self, call):
         # axis -1 of a (2, 3, 4) tensor is axis 2, in the value and the gradient
         rng = np.random.default_rng(45)
@@ -636,66 +620,57 @@ class TestShapeSurgery:
 class TestUpsampleBilinear:
     def test_constant(self):
         x = Tensor(np.full((1, 2, 3, 3), 0.7, dtype=np.float32))
-        out = T.upsample_bilinear(x, 2)
+        out = T.upsample_bilinear(x)
         assert out.data.shape == (1, 2, 6, 6)
         np.testing.assert_allclose(out.data, 0.7, atol=1e-7)
 
     def test_one_pixel(self):
         x = Tensor(np.array([[[[2.5]]]], dtype=np.float32))
-        out = T.upsample_bilinear(x, 2)
+        out = T.upsample_bilinear(x)
         np.testing.assert_array_equal(out.data, np.full((1, 1, 2, 2), 2.5))
 
     def test_ramp_matches_formula_oracle(self):
         h = w = 4
         ramp = (np.arange(h)[:, None] + 2.0 * np.arange(w)[None, :]).astype(np.float32)
         x = ramp.reshape(1, 1, h, w)
-        out = T.upsample_bilinear(Tensor(x), 2)
-        ref = upsample_oracle(x.astype(np.float64), 2)
+        out = T.upsample_bilinear(Tensor(x))
+        ref = upsample_oracle(x.astype(np.float64))
         np.testing.assert_allclose(out.data, ref, atol=1e-6)
-
-    def test_factor_below_two_raises(self):
-        with pytest.raises(ContractViolation):
-            T.upsample_bilinear(Tensor(np.zeros((1, 1, 2, 2), dtype=np.float32)), 1)
 
     def test_three_d_input_raises(self):
         with pytest.raises(ContractViolation, match=r"upsample_bilinear: .*\(1, 2, 2\)"):
-            T.upsample_bilinear(Tensor(np.zeros((1, 2, 2), dtype=np.float32)), 2)
+            T.upsample_bilinear(Tensor(np.zeros((1, 2, 2), dtype=np.float32)))
 
     def test_float16_map_raises_naming_the_dtypes(self):
         # conv2d runs float16, but the sampler's sparse kernels do not
         with pytest.raises(ContractViolation, match="grid_sample_points: dtypes float16, float16"):
-            T.upsample_bilinear(Tensor(np.zeros((1, 1, 2, 2), dtype=np.float16)), 2)
-
-    def test_non_int_factor_raises(self):
-        with pytest.raises(ContractViolation, match="upsample_bilinear: factor must be an int"):
-            T.upsample_bilinear(Tensor(np.zeros((1, 1, 2, 2), dtype=np.float32)), 2.5)
+            T.upsample_bilinear(Tensor(np.zeros((1, 1, 2, 2), dtype=np.float16)))
 
     @pytest.mark.parametrize("n_in", [1, 2, 3, 7])
-    @pytest.mark.parametrize("factor", [2, 3, 4])
-    def test_float64_matches_oracle(self, n_in, factor):
+    def test_float64_matches_oracle(self, n_in):
         # square and non-square maps with a side of n_in, in float64, against
         # the loop-level row rule
         rng = np.random.default_rng(46)
         for hw in ((n_in, n_in), (n_in, 5), (3, n_in)):
             x = rng.standard_normal((2, 3) + hw)
-            out = T.upsample_bilinear(Tensor(x), factor)
+            out = T.upsample_bilinear(Tensor(x))
             assert out.data.dtype == np.float64
-            np.testing.assert_allclose(out.data, upsample_oracle(x, factor), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(out.data, upsample_oracle(x), rtol=0, atol=1e-12)
 
     def test_taped_upsample_keeps_one_grid_for_the_batch(self):
         # the tape keeps the output and the sampler's (H'*W', 2) point grid,
         # broadcast over the 4 images; a grid per image kept 4 of them, as
         # much again as this 2-channel output
         x = Tensor(np.ones((4, 2, 32, 32), dtype=np.float32), requires_grad=True)
-        T.upsample_bilinear(x, 2)  # the sampler's first call imports its kernels
-        out, _, kept = oracles.traced(T.upsample_bilinear, x, 2)
+        T.upsample_bilinear(x)  # the sampler's first call imports its kernels
+        out, _, kept = oracles.traced(T.upsample_bilinear, x)
         grid = 64 * 64 * 2 * 4
         assert out.data.nbytes == 4 * grid
         assert kept <= out.data.nbytes + 1.5 * grid, kept
 
     def test_empty_batch(self):
         x = Tensor(np.zeros((0, 2, 3, 4), dtype=np.float32), requires_grad=True)
-        out = T.upsample_bilinear(x, 2)
+        out = T.upsample_bilinear(x)
         assert out.data.shape == (0, 2, 6, 8)
         out.sum().backward()
         assert x.grad.shape == (0, 2, 3, 4)
@@ -909,7 +884,7 @@ class TestGradients:
 
     def test_upsample(self):
         rng = np.random.default_rng(16)
-        self._check(FunctionModule(lambda x: T.upsample_bilinear(x, 2)),
+        self._check(FunctionModule(T.upsample_bilinear),
                     rng.standard_normal((1, 2, 3, 3)))
 
     def test_activations(self):
@@ -937,8 +912,7 @@ class TestGradients:
                     rng.standard_normal((2, 3, 4)))
         self._check(FunctionModule(lambda x: T.max_along(x, axis=1)),
                     rng.standard_normal((2, 3, 4)))
-        self._check(FunctionModule(lambda x: T.concat([T.narrow(x, 1, 0, 2),
-                                                       T.narrow(x, 1, 1, 2)], axis=1)),
+        self._check(FunctionModule(lambda x: T.concat([T.tanh(x), x * x], axis=1)),
                     rng.standard_normal((2, 3, 4)))
 
     def test_corrupted_backward_fails(self):
@@ -1150,9 +1124,8 @@ TAPE_OPS = {
     "concat": ([(2, 3), (2, 2)], BOTH, lambda a, b: T.concat([a, b], axis=1), True),
     "reshape": ([(2, 6)], (True,), lambda a: T.reshape(a, (3, 4)), True),
     "transpose": ([(2, 3, 4)], (True,), lambda a: T.transpose(a, (2, 0, 1)), True),
-    "narrow": ([(2, 5)], (True,), lambda a: T.narrow(a, 1, 1, 3), True),
     "tsum": ([(2, 3, 4)], (True,), lambda a: T.tsum(a, axis=1), True),
-    "upsample_bilinear": ([(1, 2, 3, 3)], (True,), lambda a: T.upsample_bilinear(a, 2), True),
+    "upsample_bilinear": ([(1, 2, 3, 3)], (True,), T.upsample_bilinear, True),
     "chain_coordinates": ([(1, 16, 2, 3)], (True,), chain_coordinates, True),
     "_embed_kernels": ([(4, 2, 3, 3), (4, 2, 5, 5)], BOTH,
                        lambda *ws: _embed_kernels(list(ws)), True),
