@@ -41,8 +41,8 @@ import math
 import numpy as np
 
 from .module import Conv2d, Module, Parameter, _uniform
-from .tensor import (ContractViolation, Tensor, _data, _make, check_int, check_map, concat,
-                     conv2d, grid_sample_points, linear, reshape, tanh, transpose)
+from .tensor import (ContractViolation, Tensor, _check_bias, _data, _make, check_int, check_map,
+                     concat, conv2d, grid_sample_points, linear, reshape, tanh, transpose)
 
 PYRAMID_KERNELS = (3, 5, 7, 9)
 CHAIN_LEN = 9
@@ -90,8 +90,12 @@ def chain_contract(rows: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """Contract per-pixel sample rows (N, H, W, 9*Cin), ordered (t, Cin), with
     a (Cout, Cin, 9) weight into (N, Cout, H, W): one ``linear``, whose
     channel-last output is handed on as a channel-first view."""
-    cout, cin, t = _data("chain_contract", weight).shape
+    wd = _data("chain_contract", weight)
+    if wd.ndim != 3:
+        raise ContractViolation(f"chain_contract: need a 3-d weight, got shape {wd.shape}")
+    cout, cin, t = wd.shape
     check_map("chain_contract", rows, t * cin, "NHWC")
+    _check_bias("chain_contract", bias, cout)
     return transpose(linear(rows, reshape(transpose(weight, (0, 2, 1)), (cout, t * cin)), bias),
                      (0, 3, 1, 2))
 

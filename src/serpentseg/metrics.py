@@ -40,11 +40,20 @@ class MetricsReport:
     std: dict[str, float]
 
 
+def _array(name: str, value) -> np.ndarray:
+    """``value`` as an array; a ragged sequence, which numpy refuses, raises
+    ``ContractViolation`` naming it as ``name``."""
+    try:
+        return np.asarray(value)
+    except ValueError:
+        raise ContractViolation(f"{name} is a ragged sequence, not an array") from None
+
+
 def check_binary(name: str, mask) -> np.ndarray:
-    """``mask`` as an array, after checking every value is 0 or 1; the
-    message names it as ``name``. bool is binary by type and uint8 has no
-    negatives, so its max decides."""
-    m = np.asarray(mask)
+    """``mask`` as an array (``_array``), after checking every value is 0 or
+    1; the message names it as ``name``. bool is binary by type and uint8
+    has no negatives, so its max decides."""
+    m = _array(name, mask)
     if m.dtype == np.uint8:
         binary = m.size == 0 or m.max() <= 1
     else:
@@ -57,7 +66,7 @@ def check_binary(name: str, mask) -> np.ndarray:
 def _check_masks(pred, gt) -> tuple[np.ndarray, np.ndarray]:
     """Both masks as uint8, after checking they are 2-d, binary and of one
     shape; a uint8 mask comes back as given."""
-    pred, gt = np.asarray(pred), np.asarray(gt)
+    pred, gt = _array("pred mask", pred), _array("gt mask", gt)
     for m, role in ((pred, "pred"), (gt, "gt")):
         if m.ndim != 2:
             raise ContractViolation(f"{role} mask must be 2-d, got shape {m.shape}")

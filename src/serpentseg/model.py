@@ -21,7 +21,7 @@ from .encoders import (
     SnakeEncoder,
     make_channel_attention,
 )
-from .metrics import MetricsReport, aggregate, check_binary, evaluate_pair
+from .metrics import MetricsReport, _array, aggregate, check_binary, evaluate_pair
 from .module import Conv2d, Module, Parameter
 from .tensor import (
     ContractViolation,
@@ -195,7 +195,7 @@ def combined_loss(logits: Tensor, target) -> Tensor:
     mean of the class sum of onehot * log_softmax, the crack probability the
     class sum of softmax * (0, 1); class sums come before pixel sums."""
     n, _, h, w = check_map("combined_loss", logits, 2)
-    t = np.asarray(target)
+    t = _array("target mask", target)
     if t.shape != (n, h, w):
         raise ContractViolation(f"target shape {t.shape} does not match logits "
                                 f"{logits.data.shape}")
@@ -334,9 +334,10 @@ def _pair_list(name: str, pairs) -> list:
             raise ContractViolation(f"{name}: pair {i} is {type(s).__name__}{size}, not an "
                                     f"(image, mask) pair")
         for k, role in enumerate(("image", "mask")):
-            if np.ndim(s[k]) != 2:
+            shape = _array(f"{name}: {role} of pair {i}", s[k]).shape
+            if len(shape) != 2:
                 raise ContractViolation(
-                    f"{name}: {role} of pair {i} has shape {np.shape(s[k])}; need (H, W)")
+                    f"{name}: {role} of pair {i} has shape {shape}; need (H, W)")
         check_binary(f"{name}: mask of pair {i}", s[1])
     return pairs
 

@@ -498,7 +498,9 @@ def relu(a: Tensor) -> Tensor:
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    data = 1.0 / (1.0 + np.exp(-_data("sigmoid", a)))
+    # exp(-a) overflows to inf below about -88.7 in float32, and the value, 0, is exact
+    with np.errstate(over="ignore"):
+        data = 1.0 / (1.0 + np.exp(-_data("sigmoid", a)))
     return _make(data, (a, lambda g: g * data * (1.0 - data)))
 
 

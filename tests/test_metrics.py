@@ -218,3 +218,14 @@ def test_evaluate_pair_checks_every_mask_dtype_alike(dtype):
             evaluate_pair(bad, gt.astype(dtype))
     empty = np.zeros((0, 4), dtype)
     assert evaluate_pair(empty, empty) == ImageMetrics(1.0, 1.0, 1.0, 1.0, 0.0)
+
+
+@pytest.mark.parametrize("role", ["pred", "gt"])
+@pytest.mark.parametrize("fn", [confusion_counts, hausdorff, evaluate_pair])
+def test_ragged_mask_is_named(fn, role):
+    # numpy's asarray raised a raw ValueError ("inhomogeneous shape")
+    masks = {"pred": np.zeros((2, 2), np.uint8), "gt": np.zeros((2, 2), np.uint8)}
+    masks[role] = [[0, 1], [0]]
+    with pytest.raises(ContractViolation,
+                       match=f"^{role} mask is a ragged sequence, not an array$"):
+        fn(masks["pred"], masks["gt"])

@@ -476,6 +476,8 @@ class TestCombinedLoss:
             combined_loss(logits, np.zeros((1, 5, 5), dtype=np.uint8))
         with pytest.raises(ContractViolation):
             combined_loss(logits, np.full((1, 4, 4), 2, dtype=np.uint8))
+        with pytest.raises(ContractViolation, match="^target mask is a ragged sequence"):
+            combined_loss(logits, [[[0, 1], [0]]])
 
     def test_grad_check(self):
         rng = np.random.default_rng(19)
@@ -572,6 +574,13 @@ def _toy_pairs(n, seed, size=32):
         img = 0.7 - 0.4 * mask + 0.05 * rng.standard_normal((size, size))
         pairs.append((np.clip(img, 0, 1).astype(np.float32), mask))
     return pairs
+
+
+def _score_or_train(entry: str, model, pairs):
+    """``evaluate_model`` of ``pairs``, or one epoch of ``train_loop`` on them."""
+    if entry == "evaluate_model":
+        return evaluate_model(model, pairs, batch_size=2)
+    return train_loop(model, pairs, pairs, epochs=1, batch_size=2)
 
 
 class TestTrainLoop:
@@ -746,10 +755,7 @@ class TestTrainLoop:
         model = SnakeFormer(micro_config(seed=32))
         pairs = _toy_pairs(1, 33, size=32) + _toy_pairs(1, 34, size=64)
         with pytest.raises(ContractViolation, match="image of pair") as err:
-            if entry == "evaluate_model":
-                evaluate_model(model, pairs, batch_size=2)
-            else:
-                train_loop(model, pairs, pairs, epochs=1, batch_size=2)
+            _score_or_train(entry, model, pairs)
         for part in ("pair 0", "pair 1", "(32, 32)", "(64, 64)"):
             assert part in str(err.value)
 
@@ -770,10 +776,20 @@ class TestTrainLoop:
         pairs[1] = tuple(a[None] if i == k else a for i, a in enumerate(pairs[1]))
         with pytest.raises(ContractViolation,
                            match=rf"{role} of pair 1 has shape \(1, 32, 32\); need \(H, W\)"):
-            if entry == "evaluate_model":
-                evaluate_model(model, pairs, batch_size=2)
-            else:
-                train_loop(model, pairs, pairs, epochs=1, batch_size=2)
+            _score_or_train(entry, model, pairs)
+
+    @pytest.mark.parametrize("entry", ["evaluate_model", "train_loop"])
+    @pytest.mark.parametrize("role", ["image", "mask"])
+    def test_ragged_pair_is_named(self, entry, role):
+        # numpy's ndim raised a raw ValueError ("inhomogeneous shape")
+        model = SnakeFormer(micro_config(seed=32))
+        pairs = _toy_pairs(2, 36)
+        k = ("image", "mask").index(role)
+        pairs[1] = tuple([[0, 1], [0]] if i == k else a for i, a in enumerate(pairs[1]))
+        with pytest.raises(ContractViolation,
+                           match=f"^{entry}.*: {role} of pair 1 is a ragged sequence, not an "
+                                 f"array$"):
+            _score_or_train(entry, model, pairs)
 
     @pytest.mark.parametrize("entry", ["evaluate_model", "train_loop"])
     def test_pair_that_is_not_an_image_and_a_mask_is_named(self, entry):
@@ -782,10 +798,7 @@ class TestTrainLoop:
         pairs[1] = pairs[1][:1]
         with pytest.raises(ContractViolation,
                            match=r"pair 1 is tuple of length 1, not an \(image, mask\) pair"):
-            if entry == "evaluate_model":
-                evaluate_model(model, pairs, batch_size=2)
-            else:
-                train_loop(model, pairs, pairs, epochs=1, batch_size=2)
+            _score_or_train(entry, model, pairs)
 
     def test_generators_of_pairs_give_what_lists_give(self):
         # both took len() of their pairs, which a generator has not

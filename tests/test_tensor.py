@@ -1,5 +1,6 @@
-"""Primitive-layer tests: every op against a naive loop oracle plus the
-gradient checker."""
+"""Primitive-layer tests: every op against a naive loop oracle, and the
+drivers of the op table (``ops.OPS``) for its operand and tape rules; the
+table's gradient checks are in test_ops.py."""
 
 import ast
 import os
@@ -15,11 +16,12 @@ import pytest
 
 import oracles
 from gradcheck import FunctionModule, grad_check
+from ops import OPS
 from serpentseg import tensor as T
 from serpentseg.attention import _pooled_rows
-from serpentseg.dsconv import _embed_kernels, chain_contract, chain_coordinates
-from serpentseg.module import Conv2d, LayerNorm, Linear, Module, Parameter
-from serpentseg.tensor import ContractViolation, Tensor, grid_sample_points
+from serpentseg.dsconv import chain_contract
+from serpentseg.module import Conv2d, Module, Parameter
+from serpentseg.tensor import ContractViolation, Tensor
 
 
 # -- oracles -------------------------------------------------------------------
@@ -51,36 +53,6 @@ def upsample_oracle(x):
                 + x[:, :, y1, x1] * ty * tx
             )
     return out
-
-
-def _zeros(*shape) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=np.float32))
-
-
-# every public op given the array-like ``v`` for one operand; binary
-# elementwise ops lift such an operand instead (``_lift``)
-NON_TENSOR_CALLS = {
-    "relu": T.relu, "sigmoid": T.sigmoid, "tanh": T.tanh, "gelu": T.gelu, "exp": T.exp,
-    "log": T.log, "neg": T.neg, "tsum": T.tsum, "tmean": T.tmean,
-    "softmax": lambda v: T.softmax(v, axis=1),
-    "log_softmax": lambda v: T.log_softmax(v, axis=1),
-    "max_along": lambda v: T.max_along(v, axis=1),
-    "reshape": lambda v: T.reshape(v, (-1,)),
-    "transpose": lambda v: T.transpose(v, (0, 1, 3, 2)),
-    "concat": lambda v: T.concat([v], axis=1),
-    "matmul": lambda v: T.matmul(v, _zeros(1, 2, 4, 4)),
-    "linear": lambda v: T.linear(v, _zeros(3, 4)),
-    "linear-weight": lambda v: T.linear(_zeros(1, 2, 4, 4), v),
-    "layer_norm": lambda v: T.layer_norm(v, _zeros(4), _zeros(4)),
-    "conv2d": lambda v: T.conv2d(v, _zeros(3, 2, 3, 3)),
-    "conv2d-weight": lambda v: T.conv2d(_zeros(1, 2, 4, 4), v),
-    "depthwise_conv3x3": lambda v: T.depthwise_conv3x3(v, _zeros(4, 3, 3)),
-    "max_pool2": T.max_pool2,
-    "grid_sample_points": lambda v: T.grid_sample_points(v, _zeros(1, 3, 2)),
-    "upsample_bilinear": T.upsample_bilinear,
-    "chain_coordinates": chain_coordinates,
-    "chain_contract": lambda v: chain_contract(v, _zeros(3, 2, 9), _zeros(3)),
-}
 
 
 # -- conv2d ---------------------------------------------------------------------
@@ -401,12 +373,29 @@ class TestDepthwiseConv3x3:
     (T.conv2d, (1, 2, 4, 4), (3, 2, 3, 3)),
     (T.depthwise_conv3x3, (1, 4, 4, 3), (3, 3, 3)),
     (T.linear, (2, 4), (3, 4)),
-], ids=["conv2d", "depthwise_conv3x3", "linear"])
+    (chain_contract, (1, 2, 2, 18), (3, 2, 9)),
+], ids=["conv2d", "depthwise_conv3x3", "linear", "chain_contract"])
 @pytest.mark.parametrize("b_shape", [(1,), (4,), (1, 3)])
 def test_bias_needs_one_value_per_output_channel(op, x_shape, w_shape, b_shape):
     # a (1,) bias would broadcast over every output without the check
     x, w, b = (Tensor(np.zeros(shape, dtype=np.float32)) for shape in (x_shape, w_shape, b_shape))
-    with pytest.raises(ContractViolation, match=re.escape(f"bias {b_shape} does not match (3,)")):
+    words = f"{op.__name__}: bias {b_shape} does not match (3,)"
+    with pytest.raises(ContractViolation, match=re.escape(words)):
+        op(x, w, b)
+
+
+@pytest.mark.parametrize("op,x_shape,w_shape", [
+    (T.conv2d, (1, 2, 4, 4), (3, 18)),
+    (T.conv2d, (1, 2, 4, 4), (3, 2, 3, 3, 1)),
+    (chain_contract, (1, 2, 2, 18), (3, 18)),
+    (chain_contract, (1, 2, 2, 18), (3, 2, 9, 1)),
+], ids=["conv2d-2d", "conv2d-5d", "chain_contract-2d", "chain_contract-4d"])
+def test_weight_of_another_rank_raises(op, x_shape, w_shape):
+    # chain_contract unpacked the weight's shape, which raised numpy's ValueError
+    x, w, b = (Tensor(np.zeros(shape, dtype=np.float32)) for shape in (x_shape, w_shape, (3,)))
+    rank = 4 if op is T.conv2d else 3
+    words = f"{op.__name__}: need a {rank}-d weight, got shape {w_shape}"
+    with pytest.raises(ContractViolation, match=re.escape(words)):
         op(x, w, b)
 
 
@@ -585,15 +574,20 @@ class TestShapeSurgery:
         assert msg.startswith(f"{op}: ") and named in msg, msg
 
     @pytest.mark.parametrize("kind", [list, np.asarray])
-    @pytest.mark.parametrize("case", list(NON_TENSOR_CALLS))
-    def test_ops_name_an_operand_that_is_not_a_tensor(self, case, kind):
+    @pytest.mark.parametrize("op_id,pos", [
+        pytest.param(op_id, i, id=op_id if i == 0 else f"{op_id}-{list(row.shapes)[i]}")
+        for op_id, row in OPS.items() for i in row.tensors])
+    def test_ops_name_an_operand_that_is_not_a_tensor(self, op_id, pos, kind):
         # a list raised AttributeError, and an ndarray, whose ``.data`` is a
         # memoryview, a TypeError from inside the op
-        value = kind(np.zeros((1, 2, 4, 4)).tolist())
-        op = case.split("-")[0]
-        with pytest.raises(ContractViolation,
-                           match=f"^{op}: needs a Tensor, got {type(value).__name__}$"):
-            NON_TENSOR_CALLS[case](value)
+        row = OPS[op_id]
+        args = [Tensor(a) for a in row.operands(np.random.default_rng(0), np.float32)]
+        args[pos] = kind(args[pos].data.tolist())
+        # an entry point that takes a map refuses a non-Tensor in its map check
+        name = row.map[1] if row.map else op_id.split("-")[0]
+        words = f"{name}: needs a Tensor, got {type(args[pos]).__name__}"
+        with pytest.raises(ContractViolation, match=f"^{re.escape(words)}$"):
+            row.call(*args)
 
     @pytest.mark.parametrize("call", [
         lambda a, last: T.softmax(a, axis=last),
@@ -699,6 +693,15 @@ class TestActivations:
         assert x.grad[0] == pytest.approx(0.25, abs=1e-9)
         assert x.grad[0] == pytest.approx(numeric, abs=1e-6)
 
+    @pytest.mark.parametrize("dtype,value", [(np.float32, -100.0), (np.float64, -1000.0)])
+    def test_sigmoid_of_a_large_negative_input_is_zero_without_a_warning(self, dtype, value):
+        # exp(-value) overflows to inf, which numpy warned of, and pytest.ini
+        # makes a RuntimeWarning an error
+        x = Tensor(np.array([value], dtype=dtype), requires_grad=True)
+        out = T.sigmoid(x)
+        out.sum().backward()
+        assert out.data[0] == 0.0 and x.grad[0] == 0.0
+
     def test_gelu_known_values(self):
         x = Tensor(np.array([0.0, 1.0], dtype=np.float64))
         out = T.gelu(x)
@@ -743,12 +746,7 @@ class TestSoftmax:
         np.testing.assert_allclose(np.exp(ls.data), sm.data, atol=1e-12)
 
 
-# -- gradient checks on every primitive -----------------------------------------
-
-class _Sigmoid(Module):
-    def forward(self, x):
-        return T.sigmoid(x)
-
+# -- gradient checks the op table does not hold --------------------------------
 
 class TestGradients:
     def _check(self, module, inputs, tol=1e-3):
@@ -760,23 +758,6 @@ class TestGradients:
         # forward reads, not in a flattened copy of it
         x = np.random.default_rng(38).standard_normal((4, 3)).T
         self._check(FunctionModule(lambda t: t * t), x)
-
-    def test_linear(self):
-        rng = np.random.default_rng(10)
-        self._check(Linear(4, 3, rng=rng), rng.standard_normal((2, 4)))
-
-    def test_linear_over_last_axis(self):
-        rng = np.random.default_rng(30)
-        self._check(Linear(4, 3, rng=rng), rng.standard_normal((2, 3, 4)))
-
-    def test_conv2d(self):
-        rng = np.random.default_rng(11)
-        self._check(Conv2d(2, 3, 3, rng=rng), rng.standard_normal((1, 2, 5, 5)))
-
-    def test_conv2d_strided(self):
-        rng = np.random.default_rng(12)
-        self._check(Conv2d(2, 3, 3, stride=2, rng=rng),
-                    rng.standard_normal((1, 2, 6, 6)))
 
     @pytest.mark.parametrize("n,h,w,k,stride,padding", [
         # padding k // 2, or beyond it as the 'same' conv of the input
@@ -804,20 +785,6 @@ class TestGradients:
         np.testing.assert_allclose(out.data, ref, atol=1e-4)
         self._check(conv, xe)
 
-    def test_depthwise_conv(self):
-        rng = np.random.default_rng(13)
-
-        class DW(Module):
-            def __init__(self):
-                super().__init__()
-                self.w = Parameter(rng.standard_normal((3, 3, 3)).astype(np.float32))
-                self.b = Parameter(rng.standard_normal(3).astype(np.float32))
-
-            def forward(self, x):
-                return T.depthwise_conv3x3(x, self.w, self.b)
-
-        self._check(DW(), rng.standard_normal((2, 4, 4, 3)))
-
     def test_depthwise_conv_odd_sizes_batch_two(self):
         rng = np.random.default_rng(34)
         x = rng.standard_normal((2, 3, 5, 7))
@@ -830,11 +797,6 @@ class TestGradients:
         np.testing.assert_allclose(out.data, oracles.conv2d_oracle(x, full, b, padding=1)
                                    .transpose(0, 2, 3, 1), atol=1e-12)
         self._check(FunctionModule(T.depthwise_conv3x3), [x_last, w, b])
-
-    def test_depthwise_conv_without_bias(self):
-        rng = np.random.default_rng(31)
-        self._check(FunctionModule(T.depthwise_conv3x3),
-                    [rng.standard_normal((2, 4, 5, 3)), rng.standard_normal((3, 3, 3))])
 
     @pytest.mark.parametrize("op", [T.add, T.sub, T.mul, T.div])
     @pytest.mark.parametrize("a_shape,b_shape", [
@@ -870,50 +832,6 @@ class TestGradients:
         out.sum().backward()
         assert out.data.dtype == np.float64 and t.grad.dtype == np.float64
         assert fn(Tensor(x.astype(np.float32))).data.dtype == np.float32
-
-    def test_max_pool2(self):
-        rng = np.random.default_rng(14)
-        self._check(FunctionModule(T.max_pool2), rng.standard_normal((2, 2, 4, 4)))
-
-    def test_global_pools(self):
-        rng = np.random.default_rng(15)
-        self._check(FunctionModule(lambda x: _pooled_rows(x)[0]),
-                    rng.standard_normal((2, 3, 4, 4)))
-        self._check(FunctionModule(lambda x: _pooled_rows(x)[1]),
-                    rng.standard_normal((2, 3, 4, 4)))
-
-    def test_upsample(self):
-        rng = np.random.default_rng(16)
-        self._check(FunctionModule(T.upsample_bilinear),
-                    rng.standard_normal((1, 2, 3, 3)))
-
-    def test_activations(self):
-        rng = np.random.default_rng(17)
-        x = rng.standard_normal((2, 3, 4, 4)) + 0.05  # keep clear of the relu kink
-        for fn in (T.relu, T.sigmoid, T.tanh, T.gelu):
-            self._check(FunctionModule(fn), x)
-
-    def test_layer_norm(self):
-        rng = np.random.default_rng(18)
-        self._check(LayerNorm(6), rng.standard_normal((2, 3, 6)))
-        self._check(LayerNorm(6), rng.standard_normal((2, 3, 2, 6)))  # a channel-last map
-
-    def test_softmax_and_matmul(self):
-        rng = np.random.default_rng(19)
-        self._check(FunctionModule(lambda x: T.softmax(x, axis=-1)),
-                    rng.standard_normal((2, 2, 5)))
-        a = rng.standard_normal((2, 3, 4))
-        b = rng.standard_normal((2, 4, 5))
-        self._check(FunctionModule(T.matmul), [a, b])
-
-    def test_reductions_and_shapes(self):
-        rng = np.random.default_rng(20)
-        self._check(FunctionModule(lambda x: T.tsum(x, axis=1, keepdims=True)),
-                    rng.standard_normal((2, 3, 4)))
-        self._check(FunctionModule(lambda x: T.max_along(x, axis=1)),
-                    rng.standard_normal((2, 3, 4)))
-        self._check(FunctionModule(lambda x: T.concat([T.tanh(x), x * x], axis=1)),
-                    rng.standard_normal((2, 3, 4)))
 
     def test_corrupted_backward_fails(self):
         class BadSigmoid(Module):
@@ -1113,60 +1031,35 @@ class TestTapeInvariants:
             T.add(a, b)
 
 
-# op -> (input shapes, which inputs are taped, op, whether the tape lets the
-# op's output go): every keep-shapes op, max_along (which keeps an index),
-# relu (whose closure reads its output) and layer_norm with every input
-# taped; and ops whose taped input's gradient reads only the other input
-BOTH = (True, True)
-TAPE_OPS = {
-    "add": ([(2, 3), (2, 3)], BOTH, T.add, True),
-    "sub": ([(2, 3), (2, 3)], BOTH, T.sub, True),
-    "concat": ([(2, 3), (2, 2)], BOTH, lambda a, b: T.concat([a, b], axis=1), True),
-    "reshape": ([(2, 6)], (True,), lambda a: T.reshape(a, (3, 4)), True),
-    "transpose": ([(2, 3, 4)], (True,), lambda a: T.transpose(a, (2, 0, 1)), True),
-    "tsum": ([(2, 3, 4)], (True,), lambda a: T.tsum(a, axis=1), True),
-    "upsample_bilinear": ([(1, 2, 3, 3)], (True,), T.upsample_bilinear, True),
-    "chain_coordinates": ([(1, 16, 2, 3)], (True,), chain_coordinates, True),
-    "_embed_kernels": ([(4, 2, 3, 3), (4, 2, 5, 5)], BOTH,
-                       lambda *ws: _embed_kernels(list(ws)), True),
-    "max_along": ([(3, 4)], (True,), lambda a: T.max_along(a, axis=1), True),
-    "relu": ([(2, 5)], (True,), T.relu, False),
-    "layer_norm": ([(2, 3, 4)], (True,), lambda a: T.layer_norm(
-        a, Parameter(np.linspace(0.5, 1.5, 4)), Parameter(np.zeros(4))), True),
-    "mul-a": ([(2, 3), (2, 3)], (True, False), T.mul, True),
-    "mul-b": ([(2, 3), (1, 3)], (False, True), T.mul, True),
-    "div-a": ([(2, 3), (2, 3)], (True, False), T.div, True),
-    "matmul-a": ([(2, 3, 4), (2, 4, 5)], (True, False), T.matmul, True),
-    "linear-x": ([(2, 3, 4), (5, 4)], (True, False), T.linear, True),
-    "conv2d-x": ([(1, 2, 5, 5), (3, 2, 3, 3)], (True, False),
-                 lambda x, w: T.conv2d(x, w, stride=2), True),
-    "depthwise_conv3x3-x": ([(1, 4, 5, 2), (2, 3, 3)], (True, False), T.depthwise_conv3x3,
-                            True),
-    "grid_sample_points-feature": ([(1, 2, 4, 5), (1, 6, 2)], (True, False),
-                                   grid_sample_points, True),
-}
+def _tape_cases():
+    """One case per tape pattern of a row; its id names the taped operands
+    after the row's, unless every operand is taped."""
+    for op_id, row in OPS.items():
+        for pattern in row.tape:
+            taped = [name for name, c in zip(row.shapes, pattern) if c != "."]
+            suffix = "" if len(taped) == len(row.shapes) else "-" + "-".join(taped)
+            yield pytest.param(op_id, pattern, id=op_id + suffix)
 
 
-@pytest.mark.parametrize("name", list(TAPE_OPS))
-def test_tape_frees_arrays_that_backward_does_not_read(name):
-    shapes, taped, op, frees_output = TAPE_OPS[name]
+@pytest.mark.parametrize("op_id,pattern", list(_tape_cases()))
+def test_tape_frees_arrays_that_backward_does_not_read(op_id, pattern):
+    row = OPS[op_id]
+    codes = pattern.replace("->", "")
 
     def leaf_grads(drop: bool):
         rng = np.random.default_rng(30)
         leaves, inputs = [], []
-        for shape, tp in zip(shapes, taped):
-            a = rng.standard_normal(shape)
-            if tp:  # an op output only the caller holds
+        for a, c in zip(row.operands(rng), codes):
+            if c == ".":
+                inputs.append(Tensor(a))
+            else:  # an op output only the caller holds
                 leaves.append(Tensor(a, requires_grad=True))
                 inputs.append(leaves[-1] * 2.0)
-            else:
-                inputs.append(Tensor(a))
-        out = op(*inputs)
+        out = row.call(*inputs)
         # the weighting keeps its constant weight, not ``out``
         loss = T.tsum(out * Tensor(rng.standard_normal(out.data.shape)))
-        # the taped inputs must be freed, and the output if the tape lets it go
-        refs = [weakref.ref(t.data) for t, freed in zip(inputs + [out], taped + (frees_output,))
-                if freed]
+        # the inputs and the output marked "f" must be freed once dropped
+        refs = [weakref.ref(t.data) for t, c in zip(inputs + [out], codes) if c == "f"]
         if drop:
             del inputs, out
             assert all(r() is None for r in refs), [r() is None for r in refs]
