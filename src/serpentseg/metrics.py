@@ -3,11 +3,16 @@
 ``evaluate_pair`` scores one mask pair and ``aggregate`` summarises many: the
 one scorer behind training validation, ``evaluate_model`` and the benchmark.
 
-Hausdorff is read off exact Euclidean distance transforms (Huttenlocher et
-al., TPAMI 1993): the transform of the ground-truth background, sampled at the
-predicted pixels, gives each one's distance to the nearest ground-truth pixel,
-and the other way round; the larger of the two maxima is the distance. The
-cost is linear in the image size, not in the product of the positive counts.
+Hausdorff is read off exact Euclidean feature transforms (Huttenlocher et al.,
+TPAMI 1993; Maurer, Qi & Raghavan, TPAMI 2003): the transform of the ground-
+truth background gives every pixel its nearest ground-truth pixel, and only
+the predicted pixels outside the ground truth can be far from it, so the
+transform's indices are read at those pixels alone; the other direction swaps
+the masks, and the larger of the two maxima is the distance. Each direction is
+O(H·W), not the product of the positive counts, and the two run at once, one
+in a thread started and joined inside the call, because the transform releases
+the interpreter lock. The thread costs about 0.15 ms per call, which shows
+only on masks below 64².
 
 Degenerate cases follow the usual conventions: two empty masks count as a
 perfect match (all ratio metrics 1, Hausdorff 0); a single empty mask scores 0
@@ -16,6 +21,7 @@ on any metric whose denominator vanishes and the image diagonal for Hausdorff.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -50,10 +56,13 @@ def _array(name: str, value) -> np.ndarray:
 
 
 def check_binary(name: str, mask) -> np.ndarray:
-    """``mask`` as an array (``_array``), after checking every value is 0 or
-    1; the message names it as ``name``. bool is binary by type and uint8
-    has no negatives, so its max decides."""
+    """``mask`` as an array (``_array``), after checking its dtype is bool,
+    int or float and every value is 0 or 1; the message names it as
+    ``name``. bool is binary by type and uint8 has no negatives, so its max
+    decides."""
     m = _array(name, mask)
+    if m.dtype.kind not in "biuf":  # a complex 1+0j would pass isin, then warn on the cast
+        raise ContractViolation(f"{name} must be a bool, int or float array, got {m.dtype}")
     if m.dtype == np.uint8:
         binary = m.size == 0 or m.max() <= 1
     else:
@@ -101,16 +110,52 @@ def pixel_metrics(counts) -> tuple[float, float, float, float]:
     return iou, precision, recall, f1
 
 
+def _directed_sq(a: np.ndarray, b: np.ndarray) -> int:
+    """Squared directed Hausdorff distance from ``a`` to ``b``, two nonempty
+    uint8 masks: the largest squared distance from a pixel of ``a`` to its
+    nearest pixel of ``b``. Pixels of ``a`` inside ``b`` are at 0, so only
+    those outside it are looked up, in the feature transform of ``b``'s
+    background, which is not built when there are none."""
+    rows, cols = np.nonzero(a > b)
+    if rows.size == 0:
+        return 0
+    nearest = distance_transform_edt(b == 0, return_distances=False, return_indices=True)
+    dr = nearest[0, rows, cols].astype(np.int64) - rows
+    dc = nearest[1, rows, cols].astype(np.int64) - cols
+    return int((dr * dr + dc * dc).max())
+
+
 def hausdorff(pred, gt) -> float:
-    """Symmetric Hausdorff distance between positive-pixel sets, in pixels."""
+    """Symmetric Hausdorff distance between positive-pixel sets, in pixels.
+
+    ``math.sqrt`` of the larger squared directed distance (``_directed_sq``);
+    the direction gt → pred runs in a thread started and joined here, while
+    pred → gt runs in the caller, and an error in either is raised from this
+    call. The square root is correctly rounded and monotone, so the value is
+    the maximum of an exact float64 distance map. Two empty masks give 0, one
+    empty mask the image diagonal."""
     pred, gt = _check_masks(pred, gt)
     if not pred.any() and not gt.any():
         return 0.0
     if not pred.any() or not gt.any():
         return math.hypot(*pred.shape)
-    to_gt = distance_transform_edt(gt == 0)
-    to_pred = distance_transform_edt(pred == 0)
-    return float(max(to_gt[pred == 1].max(), to_pred[gt == 1].max()))
+    to_pred, raised = [0], []
+
+    def gt_to_pred():
+        try:
+            to_pred[0] = _directed_sq(gt, pred)
+        except BaseException as exc:  # raised again in the calling thread
+            raised.append(exc)
+
+    worker = threading.Thread(target=gt_to_pred, name="hausdorff gt->pred")
+    worker.start()
+    try:
+        to_gt = _directed_sq(pred, gt)
+    finally:
+        worker.join()
+    if raised:
+        raise raised[0]
+    return math.sqrt(max(to_gt, to_pred[0]))
 
 
 def evaluate_pair(pred, gt) -> ImageMetrics:

@@ -1,10 +1,14 @@
 """Metrics against brute-force set-based oracles."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
+from scipy.ndimage import distance_transform_edt
 
+from serpentseg import metrics
 from serpentseg.metrics import (
     ImageMetrics,
     aggregate,
@@ -40,6 +44,41 @@ def hausdorff_oracle(pred, gt):
     d_ab = max(min(math.dist(x, y) for y in b) for x in a)
     d_ba = max(min(math.dist(x, y) for y in a) for x in b)
     return max(d_ab, d_ba)
+
+
+def hausdorff_edt_reference(pred, gt):
+    """Hausdorff read off two whole float64 distance maps at the positive
+    pixels: the scorer's earlier form, which ``hausdorff`` must equal bit for bit."""
+    if not pred.any() and not gt.any():
+        return 0.0
+    if not pred.any() or not gt.any():
+        return math.hypot(*pred.shape)
+    to_gt = distance_transform_edt(gt == 0)
+    to_pred = distance_transform_edt(pred == 0)
+    return float(max(to_gt[pred == 1].max(), to_pred[gt == 1].max()))
+
+
+def oracle_cases():
+    rng = np.random.default_rng(3)
+    cases = []
+    for _ in range(30):
+        pred = (rng.random((12, 12)) < 0.15).astype(np.uint8)
+        gt = (rng.random((12, 12)) < 0.15).astype(np.uint8)
+        cases.append((pred, gt))
+    # non-square masks and lone corner pixels expose a swapped axis
+    for h, w in ((9, 17), (17, 9)):
+        for _ in range(10):
+            cases.append(tuple((rng.random((h, w)) < 0.15).astype(np.uint8)
+                               for _ in range(2)))
+        corners = [(0, 0), (0, w - 1), (h - 1, w - 1), (h - 1, 0)]
+        for i, corner in enumerate(corners):
+            pred = np.zeros((h, w), np.uint8)
+            pred[corner] = 1
+            gt = np.zeros((h, w), np.uint8)
+            gt[corners[(i + 1) % 4]] = 1
+            cases.append((pred, gt))
+            cases.append((pred, (rng.random((h, w)) < 0.15).astype(np.uint8)))
+    return cases
 
 
 class TestConfusionCounts:
@@ -133,27 +172,37 @@ class TestHausdorff:
         assert hausdorff(z, o) == pytest.approx(math.hypot(3, 4))
 
     def test_matches_brute_force_oracle(self):
-        rng = np.random.default_rng(3)
-        cases = []
-        for _ in range(30):
-            pred = (rng.random((12, 12)) < 0.15).astype(np.uint8)
-            gt = (rng.random((12, 12)) < 0.15).astype(np.uint8)
-            cases.append((pred, gt))
-        # non-square masks and lone corner pixels expose a swapped axis
-        for h, w in ((9, 17), (17, 9)):
-            for _ in range(10):
-                cases.append(tuple((rng.random((h, w)) < 0.15).astype(np.uint8)
-                                   for _ in range(2)))
-            corners = [(0, 0), (0, w - 1), (h - 1, w - 1), (h - 1, 0)]
-            for i, corner in enumerate(corners):
-                pred = np.zeros((h, w), np.uint8)
-                pred[corner] = 1
-                gt = np.zeros((h, w), np.uint8)
-                gt[corners[(i + 1) % 4]] = 1
-                cases.append((pred, gt))
-                cases.append((pred, (rng.random((h, w)) < 0.15).astype(np.uint8)))
-        for pred, gt in cases:
+        for pred, gt in oracle_cases():
             assert hausdorff(pred, gt) == pytest.approx(hausdorff_oracle(pred, gt), abs=1e-9)
+
+    def test_equals_the_distance_map_reference(self):
+        cases = oracle_cases()
+        # one mask inside the other, and equal masks, leave a direction with no query pixel
+        cases += [(p & g, g) for p, g in cases] + [(p, p | g) for p, g in cases]
+        cases += [(p, p) for p, _ in cases[:10]]
+        for pred, gt in cases:
+            assert hausdorff(pred, gt) == hausdorff_edt_reference(pred, gt)
+
+    @pytest.mark.parametrize("failing", ["pred", "gt"])
+    def test_an_error_in_either_direction_is_raised_and_no_thread_is_left(self, failing,
+                                                                          monkeypatch):
+        # gt → pred runs in the worker thread, pred → gt in the caller; the
+        # transform of a mask's background serves the direction towards it
+        rng = np.random.default_rng(8)
+        masks = {k: (rng.random((16, 16)) < 0.2).astype(np.uint8) for k in ("pred", "gt")}
+        masks["pred"][0, 0], masks["gt"][0, 0] = 1, 0  # pred → gt has a query pixel
+        masks["gt"][15, 15], masks["pred"][15, 15] = 1, 0  # and so has gt → pred
+
+        def edt(background, **kw):
+            if np.array_equal(background, masks[failing] == 0):
+                raise MemoryError(f"transform of the {failing} background")
+            return distance_transform_edt(background, **kw)
+
+        monkeypatch.setattr(metrics, "distance_transform_edt", edt)
+        before = threading.active_count()
+        with pytest.raises(MemoryError, match=f"transform of the {failing} background"):
+            hausdorff(masks["pred"], masks["gt"])
+        assert threading.active_count() == before
 
     def test_symmetry_identity_triangle(self):
         rng = np.random.default_rng(4)
@@ -218,6 +267,46 @@ def test_evaluate_pair_checks_every_mask_dtype_alike(dtype):
             evaluate_pair(bad, gt.astype(dtype))
     empty = np.zeros((0, 4), dtype)
     assert evaluate_pair(empty, empty) == ImageMetrics(1.0, 1.0, 1.0, 1.0, 0.0)
+
+
+def test_concurrent_callers_get_what_serial_calls_get():
+    # each call starts and joins its own worker thread, so calls from
+    # several threads share no state
+    rng = np.random.default_rng(9)
+    pairs = [tuple((rng.random((64, 64)) < rng.uniform(0.01, 0.2)).astype(np.uint8)
+                   for _ in range(2)) for _ in range(16)]
+    serial = [evaluate_pair(p, g) for p, g in pairs]
+    got = [None] * len(pairs)
+
+    def score(k):
+        for i in range(k, len(pairs), 4):
+            got[i] = evaluate_pair(*pairs[i])
+
+    threads = [threading.Thread(target=score, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # more thread switches inside each call
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == serial
+
+
+@pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+@pytest.mark.parametrize("role", ["pred", "gt"])
+@pytest.mark.parametrize("fn", [confusion_counts, hausdorff, evaluate_pair])
+def test_complex_mask_is_named(fn, role, dtype):
+    # isin took 1+0j for 1, then the uint8 cast raised numpy's ComplexWarning
+    masks = {"pred": np.zeros((2, 2), np.uint8), "gt": np.zeros((2, 2), np.uint8)}
+    masks[role] = np.array([[1, 0], [0, 1]], dtype)
+    with pytest.raises(ContractViolation,
+                       match=f"^{role} mask must be a bool, int or float array, "
+                             f"got {np.dtype(dtype)}$"):
+        fn(masks["pred"], masks["gt"])
 
 
 @pytest.mark.parametrize("role", ["pred", "gt"])

@@ -478,6 +478,8 @@ class TestCombinedLoss:
             combined_loss(logits, np.full((1, 4, 4), 2, dtype=np.uint8))
         with pytest.raises(ContractViolation, match="^target mask is a ragged sequence"):
             combined_loss(logits, [[[0, 1], [0]]])
+        with pytest.raises(ContractViolation, match="^target mask must be a bool, int or float"):
+            combined_loss(logits, np.zeros((1, 4, 4), dtype=np.complex128))
 
     def test_grad_check(self):
         rng = np.random.default_rng(19)
