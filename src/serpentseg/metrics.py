@@ -27,7 +27,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 from scipy.ndimage import distance_transform_edt
 
-from .tensor import ContractViolation, _is_int
+from .tensor import ContractViolation, _is_int, check_array
 
 
 @dataclass
@@ -46,23 +46,11 @@ class MetricsReport:
     std: dict[str, float]
 
 
-def _array(name: str, value) -> np.ndarray:
-    """``value`` as an array; a ragged sequence, which numpy refuses, raises
-    ``ContractViolation`` naming it as ``name``."""
-    try:
-        return np.asarray(value)
-    except ValueError:
-        raise ContractViolation(f"{name} is a ragged sequence, not an array") from None
-
-
 def check_binary(name: str, mask) -> np.ndarray:
-    """``mask`` as an array (``_array``), after checking its dtype is bool,
-    int or float and every value is 0 or 1; the message names it as
-    ``name``. bool is binary by type and uint8 has no negatives, so its max
-    decides."""
-    m = _array(name, mask)
-    if m.dtype.kind not in "biuf":  # a complex 1+0j would pass isin, then warn on the cast
-        raise ContractViolation(f"{name} must be a bool, int or float array, got {m.dtype}")
+    """``mask`` as an array (``check_array``), after checking every value is
+    0 or 1; the message names it as ``name``. bool is binary by type and
+    uint8 has no negatives, so its max decides."""
+    m = check_array(name, mask)
     if m.dtype == np.uint8:
         binary = m.size == 0 or m.max() <= 1
     else:
@@ -75,7 +63,7 @@ def check_binary(name: str, mask) -> np.ndarray:
 def _check_masks(pred, gt) -> tuple[np.ndarray, np.ndarray]:
     """Both masks as uint8, after checking they are 2-d, binary and of one
     shape; a uint8 mask comes back as given."""
-    pred, gt = _array("pred mask", pred), _array("gt mask", gt)
+    pred, gt = check_array("pred mask", pred), check_array("gt mask", gt)
     for m, role in ((pred, "pred"), (gt, "gt")):
         if m.ndim != 2:
             raise ContractViolation(f"{role} mask must be 2-d, got shape {m.shape}")
@@ -88,8 +76,8 @@ def _check_masks(pred, gt) -> tuple[np.ndarray, np.ndarray]:
 def confusion_counts(pred, gt) -> tuple[int, int, int, int]:
     pred, gt = _check_masks(pred, gt)
     tp = int(np.count_nonzero(pred & gt))
-    fp = int(np.count_nonzero(pred & ~gt & 1))
-    fn = int(np.count_nonzero(~pred & 1 & gt))
+    fp = int(np.count_nonzero(pred)) - tp
+    fn = int(np.count_nonzero(gt)) - tp
     tn = pred.size - tp - fp - fn
     return tp, fp, fn, tn
 

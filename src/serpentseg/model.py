@@ -21,11 +21,12 @@ from .encoders import (
     SnakeEncoder,
     make_channel_attention,
 )
-from .metrics import MetricsReport, _array, aggregate, check_binary, evaluate_pair
+from .metrics import MetricsReport, aggregate, check_binary, evaluate_pair
 from .module import Conv2d, Module, Parameter
 from .tensor import (
     ContractViolation,
     Tensor,
+    check_array,
     check_entries,
     check_int,
     check_map,
@@ -170,6 +171,9 @@ class SnakeFormer(Module):
 
     def forward(self, image: Tensor) -> Tensor:
         h, w = check_map("SnakeFormer", image, self.cfg.image_channels)[2:]
+        # layers keep their input's dtype, and the bilinear sampler runs only these two
+        if image.data.dtype not in (np.float32, np.float64):
+            raise ContractViolation(f"image must be float32 or float64, got {image.data.dtype}")
         if not np.isfinite(image.data).all():
             raise ContractViolation(f"image of shape {image.data.shape} has NaN or Inf values")
         # 32 for the 1/32 scale; it fits every stage's reduction: MIT_REDUCTIONS[i] << (i + 2) == 32
@@ -195,7 +199,7 @@ def combined_loss(logits: Tensor, target) -> Tensor:
     mean of the class sum of onehot * log_softmax, the crack probability the
     class sum of softmax * (0, 1); class sums come before pixel sums."""
     n, _, h, w = check_map("combined_loss", logits, 2)
-    t = _array("target mask", target)
+    t = check_array("target mask", target)
     if t.shape != (n, h, w):
         raise ContractViolation(f"target shape {t.shape} does not match logits "
                                 f"{logits.data.shape}")
@@ -212,12 +216,8 @@ def combined_loss(logits: Tensor, target) -> Tensor:
 
 def predict_probabilities(model: SnakeFormer, images) -> np.ndarray:
     """Crack-class probability maps for a (N, C, H, W) image batch, given as
-    any array-like that converts to float32."""
-    try:
-        batch = np.asarray(images, dtype=np.float32)
-    except (TypeError, ValueError) as e:
-        raise ContractViolation(
-            f"images of type {type(images).__name__} are not a numeric array: {e}") from None
+    any bool, int or float array-like (``check_array``), run in float32."""
+    batch = check_array("images", images).astype(np.float32, copy=False)
     with no_grad():
         logits = model(Tensor(batch))
         probs = softmax(logits, axis=1)
@@ -304,15 +304,15 @@ class TrainResult:
 
 
 def _as_batch(pairs, indices) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked images and masks of ``pairs[i]``, ``i`` in ``indices``, pairs
-    that ``_pair_list`` checked; one (H, W) shape each."""
+    """Stacked images and masks of ``pairs[i]``, ``i`` in ``indices``, the
+    array pairs ``_pair_list`` checked; one (H, W) shape each."""
     samples = [pairs[i] for i in indices]
     for k, role in enumerate(("image", "mask")):
-        first = np.shape(samples[0][k])
+        first = samples[0][k].shape
         for i, s in zip(indices, samples):
-            if np.shape(s[k]) != first:
+            if s[k].shape != first:
                 raise ContractViolation(
-                    f"{role} of pair {i} has shape {np.shape(s[k])} but {role} of pair "
+                    f"{role} of pair {i} has shape {s[k].shape} but {role} of pair "
                     f"{indices[0]} has {first}; one batch holds one size")
     imgs = np.stack([s[0] for s in samples])[:, None, :, :].astype(np.float32)
     masks = np.stack([s[1] for s in samples]).astype(np.uint8)
@@ -320,26 +320,28 @@ def _as_batch(pairs, indices) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _pair_list(name: str, pairs) -> list:
-    """``pairs``, any iterable of (image, mask) pairs, as a list, taken once,
-    after checking every pair before any forward: an image and a mask, each
-    (H, W), the mask binary."""
+    """``pairs``, any iterable of (image, mask) pairs, taken once, as a list
+    of array pairs, after checking every pair before any forward: an image
+    and a mask (``check_array``), each (H, W), the mask binary."""
     try:
         pairs = list(pairs)
     except TypeError:
         raise ContractViolation(f"{name}: need an iterable of (image, mask) pairs, got "
                                 f"{type(pairs).__name__}") from None
+    checked = []
     for i, s in enumerate(pairs):
         if not isinstance(s, (tuple, list)) or len(s) != 2:
             size = f" of length {len(s)}" if isinstance(s, (tuple, list)) else ""
             raise ContractViolation(f"{name}: pair {i} is {type(s).__name__}{size}, not an "
                                     f"(image, mask) pair")
-        for k, role in enumerate(("image", "mask")):
-            shape = _array(f"{name}: {role} of pair {i}", s[k]).shape
-            if len(shape) != 2:
+        image, mask = (check_array(f"{name}: {role} of pair {i}", s[k])
+                       for k, role in enumerate(("image", "mask")))
+        for a, role in ((image, "image"), (mask, "mask")):
+            if a.ndim != 2:
                 raise ContractViolation(
-                    f"{name}: {role} of pair {i} has shape {shape}; need (H, W)")
-        check_binary(f"{name}: mask of pair {i}", s[1])
-    return pairs
+                    f"{name}: {role} of pair {i} has shape {a.shape}; need (H, W)")
+        checked.append((image, check_binary(f"{name}: mask of pair {i}", mask)))
+    return checked
 
 
 def evaluate_model(model: SnakeFormer, pairs, batch_size: int = 8) -> MetricsReport:

@@ -18,14 +18,15 @@ from collections.abc import Mapping
 
 import numpy as np
 
-from .tensor import ContractViolation, Tensor, check_int, conv2d, layer_norm, linear
+from .tensor import ContractViolation, Tensor, check_array, check_int, conv2d, layer_norm, linear
 
 
 class Parameter(Tensor):
     """Trainable tensor; always participates in the gradient tape."""
 
     def __init__(self, data):
-        super().__init__(np.asarray(data, dtype=np.float32), requires_grad=True)
+        super().__init__(check_array("Parameter: data", data).astype(np.float32, copy=False),
+                         requires_grad=True)
 
 
 class Module:
@@ -84,12 +85,7 @@ class Module:
             )
         loaded = {}
         for name in sorted(own):
-            try:
-                src = np.asarray(state[name])
-            except (TypeError, ValueError) as e:
-                raise ContractViolation(f"{name!r} is not a numeric array: {e}") from None
-            if src.dtype.kind not in "biuf":
-                raise ContractViolation(f"{name!r} is not a numeric array: dtype {src.dtype}")
+            src = check_array(repr(name), state[name])
             if src.shape != own[name].data.shape:
                 raise ContractViolation(
                     f"shape mismatch for {name!r}: checkpoint {src.shape} vs model "
@@ -178,14 +174,9 @@ def save_checkpoint(path, state: dict[str, np.ndarray]) -> None:
     chunks = [MAGIC, struct.pack("<I", len(state))]
     for name in sorted(state):
         try:
-            arr = np.asarray(state[name])
-        except (TypeError, ValueError) as e:
-            raise CheckpointError(f"{name!r} is not a numeric array ({e}); nothing written") \
-                from None
-        # as ``load_state_dict`` reads values: a complex one would lose its imaginary part
-        if arr.dtype.kind not in "biuf":
-            raise CheckpointError(f"{name!r} is not a numeric array: dtype {arr.dtype}; "
-                                  f"nothing written")
+            arr = check_array(repr(name), state[name])
+        except ContractViolation as e:
+            raise CheckpointError(f"{e}; nothing written") from None
         arr = np.ascontiguousarray(arr, dtype="<f4")
         # ``load_checkpoint`` refuses non-finite values, so never write one
         if not np.isfinite(arr).all():

@@ -31,6 +31,10 @@ node's functions runs, so no op copies a gradient for its layout and any op
 may return a strided view (a ``transpose``, a slice) as its operand's
 gradient.
 
+One gate for outside arrays: every array-like the package takes (a
+``Tensor``'s data, a lifted operand, an image, a mask, a state value) enters
+through ``check_array``, which refuses all but bool, int and float arrays.
+
 One map rule: a feature map is 4-d, (N, C, H, W), or channel-last
 (N, H, W, C) inside the transformer branch. Every op and module that takes
 one checks it, and its channel count where it knows one, with ``check_map``,
@@ -112,7 +116,7 @@ class Tensor:
     """
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data)
+        self.data = check_array("Tensor: data", data)
         self._entry = _Entry() if requires_grad else None  # ``_make`` gives taped outputs theirs
 
     # -- tape plumbing ------------------------------------------------------
@@ -231,6 +235,19 @@ def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def check_array(name: str, value) -> np.ndarray:
+    """``value`` as an array (``np.asarray``); a ragged sequence, or a dtype
+    other than bool, int or float (a complex one would lose its imaginary part
+    to a cast), raises ``ContractViolation`` naming it as ``name``."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:
+        raise ContractViolation(f"{name} is a ragged sequence, not an array") from None
+    if arr.dtype.kind not in "biuf":
+        raise ContractViolation(f"{name} must be a bool, int or float array, got {arr.dtype}")
+    return arr
+
+
 def check_int(name: str, value, lowest: int) -> None:
     """Raise ``ContractViolation`` naming ``name`` unless ``value`` is an int
     (``_is_int``) of at least ``lowest``."""
@@ -328,14 +345,12 @@ def _make(data: np.ndarray, *grads) -> Tensor:
 # -- elementwise arithmetic --------------------------------------------------
 
 def _lift(value, other, op: str) -> Tensor:
-    """``op``'s non-tensor operand ``value`` as a tensor of the tensor ``other``'s dtype."""
-    try:
-        arr = np.asarray(value) if isinstance(other, Tensor) else None
-    except ValueError:  # a ragged sequence
-        arr = None
-    if arr is None or arr.dtype.kind not in "biuf":
+    """``op``'s non-tensor operand ``value`` as a tensor of the tensor ``other``'s
+    dtype; ``check_array`` names it by its type."""
+    if not isinstance(other, Tensor):
         raise ContractViolation(f"{op}: needs a tensor and a bool, int or float array, got "
                                 f"{type(value).__name__} and {type(other).__name__}")
+    arr = check_array(f"{op}: {type(value).__name__} operand", value)
     return Tensor(arr.astype(other.data.dtype, copy=False))
 
 

@@ -11,7 +11,7 @@ import pytest
 from gradcheck import FunctionModule, grad_check, set_dtype
 from oracles import traced, transpose_parameters
 
-from serpentseg.encoders import MIT_REDUCTIONS
+from serpentseg.encoders import CONV_MODES, MIT_REDUCTIONS
 from serpentseg.metrics import confusion_counts, pixel_metrics
 from serpentseg.model import (
     Adam,
@@ -156,6 +156,18 @@ class TestSnakeFormerForward:
         x[0, 0, 5, 9] = bad
         with pytest.raises(ContractViolation, match=r"\(1, 1, 32, 32\).*NaN or Inf"):
             predict_masks(model, x)
+
+    @pytest.mark.parametrize("conv_mode", CONV_MODES)
+    @pytest.mark.parametrize("dtype", [np.int64, np.float16])
+    def test_image_that_is_not_float32_or_float64_rejected(self, monkeypatch, conv_mode, dtype):
+        # vanilla returned float64 logits for an int64 image, while dsconv
+        # and enhanced raised naming grid_sample_points
+        model = SnakeFormer(micro_config(seed=7, conv_mode=conv_mode))
+        for enc in (model.enc.dsc, model.enc.mit):
+            monkeypatch.setattr(enc, "forward", lambda x: pytest.fail("encoder ran"))
+        with pytest.raises(ContractViolation,
+                           match=f"^image must be float32 or float64, got {np.dtype(dtype)}$"):
+            model(Tensor(np.zeros((1, 1, 32, 32), dtype=dtype)))
 
     def test_different_seeds_differ(self):
         x = Tensor(np.random.default_rng(8).random((1, 1, 32, 32)).astype(np.float32))
@@ -719,13 +731,6 @@ class TestTrainLoop:
         model = SnakeFormer(tiny_config())
         probs = predict_probabilities(model, np.zeros((0, 1, 32, 32), dtype=np.float32))
         assert probs.shape == (0, 32, 32)
-
-    @pytest.mark.parametrize("images,kind", [([[[[0.0, 1.0], [2.0]]]], "list"),
-                                             ("crack.png", "str"), ({"image": 1}, "dict")])
-    def test_predict_probabilities_rejects_non_numeric_input(self, images, kind):
-        model = SnakeFormer(micro_config(seed=27))
-        with pytest.raises(ContractViolation, match=kind):
-            predict_probabilities(model, images)
 
     def test_evaluate_model_returns_means(self):
         model = SnakeFormer(micro_config(seed=29))

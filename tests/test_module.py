@@ -188,15 +188,6 @@ def test_load_takes_nested_lists():
         np.testing.assert_array_equal(p.data, np.asarray(state[name], dtype=np.float32))
 
 
-@pytest.mark.parametrize("value", ["weights", {"w": 1.0}, [[1.0, 2.0], [3.0]], None])
-def test_load_rejects_non_numeric_value_naming_key(value):
-    net = _Net(np.random.default_rng(3))
-    state = net.state_dict()
-    state["stem.weight"] = value
-    with pytest.raises(ContractViolation, match="stem.weight"):
-        net.load_state_dict(state)
-
-
 def test_failed_load_leaves_the_model_unchanged():
     net = _Net(np.random.default_rng(3))
     before = net.state_dict()
@@ -348,9 +339,6 @@ class TestCheckpointFile:
     @pytest.mark.parametrize("state,named", [
         (None, "state must be a mapping of names to arrays, got NoneType"),
         ({1: np.ones(2, dtype=np.float32)}, "name 1 is not a str"),
-        ({"a": "s"}, "'a' is not a numeric array"),
-        ({"a": np.ones(2), "w": [[1.0], [2.0, 3.0]]}, "'w' is not a numeric array"),
-        ({"w": np.ones(2) + 1j}, "'w' is not a numeric array: dtype complex128"),
     ])
     def test_unwritable_name_or_value_raises_naming_it(self, tmp_path, state, named):
         with pytest.raises(CheckpointError, match=f"{named}.*nothing written"):
