@@ -57,27 +57,28 @@ def make_channel_attention(mode: str, channels: int, ratio: int,
 class SnakeBlock(Module):
     """Three parallel convolutions -> channel+spatial attention -> fusion -> residual.
 
-    Branch order in the concatenation is fixed: horizontal snake, vertical
-    snake, standard 3x3. ``conv_mode`` swaps the two snake branches for the
-    ablations (frozen straight chains, or plain 3x3 convolutions).
+    Each branch is ``cout`` wide, and their order in the concatenation is
+    fixed: horizontal snake, vertical snake, standard 3x3. ``conv_mode``
+    swaps the two snake branches for the ablations (frozen straight chains,
+    or plain 3x3 convolutions).
     """
 
-    def __init__(self, cin: int, cb: int, cout: int, rng: np.random.Generator,
+    def __init__(self, cin: int, cout: int, rng: np.random.Generator,
                  conv_mode: str = "enhanced", channel_attention: str = "wcam",
                  ratio: int = 8):
         if conv_mode not in CONV_MODES:
             raise ContractViolation(f"conv mode must be one of {CONV_MODES}, got {conv_mode!r}")
         if conv_mode == "vanilla":
-            self.branch_h = Conv2d(cin, cb, 3, rng=rng)
-            self.branch_v = Conv2d(cin, cb, 3, rng=rng)
+            self.branch_h = Conv2d(cin, cout, 3, rng=rng)
+            self.branch_v = Conv2d(cin, cout, 3, rng=rng)
         else:
             frozen = conv_mode == "dsconv"
-            self.branch_h = SnakeConv2d(cin, cb, "horizontal", rng, frozen_offsets=frozen)
-            self.branch_v = SnakeConv2d(cin, cb, "vertical", rng, frozen_offsets=frozen)
-        self.local = Conv2d(cin, cb, 3, rng=rng)
-        self.ca = make_channel_attention(channel_attention, 3 * cb, ratio, rng)
+            self.branch_h = SnakeConv2d(cin, cout, "horizontal", rng, frozen_offsets=frozen)
+            self.branch_v = SnakeConv2d(cin, cout, "vertical", rng, frozen_offsets=frozen)
+        self.local = Conv2d(cin, cout, 3, rng=rng)
+        self.ca = make_channel_attention(channel_attention, 3 * cout, ratio, rng)
         self.sa = SpatialAttention(rng=rng)
-        self.fuse = Conv2d(3 * cb, cout, 3, rng=rng)
+        self.fuse = Conv2d(3 * cout, cout, 3, rng=rng)
         self.proj = Conv2d(cin, cout, 1, rng=rng) if cin != cout else None
 
     def forward(self, x: Tensor) -> Tensor:
@@ -95,7 +96,7 @@ class SnakeEncoder(Module):
                  ratio: int = 8):
         check_entries("SnakeEncoder: widths", widths, 5)
         for i, (prev, w) in enumerate(zip((cin, *widths), widths)):
-            setattr(self, str(i), SnakeBlock(prev, w, w, rng, conv_mode=conv_mode,
+            setattr(self, str(i), SnakeBlock(prev, w, rng, conv_mode=conv_mode,
                                              channel_attention=channel_attention, ratio=ratio))
 
     def forward(self, x: Tensor) -> list[Tensor]:

@@ -152,6 +152,9 @@ class SnakeFormer(Module):
     """Dual-branch crack segmentation network with attention-fused decoding."""
 
     def __init__(self, cfg: ModelConfig):
+        if not isinstance(cfg, ModelConfig):
+            raise ContractViolation(f"SnakeFormer: cfg must be a ModelConfig, got "
+                                    f"{type(cfg).__name__}")
         cfg.validate()
         self.cfg = cfg
         rng = np.random.default_rng(cfg.seed)
@@ -171,9 +174,6 @@ class SnakeFormer(Module):
 
     def forward(self, image: Tensor) -> Tensor:
         h, w = check_map("SnakeFormer", image, self.cfg.image_channels)[2:]
-        # layers keep their input's dtype, and the bilinear sampler runs only these two
-        if image.data.dtype not in (np.float32, np.float64):
-            raise ContractViolation(f"image must be float32 or float64, got {image.data.dtype}")
         if not np.isfinite(image.data).all():
             raise ContractViolation(f"image of shape {image.data.shape} has NaN or Inf values")
         # 32 for the 1/32 scale; it fits every stage's reduction: MIT_REDUCTIONS[i] << (i + 2) == 32
@@ -214,10 +214,22 @@ def combined_loss(logits: Tensor, target) -> Tensor:
     return ce + dice
 
 
+def _float32_image(name: str, value) -> np.ndarray:
+    """``value`` (``check_array``) as float32, the dtype the model runs; a NaN
+    or Inf in the result, a value beyond float32's range included, raises
+    ``ContractViolation`` naming ``name``."""
+    arr = check_array(name, value)
+    with np.errstate(over="ignore"):  # a value out of range becomes Inf, refused below
+        arr = arr.astype(np.float32, copy=False)
+    if not np.isfinite(arr).all():
+        raise ContractViolation(f"{name} of shape {arr.shape} has NaN or Inf values as float32")
+    return arr
+
+
 def predict_probabilities(model: SnakeFormer, images) -> np.ndarray:
     """Crack-class probability maps for a (N, C, H, W) image batch, given as
-    any bool, int or float array-like (``check_array``), run in float32."""
-    batch = check_array("images", images).astype(np.float32, copy=False)
+    any bool, int or float array-like, run in float32 (``_float32_image``)."""
+    batch = _float32_image("images", images)
     with no_grad():
         logits = model(Tensor(batch))
         probs = softmax(logits, axis=1)
@@ -314,7 +326,7 @@ def _as_batch(pairs, indices) -> tuple[np.ndarray, np.ndarray]:
                 raise ContractViolation(
                     f"{role} of pair {i} has shape {s[k].shape} but {role} of pair "
                     f"{indices[0]} has {first}; one batch holds one size")
-    imgs = np.stack([s[0] for s in samples])[:, None, :, :].astype(np.float32)
+    imgs = np.stack([s[0] for s in samples])[:, None, :, :]
     masks = np.stack([s[1] for s in samples]).astype(np.uint8)
     return imgs, masks
 
@@ -322,7 +334,8 @@ def _as_batch(pairs, indices) -> tuple[np.ndarray, np.ndarray]:
 def _pair_list(name: str, pairs) -> list:
     """``pairs``, any iterable of (image, mask) pairs, taken once, as a list
     of array pairs, after checking every pair before any forward: an image
-    and a mask (``check_array``), each (H, W), the mask binary."""
+    and a mask (``check_array``), each (H, W), the mask binary and the image
+    finite as float32 (``_float32_image``), which it comes back as."""
     try:
         pairs = list(pairs)
     except TypeError:
@@ -340,7 +353,8 @@ def _pair_list(name: str, pairs) -> list:
             if a.ndim != 2:
                 raise ContractViolation(
                     f"{name}: {role} of pair {i} has shape {a.shape}; need (H, W)")
-        checked.append((image, check_binary(f"{name}: mask of pair {i}", mask)))
+        checked.append((_float32_image(f"{name}: image of pair {i}", image),
+                        check_binary(f"{name}: mask of pair {i}", mask)))
     return checked
 
 

@@ -35,6 +35,10 @@ One gate for outside arrays: every array-like the package takes (a
 ``Tensor``'s data, a lifted operand, an image, a mask, a state value) enters
 through ``check_array``, which refuses all but bool, int and float arrays.
 
+One dtype rule: a ``Tensor`` holds float32 or float64 data. ``Tensor.data``'s
+setter, which construction runs too, refuses any other dtype after
+``check_array``, so no op sees bool, int or float16 data.
+
 One map rule: a feature map is 4-d, (N, C, H, W), or channel-last
 (N, H, W, C) inside the transformer branch. Every op and module that takes
 one checks it, and its channel count where it knows one, with ``check_map``,
@@ -116,8 +120,16 @@ class Tensor:
     """
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = check_array("Tensor: data", data)
+        self.data = data
         self._entry = _Entry() if requires_grad else None  # ``_make`` gives taped outputs theirs
+
+    def _set_data(self, value) -> None:
+        arr = check_array("Tensor: data", value)
+        if arr.dtype not in (np.float32, np.float64):
+            raise ContractViolation(f"Tensor: data must be float32 or float64, got {arr.dtype}")
+        self._data = arr
+
+    data = property(lambda t: t._data, _set_data)
 
     # -- tape plumbing ------------------------------------------------------
 
@@ -531,8 +543,7 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 def gelu(a: Tensor) -> Tensor:
     x = _data("gelu", a)
     cdf = 0.5 * (1.0 + _erf(x * _INV_SQRT2))
-    return _make((x * cdf).astype(x.dtype, copy=False), (a, lambda g: g * (
-        cdf + x * (np.exp(-0.5 * x * x) * _INV_SQRT_2PI)).astype(x.dtype, copy=False)))
+    return _make(x * cdf, (a, lambda g: g * (cdf + x * (np.exp(-0.5 * x * x) * _INV_SQRT_2PI))))
 
 
 def exp(a: Tensor) -> Tensor:
@@ -992,10 +1003,6 @@ def grid_sample_points(feature: Tensor, points: Tensor) -> Tensor:
     if pd.ndim != 3 or pd.shape[0] != n or pd.shape[2] != 2:
         raise ContractViolation(f"grid_sample_points: points {pd.shape} do not match "
                                 f"feature {fd.shape}: need (N, M, 2)")
-    # the sparse kernels run float32 and float64 only
-    if not all(a.dtype in (np.float32, np.float64) for a in (fd, pd)):
-        raise ContractViolation(f"grid_sample_points: dtypes {fd.dtype}, {pd.dtype} "
-                                f"are not float32 or float64")
     if not np.isfinite(pd).all():
         raise ContractViolation("grid_sample_points: non-finite sampling coordinate")
 

@@ -180,7 +180,7 @@ OPS = {
                      (1, 8, 4, 4), _own("attend", None)),
     # the composites raise in the first module they call; so do the
     # encoders, which keep no channel count, for a wrong count
-    "SnakeBlock": _entry(lambda x: SnakeBlock(3, 2, 4, _rng(), ratio=2)(x), (1, 3, 8, 8),
+    "SnakeBlock": _entry(lambda x: SnakeBlock(3, 4, _rng(), ratio=2)(x), (1, 3, 8, 8),
                          (1, "SnakeConv2d", "SnakeConv2d")),
     "SnakeEncoder": _entry(lambda x: SnakeEncoder(1, (2,) * 5, _rng(), ratio=2)(x),
                            (1, 1, 16, 16), (1, "SnakeEncoder", "SnakeConv2d")),

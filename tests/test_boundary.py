@@ -3,7 +3,11 @@ refuses a ragged sequence, and a str, complex or object array, through
 ``tensor.check_array``, with a ``ContractViolation`` naming the argument, or
 a ``CheckpointError`` from ``save_checkpoint``, before a numpy warning or
 error. The bad values hold only 0s and 1s, so nothing but their dtype or
-their raggedness is wrong."""
+their raggedness is wrong.
+
+The dtype rule: a ``Tensor`` holds float32 or float64 data, so bool, int
+and float16 data are refused where a tensor is built or its data set, before
+any op runs."""
 
 import re
 
@@ -11,6 +15,7 @@ import numpy as np
 import pytest
 
 from serpentseg import tensor as T
+from serpentseg.encoders import CONV_MODES
 from serpentseg.metrics import check_binary, confusion_counts, evaluate_pair, hausdorff
 from serpentseg.model import (
     SnakeFormer,
@@ -28,6 +33,7 @@ BAD = {
     "ragged": [[0, 1], [0]],
     "str": np.array([["0", "1"], ["1", "0"]]),
     "complex": np.array([[0, 1], [1, 0]], dtype=np.complex128),
+    "complex64": np.array([[0, 1], [1, 0]], dtype=np.complex64),
     "object": np.array([[0, 1], [1, 0]], dtype=object),
 }
 
@@ -57,6 +63,7 @@ def _pairs_with(role: int, value):
 # the error); ``{type}`` stands for the type of the bad value
 ENTRIES = {
     "Tensor": (Tensor, "Tensor: data"),
+    "Tensor.data": (lambda v: setattr(Tensor(np.zeros(2)), "data", v), "Tensor: data"),
     "Parameter": (Parameter, "Parameter: data"),
     "lift-a": (lambda v: T.sub(v, Tensor(np.zeros((2, 2), dtype=np.float32))),
                "sub: {type} operand"),
@@ -104,3 +111,52 @@ def test_entry_point_refuses_a_value_that_is_not_a_numeric_array(entry, bad, tmp
     with pytest.raises(error, match=f"^{re.escape(words)}$"):
         call(value)
     assert list(tmp_path.iterdir()) == []
+
+
+NOT_FLOAT = (bool, np.uint8, np.int32, np.int64, np.float16)
+
+
+def _not_float(dtype) -> str:
+    return f"^Tensor: data must be float32 or float64, got {np.dtype(dtype)}$"
+
+
+@pytest.mark.parametrize("dtype", NOT_FLOAT, ids=lambda d: np.dtype(d).name)
+def test_tensor_data_that_is_not_float32_or_float64_rejected(dtype):
+    # bool data made neg and sub raise numpy's TypeError, and int data made
+    # gelu round and mul lift 0.5 to 0; a failed assignment keeps the old data
+    value = np.zeros((2, 2), dtype=dtype)
+    with pytest.raises(ContractViolation, match=_not_float(dtype)):
+        Tensor(value)
+    t = Tensor(np.ones((2, 2)))
+    old = t.data
+    with pytest.raises(ContractViolation, match=_not_float(dtype)):
+        t.data = value
+    assert t.data is old
+    assert Parameter(value).data.dtype == np.float32
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.float16])
+@pytest.mark.parametrize("conv_mode", CONV_MODES)
+def test_image_that_is_not_float32_or_float64_rejected(monkeypatch, conv_mode, dtype):
+    # vanilla returned float64 logits for an int64 image, while dsconv and
+    # enhanced raised naming grid_sample_points
+    model = SnakeFormer(tiny_config(conv_mode=conv_mode))
+    monkeypatch.setattr(model, "forward", lambda x: pytest.fail("forward ran"))
+    with pytest.raises(ContractViolation, match=_not_float(dtype)):
+        model(Tensor(np.zeros((1, 1, 32, 32), dtype=dtype)))
+
+
+@pytest.mark.parametrize("f_dtype,p_dtype", [(np.float32, np.int64), (np.float64, np.int32),
+                                             (np.int32, np.float32)])
+def test_integer_feature_or_points_rejected(f_dtype, p_dtype):
+    # grid_sample_points refused them itself, naming both dtypes
+    bad = f_dtype if np.dtype(f_dtype).kind == "i" else p_dtype
+    with pytest.raises(ContractViolation, match=_not_float(bad)):
+        T.grid_sample_points(Tensor(np.zeros((1, 1, 4, 4), dtype=f_dtype)),
+                             Tensor(np.ones((1, 3, 2), dtype=p_dtype)))
+
+
+def test_float16_map_raises_naming_the_dtypes():
+    # conv2d ran float16, and upsample_bilinear's sampler refused it naming its dtypes
+    with pytest.raises(ContractViolation, match=_not_float(np.float16)):
+        T.upsample_bilinear(Tensor(np.zeros((1, 1, 2, 2), dtype=np.float16)))

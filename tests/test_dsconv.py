@@ -385,16 +385,6 @@ class TestBilinearSample:
         with pytest.raises(ContractViolation, match=re.escape(f"points {shape}")):
             grid_sample_points(f, Tensor(np.zeros(shape, dtype=np.float32)))
 
-    @pytest.mark.parametrize("f_dtype,p_dtype", [(np.float32, np.int64), (np.float64, np.int32),
-                                                 (np.int32, np.float32)])
-    def test_integer_feature_or_points_rejected(self, f_dtype, p_dtype):
-        f = Tensor(np.zeros((1, 1, 4, 4), dtype=f_dtype))
-        pts = Tensor(np.ones((1, 3, 2), dtype=p_dtype))
-        with pytest.raises(ContractViolation, match=re.escape(
-                f"grid_sample_points: dtypes {np.dtype(f_dtype)}, {np.dtype(p_dtype)} "
-                f"are not float")):
-            grid_sample_points(f, pts)
-
     @pytest.mark.parametrize("shape", [(1, 4, 4), (1, 1, 1, 4, 4)])
     def test_feature_that_is_not_4d_rejected(self, shape):
         pts = Tensor(np.zeros((1, 3, 2), dtype=np.float32))

@@ -83,7 +83,7 @@ def test_snake_encoder_backward_commutes_with_a_w_flip(conv_mode):
 class TestSnakeBlock:
     def test_residual_identity_when_weights_zero(self):
         rng = np.random.default_rng(0)
-        block = SnakeBlock(4, 4, 4, rng, ratio=4)
+        block = SnakeBlock(4, 4, rng, ratio=4)
         _zero_params(block)
         x = rng.standard_normal((1, 4, 8, 8)).astype(np.float32)
         out = block(Tensor(x))
@@ -91,13 +91,13 @@ class TestSnakeBlock:
 
     def test_output_shape_contract(self):
         rng = np.random.default_rng(1)
-        block = SnakeBlock(4, 4, 8, rng, ratio=4)
+        block = SnakeBlock(4, 8, rng, ratio=4)
         out = block(Tensor(rng.standard_normal((1, 4, 16, 16)).astype(np.float32)))
         assert out.data.shape == (1, 8, 16, 16)
 
     def test_matches_step_by_step_composition(self):
         rng = np.random.default_rng(2)
-        block = SnakeBlock(3, 4, 5, rng, ratio=4)
+        block = SnakeBlock(3, 5, rng, ratio=5)
         x = Tensor(rng.standard_normal((1, 3, 8, 8)).astype(np.float32))
         out = block(x).data
         with no_grad():
@@ -109,7 +109,7 @@ class TestSnakeBlock:
 
     def test_branch_order_horizontal_vertical_local(self):
         rng = np.random.default_rng(3)
-        block = SnakeBlock(2, 2, 2, rng, ratio=2)
+        block = SnakeBlock(2, 2, rng, ratio=2)
         assert block.branch_h.axis == "horizontal"
         assert block.branch_v.axis == "vertical"
 
@@ -117,8 +117,8 @@ class TestSnakeBlock:
     @pytest.mark.parametrize("ca_mode", ["none", "cam", "wcam"])
     def test_ablation_variants_run(self, conv_mode, ca_mode):
         rng = np.random.default_rng(4)
-        block = SnakeBlock(2, 2, 3, rng, conv_mode=conv_mode,
-                           channel_attention=ca_mode, ratio=2)
+        block = SnakeBlock(2, 3, rng, conv_mode=conv_mode,
+                           channel_attention=ca_mode, ratio=3)
         out = block(Tensor(rng.standard_normal((1, 2, 8, 8)).astype(np.float32)))
         assert out.data.shape == (1, 3, 8, 8)
 
@@ -126,7 +126,7 @@ class TestSnakeBlock:
         # attentions forced to 1, residual skipped, biases zero, offsets fixed:
         # the remaining path is linear, so scaling the input scales the output
         rng = np.random.default_rng(5)
-        block = SnakeBlock(2, 2, 4, rng, ratio=2)
+        block = SnakeBlock(2, 4, rng, ratio=2)
         for mod in (block.branch_h, block.branch_v):
             for lvl in mod.pyramid:
                 lvl.weight.data[:] = 0.0
@@ -357,7 +357,7 @@ class TestTransformerEncoder:
 class TestEncoderGradients:
     def test_snake_block_grad_check(self):
         rng = np.random.default_rng(23)
-        block = SnakeBlock(2, 2, 2, rng, ratio=2)
+        block = SnakeBlock(2, 2, rng, ratio=2)
         for mod in (block.branch_h, block.branch_v):
             for lvl in mod.pyramid:
                 lvl.weight.data = (0.2 * np.random.default_rng(24).standard_normal(

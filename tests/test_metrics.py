@@ -295,26 +295,3 @@ def test_concurrent_callers_get_what_serial_calls_get():
         sys.setswitchinterval(interval)
     assert got == serial
 
-
-@pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
-@pytest.mark.parametrize("role", ["pred", "gt"])
-@pytest.mark.parametrize("fn", [confusion_counts, hausdorff, evaluate_pair])
-def test_complex_mask_is_named(fn, role, dtype):
-    # isin took 1+0j for 1, then the uint8 cast raised numpy's ComplexWarning
-    masks = {"pred": np.zeros((2, 2), np.uint8), "gt": np.zeros((2, 2), np.uint8)}
-    masks[role] = np.array([[1, 0], [0, 1]], dtype)
-    with pytest.raises(ContractViolation,
-                       match=f"^{role} mask must be a bool, int or float array, "
-                             f"got {np.dtype(dtype)}$"):
-        fn(masks["pred"], masks["gt"])
-
-
-@pytest.mark.parametrize("role", ["pred", "gt"])
-@pytest.mark.parametrize("fn", [confusion_counts, hausdorff, evaluate_pair])
-def test_ragged_mask_is_named(fn, role):
-    # numpy's asarray raised a raw ValueError ("inhomogeneous shape")
-    masks = {"pred": np.zeros((2, 2), np.uint8), "gt": np.zeros((2, 2), np.uint8)}
-    masks[role] = [[0, 1], [0]]
-    with pytest.raises(ContractViolation,
-                       match=f"^{role} mask is a ragged sequence, not an array$"):
-        fn(masks["pred"], masks["gt"])
