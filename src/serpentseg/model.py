@@ -174,6 +174,9 @@ class SnakeFormer(Module):
 
     def forward(self, image: Tensor) -> Tensor:
         h, w = check_map("SnakeFormer", image, self.cfg.image_channels)[2:]
+        if image.data.dtype != self.head.weight.data.dtype:  # ops would promote the whole model
+            raise ContractViolation(f"image is {image.data.dtype}, the parameters are "
+                                    f"{self.head.weight.data.dtype}")
         if not np.isfinite(image.data).all():
             raise ContractViolation(f"image of shape {image.data.shape} has NaN or Inf values")
         # 32 for the 1/32 scale; it fits every stage's reduction: MIT_REDUCTIONS[i] << (i + 2) == 32
@@ -277,10 +280,13 @@ class Adam:
 
     def step(self):
         """Update every parameter that has a gradient; a non-finite gradient
-        raises ``TrainingError`` before anything, ``t`` included, changes."""
+        raises ``TrainingError``, and one of another dtype than its parameter
+        ``ContractViolation``, before anything, ``t`` included, changes."""
         for name, p in self.named:
             if p.grad is not None and not np.isfinite(p.grad).all():
                 raise TrainingError(f"non-finite gradient in {name}")
+            if p.grad is not None and p.grad.dtype != p.data.dtype:
+                raise ContractViolation(f"{name}: {p.grad.dtype} gradient, {p.data.dtype} data")
         self.t += 1
         bc1 = 1.0 - ADAM_B1 ** self.t
         bc2 = 1.0 - ADAM_B2 ** self.t

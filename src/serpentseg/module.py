@@ -10,10 +10,11 @@ same order; a sequence of modules is numbered attributes ``"0"``, ``"1"``,
 """
 from __future__ import annotations
 
-import math
+import io
 import os
-import struct
 import threading
+import zipfile
+import zlib
 from collections.abc import Mapping
 
 import numpy as np
@@ -150,50 +151,48 @@ class LayerNorm(Module):
         return layer_norm(x, self.gain, self.shift)
 
 
-# -- checkpoint file format ----------------------------------------------------
-#
-# magic "SPT1" | u32 entry count | per entry (sorted by name):
-#   u32 name length | name UTF-8 | u32 rank | rank*u32 dims | f32-LE values
-
-MAGIC = b"SPT1"
+# -- checkpoint files ----------------------------------------------------------
 
 
 class CheckpointError(ValueError):
-    """Malformed or truncated checkpoint file."""
+    """A state that cannot be written, or a file that is not a checkpoint."""
 
 
 def save_checkpoint(path, state: dict[str, np.ndarray]) -> None:
-    """Write ``state``, str names to numeric arrays, to ``path``; a name or
-    value it cannot write raises ``CheckpointError`` before anything is written."""
+    """Write ``state``, str names to numeric arrays, to ``path`` as an
+    uncompressed npz: a float32 ``<name>.npy`` entry per name, in name order,
+    as ``np.load(path, allow_pickle=False)`` reads it. A name or value it
+    cannot write raises ``CheckpointError`` before anything is written."""
     if not isinstance(state, Mapping):
         raise CheckpointError(f"state must be a mapping of names to arrays, got "
                               f"{type(state).__name__}; nothing written")
     for name in state:
         if not isinstance(name, str):
             raise CheckpointError(f"name {name!r} is not a str; nothing written")
-    chunks = [MAGIC, struct.pack("<I", len(state))]
+        if not name.isprintable():  # zipfile cuts an entry name at a NUL
+            raise CheckpointError(f"name {name!r} is not printable; nothing written")
+    arrays = {}
     for name in sorted(state):
         try:
             arr = check_array(repr(name), state[name])
         except ContractViolation as e:
             raise CheckpointError(f"{e}; nothing written") from None
-        arr = np.ascontiguousarray(arr, dtype="<f4")
+        with np.errstate(over="ignore"):  # beyond float32's range becomes Inf, refused below
+            arrays[name] = arr.astype(np.float32)
         # ``load_checkpoint`` refuses non-finite values, so never write one
-        if not np.isfinite(arr).all():
+        if not np.isfinite(arrays[name]).all():
             raise CheckpointError(f"non-finite value in {name!r}; nothing written")
-        nb = name.encode("utf-8")
-        chunks.append(struct.pack("<I", len(nb)))
-        chunks.append(nb)
-        chunks.append(struct.pack("<I", arr.ndim))
-        chunks.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        chunks.append(arr.tobytes())
     # write a sibling temp file and rename it over ``path``, so a crash or a
     # concurrent reader never sees a half-written checkpoint; the name is
     # unique per writing thread, and ``open`` keeps the umask's permissions
     tmp = f"{os.fspath(path)}.{os.getpid()}.{threading.get_ident()}.tmp"
     try:
         with open(tmp, "wb") as fh:
-            fh.write(b"".join(chunks))
+            # not np.savez(fh, **arrays): it takes a name "file" as its own argument
+            with zipfile.ZipFile(fh, "w") as zf:
+                for name, arr in arrays.items():
+                    with zf.open(f"{name}.npy", "w", force_zip64=True) as entry:
+                        np.lib.format.write_array(entry, arr, allow_pickle=False)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -204,39 +203,31 @@ def save_checkpoint(path, state: dict[str, np.ndarray]) -> None:
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    pos = 0
-
-    def take(n: int) -> bytes:
-        nonlocal pos
-        if pos + n > len(blob):
-            raise CheckpointError(f"truncated checkpoint at byte {pos} (need {n} more)")
-        out = blob[pos:pos + n]
-        pos += n
-        return out
-
-    if take(4) != MAGIC:
-        raise CheckpointError("bad magic at byte 0")
-    (count,) = struct.unpack("<I", take(4))
+    """Read a ``save_checkpoint`` file back: names to float32 arrays. A file
+    that opens but is not one raises ``CheckpointError`` naming ``path`` and,
+    where known, the entry; no entry is unpickled."""
     state: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (nlen,) = struct.unpack("<I", take(4))
-        at = pos
+    where = str(path)
+    with open(path, "rb") as fh:
         try:
-            name = take(nlen).decode("utf-8")
-        except UnicodeDecodeError as e:
-            raise CheckpointError(f"name is not UTF-8 at byte {at + e.start}") from None
-        (rank,) = struct.unpack("<I", take(4))
-        dims = struct.unpack(f"<{rank}I", take(4 * rank)) if rank else ()
-        size = math.prod(dims)
-        at = pos
-        vals = np.frombuffer(take(4 * size), dtype="<f4").reshape(dims)
-        bad = np.flatnonzero(~np.isfinite(vals))
-        if bad.size:
-            raise CheckpointError(
-                f"non-finite value in {name!r} at byte {at + 4 * int(bad[0])}")
-        state[name] = vals.astype(np.float32)
-    if pos != len(blob):
-        raise CheckpointError(f"trailing bytes at byte {pos}")
+            with zipfile.ZipFile(fh) as zf:
+                for info in zf.infolist():
+                    where = f"{path}: entry {info.filename!r}"
+                    name = info.filename.removesuffix(".npy")
+                    if name == info.filename or name in state:
+                        raise CheckpointError(f"{where} is not named *.npy or repeats a name")
+                    # read whole, so the CRC-32 is checked before the header is parsed
+                    arr = np.lib.format.read_array(io.BytesIO(zf.read(info)), allow_pickle=False)
+                    if arr.dtype != np.float32:
+                        raise CheckpointError(f"{where} holds {arr.dtype}, not float32")
+                    if not np.isfinite(arr).all():
+                        raise CheckpointError(f"{where} holds a NaN or Inf value")
+                    state[name] = arr
+        except CheckpointError:
+            raise
+        # MemoryError or ValueError: a header whose shape exceeds the data
+        except (zipfile.BadZipFile, EOFError, NotImplementedError, OSError, RuntimeError,
+                zlib.error, ValueError, MemoryError) as e:
+            raise CheckpointError(f"{where} is damaged, or not an npz of .npy arrays "
+                                  f"({type(e).__name__})") from None
     return state

@@ -87,7 +87,7 @@ ENTRIES = {
        for fn in (evaluate_pair, confusion_counts, hausdorff) for role in "pg"},
     "check_binary": (lambda v: check_binary("mask", v), "mask"),
     "load_state_dict": (_load, "'weight'"),
-    "save_checkpoint": (lambda v: save_checkpoint("bad.spt", {"a": np.ones(2), "w": v}), "'w'",
+    "save_checkpoint": (lambda v: save_checkpoint("bad.npz", {"a": np.ones(2), "w": v}), "'w'",
                         CheckpointError),
 }
 

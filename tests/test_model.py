@@ -149,6 +149,24 @@ class TestSnakeFormerForward:
         with pytest.raises(ContractViolation, match=r"\(1, 32, 32\)"):
             model(Tensor(np.zeros((1, 32, 32), dtype=np.float32)))
 
+    @pytest.mark.parametrize("image_dtype,model_dtype", [(np.float64, np.float32),
+                                                         (np.float32, np.float64)])
+    def test_image_of_another_dtype_than_the_parameters_rejected(self, image_dtype, model_dtype,
+                                                                 monkeypatch):
+        # a float64 image ran a float32 model in float64, and the Adam step
+        # after it left every parameter float64
+        model = set_dtype(SnakeFormer(tiny_config(seed=3)), model_dtype)
+        before = model.state_dict()
+        for enc in (model.enc.dsc, model.enc.mit):
+            monkeypatch.setattr(enc, "forward", lambda x: pytest.fail("encoder ran"))
+        image = np.random.default_rng(0).random((1, 1, 32, 32)).astype(image_dtype)
+        words = f"image is {np.dtype(image_dtype)}, the parameters are {np.dtype(model_dtype)}"
+        with pytest.raises(ContractViolation, match=f"^{words}$"):
+            model(Tensor(image))
+        for name, value in model.state_dict().items():
+            assert value.dtype == model_dtype, name
+            np.testing.assert_array_equal(value, before[name], err_msg=name)
+
     def test_image_beyond_float32_range_rejected_before_the_forward(self, monkeypatch):
         # the float32 cast raised numpy's overflow warning
         model = SnakeFormer(micro_config(seed=7))
@@ -198,7 +216,7 @@ class TestSnakeFormerForward:
         model = SnakeFormer(micro_config(seed=13))
         x = Tensor(np.random.default_rng(14).random((1, 1, 32, 32)).astype(np.float32))
         before = model(x).data.copy()
-        path = tmp_path / "model.spt"
+        path = tmp_path / "model.npz"
         save_checkpoint(path, model.state_dict())
         other = SnakeFormer(micro_config(seed=99))
         other.load_state_dict(load_checkpoint(path))
@@ -578,6 +596,21 @@ class TestAdam:
             opt.step()
         assert opt.t == 1
         for got, want in zip([a.data] + opt.m + opt.v, state):
+            np.testing.assert_array_equal(got, want)
+
+    def test_gradient_of_another_dtype_updates_nothing(self):
+        a = Parameter(np.array([1.0, -2.0], dtype=np.float32))
+        b = Parameter(np.ones(2, dtype=np.float32))
+        opt = Adam([("a", a), ("b", b)], lr=0.1)
+        a.grad = np.ones(2, dtype=np.float32)
+        opt.step()
+        state = [a.data.copy(), b.data.copy()] + [m.copy() for m in opt.m + opt.v]
+        b.grad = np.ones(2)
+        with pytest.raises(ContractViolation, match="^b: float64 gradient, float32 data$"):
+            opt.step()
+        assert opt.t == 1
+        for got, want in zip([a.data, b.data] + opt.m + opt.v, state):
+            assert got.dtype == np.float32
             np.testing.assert_array_equal(got, want)
 
 

@@ -1,10 +1,13 @@
-"""Module tree naming, state round-trips, and the SPT1 checkpoint format."""
+"""Module tree naming, state round-trips, and the npz checkpoint file."""
 
 import ast
 import importlib
 import inspect
+import io
 import os
+import re
 import struct
+import zipfile
 from dataclasses import fields
 from pathlib import Path
 
@@ -243,6 +246,79 @@ def test_load_rejects_missing_keys():
         net.load_state_dict(state)
 
 
+def _npy(value) -> bytes:
+    buf = io.BytesIO()
+    np.lib.format.write_array(buf, value, allow_pickle=True)
+    return buf.getvalue()
+
+
+def _zip(path, entries):
+    """Write ``entries``, (zip name, array or raw bytes) pairs, as a stored zip."""
+    with zipfile.ZipFile(path, "w") as zf:
+        for name, value in entries:
+            zf.writestr(name, value if isinstance(value, bytes) else _npy(value))
+
+
+def _header_only(shape) -> bytes:
+    """A float32 ``.npy`` header declaring ``shape``, followed by 16 bytes."""
+    buf = io.BytesIO()
+    np.lib.format.write_array_header_1_0(buf, {"descr": "<f4", "fortran_order": False,
+                                               "shape": shape})
+    return buf.getvalue() + bytes(16)
+
+
+def _saved(path) -> bytes:
+    save_checkpoint(path, {"w": np.array([1.5, -2.0, 3.25], dtype=np.float32)})
+    return path.read_bytes()
+
+
+def _flipped(path, old: bytes, new: bytes):
+    """Rewrite the first ``old`` bytes of a saved checkpoint as ``new``."""
+    path.write_bytes(_saved(path).replace(old, new, 1))
+
+
+def _repeated(path):
+    with pytest.warns(UserWarning, match="Duplicate name"):
+        _zip(path, [("w.npy", np.ones(3, np.float32)), ("w.npy", np.ones(3, np.float32))])
+
+
+# the SPT1 layout: magic, entry count, name length, name, rank, dims, f32-LE values
+_SPT1 = (b"SPT1" + struct.pack("<II", 1, 1) + b"w" + struct.pack("<II", 1, 3)
+         + np.ones(3, "<f4").tobytes())
+DAMAGED = r"is damaged, or not an npz of \.npy arrays"
+NOT_NPY = r"is not named \*\.npy or repeats a name"
+
+# name: (writes the file at ``path``, the entry named or None, a regex of the words after it)
+CORRUPT = {
+    "spt1": (lambda p: p.write_bytes(_SPT1), None, rf"{DAMAGED} \(BadZipFile\)"),
+    "bare-npy": (lambda p: p.write_bytes(_npy(np.ones(3, np.float32))), None,
+                 rf"{DAMAGED} \(BadZipFile\)"),
+    "truncated": (lambda p: p.write_bytes(_saved(p)[:200]), None, rf"{DAMAGED} \(BadZipFile\)"),
+    "empty": (lambda p: p.write_bytes(b""), None, rf"{DAMAGED} \(BadZipFile\)"),
+    "data-byte": (lambda p: _flipped(p, np.float32(-2.0).tobytes(), np.float32(-3.0).tobytes()),
+                  "w.npy", rf"{DAMAGED} \(BadZipFile\)"),
+    "name-byte": (lambda p: _flipped(p, b"w.npy", b"v.npy"), "w.npy",
+                  rf"{DAMAGED} \(BadZipFile\)"),
+    "not-npy": (lambda p: _zip(p, [("w.txt", np.ones(3, np.float32))]), "w.txt", NOT_NPY),
+    "repeated": (_repeated, "w.npy", NOT_NPY),
+    "object": (lambda p: _zip(p, [("w.npy", np.array([None, 1], dtype=object))]), "w.npy",
+               rf"{DAMAGED} \(ValueError\)"),
+    "float64": (lambda p: _zip(p, [("w.npy", np.ones(3))]), "w.npy", "holds float64, not float32"),
+    "float16": (lambda p: _zip(p, [("w.npy", np.ones(3, np.float16))]), "w.npy",
+                "holds float16, not float32"),
+    # the declared size overflows int64 (count 0, then negative), or exceeds
+    # the data; 2**36 float32 values fail to allocate where 2**28 fail to read
+    **{f"shape-{tag}": (lambda p, shape=shape: _zip(p, [("w.npy", _header_only(shape))]),
+                        "w.npy", rf"{DAMAGED} \((ValueError|MemoryError)\)")
+       for tag, shape in [("65536^4", (65536,) * 4), ("(2^32-1)^2", (2**32 - 1,) * 2),
+                          ("2^28", (2**28,)), ("2^36", (2**36,))]},
+    "nan": (lambda p: _zip(p, [("w.npy", np.array([1.0, np.nan], np.float32))]), "w.npy",
+            "holds a NaN or Inf value"),
+    "-inf": (lambda p: _zip(p, [("w.npy", np.array([-np.inf, 1.0], np.float32))]), "w.npy",
+             "holds a NaN or Inf value"),
+}
+
+
 class TestCheckpointFile:
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -251,87 +327,66 @@ class TestCheckpointFile:
             "a.bias": rng.standard_normal(7).astype(np.float32),
             "c": np.float32(rng.standard_normal(())).reshape(()),
         }
-        path = tmp_path / "model.spt"
+        path = tmp_path / "model.npz"
         save_checkpoint(path, state)
         loaded = load_checkpoint(path)
         assert sorted(loaded) == sorted(state)
         for k in state:
             assert loaded[k].dtype == np.float32
+            assert loaded[k].shape == state[k].shape, k  # the 0-d "c" came back (1,)
             np.testing.assert_array_equal(loaded[k], state[k].astype(np.float32))
 
-    def test_entries_sorted_by_name(self, tmp_path):
-        path = tmp_path / "m.spt"
-        save_checkpoint(path, {"zz": np.zeros(1, np.float32), "aa": np.ones(1, np.float32)})
-        blob = path.read_bytes()
-        assert blob[:4] == b"SPT1"
-        (count,) = struct.unpack("<I", blob[4:8])
-        assert count == 2
-        (nlen,) = struct.unpack("<I", blob[8:12])
-        assert blob[12:12 + nlen] == b"aa"  # lexicographically first entry leads
+    def test_numpy_reads_the_file_in_name_order(self, tmp_path):
+        rng = np.random.default_rng(11)
+        state = {"zz": rng.standard_normal((2, 3)), "aa": np.arange(4), "m.k": np.float32(7)}
+        path = tmp_path / "model.npz"
+        save_checkpoint(path, state)
+        with np.load(path, allow_pickle=False) as npz:
+            assert npz.files == ["aa", "m.k", "zz"]
+            for name, value in state.items():
+                want = np.asarray(value).astype(np.float32)
+                assert npz[name].dtype == np.float32 and npz[name].shape == want.shape
+                np.testing.assert_array_equal(npz[name], want)
 
-    def test_layout_matches_format_spec(self, tmp_path):
-        path = tmp_path / "one.spt"
-        arr = np.array([[1.5, -2.0]], dtype=np.float32)
-        save_checkpoint(path, {"w": arr})
-        expected = (
-            b"SPT1"
-            + struct.pack("<I", 1)
-            + struct.pack("<I", 1) + b"w"
-            + struct.pack("<I", 2)
-            + struct.pack("<II", 1, 2)
-            + arr.astype("<f4").tobytes()
-        )
-        assert path.read_bytes() == expected
+    def test_names_that_are_numpy_arguments_or_not_ascii_round_trip(self, tmp_path):
+        # ``np.savez(fh, **state)`` takes "file" as its own argument and drops
+        # "allow_pickle"; "" is the entry ".npy"
+        state = {name: np.full(i + 1, i, np.float32)
+                 for i, name in enumerate(["file", "allow_pickle", "é.w", ""])}
+        path = tmp_path / "names.npz"
+        save_checkpoint(path, state)
+        loaded = load_checkpoint(path)
+        assert sorted(loaded) == sorted(state)
+        for name, value in state.items():
+            np.testing.assert_array_equal(loaded[name], value)
 
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "bad.spt"
-        path.write_bytes(b"NOPE" + b"\x00" * 16)
-        with pytest.raises(CheckpointError, match="magic"):
-            load_checkpoint(path)
+    @pytest.mark.parametrize("case", list(CORRUPT))
+    def test_a_file_that_is_not_a_checkpoint_is_refused_naming_path_and_entry(self, tmp_path,
+                                                                               case):
+        write, entry, words = CORRUPT[case]
+        path = tmp_path / "bad.npz"
+        write(path)
+        net = _Net(np.random.default_rng(3))
+        before = net.state_dict()
+        where = str(path) if entry is None else f"{path}: entry {entry!r}"
+        with pytest.raises(CheckpointError, match=f"^{re.escape(where)} {words}$"):
+            net.load_state_dict(load_checkpoint(path))
+        for name, value in net.state_dict().items():
+            np.testing.assert_array_equal(value, before[name], err_msg=name)
 
-    def test_truncated_payload_reports_offset(self, tmp_path):
-        path = tmp_path / "trunc.spt"
-        save_checkpoint(path, {"w": np.ones((2, 2), dtype=np.float32)})
-        blob = path.read_bytes()
-        path.write_bytes(blob[:-6])
-        with pytest.raises(CheckpointError, match="byte"):
-            load_checkpoint(path)
+    def test_bytes_after_the_zip_leave_the_values(self, tmp_path):
+        path = tmp_path / "tail.npz"
+        path.write_bytes(_saved(path) + b"trailing")
+        np.testing.assert_array_equal(load_checkpoint(path)["w"], [1.5, -2.0, 3.25])
 
-    @pytest.mark.parametrize("dims", [(65536,) * 4, (2**32 - 1, 2**32 - 1)])
-    def test_dims_beyond_int64_report_offset(self, tmp_path, dims):
-        # the element count overflows int64, so it must be taken exactly
-        path = tmp_path / "huge.spt"
-        path.write_bytes(b"SPT1" + struct.pack("<I", 1) + struct.pack("<I", 1) + b"w"
-                         + struct.pack("<I", len(dims)) + struct.pack(f"<{len(dims)}I", *dims))
-        values_at = 12 + 1 + 4 + 4 * len(dims)
-        with pytest.raises(CheckpointError, match=f"truncated checkpoint at byte {values_at} "):
-            load_checkpoint(path)
-
-    def test_bad_utf8_name_reports_offset(self, tmp_path):
-        path = tmp_path / "name.spt"
-        save_checkpoint(path, {"w": np.ones(2, dtype=np.float32)})
-        blob = bytearray(path.read_bytes())
-        blob[12] = 0xFF  # the name starts after magic, count and name length
-        path.write_bytes(bytes(blob))
-        with pytest.raises(CheckpointError, match="UTF-8 at byte 12"):
-            load_checkpoint(path)
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_value_reports_offset(self, tmp_path, bad):
-        path = tmp_path / "nan.spt"
-        save_checkpoint(path, {"w": np.array([1.0, 0.0, 2.0], dtype=np.float32)})
-        # values start at 12 + 1 (name) + 4 (rank) + 4 (dim): the second is at 25
-        blob = bytearray(path.read_bytes())
-        blob[25:29] = struct.pack("<f", bad)
-        path.write_bytes(bytes(blob))
-        with pytest.raises(CheckpointError, match="'w' at byte 25"):
-            load_checkpoint(path)
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_value_is_not_saved(self, tmp_path, bad):
-        path = tmp_path / "nan.spt"
+    @pytest.mark.parametrize("bad,dtype", [(np.nan, np.float32), (np.inf, np.float32),
+                                           (-np.inf, np.float32), (1e39, np.float64)],
+                             ids=["nan", "inf", "-inf", "beyond-float32"])
+    def test_non_finite_value_is_not_saved(self, tmp_path, bad, dtype):
+        # 1e39 is finite as float64 and Inf as float32; its cast warned
+        path = tmp_path / "nan.npz"
         state = {"a": np.ones(2, dtype=np.float32),
-                 "w": np.array([1.0, bad, 2.0], dtype=np.float32)}
+                 "w": np.array([1.0, bad, 2.0], dtype=dtype)}
         with pytest.raises(CheckpointError, match="non-finite value in 'w'"):
             save_checkpoint(path, state)
         assert list(tmp_path.iterdir()) == []
@@ -339,14 +394,18 @@ class TestCheckpointFile:
     @pytest.mark.parametrize("state,named", [
         (None, "state must be a mapping of names to arrays, got NoneType"),
         ({1: np.ones(2, dtype=np.float32)}, "name 1 is not a str"),
+        # zipfile cuts an entry name at a NUL, and cannot encode a lone surrogate
+        ({"a\0b": np.ones(2, dtype=np.float32)}, r"name 'a\\x00b' is not printable"),
+        ({"\udc80": np.ones(2, dtype=np.float32)}, r"name '\\udc80' is not printable"),
+        ({"w\n": np.ones(2, dtype=np.float32)}, r"name 'w\\n' is not printable"),
     ])
     def test_unwritable_name_or_value_raises_naming_it(self, tmp_path, state, named):
         with pytest.raises(CheckpointError, match=f"{named}.*nothing written"):
-            save_checkpoint(tmp_path / "bad.spt", state)
+            save_checkpoint(tmp_path / "bad.npz", state)
         assert list(tmp_path.iterdir()) == []
 
     def test_failed_save_keeps_old_file(self, tmp_path, monkeypatch):
-        path = tmp_path / "keep.spt"
+        path = tmp_path / "keep.npz"
         save_checkpoint(path, {"w": np.ones(3, dtype=np.float32)})
         before = path.read_bytes()
 
@@ -357,14 +416,14 @@ class TestCheckpointFile:
         with pytest.raises(OSError, match="disk full"):
             save_checkpoint(path, {"w": np.zeros(5, dtype=np.float32)})
         assert path.read_bytes() == before
-        assert [f.name for f in tmp_path.iterdir()] == ["keep.spt"]
+        assert [f.name for f in tmp_path.iterdir()] == ["keep.npz"]
 
     def test_save_load_forward_bit_identical(self, tmp_path):
         rng = np.random.default_rng(6)
         net = _Net(rng)
         x = Tensor(rng.standard_normal((1, 1, 4, 4)).astype(np.float32))
         before = net.stem(x).data.copy()
-        path = tmp_path / "net.spt"
+        path = tmp_path / "net.npz"
         save_checkpoint(path, net.state_dict())
         fresh = _Net(np.random.default_rng(99))
         fresh.load_state_dict(load_checkpoint(path))
