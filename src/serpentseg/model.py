@@ -28,6 +28,7 @@ from .tensor import (
     Tensor,
     check_array,
     check_entries,
+    check_float,
     check_int,
     check_map,
     concat,
@@ -177,8 +178,7 @@ class SnakeFormer(Module):
         if image.data.dtype != self.head.weight.data.dtype:  # ops would promote the whole model
             raise ContractViolation(f"image is {image.data.dtype}, the parameters are "
                                     f"{self.head.weight.data.dtype}")
-        if not np.isfinite(image.data).all():
-            raise ContractViolation(f"image of shape {image.data.shape} has NaN or Inf values")
+        check_float("image", image.data, image.data.dtype)
         # 32 for the 1/32 scale; it fits every stage's reduction: MIT_REDUCTIONS[i] << (i + 2) == 32
         if h % 32 or w % 32:
             raise ContractViolation(f"image sides must be multiples of 32; got {image.data.shape}")
@@ -217,22 +217,11 @@ def combined_loss(logits: Tensor, target) -> Tensor:
     return ce + dice
 
 
-def _float32_image(name: str, value) -> np.ndarray:
-    """``value`` (``check_array``) as float32, the dtype the model runs; a NaN
-    or Inf in the result, a value beyond float32's range included, raises
-    ``ContractViolation`` naming ``name``."""
-    arr = check_array(name, value)
-    with np.errstate(over="ignore"):  # a value out of range becomes Inf, refused below
-        arr = arr.astype(np.float32, copy=False)
-    if not np.isfinite(arr).all():
-        raise ContractViolation(f"{name} of shape {arr.shape} has NaN or Inf values as float32")
-    return arr
-
-
 def predict_probabilities(model: SnakeFormer, images) -> np.ndarray:
     """Crack-class probability maps for a (N, C, H, W) image batch, given as
-    any bool, int or float array-like, run in float32 (``_float32_image``)."""
-    batch = _float32_image("images", images)
+    any bool, int or float array-like, run in float32, the dtype the model
+    runs (``check_float``)."""
+    batch = check_float("images", images, np.float32)
     with no_grad():
         logits = model(Tensor(batch))
         probs = softmax(logits, axis=1)
@@ -341,7 +330,7 @@ def _pair_list(name: str, pairs) -> list:
     """``pairs``, any iterable of (image, mask) pairs, taken once, as a list
     of array pairs, after checking every pair before any forward: an image
     and a mask (``check_array``), each (H, W), the mask binary and the image
-    finite as float32 (``_float32_image``), which it comes back as."""
+    finite as float32 (``check_float``), which it comes back as."""
     try:
         pairs = list(pairs)
     except TypeError:
@@ -359,7 +348,7 @@ def _pair_list(name: str, pairs) -> list:
             if a.ndim != 2:
                 raise ContractViolation(
                     f"{name}: {role} of pair {i} has shape {a.shape}; need (H, W)")
-        checked.append((_float32_image(f"{name}: image of pair {i}", image),
+        checked.append((check_float(f"{name}: image of pair {i}", image, np.float32),
                         check_binary(f"{name}: mask of pair {i}", mask)))
     return checked
 

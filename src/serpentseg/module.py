@@ -19,15 +19,15 @@ from collections.abc import Mapping
 
 import numpy as np
 
-from .tensor import ContractViolation, Tensor, check_array, check_int, conv2d, layer_norm, linear
+from .tensor import ContractViolation, Tensor, check_float, check_int, conv2d, layer_norm, linear
 
 
 class Parameter(Tensor):
-    """Trainable tensor; always participates in the gradient tape."""
+    """Trainable tensor of finite float32 data (``check_float``); always
+    participates in the gradient tape."""
 
     def __init__(self, data):
-        super().__init__(check_array("Parameter: data", data).astype(np.float32, copy=False),
-                         requires_grad=True)
+        super().__init__(check_float("Parameter: data", data, np.float32), requires_grad=True)
 
 
 class Module:
@@ -69,7 +69,8 @@ class Module:
         return state
 
     def load_state_dict(self, state: dict[str, np.ndarray]):
-        """Load values: finite array-likes of the parameters' shapes, bool, int or float.
+        """Load values: array-likes of the parameters' shapes, bool, int or
+        float, finite in the parameters' dtypes (``check_float``).
 
         Every value is converted and checked before any is assigned, so a
         failed load leaves the model unchanged.
@@ -86,16 +87,13 @@ class Module:
             )
         loaded = {}
         for name in sorted(own):
-            src = check_array(repr(name), state[name])
-            if src.shape != own[name].data.shape:
+            value = check_float(repr(name), state[name], own[name].data.dtype)
+            if value.shape != own[name].data.shape:
                 raise ContractViolation(
-                    f"shape mismatch for {name!r}: checkpoint {src.shape} vs model "
+                    f"shape mismatch for {name!r}: checkpoint {value.shape} vs model "
                     f"{own[name].data.shape}"
                 )
-            with np.errstate(over="ignore"):  # a value out of the dtype's range is refused below
-                loaded[name] = src.astype(own[name].data.dtype)
-            if not np.isfinite(loaded[name]).all():
-                raise ContractViolation(f"{name!r} has NaN or Inf values as {loaded[name].dtype}")
+            loaded[name] = value.copy()  # the model never shares the caller's array
         for name, value in loaded.items():
             own[name].data = value
 
@@ -171,17 +169,10 @@ def save_checkpoint(path, state: dict[str, np.ndarray]) -> None:
             raise CheckpointError(f"name {name!r} is not a str; nothing written")
         if not name.isprintable():  # zipfile cuts an entry name at a NUL
             raise CheckpointError(f"name {name!r} is not printable; nothing written")
-    arrays = {}
-    for name in sorted(state):
-        try:
-            arr = check_array(repr(name), state[name])
-        except ContractViolation as e:
-            raise CheckpointError(f"{e}; nothing written") from None
-        with np.errstate(over="ignore"):  # beyond float32's range becomes Inf, refused below
-            arrays[name] = arr.astype(np.float32)
-        # ``load_checkpoint`` refuses non-finite values, so never write one
-        if not np.isfinite(arrays[name]).all():
-            raise CheckpointError(f"non-finite value in {name!r}; nothing written")
+    try:  # ``load_checkpoint`` refuses non-finite values, so never write one
+        arrays = {name: check_float(repr(name), state[name], np.float32) for name in sorted(state)}
+    except ContractViolation as e:
+        raise CheckpointError(f"{e}; nothing written") from None
     # write a sibling temp file and rename it over ``path``, so a crash or a
     # concurrent reader never sees a half-written checkpoint; the name is
     # unique per writing thread, and ``open`` keeps the umask's permissions
@@ -203,14 +194,22 @@ def save_checkpoint(path, state: dict[str, np.ndarray]) -> None:
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
-    """Read a ``save_checkpoint`` file back: names to float32 arrays. A file
-    that opens but is not one raises ``CheckpointError`` naming ``path`` and,
-    where known, the entry; no entry is unpickled."""
+    """Read a ``save_checkpoint`` file back: names to finite float32 arrays
+    (``check_float``). A file that opens but is not one raises
+    ``CheckpointError`` naming ``path`` and, where known, the entry; no entry
+    is unpickled."""
     state: dict[str, np.ndarray] = {}
     where = str(path)
     with open(path, "rb") as fh:
         try:
             with zipfile.ZipFile(fh) as zf:
+                # a damaged comment length in a central-directory record makes
+                # zipfile read the records after it as that comment, so count
+                # the entries against the end record's total, as zipfile reads
+                # it (from the zip64 end record where the count is 0xFFFF)
+                total = zipfile._EndRecData(fh)[zipfile._ECD_ENTRIES_TOTAL]
+                if len(zf.infolist()) != total:
+                    raise zipfile.BadZipFile(f"{len(zf.infolist())} of {total} entries listed")
                 for info in zf.infolist():
                     where = f"{path}: entry {info.filename!r}"
                     name = info.filename.removesuffix(".npy")
@@ -220,11 +219,11 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
                     arr = np.lib.format.read_array(io.BytesIO(zf.read(info)), allow_pickle=False)
                     if arr.dtype != np.float32:
                         raise CheckpointError(f"{where} holds {arr.dtype}, not float32")
-                    if not np.isfinite(arr).all():
-                        raise CheckpointError(f"{where} holds a NaN or Inf value")
-                    state[name] = arr
+                    state[name] = check_float(where, arr, np.float32)
         except CheckpointError:
             raise
+        except ContractViolation as e:  # ``check_float``'s, a ValueError the clause below takes
+            raise CheckpointError(str(e)) from None
         # MemoryError or ValueError: a header whose shape exceeds the data
         except (zipfile.BadZipFile, EOFError, NotImplementedError, OSError, RuntimeError,
                 zlib.error, ValueError, MemoryError) as e:

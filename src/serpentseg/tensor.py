@@ -34,6 +34,9 @@ gradient.
 One gate for outside arrays: every array-like the package takes (a
 ``Tensor``'s data, a lifted operand, an image, a mask, a state value) enters
 through ``check_array``, which refuses all but bool, int and float arrays.
+One cast: every one that becomes float data (a ``Parameter``'s data, a
+lifted operand, an image, a state value) does so through ``check_float``,
+which refuses a NaN or Inf in the result, an overflow of the cast included.
 
 One dtype rule: a ``Tensor`` holds float32 or float64 data. ``Tensor.data``'s
 setter, which construction runs too, refuses any other dtype after
@@ -260,6 +263,18 @@ def check_array(name: str, value) -> np.ndarray:
     return arr
 
 
+def check_float(name: str, value, dtype) -> np.ndarray:
+    """``value`` (``check_array``) cast to the float ``dtype``; a NaN or Inf in
+    the result, a value beyond ``dtype``'s range included, raises
+    ``ContractViolation`` naming ``name``, the shape and ``dtype``."""
+    arr = check_array(name, value)
+    with np.errstate(over="ignore"):  # a value out of range becomes Inf, refused below
+        arr = arr.astype(dtype, copy=False)
+    if not np.isfinite(arr).all():
+        raise ContractViolation(f"{name} of shape {arr.shape} has NaN or Inf values as {arr.dtype}")
+    return arr
+
+
 def check_int(name: str, value, lowest: int) -> None:
     """Raise ``ContractViolation`` naming ``name`` unless ``value`` is an int
     (``_is_int``) of at least ``lowest``."""
@@ -358,19 +373,19 @@ def _make(data: np.ndarray, *grads) -> Tensor:
 
 def _lift(value, other, op: str) -> Tensor:
     """``op``'s non-tensor operand ``value`` as a tensor of the tensor ``other``'s
-    dtype; ``check_array`` names it by its type."""
+    dtype (``check_float``), which names it by its type."""
     if not isinstance(other, Tensor):
         raise ContractViolation(f"{op}: needs a tensor and a bool, int or float array, got "
                                 f"{type(value).__name__} and {type(other).__name__}")
-    arr = check_array(f"{op}: {type(value).__name__} operand", value)
-    return Tensor(arr.astype(other.data.dtype, copy=False))
+    return Tensor(check_float(f"{op}: {type(value).__name__} operand", value, other.data.dtype))
 
 
 def _operands(a, b, op: str) -> tuple[Tensor, Tensor]:
     """``a`` and ``b`` as tensors, after checking the limited broadcasting
     rule: equal shapes, a 0-d operand, or equal ranks whose differing axes
     are 1 on one side. One operand must be a tensor; the other is lifted to
-    its dtype only if it converts to a bool, int or float array (``_lift``)."""
+    its dtype only if it converts to a bool, int or float array that is finite
+    in that dtype (``_lift``)."""
     if not isinstance(a, Tensor):
         a = _lift(a, b, op)
     elif not isinstance(b, Tensor):

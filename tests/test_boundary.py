@@ -5,6 +5,12 @@ a ``CheckpointError`` from ``save_checkpoint``, before a numpy warning or
 error. The bad values hold only 0s and 1s, so nothing but their dtype or
 their raggedness is wrong.
 
+The cast rule: every entry point that casts an outside value to float data
+does so through ``tensor.check_float``, so a NaN, an Inf or a value beyond
+the float dtype's range is refused with ``ContractViolation`` "<name> of
+shape <shape> has NaN or Inf values as <dtype>", or that ``CheckpointError``
+with "; nothing written" from ``save_checkpoint``, before a numpy warning.
+
 The dtype rule: a ``Tensor`` holds float32 or float64 data, so bool, int
 and float16 data are refused where a tensor is built or its data set, before
 any op runs."""
@@ -105,6 +111,47 @@ def test_entry_point_refuses_a_value_that_is_not_a_numeric_array(entry, bad, tmp
         words = f"{named} is a ragged sequence, not an array"
     else:
         words = f"{named} must be a bool, int or float array, got {value.dtype}"
+    if error is CheckpointError:
+        words += "; nothing written"
+    monkeypatch.chdir(tmp_path)  # the call writes nothing
+    with pytest.raises(error, match=f"^{re.escape(words)}$"):
+        call(value)
+    assert list(tmp_path.iterdir()) == []
+
+
+NOT_FINITE = {
+    "nan": np.array([[0, np.nan], [1, 0]], dtype=np.float32),
+    "inf": np.array([[0, np.inf], [1, 0]], dtype=np.float32),
+    "-inf": np.array([[0, -np.inf], [1, 0]], dtype=np.float32),
+    "beyond-float32": np.array([[0, 1e39], [1, 0]]),  # finite as float64, Inf as float32
+}
+
+
+def _forward(value):
+    # a forward takes a tensor of the parameters' dtype, so the caller casts
+    with np.errstate(over="ignore"):
+        _model()(Tensor(value.astype(np.float32).reshape(1, 1, 2, 2)))
+
+
+# the entry points that cast a value to float32 data: (call, the name the
+# message starts with, the error)
+CASTS = {name: ENTRIES[name] for name in (
+    "Parameter", "lift-a", "lift-b", "predict_probabilities", "predict_masks",
+    "evaluate_model-image", "train_loop-image", "load_state_dict", "save_checkpoint")}
+CASTS["SnakeFormer"] = (_forward, "image")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", list(NOT_FINITE))
+@pytest.mark.parametrize("entry", list(CASTS))
+def test_entry_point_refuses_a_value_that_is_not_finite_as_float32(entry, bad, tmp_path,
+                                                                  monkeypatch):
+    call, named, *error = CASTS[entry]
+    error = error[0] if error else ContractViolation
+    value = NOT_FINITE[bad]
+    shape = (1, 1, 2, 2) if entry == "SnakeFormer" else value.shape
+    words = (f"{named.format(type=type(value).__name__)} of shape {shape} has NaN or Inf "
+             f"values as float32")
     if error is CheckpointError:
         words += "; nothing written"
     monkeypatch.chdir(tmp_path)  # the call writes nothing

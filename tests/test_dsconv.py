@@ -385,12 +385,6 @@ class TestBilinearSample:
         with pytest.raises(ContractViolation, match=re.escape(f"points {shape}")):
             grid_sample_points(f, Tensor(np.zeros(shape, dtype=np.float32)))
 
-    @pytest.mark.parametrize("shape", [(1, 4, 4), (1, 1, 1, 4, 4)])
-    def test_feature_that_is_not_4d_rejected(self, shape):
-        pts = Tensor(np.zeros((1, 3, 2), dtype=np.float32))
-        with pytest.raises(ContractViolation, match=re.escape(f"got shape {shape}")):
-            grid_sample_points(Tensor(np.zeros(shape, dtype=np.float32)), pts)
-
     def test_clamped_coordinate_has_zero_gradient(self):
         f = Tensor(np.random.default_rng(11).standard_normal((1, 1, 4, 4)).astype(np.float64))
         pts = Tensor(np.array([[[-1.5, 1.3]]], dtype=np.float64), requires_grad=True)

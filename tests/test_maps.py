@@ -1,7 +1,10 @@
 """The map rule: every public entry point that takes a feature map rejects a
-3-d map, and a map whose channel count it knows to be wrong, with a
+3-d or a 5-d map, with ``ContractViolation`` "<itself>: need an (…) map, got
+shape <shape>", and a map whose channel count it knows to be wrong, with a
 ``ContractViolation`` naming itself and the shape. The entry points are the
 rows of ``ops.OPS`` with a ``map``."""
+
+import re
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ def _bad_maps():
         axis, rank_name, count_name = row.map
         shape = next(iter(row.shapes.values()))
         yield pytest.param(op_id, shape[1:], rank_name, id=f"{op_id}-3d")
+        yield pytest.param(op_id, shape + (1,), rank_name, id=f"{op_id}-5d")
         if axis is not None:
             wide = tuple(s + (i == axis) for i, s in enumerate(shape))
             yield pytest.param(op_id, wide, count_name, id=f"{op_id}-channels")
@@ -32,4 +36,8 @@ def test_bad_map_raises_naming_callee_and_shape(op_id, shape, named):
     with pytest.raises(ContractViolation) as err:
         row.call(*args)
     msg = str(err.value)
-    assert msg.startswith(f"{named}: ") and str(shape) in msg, msg
+    if len(shape) == 4:  # a wrong channel count, which some word their own way
+        assert msg.startswith(f"{named}: ") and str(shape) in msg, msg
+    else:
+        words = rf"{re.escape(named)}: need an \([^)]*\) map, got shape {re.escape(str(shape))}"
+        assert re.fullmatch(words, msg), msg

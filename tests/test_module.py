@@ -92,12 +92,16 @@ def test_children_are_public_attributes_in_order():
     assert not any(n.startswith("_hidden") for n, _ in net.named_parameters())
 
 
-def test_module_is_the_one_child_walk():
-    # a sequence of modules is numbered attributes, walked by ``Module.__iter__``
+def _package_sources() -> list[Path]:
     sources = sorted(Path(inspect.getfile(Module)).parent.glob("*.py"))
     assert len(sources) > 5
+    return sources
+
+
+def test_module_is_the_one_child_walk():
+    # a sequence of modules is numbered attributes, walked by ``Module.__iter__``
     walks = []
-    for path in sources:
+    for path in _package_sources():
         text = path.read_text()
         assert "ModuleList" not in text, path.name
         walks += [f"{path.stem}.{node.name}" for node in ast.walk(ast.parse(text))
@@ -105,6 +109,24 @@ def test_module_is_the_one_child_walk():
                   and any(isinstance(f, ast.FunctionDef) and f.name == "__iter__"
                           for f in node.body)]
     assert walks == ["module.Module"], walks
+
+
+def test_check_float_is_the_one_cast():
+    # an outside array becomes float data through ``tensor.check_float``
+    # alone, the one function that silences the cast's overflow; ``sigmoid``
+    # silences exp's, whose Inf gives the exact 0
+    def errstates(tree):
+        return [node for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and node.attr == "errstate"
+                or isinstance(node, ast.Name) and node.id == "errstate"]
+
+    count, owners = 0, []
+    for path in _package_sources():
+        tree = ast.parse(path.read_text())
+        count += len(errstates(tree))
+        owners += [f"{path.stem}.{f.name}" for f in ast.walk(tree)
+                   if isinstance(f, ast.FunctionDef) and errstates(f)]
+    assert (count, sorted(owners)) == (2, ["tensor.check_float", "tensor.sigmoid"]), owners
 
 
 def test_no_knob_that_one_value_uses():
@@ -212,7 +234,8 @@ def test_load_rejects_nan_or_inf_naming_key_and_changes_nothing(bad):
     state = {k: v.astype(np.float64)
              for k, v in _Net(np.random.default_rng(5)).state_dict().items()}
     state["stem.weight"][0, 0, 1, 2] = bad  # the last key in name order
-    with pytest.raises(ContractViolation, match="'stem.weight' has NaN or Inf"):
+    with pytest.raises(ContractViolation, match=r"^'stem.weight' of shape \(2, 1, 3, 3\) has NaN "
+                                                r"or Inf values as float32$"):
         net.load_state_dict(state)
     for name, value in net.state_dict().items():
         np.testing.assert_array_equal(value, before[name], err_msg=name)
@@ -287,6 +310,7 @@ _SPT1 = (b"SPT1" + struct.pack("<II", 1, 1) + b"w" + struct.pack("<II", 1, 3)
          + np.ones(3, "<f4").tobytes())
 DAMAGED = r"is damaged, or not an npz of \.npy arrays"
 NOT_NPY = r"is not named \*\.npy or repeats a name"
+NOT_FINITE = r"of shape \(2,\) has NaN or Inf values as float32"
 
 # name: (writes the file at ``path``, the entry named or None, a regex of the words after it)
 CORRUPT = {
@@ -313,9 +337,9 @@ CORRUPT = {
        for tag, shape in [("65536^4", (65536,) * 4), ("(2^32-1)^2", (2**32 - 1,) * 2),
                           ("2^28", (2**28,)), ("2^36", (2**36,))]},
     "nan": (lambda p: _zip(p, [("w.npy", np.array([1.0, np.nan], np.float32))]), "w.npy",
-            "holds a NaN or Inf value"),
+            NOT_FINITE),
     "-inf": (lambda p: _zip(p, [("w.npy", np.array([-np.inf, 1.0], np.float32))]), "w.npy",
-             "holds a NaN or Inf value"),
+             NOT_FINITE),
 }
 
 
@@ -374,6 +398,33 @@ class TestCheckpointFile:
         for name, value in net.state_dict().items():
             np.testing.assert_array_equal(value, before[name], err_msg=name)
 
+    @pytest.mark.parametrize("zip64", [False, True], ids=["end-record", "zip64-end-record"])
+    def test_every_flipped_byte_is_refused_or_changes_nothing(self, tmp_path, monkeypatch,
+                                                             zip64):
+        # a flipped comment length in a central-directory record made zipfile
+        # read the records after it as that comment: 4 of the 760 flips of the
+        # plain file loaded 1 or 2 of its 3 entries and raised nothing
+        state = {"a": np.ones(2, np.float32), "b": np.arange(3, dtype=np.float32),
+                 "c": np.full((2, 2), -1.5, np.float32)}
+        path = tmp_path / "flip.npz"
+        if zip64:  # zipfile writes the zip64 end record, whose count then alone holds
+            monkeypatch.setattr(zipfile, "ZIP_FILECOUNT_LIMIT", 0)
+        save_checkpoint(path, state)
+        data = path.read_bytes()
+        if zip64:  # the end record's two entry counts, which now defer to the zip64 one
+            data = data[:-14] + b"\xff" * 4 + data[-10:]
+        for i in range(len(data)):
+            path.write_bytes(data[:i] + bytes([data[i] ^ 0xFF]) + data[i + 1:])
+            try:
+                loaded = load_checkpoint(path)
+            except CheckpointError:
+                continue
+            assert sorted(loaded) == sorted(state), i
+            for name, value in state.items():
+                np.testing.assert_array_equal(loaded[name], value, err_msg=f"{name} at {i}")
+        path.write_bytes(data)
+        assert sorted(load_checkpoint(path)) == sorted(state)
+
     def test_bytes_after_the_zip_leave_the_values(self, tmp_path):
         path = tmp_path / "tail.npz"
         path.write_bytes(_saved(path) + b"trailing")
@@ -387,7 +438,8 @@ class TestCheckpointFile:
         path = tmp_path / "nan.npz"
         state = {"a": np.ones(2, dtype=np.float32),
                  "w": np.array([1.0, bad, 2.0], dtype=dtype)}
-        with pytest.raises(CheckpointError, match="non-finite value in 'w'"):
+        with pytest.raises(CheckpointError, match=r"^'w' of shape \(3,\) has NaN or Inf values "
+                                                  r"as float32; nothing written$"):
             save_checkpoint(path, state)
         assert list(tmp_path.iterdir()) == []
 

@@ -12,7 +12,7 @@ from ops import OPS
 from serpentseg import dsconv, tensor
 
 # helpers that take no tensor operand, or a context manager: not ops
-EXEMPT = {"no_grad", "check_array", "check_int", "check_entries", "check_map"}
+EXEMPT = {"no_grad", "check_array", "check_float", "check_int", "check_entries", "check_map"}
 
 
 @pytest.mark.parametrize("op_id", [op_id for op_id, row in OPS.items() if row.grad])
